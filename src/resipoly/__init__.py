@@ -58,6 +58,7 @@ from .polytopes import (
     splitting,
 )
 from .residues import (
+    LevelGraph,
     build_constraints,
     build_flag,
     check_component_relations,

@@ -24,23 +24,17 @@ import sys
 
 from . import fixtures
 from .degeneration import check_degeneration
-from .graphs import (
-    GraphDocumentError,
-    LevelStructure,
-    components_below,
-    is_coarsening,
-    level_components,
-    load_level_graph,
-    ordered_partitions,
-)
+from .graphs import GraphDocumentError, LevelStructure, is_coarsening, load_level_graph
 from .linalg import format_fraction
 from .polytopes import (
+    FACE_SWEEP_BOUND,
+    POLYTOPE_BOUND,
+    TABLE_BOUND,
     base_polytope,
-    chain_face,
     check_polytope_faces,
     residue_projection_table,
 )
-from .residues import build_flag, per_component_report, residue_space
+from .residues import LevelGraph, residue_space
 from .verify import VerifyConfig, full_verification
 
 EXIT_OK = 0
@@ -93,53 +87,32 @@ def _emit_text(value, out, indent=0):
         out.write(f"{pad}{value}\n")
 
 
-def _counts_report(flag):
-    c = flag.counts
-    return {
-        "vertices": c.vertices,
-        "edges": c.edges,
-        "components": c.components,
-        "genus": c.genus,
-        "levels": c.levels,
-        "vertical_edges": c.vertical_edges,
-        "horizontal_edges": c.horizontal_edges,
-        "summits_irreducible": c.summits_irreducible,
-        "summits_reducible": c.summits_reducible,
-        "summits": c.summits,
-    }
-
-
 def cmd_info(args):
-    graph, levels = _load_input(args.input)
-    flag = build_flag(graph, levels)
+    model = LevelGraph(*_load_input(args.input))
     per_level = []
-    for n in range(1, levels.r + 1):
-        comps = level_components(graph, levels, n)
-        below, special = components_below(graph, levels, n)
+    for n, comps in model.level_components.items():
+        below, special = model.components_below[n]
         per_level.append(
             {
                 "level": n,
-                "vertices": list(levels.part(n)),
+                "vertices": list(model.levels.part(n)),
                 "level_components": [list(c) for c in comps],
                 "components_below": [list(c) for c in below],
                 "special_below": [list(c) for c in special],
             }
         )
-    report = {"counts": _counts_report(flag), "per_level": per_level}
+    report = {"counts": model.counts.as_dict(), "per_level": per_level}
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_dims(args):
-    graph, levels = _load_input(args.input)
-    flag = build_flag(graph, levels)
-    report = per_component_report(graph, levels)
-    identities = [
-        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
-        for c in flag.identities()
-    ]
+    model = LevelGraph(*_load_input(args.input))
+    flag = model.flag()
+    report = model.component_report()
+    identities = [c.as_dict() for c in flag.identities()]
     payload = {
-        "counts": _counts_report(flag),
+        "counts": flag.counts.as_dict(),
         "dims": {
             "downward": flag.dims[0],
             "local": flag.dims[1],
@@ -163,19 +136,7 @@ def cmd_dims(args):
             }
             for b in report.blocks
         ],
-        "levels": [
-            {
-                "level": s.level,
-                "lrc": s.local_count,
-                "ros": s.rosenlicht_count,
-                "glob": s.global_count,
-                "block_dim": s.block_dim,
-                "codim_local": s.codim_local,
-                "codim_rosenlicht": s.codim_rosenlicht,
-                "codim_global": s.codim_global,
-            }
-            for s in report.levels
-        ],
+        "levels": [s.as_dict() for s in report.levels],
         "component_totals_ok": report.totals_consistent,
     }
     all_ok = (
@@ -214,17 +175,18 @@ def _table_report(table):
 
 def cmd_gamma(args):
     graph, levels = _load_input(args.input)
-    table = residue_projection_table(graph, levels, max_vertices=args.max_vertices)
+    table = residue_projection_table(
+        graph, levels, max_vertices=min(args.max_vertices, TABLE_BOUND)
+    )
     _emit(_table_report(table), args.format)
     return EXIT_OK
 
 
 def cmd_polytope(args):
     graph, levels = _load_input(args.input)
-    table = residue_projection_table(
-        graph, levels, max_vertices=min(args.max_vertices, 8)
-    )
-    poly = base_polytope(table, max_vertices=min(args.max_vertices, 8))
+    bound = min(args.max_vertices, POLYTOPE_BOUND)
+    table = residue_projection_table(graph, levels, max_vertices=bound)
+    poly = base_polytope(table, max_vertices=bound)
     payload = {
         "ground": list(poly.ground),
         "vertices": [[format_fraction(x) for x in q] for q in poly.vertices],
@@ -243,20 +205,18 @@ def cmd_polytope(args):
 
 def cmd_faces(args):
     graph, _ = _load_input(args.input)
-    report = check_polytope_faces(graph, max_vertices=min(args.max_vertices, 6))
-    trivial = LevelStructure.trivial(graph.vertices)
-    poly = base_polytope(residue_projection_table(graph, trivial))
+    report = check_polytope_faces(
+        graph, max_vertices=min(args.max_vertices, FACE_SWEEP_BOUND)
+    )
     probe = "lower" if report.orientation in ("lower", "both") else "upper"
-    faces = []
-    for pi in ordered_partitions(graph.vertices, min(args.max_vertices, 6)):
-        indices = chain_face(poly, pi, probe)
-        faces.append(
-            {
-                "ordered_partition": [list(p) for p in pi.parts],
-                "vertex_indices": list(indices),
-                "orientation": probe,
-            }
-        )
+    faces = [
+        {
+            "ordered_partition": [list(p) for p in pi.parts],
+            "vertex_indices": list(chains[probe]),
+            "orientation": probe,
+        }
+        for pi, chains in report.chain_faces
+    ]
     payload = {
         "orientation": report.orientation,
         "partitions": report.partitions_checked,
@@ -267,7 +227,7 @@ def cmd_faces(args):
         "cover_ok": report.cover_ok,
         "ok": report.ok,
         "failures": list(report.failures),
-        "vertices": [[format_fraction(x) for x in q] for q in poly.vertices],
+        "vertices": [[format_fraction(x) for x in q] for q in report.reference.vertices],
         "faces": faces,
     }
     _emit(payload, args.format)
@@ -286,8 +246,6 @@ def cmd_degenerate(args):
             "the input level structure is not a coarsening of --fine"
         )
     result = check_degeneration(graph, fine, coarse)
-    fine_space = residue_space(graph, fine)
-    coarse_space = residue_space(graph, coarse)
     payload = {
         "fine": [list(p) for p in fine.parts],
         "coarse": [list(p) for p in coarse.parts],
@@ -300,10 +258,10 @@ def cmd_degenerate(args):
         "ok": result.ok,
         "arrows": [a.label for a in graph.arrows],
         "coarse_basis": [
-            [format_fraction(x) for x in row] for row in coarse_space.basis
+            [format_fraction(x) for x in row] for row in result.coarse_space.basis
         ],
         "fine_basis": [
-            [format_fraction(x) for x in row] for row in fine_space.basis
+            [format_fraction(x) for x in row] for row in result.fine_space.basis
         ],
     }
     _emit(payload, args.format)

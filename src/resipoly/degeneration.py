@@ -274,15 +274,18 @@ class DegenerationReport:
     limit_matches: bool
     realization_matches: bool
     splitting_matches: bool
-    oracle_matches: bool
+    oracle_matches: bool | None  # None when the oracle did not run
+    fine_space: Subspace
+    coarse_space: Subspace
 
     @property
     def ok(self):
+        """All checks that ran passed."""
         return (
             self.limit_matches
             and self.realization_matches
             and self.splitting_matches
-            and self.oracle_matches
+            and self.oracle_matches is not False
         )
 
 
@@ -293,7 +296,7 @@ def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
     Three equalities are checked: the leading-form limit, the flag
     realization, and the submodular splitting of the projection table.  The
     exterior-coordinate oracle additionally re-derives the limit when its
-    size bound allows.
+    size bound allows; without it ``oracle_matches`` is None.
     """
     if not is_coarsening(fine, coarse):
         raise ValueError("second structure is not a coarsening of the first")
@@ -311,7 +314,7 @@ def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
     split = splitting(residue_projection_table(graph, coarse), fine, "submodular")
     fine_table = residue_projection_table(graph, fine)
 
-    oracle_matches = True
+    oracle_matches = None
     if with_oracle:
         oracle_matches = plucker_limit_oracle(laurent) == limit
 
@@ -323,4 +326,6 @@ def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
         realization_matches=realization == fine_space,
         splitting_matches=split == fine_table,
         oracle_matches=oracle_matches,
+        fine_space=fine_space,
+        coarse_space=coarse_space,
     )

@@ -134,17 +134,6 @@ class Multigraph:
     def num_arrows(self):
         return 2 * len(self.edges)
 
-    def reverse(self, arrow_index):
-        return arrow_index ^ 1
-
-    def find_arrows(self, tail, head):
-        """Indices of all arrows tail->head (several for parallel edges)."""
-        return tuple(
-            i
-            for i, a in enumerate(self.arrows)
-            if a.tail == tail and a.head == head
-        )
-
     def induced_components(self, subset):
         """Connected components of the induced subgraph, as vertex tuples.
 
@@ -341,21 +330,29 @@ def summits(graph, levels, classification=None):
     edge (a vertex with a loop is reducible).
     """
     cls = classification or classify_arrows(graph, levels)
+    components = [
+        comp for n in range(1, levels.r + 1) for comp in level_components(graph, levels, n)
+    ]
+    return _split_summits(graph, cls, components)
+
+
+def _split_summits(graph, classification, components):
+    """The summits among the given level components, as (irreducible,
+    reducible) lists in the order given."""
     irreducible = []
     reducible = []
-    for n in range(1, levels.r + 1):
-        for comp in level_components(graph, levels, n):
-            has_upward = any(
-                cls.tags[a] == UPWARD
-                for v in comp
-                for a in graph.arrows_with_tail[v]
-            )
-            if has_upward:
-                continue
-            if len(comp) == 1 and not graph.induced_edges(comp):
-                irreducible.append(comp)
-            else:
-                reducible.append(comp)
+    for comp in components:
+        has_upward = any(
+            classification.tags[a] == UPWARD
+            for v in comp
+            for a in graph.arrows_with_tail[v]
+        )
+        if has_upward:
+            continue
+        if len(comp) == 1 and not graph.induced_edges(comp):
+            irreducible.append(comp)
+        else:
+            reducible.append(comp)
     return irreducible, reducible
 
 
@@ -446,14 +443,24 @@ def load_level_graph(document):
     """Validate a graph document and return (Multigraph, LevelStructure).
 
     Expected shape: ``{"vertices": [...], "edges": [[u, v], ...],
-    "levels": {vertex: integer, ...}}``.  An omitted "levels" entry means
-    the trivial one-level structure.  Unknown keys are ignored.
+    "levels": {vertex: integer, ...}}``; "vertices", "edges" and each edge
+    must be arrays.  An omitted "levels" entry means the trivial one-level
+    structure.  Unknown keys are ignored.
     """
     if not isinstance(document, dict):
         raise GraphDocumentError("graph document must be a JSON object")
     if "vertices" not in document:
         raise GraphDocumentError('graph document lacks a "vertices" list')
-    graph = Multigraph(document["vertices"], document.get("edges", []))
+    vertices = document["vertices"]
+    edges = document.get("edges", [])
+    if not isinstance(vertices, (list, tuple)):
+        raise GraphDocumentError('"vertices" must be a list of vertex names')
+    if not isinstance(edges, (list, tuple)):
+        raise GraphDocumentError('"edges" must be a list of vertex pairs')
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise GraphDocumentError(f"edge {e!r} is not a pair [u, v]")
+    graph = Multigraph(vertices, edges)
     raw_levels = document.get("levels")
     if raw_levels is None:
         structure = LevelStructure.trivial(graph.vertices)

@@ -27,9 +27,9 @@ __all__ = [
     "kernel_of_projection",
     "project_image",
     "rank",
-    "rank_mod_p",
     "rref",
     "set_theoretic_checks",
+    "support_checks",
     "to_fraction",
 ]
 
@@ -88,9 +88,6 @@ class QMatrix:
             " ".join(format_fraction(x) for x in row) for row in self.rows
         )
         return f"QMatrix({self.num_rows}x{self.num_cols}: {body})"
-
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
 
 
 def _rref_rows(rows, num_cols):
@@ -200,47 +197,6 @@ def rank(rows):
     for row in _integer_rows(rows):
         _echelon_insert(echelon, row)
     return len(echelon)
-
-
-def rank_mod_p(rows, p):
-    """Rank over the prime field GF(p); a cheap cross-check of :func:`rank`.
-
-    Rows whose denominators vanish mod p are rejected.
-    """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    mat = []
-    for row in rows:
-        reduced = []
-        for x in row:
-            q = to_fraction(x)
-            if q.denominator % p == 0:
-                raise ValueError("denominator divisible by p")
-            reduced.append(q.numerator * pow(q.denominator, -1, p) % p)
-        mat.append(reduced)
-    if not mat:
-        return 0
-    width = len(mat[0])
-    r = 0
-    for c in range(width):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [a * inv % p for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
 
 
 def det(rows):
@@ -548,7 +504,12 @@ def set_theoretic_checks(collection_1, collection_2):
     """
     if collection_1.ambient_dim != collection_2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    sup1, sup2 = collection_1.supports, collection_2.supports
+    return support_checks(collection_1.supports, collection_2.supports)
+
+
+def support_checks(sup1, sup2):
+    """:func:`set_theoretic_checks` on two tuples of supports (sets of
+    coordinate indices), one per vector."""
     sti_1 = _is_set_independent(sup1)
     sti_2 = _is_set_independent(sup2)
     if sti_1 and sti_2:

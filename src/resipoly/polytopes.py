@@ -108,23 +108,6 @@ class SetFunction:
                         return False
         return True
 
-    def is_supermodular(self):
-        if not self.is_zero_at_empty():
-            return False
-        n = self.n
-        for mask in range(1 << n):
-            outside = [i for i in range(n) if not mask >> i & 1]
-            for x in range(len(outside)):
-                a = 1 << outside[x]
-                for y in range(x + 1, len(outside)):
-                    b = 1 << outside[y]
-                    if (
-                        self.values[mask | a] + self.values[mask | b]
-                        > self.values[mask | a | b] + self.values[mask]
-                    ):
-                        return False
-        return True
-
     def is_nondecreasing(self):
         n = self.n
         return all(
@@ -266,10 +249,6 @@ class BasePolytope:
         self.vertices = tuple(vertices)
         self.table = table
 
-    @property
-    def dimension_ambient(self):
-        return len(self.ground)
-
     def vertex_index(self):
         return {v: i for i, v in enumerate(self.vertices)}
 
@@ -355,6 +334,10 @@ def chain_face(polytope, levels, orientation):
 
 @dataclass(frozen=True)
 class FaceReport:
+    """Verdicts of the face sweep, plus what they were read from: the
+    one-level polytope and, per ordered partition in enumeration order, its
+    chain face under each orientation."""
+
     orientation: str
     partitions_checked: int
     distinct_faces: int
@@ -363,6 +346,8 @@ class FaceReport:
     coarsening_ok: bool
     cover_ok: bool
     failures: tuple
+    reference: BasePolytope
+    chain_faces: tuple  # ((LevelStructure, {orientation: vertex indices}), ...)
 
     @property
     def ok(self):
@@ -454,4 +439,6 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
         coarsening_ok=coarsening_ok,
         cover_ok=cover_ok,
         failures=tuple(failures),
+        reference=reference,
+        chain_faces=tuple((pi, chains) for pi, _, _, chains in entries.values()),
     )

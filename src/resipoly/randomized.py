@@ -9,14 +9,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import LevelStructure, Multigraph
-from .linalg import Subspace, VectorCollection
+from .linalg import VectorCollection
 
 __all__ = [
     "random_coarsening",
     "random_level_structure",
     "random_multigraph",
     "random_sti_collection",
-    "random_subspace",
 ]
 
 
@@ -79,12 +78,3 @@ def random_sti_collection(rng, ambient, max_vectors=4, max_support=3):
         items.append((f"w{i}", vector))
     return VectorCollection(ambient, items)
 
-
-def random_subspace(rng, ambient, max_dim=4, entry_bound=3):
-    """span of a few random small-integer vectors (dimension not forced)."""
-    count = rng.randint(0, max_dim)
-    rows = [
-        [rng.randint(-entry_bound, entry_bound) for _ in range(ambient)]
-        for _ in range(count)
-    ]
-    return Subspace(ambient, rows)

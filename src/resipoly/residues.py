@@ -20,26 +20,32 @@ counting identities:
 so the residue space has dimension |E| - |V| + c, the genus.  These five
 identities are recomputed from scratch for every input and reported; a
 mismatch signals an implementation bug, never data to be corrected.
+
+:class:`LevelGraph` is the one model of a graph with an ordered partition.
+Each of its parts is computed once, on first use: the arrow classification,
+the level components, the components below each level and the special ones
+among them, the components of each prefix V<=n, the summits, the counts and
+the four condition families.  Every condition is a 0/1 row, so it is built
+once, as its labelled support (the frozenset of arrow indices where it is
+1).  The flag, the per-component blocks and the relatedness predicates all
+read those supports; full-width 0/1 vectors are made from them only where
+a kernel or a rank needs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import (
     DOWNWARD,
+    _split_summits,
     classify_arrows,
     components_below,
     level_components,
-    summits,
 )
-from .linalg import (
-    VectorCollection,
-    _echelon_insert,
-    kernel,
-    rank,
-    set_theoretic_checks,
-)
+from .linalg import _echelon_insert, kernel, support_checks
 
 __all__ = [
     "FAMILIES",
@@ -48,19 +54,30 @@ __all__ = [
     "ConstraintSet",
     "IdentityCheck",
     "LevelCounts",
+    "LevelGraph",
     "LevelSummary",
     "ResidueFlag",
+    "Row",
     "build_constraints",
     "build_flag",
     "check_component_relations",
     "flag_dims",
     "flag_identities",
-    "level_counts",
     "per_component_report",
     "residue_space",
 ]
 
 FAMILIES = ("downward", "local", "rosenlicht", "global")
+
+
+class Row(NamedTuple):
+    """One condition: its label, the arrow indices where it is 1, and what
+    it belongs to (an arrow, a vertex, an edge index, or a level with a
+    special component below it)."""
+
+    label: str
+    support: frozenset
+    owner: object
 
 
 @dataclass(frozen=True)
@@ -72,9 +89,6 @@ class ConstraintSet:
 
     def vectors(self):
         return [row for _, row in self.rows]
-
-    def labels(self):
-        return [label for label, _ in self.rows]
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,9 @@ class LevelCounts:
     def summits(self):
         return self.summits_irreducible + self.summits_reducible
 
+    def as_dict(self):
+        return {**asdict(self), "summits": self.summits}
+
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -104,83 +121,288 @@ class IdentityCheck:
     def ok(self):
         return self.lhs == self.rhs
 
-
-def level_counts(graph, levels, classification=None):
-    cls = classification or classify_arrows(graph, levels)
-    irreducible, reducible = summits(graph, levels, cls)
-    return LevelCounts(
-        vertices=len(graph.vertices),
-        edges=len(graph.edges),
-        components=graph.component_count,
-        genus=graph.genus,
-        levels=levels.r,
-        vertical_edges=len(cls.vertical_edges),
-        horizontal_edges=len(cls.horizontal_edges),
-        summits_irreducible=len(irreducible),
-        summits_reducible=len(reducible),
-    )
+    def as_dict(self):
+        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
-def _unit_row(size, index):
-    row = [0] * size
-    row[index] = 1
-    return tuple(row)
+def _supports(rows):
+    return tuple(row.support for row in rows)
 
 
-def build_constraints(graph, levels, classification=None):
-    """All four constraint families, fully labeled.
+def _dense(support, width):
+    return tuple(1 if c in support else 0 for c in range(width))
 
-    The local row of a vertex is the characteristic vector of its
-    non-downward arrows; vertices where that support is empty (irreducible
-    summits and isolated vertices) contribute no row.  Global rows are
-    generated for every special component, even when linearly dependent on
-    the other families.
+
+def _cumulative_ranks(groups, width):
+    """Rank of the rows of the first k groups of supports, for each k."""
+    echelon = []
+    ranks = []
+    for supports in groups:
+        for support in supports:
+            _echelon_insert(echelon, _dense(support, width))
+        ranks.append(len(echelon))
+    return ranks
+
+
+class _Block(NamedTuple):
+    """The rows of one component C of V<=n that live at level n."""
+
+    level: int
+    component: tuple
+    level_vertices: tuple
+    local: tuple
+    rosenlicht: tuple
+    glob: tuple
+
+
+class LevelGraph:
+    """A multigraph with an ordered partition of its vertices, and the facts
+    derived from the pair.
+
+    Every part is computed on first use and kept, so each is built once per
+    model however many checks read it.  The parts are facts about the level
+    graph, never the verdict of a check.
     """
-    cls = classification or classify_arrows(graph, levels)
-    width = graph.num_arrows
 
-    downward_rows = tuple(
-        (graph.arrows[a].label, _unit_row(width, a)) for a in cls.downward
-    )
+    def __init__(self, graph, levels, classification=None):
+        self.graph = graph
+        self.levels = levels
+        if classification is not None:
+            self.classification = classification
 
-    local_rows = []
-    for v in graph.vertices:
-        row = [0] * width
-        touched = False
-        for a in graph.arrows_with_tail[v]:
-            if cls.tags[a] != DOWNWARD:
-                row[a] += 1
-                touched = True
-        if touched:
-            local_rows.append((v, tuple(row)))
+    @cached_property
+    def classification(self):
+        return classify_arrows(self.graph, self.levels)
 
-    rosenlicht_rows = []
-    for e in cls.horizontal_edges:
-        row = [0] * width
-        row[2 * e] += 1
-        row[2 * e + 1] += 1
-        u, v = graph.edges[e]
-        rosenlicht_rows.append((f"e{e}:{u}-{v}", tuple(row)))
+    @property
+    def level_numbers(self):
+        return range(1, self.levels.r + 1)
 
-    global_rows = []
-    for n in range(1, levels.r + 1):
-        _, special = components_below(graph, levels, n)
-        for comp in special:
-            members = set(comp)
-            row = [0] * width
-            for v in levels.part(n):
-                for a in graph.arrows_with_tail[v]:
-                    if graph.arrows[a].head in members:
-                        row[a] += 1
-            label = f"{n}:{'+'.join(comp)}"
-            global_rows.append((label, tuple(row)))
+    @cached_property
+    def level_components(self):
+        """Level n -> components of the subgraph induced on level n."""
+        return {n: level_components(self.graph, self.levels, n) for n in self.level_numbers}
 
-    return {
-        "downward": ConstraintSet("downward", downward_rows),
-        "local": ConstraintSet("local", tuple(local_rows)),
-        "rosenlicht": ConstraintSet("rosenlicht", tuple(rosenlicht_rows)),
-        "global": ConstraintSet("global", tuple(global_rows)),
-    }
+    @cached_property
+    def components_below(self):
+        """Level n -> (components strictly below level n, the special ones)."""
+        return {n: components_below(self.graph, self.levels, n) for n in self.level_numbers}
+
+    @cached_property
+    def prefix_components(self):
+        """Level n -> components of the subgraph induced on the levels <= n."""
+        return {
+            n: self.graph.induced_components(self.levels.prefix(n))
+            for n in self.level_numbers
+        }
+
+    @cached_property
+    def summits(self):
+        """(irreducible, reducible) summits among the level components."""
+        components = [c for comps in self.level_components.values() for c in comps]
+        return _split_summits(self.graph, self.classification, components)
+
+    @cached_property
+    def counts(self):
+        graph, cls = self.graph, self.classification
+        irreducible, reducible = self.summits
+        return LevelCounts(
+            vertices=len(graph.vertices),
+            edges=len(graph.edges),
+            components=graph.component_count,
+            genus=graph.genus,
+            levels=self.levels.r,
+            vertical_edges=len(cls.vertical_edges),
+            horizontal_edges=len(cls.horizontal_edges),
+            summits_irreducible=len(irreducible),
+            summits_reducible=len(reducible),
+        )
+
+    @cached_property
+    def rows(self):
+        """Family -> its condition rows, in label order.
+
+        The local row of a vertex is the support of its non-downward arrows;
+        vertices where that support is empty (irreducible summits and
+        isolated vertices) contribute no row.  Global rows are generated for
+        every special component, even when linearly dependent on the other
+        families.
+        """
+        graph, levels, cls = self.graph, self.levels, self.classification
+        downward = tuple(
+            Row(graph.arrows[a].label, frozenset((a,)), a) for a in cls.downward
+        )
+        local = []
+        for v in graph.vertices:
+            support = frozenset(
+                a for a in graph.arrows_with_tail[v] if cls.tags[a] != DOWNWARD
+            )
+            if support:
+                local.append(Row(v, support, v))
+        rosenlicht = []
+        for e in cls.horizontal_edges:
+            u, v = graph.edges[e]
+            rosenlicht.append(Row(f"e{e}:{u}-{v}", frozenset((2 * e, 2 * e + 1)), e))
+        glob = []
+        for n in self.level_numbers:
+            for comp in self.components_below[n][1]:
+                members = set(comp)
+                support = frozenset(
+                    a
+                    for v in levels.part(n)
+                    for a in graph.arrows_with_tail[v]
+                    if graph.arrows[a].head in members
+                )
+                glob.append(Row(f"{n}:{'+'.join(comp)}", support, (n, comp)))
+        return {
+            "downward": downward,
+            "local": tuple(local),
+            "rosenlicht": tuple(rosenlicht),
+            "global": tuple(glob),
+        }
+
+    def _rows_within(self, vertices):
+        """The local rows of `vertices` and the rosenlicht rows of the
+        horizontal edges with both ends among them."""
+        edges = self.graph.edges
+        local = tuple(row for row in self.rows["local"] if row.owner in vertices)
+        ros = tuple(
+            row for row in self.rows["rosenlicht"] if vertices.issuperset(edges[row.owner])
+        )
+        return local, ros
+
+    @cached_property
+    def blocks(self):
+        """The local, rosenlicht and global rows of level n grouped by the
+        component of V<=n they lie in, for every level n.
+
+        Each group's rows live in the coordinates of the non-downward arrows
+        with tail in the component's level-n vertices.
+        """
+        blocks = []
+        for n in self.level_numbers:
+            for comp in self.prefix_components[n]:
+                members = set(comp)
+                here = tuple(v for v in self.levels.part(n) if v in members)
+                glob = tuple(
+                    row
+                    for row in self.rows["global"]
+                    if row.owner[0] == n and members.issuperset(row.owner[1])
+                )
+                blocks.append(_Block(n, comp, here, *self._rows_within(set(here)), glob))
+        return tuple(blocks)
+
+    def constraints(self):
+        """All four families as labelled full-width 0/1 rows."""
+        width = self.graph.num_arrows
+        return {
+            family: ConstraintSet(
+                family,
+                tuple((row.label, _dense(row.support, width)) for row in self.rows[family]),
+            )
+            for family in FAMILIES
+        }
+
+    def flag(self):
+        """Impose the four families cumulatively and keep every kernel."""
+        constraints = self.constraints()
+        stacked = []
+        spaces = {}
+        for family in FAMILIES:
+            stacked.extend(constraints[family].vectors())
+            spaces[family] = kernel(stacked, num_cols=self.graph.num_arrows)
+        return ResidueFlag(self.counts, spaces, constraints)
+
+    def flag_dims(self):
+        """The counts and the four flag dimensions, by integer rank only."""
+        width = self.graph.num_arrows
+        ranks = _cumulative_ranks((_supports(self.rows[f]) for f in FAMILIES), width)
+        return self.counts, tuple(width - r for r in ranks)
+
+    def residue_space(self):
+        """The subspace cut out by all four condition families."""
+        width = self.graph.num_arrows
+        rows = [_dense(row.support, width) for f in FAMILIES for row in self.rows[f]]
+        return kernel(rows, num_cols=width)
+
+    def component_report(self):
+        """Blockwise collections, cardinalities and codimensions, with totals
+        checked against the flag dimensions."""
+        _, dims = self.flag_dims()
+        width = self.graph.num_arrows
+        blocks = []
+        for b in self.blocks:
+            groups = (b.local, b.rosenlicht, b.glob)
+            labels = [tuple(row.label for row in group) for group in groups]
+            block_dim = len(frozenset().union(*_supports(b.local)))
+            codims = _cumulative_ranks([_supports(group) for group in groups], width)
+            blocks.append(
+                ComponentBlock(b.level, b.component, b.level_vertices, *labels, block_dim, *codims)
+            )
+        summaries = []
+        for n in self.level_numbers:
+            at = [b for b in blocks if b.level == n]
+            summaries.append(
+                LevelSummary(
+                    level=n,
+                    local_count=sum(len(b.local_labels) for b in at),
+                    rosenlicht_count=sum(len(b.rosenlicht_labels) for b in at),
+                    global_count=sum(len(b.global_labels) for b in at),
+                    block_dim=sum(b.block_dim for b in at),
+                    codim_local=sum(b.codim_local for b in at),
+                    codim_rosenlicht=sum(b.codim_rosenlicht for b in at),
+                    codim_global=sum(b.codim_global for b in at),
+                )
+            )
+        up, local, ros, res = dims
+        consistent = (
+            sum(b.block_dim for b in blocks) == up
+            and sum(b.codim_local for b in blocks) == up - local
+            and sum(b.codim_rosenlicht for b in blocks) == up - ros
+            and sum(b.codim_global for b in blocks) == up - res
+        )
+        return ComponentReport(tuple(blocks), tuple(summaries), dims, consistent)
+
+    def relation_failures(self):
+        """Relatedness predicates on the per-component collections.
+
+        Within every level component, the local rows versus the rosenlicht
+        rows must be properly unrelated, and related exactly for reducible
+        summits.  Within every component of V_{h<=n} that meets level n, the
+        global and rosenlicht rows together versus the local rows must be
+        properly unrelated, and related whenever the collections are
+        nonempty.  Returns a list of failure descriptions (empty means all
+        predicates hold).
+        """
+        failures = []
+        reducible = set(self.summits[1])
+        for n, comps in self.level_components.items():
+            for comp in comps:
+                local, ros = self._rows_within(set(comp))
+                report = support_checks(_supports(local), _supports(ros))
+                if not report.properly_unrelated:
+                    failures.append(f"level {n} component {comp}: not properly unrelated")
+                if report.related != (comp in reducible):
+                    failures.append(
+                        f"level {n} component {comp}: related={report.related} "
+                        f"but reducible-summit={comp in reducible}"
+                    )
+
+        for b in self.blocks:
+            if not b.level_vertices:
+                continue
+            report = support_checks(_supports(b.glob + b.rosenlicht), _supports(b.local))
+            if not report.properly_unrelated:
+                failures.append(
+                    f"level {b.level} merged component {b.component}: not properly unrelated"
+                )
+            nonempty = bool(b.local or b.rosenlicht or b.glob)
+            if report.related != nonempty:
+                failures.append(
+                    f"level {b.level} merged component {b.component}: "
+                    f"related={report.related} with nonempty={nonempty}"
+                )
+        return failures
 
 
 def flag_identities(counts, dims):
@@ -214,12 +436,9 @@ def flag_identities(counts, dims):
 class ResidueFlag:
     """The four nested kernels together with the verification bookkeeping."""
 
-    __slots__ = ("graph", "levels", "classification", "counts", "spaces", "constraints")
+    __slots__ = ("counts", "spaces", "constraints")
 
-    def __init__(self, graph, levels, classification, counts, spaces, constraints):
-        self.graph = graph
-        self.levels = levels
-        self.classification = classification
+    def __init__(self, counts, spaces, constraints):
         self.counts = counts
         self.spaces = spaces  # dict family -> Subspace, cumulative
         self.constraints = constraints
@@ -251,18 +470,14 @@ class ResidueFlag:
         )
 
 
+def build_constraints(graph, levels, classification=None):
+    """All four constraint families, fully labeled (see :class:`LevelGraph`)."""
+    return LevelGraph(graph, levels, classification).constraints()
+
+
 def build_flag(graph, levels):
     """Impose the four families cumulatively and keep every intermediate kernel."""
-    cls = classify_arrows(graph, levels)
-    constraints = build_constraints(graph, levels, cls)
-    counts = level_counts(graph, levels, cls)
-    width = graph.num_arrows
-    stacked = []
-    spaces = {}
-    for family in FAMILIES:
-        stacked.extend(constraints[family].vectors())
-        spaces[family] = kernel(stacked, num_cols=width)
-    return ResidueFlag(graph, levels, cls, counts, spaces, constraints)
+    return LevelGraph(graph, levels).flag()
 
 
 def flag_dims(graph, levels, classification=None):
@@ -270,26 +485,12 @@ def flag_dims(graph, levels, classification=None):
 
     Same mathematics as :func:`build_flag`, used for large sweeps.
     """
-    cls = classification or classify_arrows(graph, levels)
-    constraints = build_constraints(graph, levels, cls)
-    counts = level_counts(graph, levels, cls)
-    width = graph.num_arrows
-    echelon = []
-    dims = []
-    for family in FAMILIES:
-        for _, row in constraints[family].rows:
-            _echelon_insert(echelon, list(row))
-        dims.append(width - len(echelon))
-    return counts, tuple(dims)
+    return LevelGraph(graph, levels, classification).flag_dims()
 
 
 def residue_space(graph, levels):
     """The subspace cut out by all four condition families."""
-    constraints = build_constraints(graph, levels)
-    stacked = []
-    for family in FAMILIES:
-        stacked.extend(constraints[family].vectors())
-    return kernel(stacked, num_cols=graph.num_arrows)
+    return LevelGraph(graph, levels).residue_space()
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +530,18 @@ class LevelSummary:
     codim_rosenlicht: int
     codim_global: int
 
+    def as_dict(self):
+        return {
+            "level": self.level,
+            "lrc": self.local_count,
+            "ros": self.rosenlicht_count,
+            "glob": self.global_count,
+            "block_dim": self.block_dim,
+            "codim_local": self.codim_local,
+            "codim_rosenlicht": self.codim_rosenlicht,
+            "codim_global": self.codim_global,
+        }
+
 
 @dataclass(frozen=True)
 class ComponentReport:
@@ -338,173 +551,13 @@ class ComponentReport:
     totals_consistent: bool
 
 
-def _component_collections(graph, levels, cls):
-    """Yield per (n, C in components of V_{h<=n}) the three row collections.
-
-    Rows are full-width vectors (their support already lies in the block).
-    """
-    width = graph.num_arrows
-    for n in range(1, levels.r + 1):
-        upto = levels.prefix(n)
-        comps = graph.induced_components(upto)
-        _, special_below = components_below(graph, levels, n)
-        for comp in comps:
-            members = set(comp)
-            here = tuple(v for v in levels.part(n) if v in members)
-            here_set = set(here)
-
-            block_coords = []
-            local_rows = []
-            for v in here:
-                row = [0] * width
-                touched = False
-                for a in graph.arrows_with_tail[v]:
-                    if cls.tags[a] != DOWNWARD:
-                        row[a] += 1
-                        touched = True
-                        block_coords.append(a)
-                if touched:
-                    local_rows.append((v, tuple(row)))
-
-            ros_rows = []
-            for e in cls.horizontal_edges:
-                u, v = graph.edges[e]
-                if u in here_set and v in here_set:
-                    row = [0] * width
-                    row[2 * e] += 1
-                    row[2 * e + 1] += 1
-                    ros_rows.append((f"e{e}:{u}-{v}", tuple(row)))
-
-            glob_rows = []
-            for below in special_below:
-                if set(below) <= members:
-                    heads = set(below)
-                    row = [0] * width
-                    for v in here:
-                        for a in graph.arrows_with_tail[v]:
-                            if graph.arrows[a].head in heads:
-                                row[a] += 1
-                    glob_rows.append((f"{n}:{'+'.join(below)}", tuple(row)))
-
-            yield n, comp, here, sorted(set(block_coords)), local_rows, ros_rows, glob_rows
-
-
 def per_component_report(graph, levels):
     """Blockwise collections, cardinalities and codimensions, with totals
     checked against the globally computed flag dimensions."""
-    cls = classify_arrows(graph, levels)
-    counts, dims = flag_dims(graph, levels, cls)
-    blocks = []
-    for n, comp, here, coords, local_rows, ros_rows, glob_rows in _component_collections(
-        graph, levels, cls
-    ):
-        lr = [row for _, row in local_rows]
-        rr = [row for _, row in ros_rows]
-        gr = [row for _, row in glob_rows]
-        blocks.append(
-            ComponentBlock(
-                level=n,
-                component=comp,
-                level_vertices=here,
-                local_labels=tuple(label for label, _ in local_rows),
-                rosenlicht_labels=tuple(label for label, _ in ros_rows),
-                global_labels=tuple(label for label, _ in glob_rows),
-                block_dim=len(coords),
-                codim_local=rank(lr),
-                codim_rosenlicht=rank(lr + rr),
-                codim_global=rank(lr + rr + gr),
-            )
-        )
-    summaries = []
-    for n in range(1, levels.r + 1):
-        at = [b for b in blocks if b.level == n]
-        summaries.append(
-            LevelSummary(
-                level=n,
-                local_count=sum(len(b.local_labels) for b in at),
-                rosenlicht_count=sum(len(b.rosenlicht_labels) for b in at),
-                global_count=sum(len(b.global_labels) for b in at),
-                block_dim=sum(b.block_dim for b in at),
-                codim_local=sum(b.codim_local for b in at),
-                codim_rosenlicht=sum(b.codim_rosenlicht for b in at),
-                codim_global=sum(b.codim_global for b in at),
-            )
-        )
-    up, local, ros, res = dims
-    consistent = (
-        sum(b.block_dim for b in blocks) == up
-        and sum(b.codim_local for b in blocks) == up - local
-        and sum(b.codim_rosenlicht for b in blocks) == up - ros
-        and sum(b.codim_global for b in blocks) == up - res
-    )
-    return ComponentReport(tuple(blocks), tuple(summaries), dims, consistent)
+    return LevelGraph(graph, levels).component_report()
 
 
 def check_component_relations(graph, levels, classification=None):
-    """Relatedness predicates on the per-component collections.
-
-    Within every level component, the local rows versus the rosenlicht rows
-    must be properly unrelated, and related exactly for reducible summits.
-    Within every component of V_{h<=n} that meets level n, the global and
-    rosenlicht rows together versus the local rows must be properly
-    unrelated, and related whenever the collections are nonempty.  Returns a
-    list of failure descriptions (empty means all predicates hold).
-    """
-    cls = classification or classify_arrows(graph, levels)
-    width = graph.num_arrows
-    failures = []
-
-    _, reducible = summits(graph, levels, cls)
-    reducible_set = set(reducible)
-    for n in range(1, levels.r + 1):
-        for comp in level_components(graph, levels, n):
-            members = set(comp)
-            local_rows = []
-            for v in comp:
-                row = [0] * width
-                touched = False
-                for a in graph.arrows_with_tail[v]:
-                    if cls.tags[a] != DOWNWARD:
-                        row[a] += 1
-                        touched = True
-                if touched:
-                    local_rows.append((v, tuple(row)))
-            ros_rows = []
-            for e in cls.horizontal_edges:
-                u, v = graph.edges[e]
-                if u in members and v in members:
-                    row = [0] * width
-                    row[2 * e] += 1
-                    row[2 * e + 1] += 1
-                    ros_rows.append((f"e{e}", tuple(row)))
-            report = set_theoretic_checks(
-                VectorCollection(width, local_rows),
-                VectorCollection(width, ros_rows),
-            )
-            if not report.properly_unrelated:
-                failures.append(f"level {n} component {comp}: not properly unrelated")
-            if report.related != (comp in reducible_set):
-                failures.append(
-                    f"level {n} component {comp}: related={report.related} "
-                    f"but reducible-summit={comp in reducible_set}"
-                )
-
-    for n, comp, here, _, local_rows, ros_rows, glob_rows in _component_collections(
-        graph, levels, cls
-    ):
-        if not here:
-            continue
-        first = VectorCollection(width, glob_rows + ros_rows)
-        second = VectorCollection(width, local_rows)
-        report = set_theoretic_checks(first, second)
-        if not report.properly_unrelated:
-            failures.append(
-                f"level {n} merged component {comp}: not properly unrelated"
-            )
-        nonempty = bool(local_rows or ros_rows or glob_rows)
-        if report.related != nonempty:
-            failures.append(
-                f"level {n} merged component {comp}: related={report.related} "
-                f"with nonempty={nonempty}"
-            )
-    return failures
+    """Relatedness predicates on the per-component collections; see
+    :meth:`LevelGraph.relation_failures`."""
+    return LevelGraph(graph, levels, classification).relation_failures()

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .degeneration import check_degeneration
-from .graphs import (
-    LevelStructure,
-    components_below,
-    load_level_graph,
-    ordered_partitions,
-)
+from .graphs import LevelStructure, load_level_graph, ordered_partitions
 from .linalg import rank, set_theoretic_checks
 from .polytopes import (
     base_polytope,
@@ -32,13 +27,7 @@ from .randomized import (
     random_multigraph,
     random_sti_collection,
 )
-from .residues import (
-    build_flag,
-    check_component_relations,
-    flag_dims,
-    flag_identities,
-    per_component_report,
-)
+from .residues import LevelGraph, flag_identities
 
 __all__ = ["VerifyConfig", "full_verification", "verify_document"]
 
@@ -83,29 +72,9 @@ class VerifyConfig:
         )
 
 
-def _counts_dict(counts):
-    return {
-        "vertices": counts.vertices,
-        "edges": counts.edges,
-        "components": counts.components,
-        "genus": counts.genus,
-        "levels": counts.levels,
-        "vertical_edges": counts.vertical_edges,
-        "horizontal_edges": counts.horizontal_edges,
-        "summits_irreducible": counts.summits_irreducible,
-        "summits_reducible": counts.summits_reducible,
-        "summits": counts.summits,
-    }
-
-
-def _identities_list(checks):
-    return [
-        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok} for c in checks
-    ]
-
-
-def _expect_failures(graph, levels, flag, report, expect):
+def _expect_failures(model, flag, report, expect):
     """Compare computed values against a fixture's frozen expectations."""
+    graph = model.graph
     failures = []
 
     def check(label, got, want):
@@ -129,28 +98,18 @@ def _expect_failures(graph, levels, flag, report, expect):
             if summary is None:
                 failures.append(f"level {key}: missing from the computed report")
                 continue
-            got = {
-                "lrc": summary.local_count,
-                "ros": summary.rosenlicht_count,
-                "glob": summary.global_count,
-                "block_dim": summary.block_dim,
-                "codim_local": summary.codim_local,
-                "codim_rosenlicht": summary.codim_rosenlicht,
-                "codim_global": summary.codim_global,
-            }
+            got = summary.as_dict()
             for field_name, want_value in want.items():
                 check(f"level {key} {field_name}", got.get(field_name), want_value)
     if "global_conditions" in expect:
-        rows = {label: vec for label, vec in flag.constraints["global"].rows}
+        rows = {row.label: row.support for row in model.rows["global"]}
         for item in expect["global_conditions"]:
             label = f"{item['level']}:{'+'.join(item['component'])}"
-            vec = rows.get(label)
-            if vec is None:
+            support = rows.get(label)
+            if support is None:
                 failures.append(f"global condition {label}: row not generated")
                 continue
-            got = sorted(
-                graph.arrows[i].label for i, x in enumerate(vec) if x
-            )
+            got = sorted(graph.arrows[i].label for i in support)
             check(f"global condition {label}", got, sorted(item["arrows"]))
     if "polytope_vertex_count" in expect:
         if len(graph.vertices) <= POLYTOPE_FIXTURE_BOUND:
@@ -166,14 +125,13 @@ def _expect_failures(graph, levels, flag, report, expect):
     return failures
 
 
-def _component_set_identity_failures(graph, levels):
+def _component_set_identity_failures(model):
     """The below-level component identity: the non-special components of the
     strictly-below subgraph are exactly its components that survive as
     components one level up."""
     failures = []
-    for n in range(1, levels.r + 1):
-        below, special = components_below(graph, levels, n)
-        upto = graph.induced_components(levels.prefix(n))
+    for n, (below, special) in model.components_below.items():
+        upto = model.prefix_components[n]
         lhs = set(below) - set(special)
         rhs = set(upto) & set(below)
         if lhs != rhs:
@@ -206,34 +164,23 @@ def verify_document(name, document, face_bound=FACE_FIXTURE_BOUND):
     graph, levels = load_level_graph(document)
     expect = document.get("expect", {})
 
-    flag = build_flag(graph, levels)
+    model = LevelGraph(graph, levels)
+    flag = model.flag()
     identities = flag.identities()
     inclusions = flag.inclusions()
-    report = per_component_report(graph, levels)
-    relation_failures = check_component_relations(graph, levels)
-    identity_failures = _component_set_identity_failures(graph, levels)
-    expect_failures = _expect_failures(graph, levels, flag, report, expect)
+    report = model.component_report()
+    relation_failures = model.relation_failures()
+    identity_failures = _component_set_identity_failures(model)
+    expect_failures = _expect_failures(model, flag, report, expect)
 
     section = {
         "name": name,
-        "counts": _counts_dict(flag.counts),
+        "counts": flag.counts.as_dict(),
         "dims": list(flag.dims),
-        "identities": _identities_list(identities),
+        "identities": [c.as_dict() for c in identities],
         "inclusions": [{"name": n, "ok": ok} for n, ok in inclusions],
         "component_totals_ok": report.totals_consistent,
-        "levels": [
-            {
-                "level": s.level,
-                "lrc": s.local_count,
-                "ros": s.rosenlicht_count,
-                "glob": s.global_count,
-                "block_dim": s.block_dim,
-                "codim_local": s.codim_local,
-                "codim_rosenlicht": s.codim_rosenlicht,
-                "codim_global": s.codim_global,
-            }
-            for s in report.levels
-        ],
+        "levels": [s.as_dict() for s in report.levels],
         "relation_failures": relation_failures,
         "component_identity_failures": identity_failures,
         "expect_failures": expect_failures,
@@ -292,7 +239,8 @@ def _random_flag_sweep(config):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
         for pi in ordered_partitions(graph.vertices):
             partitions += 1
-            counts, dims = flag_dims(graph, pi)
+            model = LevelGraph(graph, pi)
+            counts, dims = model.flag_dims()
             checks = flag_identities(counts, dims)
             bad = [c for c in checks if not c.ok]
             if bad:
@@ -300,10 +248,10 @@ def _random_flag_sweep(config):
                     f"case {case}: {graph.edges} / {pi!r}: "
                     + "; ".join(f"{c.name} {c.lhs}!={c.rhs}" for c in bad)
                 )
-            relations = check_component_relations(graph, pi)
+            relations = model.relation_failures()
             if relations:
                 failures.append(f"case {case}: {pi!r}: " + "; ".join(relations))
-            ident = _component_set_identity_failures(graph, pi)
+            ident = _component_set_identity_failures(model)
             if ident:
                 failures.append(f"case {case}: {pi!r}: " + "; ".join(ident))
     return {

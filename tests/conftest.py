@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from resipoly import fixtures
+from resipoly.linalg import Subspace, to_fraction
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +65,88 @@ def reference_rank(rows):
         if r == len(mat):
             break
     return r
+
+
+# Helpers that only the tests use.
+
+
+def is_supermodular(table):
+    if not table.is_zero_at_empty():
+        return False
+    n = table.n
+    for mask in range(1 << n):
+        outside = [i for i in range(n) if not mask >> i & 1]
+        for x in range(len(outside)):
+            a = 1 << outside[x]
+            for y in range(x + 1, len(outside)):
+                b = 1 << outside[y]
+                if (
+                    table.values[mask | a] + table.values[mask | b]
+                    > table.values[mask | a | b] + table.values[mask]
+                ):
+                    return False
+    return True
+
+
+def rank_mod_p(rows, p):
+    """Rank over the prime field GF(p); a cheap cross-check of :func:`rank`.
+
+    Rows whose denominators vanish mod p are rejected.
+    """
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    mat = []
+    for row in rows:
+        reduced = []
+        for x in row:
+            q = to_fraction(x)
+            if q.denominator % p == 0:
+                raise ValueError("denominator divisible by p")
+            reduced.append(q.numerator * pow(q.denominator, -1, p) % p)
+        mat.append(reduced)
+    if not mat:
+        return 0
+    width = len(mat[0])
+    r = 0
+    for c in range(width):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [a * inv % p for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return r
+
+
+def random_subspace(rng, ambient, max_dim=4, entry_bound=3):
+    """span of a few random small-integer vectors (dimension not forced)."""
+    count = rng.randint(0, max_dim)
+    rows = [
+        [rng.randint(-entry_bound, entry_bound) for _ in range(ambient)]
+        for _ in range(count)
+    ]
+    return Subspace(ambient, rows)
+
+
+def find_arrows(graph, tail, head):
+    """Indices of all arrows tail->head (several for parallel edges)."""
+    return tuple(
+        i
+        for i, a in enumerate(graph.arrows)
+        if a.tail == tail and a.head == head
+    )
+
+
+def reverse(graph, arrow_index):
+    return arrow_index ^ 1

@@ -193,6 +193,38 @@ class TestErrors:
         code, _, err = run_cli(capsys, "info", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"vertices": ["u", "v"], "edges": ["uv"]},
+            {"vertices": "uv"},
+            {"vertices": ["u", "v"], "edges": {"uv": 1}},
+        ],
+        ids=["edge-string", "vertices-string", "edges-object"],
+    )
+    def test_non_array_shapes_exit_2(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "info", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_gamma_max_vertices_is_clamped(self, tmp_path, capsys):
+        # 13 vertices: over the 12-vertex table bound however high
+        # --max-vertices is set
+        names = [f"x{i}" for i in range(13)]
+        path = tmp_path / "path13.json"
+        path.write_text(
+            json.dumps({"vertices": names, "edges": [list(p) for p in zip(names, names[1:])]})
+        )
+        code, out, err = run_cli(
+            capsys, "gamma", "--input", str(path), "--max-vertices", "20"
+        )
+        assert code == 2
+        assert out == ""
+        assert "bound 12" in err
+
 
 class TestVerify:
     def test_single_fixture_passes(self, tmp_path, capsys):

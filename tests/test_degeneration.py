@@ -18,9 +18,10 @@ from resipoly.randomized import (
     random_coarsening,
     random_level_structure,
     random_multigraph,
-    random_subspace,
 )
 from resipoly.residues import residue_space
+
+from conftest import random_subspace
 
 
 def laurent_for(space, weights):
@@ -222,6 +223,15 @@ class TestCheckDegeneration:
     def test_identity_pair(self, fig2):
         graph, levels, _ = fig2
         assert check_degeneration(graph, levels, levels).ok
+
+    def test_oracle_not_run_is_not_reported_as_passed(self, fig1):
+        graph, levels, _ = fig1
+        trivial = LevelStructure.trivial(graph.vertices)
+        report = check_degeneration(graph, levels, trivial, with_oracle=False)
+        assert report.oracle_matches is None
+        assert report.limit_matches and report.realization_matches
+        assert report.splitting_matches
+        assert report.ok
 
     def test_fig2_intermediate_coarsening(self, fig2):
         graph, levels, _ = fig2

@@ -18,6 +18,8 @@ from resipoly.graphs import (
 )
 from resipoly.randomized import random_level_structure, random_multigraph
 
+from conftest import reverse
+
 
 def fubini(n):
     """Ordered-partition counts via the binomial recurrence."""
@@ -92,6 +94,11 @@ class TestLoading:
             {"vertices": ["a"], "edges": [], "levels": {"b": 1}},
             {"vertices": ["a"], "edges": [], "levels": {"a": "one"}},
             {"vertices": ["a"], "edges": [], "levels": {"a": 1.5}},
+            # strings and objects are iterable, so without a shape check they
+            # would be read as vertex or edge lists
+            {"vertices": ["u", "v"], "edges": ["uv"]},
+            {"vertices": "uv"},
+            {"vertices": ["u", "v"], "edges": {"uv": 1}},
         ],
     )
     def test_bad_documents(self, document):
@@ -101,9 +108,9 @@ class TestLoading:
     def test_arrow_reversal_is_an_involution(self, fig1):
         graph = fig1[0]
         for i, arrow in enumerate(graph.arrows):
-            j = graph.reverse(i)
+            j = reverse(graph, i)
             assert j != i
-            assert graph.reverse(j) == i
+            assert reverse(graph, j) == i
             mate = graph.arrows[j]
             assert (mate.tail, mate.head) == (arrow.head, arrow.tail)
 
@@ -147,7 +154,7 @@ class TestClassification:
             levels = random_level_structure(rng, graph)
             cls = classify_arrows(graph, levels)
             for i, tag in enumerate(cls.tags):
-                mate = cls.tags[graph.reverse(i)]
+                mate = cls.tags[reverse(graph, i)]
                 if tag == "horizontal":
                     assert mate == "horizontal"
                 else:

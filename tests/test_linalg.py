@@ -15,14 +15,13 @@ from resipoly.linalg import (
     kernel_of_projection,
     project_image,
     rank,
-    rank_mod_p,
     rref,
     set_theoretic_checks,
     to_fraction,
 )
 from resipoly.randomized import random_sti_collection
 
-from conftest import reference_rank
+from conftest import find_arrows, rank_mod_p, reference_rank
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -225,7 +224,7 @@ class TestSetTheoreticChecks:
         def unit_sum(pairs):
             row = [0] * width
             for tail, head in pairs:
-                (arrow,) = graph.find_arrows(tail, head)
+                (arrow,) = find_arrows(graph, tail, head)
                 row[arrow] = 1
             return row
 

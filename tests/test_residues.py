@@ -5,7 +5,7 @@ from resipoly.graphs import (
     load_level_graph,
     ordered_partitions,
 )
-from resipoly.linalg import rank, rank_mod_p
+from resipoly.linalg import rank
 from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import (
     FAMILIES,
@@ -17,7 +17,7 @@ from resipoly.residues import (
     residue_space,
 )
 
-from conftest import reference_rank
+from conftest import rank_mod_p, reference_rank
 
 
 def stacked_rows(graph, levels, families=FAMILIES):
