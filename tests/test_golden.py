@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # golden file -> (fixture written to --input or None, the other arguments)
 CASES = {
     "verify-seed11-cases4.json": (None, ["verify", "--seed", "11", "--random-cases", "4"]),
+    "verify-seed11-cases16.json": (None, ["verify", "--seed", "11", "--random-cases", "16"]),
     "info-fig2.json": ("fig2", ["info", "--format", "json"]),
     "info-fig2.txt": ("fig2", ["info", "--format", "text"]),
     "dims-fig2.json": ("fig2", ["dims", "--format", "json"]),
