@@ -32,17 +32,14 @@ from .graphs import (
     level_components,
     load_level_graph,
     ordered_partitions,
-    summits,
 )
 from .linalg import (
-    QMatrix,
     Subspace,
     VectorCollection,
     kernel,
     kernel_of_projection,
     project_image,
     rank,
-    rref,
     set_theoretic_checks,
 )
 from .polytopes import (

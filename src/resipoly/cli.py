@@ -271,12 +271,11 @@ def cmd_degenerate(args):
 def cmd_verify(args):
     config = VerifyConfig.scaled(args.seed, args.random_cases)
     config.max_vertices = min(args.max_vertices, 5)
+    config.include_random = not args.skip_random
     if args.input:
         documents = [(args.input, _read_document(args.input))]
-        config.include_random = not args.skip_random
     else:
         documents = fixtures.all_documents()
-        config.include_random = not args.skip_random
     report, ok = full_verification(config, documents)
     _emit(report, args.format)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -347,9 +346,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphDocumentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,7 @@ from math import comb
 
 from .graphs import LevelStructure, is_coarsening
 from .linalg import Subspace, det, embed, kernel_of_projection, project_image
-from .polytopes import residue_projection_table, splitting
+from .polytopes import TABLE_BOUND, _check_table_bound, _tail_table, splitting
 from .residues import residue_space
 
 __all__ = [
@@ -300,6 +300,7 @@ def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
     """
     if not is_coarsening(fine, coarse):
         raise ValueError("second structure is not a coarsening of the first")
+    _check_table_bound(graph, TABLE_BOUND)
     coarse_space = residue_space(graph, coarse)
     fine_space = residue_space(graph, fine)
 
@@ -311,8 +312,8 @@ def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
         coarse_space, fine, residue_blocks(graph, fine)
     )
 
-    split = splitting(residue_projection_table(graph, coarse), fine, "submodular")
-    fine_table = residue_projection_table(graph, fine)
+    split = splitting(_tail_table(graph, coarse_space), fine, "submodular")
+    fine_table = _tail_table(graph, fine_space)
 
     oracle_matches = None
     if with_oracle:

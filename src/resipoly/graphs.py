@@ -31,7 +31,6 @@ __all__ = [
     "level_components",
     "load_level_graph",
     "ordered_partitions",
-    "summits",
 ]
 
 DEFAULT_ENUMERATION_BOUND = 8
@@ -320,20 +319,6 @@ def classify_arrows(graph, levels):
 def level_components(graph, levels, n):
     """Connected components of the subgraph induced on the level-n vertices."""
     return graph.induced_components(levels.part(n))
-
-
-def summits(graph, levels, classification=None):
-    """Split the summit level components into irreducible and reducible ones.
-
-    A summit is a level component none of whose vertices is the tail of an
-    upward arrow; it is irreducible when it is a single vertex carrying no
-    edge (a vertex with a loop is reducible).
-    """
-    cls = classification or classify_arrows(graph, levels)
-    components = [
-        comp for n in range(1, levels.r + 1) for comp in level_components(graph, levels, n)
-    ]
-    return _split_summits(graph, cls, components)
 
 
 def _split_summits(graph, classification, components):

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-All entries are :class:`fractions.Fraction`; nothing here ever touches a
-float.  Subspaces are canonicalized by their reduced row-echelon basis,
-which is unique, so equality of subspaces is literal equality of bases.
+Nothing here ever touches a float.  Subspaces are canonicalized by their
+reduced row-echelon basis of :class:`fractions.Fraction` entries, which is
+unique, so equality of subspaces is literal equality of bases.
 
-Rank-only questions are answered by an integer row-echelon routine
-(denominators cleared first), which is considerably faster than rational
-Gauss-Jordan and is exact.
+Ranks and determinants clear each row's denominators once and then run on
+plain integers: an integer row echelon for ranks, fraction-free (Bareiss)
+elimination for determinants.  Both are exact and considerably faster than
+rational Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "QMatrix",
     "Subspace",
     "VectorCollection",
     "SetTheoreticReport",
@@ -27,7 +27,6 @@ __all__ = [
     "kernel_of_projection",
     "project_image",
     "rank",
-    "rref",
     "set_theoretic_checks",
     "support_checks",
     "to_fraction",
@@ -54,40 +53,6 @@ def format_fraction(value):
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-class QMatrix:
-    """Immutable dense matrix with Fraction entries."""
-
-    __slots__ = ("rows", "num_rows", "num_cols")
-
-    def __init__(self, rows, num_cols=None):
-        converted = tuple(tuple(to_fraction(x) for x in row) for row in rows)
-        if converted:
-            width = len(converted[0])
-            if num_cols is None:
-                num_cols = width
-            if any(len(row) != num_cols for row in converted):
-                raise ValueError("ragged rows")
-        elif num_cols is None:
-            raise ValueError("column count required for an empty matrix")
-        self.rows = converted
-        self.num_rows = len(converted)
-        self.num_cols = num_cols
-
-    def __eq__(self, other):
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.num_cols == other.num_cols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.num_cols, self.rows))
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(format_fraction(x) for x in row) for row in self.rows
-        )
-        return f"QMatrix({self.num_rows}x{self.num_cols}: {body})"
 
 
 def _rref_rows(rows, num_cols):
@@ -126,34 +91,16 @@ def _rref_rows(rows, num_cols):
     return mat[:r], pivots
 
 
-def rref(matrix, num_cols=None):
-    """Canonical reduced row-echelon form and rank."""
-    if isinstance(matrix, QMatrix):
-        rows, width = matrix.rows, matrix.num_cols
-    else:
-        rows = [[to_fraction(x) for x in row] for row in matrix]
-        if rows:
-            width = len(rows[0])
-        elif num_cols is not None:
-            width = num_cols
-        else:
-            raise ValueError("column count required for an empty matrix")
-    reduced, pivots = _rref_rows(rows, width)
-    return QMatrix(reduced, num_cols=width), len(pivots)
-
-
-def _integer_rows(rows):
-    """Clear denominators row by row; the result has the same row space."""
-    out = []
-    for row in rows:
-        scaled = [to_fraction(x) for x in row]
-        mult = 1
-        for x in scaled:
-            d = x.denominator
-            if d != 1:
-                mult = mult * d // gcd(mult, d)
-        out.append([int(x * mult) for x in scaled])
-    return out
+def _cleared(row):
+    """Clear the denominators of one row: ``(lcm, integer row)``, the integer
+    row being the rational row times the lcm of its denominators."""
+    row = [to_fraction(x) for x in row]
+    mult = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            mult = mult * d // gcd(mult, d)
+    return mult, [x.numerator * (mult // x.denominator) for x in row]
 
 
 def _echelon_insert(echelon, row):
@@ -190,12 +137,9 @@ def _echelon_insert(echelon, row):
 
 def rank(rows):
     """Rank of a matrix given as an iterable of rows (exact, integer path)."""
-    rows = list(rows)
-    if not rows:
-        return 0
     echelon = []
-    for row in _integer_rows(rows):
-        _echelon_insert(echelon, row)
+    for row in rows:
+        _echelon_insert(echelon, _cleared(row)[1])
     return len(echelon)
 
 
@@ -207,17 +151,12 @@ def det(rows):
         return _ONE
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    scale = _ONE
+    scale = 1
     mat = []
     for row in rows:
-        frs = [to_fraction(x) for x in row]
-        mult = 1
-        for x in frs:
-            d = x.denominator
-            if d != 1:
-                mult = mult * d // gcd(mult, d)
+        mult, ints = _cleared(row)
         scale *= mult
-        mat.append([int(x * mult) for x in frs])
+        mat.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -236,7 +175,7 @@ def det(rows):
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = mat[k][k]
-    return Fraction(sign * mat[n - 1][n - 1]) / scale
+    return Fraction(sign * mat[n - 1][n - 1], scale)
 
 
 class Subspace:
@@ -255,19 +194,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(row) for row in reduced)
         self.pivots = tuple(pivots)
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim)
-
-    @classmethod
-    def full(cls, ambient_dim):
-        rows = []
-        for i in range(ambient_dim):
-            row = [_ZERO] * ambient_dim
-            row[i] = _ONE
-            rows.append(row)
-        return cls(ambient_dim, rows)
 
     @property
     def dim(self):
@@ -308,15 +234,21 @@ class Subspace:
 
 
 def kernel(matrix, num_cols=None):
-    """Right kernel of a matrix, as a canonical :class:`Subspace`."""
-    reduced, rk = rref(matrix, num_cols=num_cols)
-    width = reduced.num_cols
-    pivots = []
-    for row in reduced.rows:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
+    """Right kernel of a matrix, as a canonical :class:`Subspace`.
+
+    ``num_cols`` gives the width of an empty matrix; otherwise the width is
+    that of the rows, which must all have the same length.
+    """
+    rows = [[to_fraction(x) for x in row] for row in matrix]
+    if rows:
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+    elif num_cols is not None:
+        width = num_cols
+    else:
+        raise ValueError("column count required for an empty matrix")
+    reduced, pivots = _rref_rows(rows, width)
     pivot_set = set(pivots)
     vectors = []
     for f in range(width):
@@ -324,8 +256,8 @@ def kernel(matrix, num_cols=None):
             continue
         v = [_ZERO] * width
         v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.rows[i][f]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
         vectors.append(v)
     return Subspace(width, vectors)
 

@@ -5,7 +5,8 @@ densely, indexed by subset bitmask in the ground order.  Base polytopes are
 represented by their exact vertex sets: every vertex of the base polytope of
 a submodular function comes from the greedy rule over some vertex ordering,
 so enumerating permutations and deduplicating is a complete V-description.
-The subset table itself is the H-description.
+The subset table itself is the H-description.  The greedy vertices of an
+integer table, such as every projection table, are integer points.
 
 The projection table of a subspace W of a coordinate-blocked space assigns
 to each subset I of blocks the dimension of the projection of W onto the
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import LevelStructure, coarsenings, ordered_partitions
 from .linalg import rank
@@ -66,25 +66,8 @@ class SetFunction:
     def full_mask(self):
         return (1 << self.n) - 1
 
-    @property
-    def range_value(self):
-        return self.values[self.full_mask]
-
-    def mask_of(self, names):
-        mask = 0
-        position = {v: i for i, v in enumerate(self.ground)}
-        for name in names:
-            mask |= 1 << position[name]
-        return mask
-
     def subset_names(self, mask):
         return tuple(v for i, v in enumerate(self.ground) if mask >> i & 1)
-
-    def value(self, mask):
-        return self.values[mask]
-
-    def value_of(self, names):
-        return self.values[self.mask_of(names)]
 
     def is_zero_at_empty(self):
         return self.values[0] == 0
@@ -128,7 +111,7 @@ class SetFunction:
         )
 
     def __hash__(self):
-        return hash((self.ground, tuple(Fraction(v) for v in self.values)))
+        return hash((self.ground, self.values))
 
     def __repr__(self):
         return f"SetFunction on {{{', '.join(self.ground)}}}"
@@ -171,19 +154,28 @@ def projection_rank_table(space, ground, blocks):
     return table
 
 
+def _check_table_bound(graph, max_vertices):
+    if len(graph.vertices) > max_vertices:
+        raise ValueError(
+            f"{len(graph.vertices)} vertices exceed the table bound {max_vertices}"
+        )
+
+
+def _tail_table(graph, space):
+    """Projection table of a subspace of the arrow space, one coordinate block
+    per vertex: the arrows with that tail."""
+    blocks = [graph.arrows_with_tail[v] for v in graph.vertices]
+    return projection_rank_table(space, graph.vertices, blocks)
+
+
 def residue_projection_table(graph, levels, max_vertices=TABLE_BOUND):
     """Subset table of projected residue-space dimensions.
 
     Entry I is the dimension of the projection of the residue space onto the
     arrows with tail in I.
     """
-    if len(graph.vertices) > max_vertices:
-        raise ValueError(
-            f"{len(graph.vertices)} vertices exceed the table bound {max_vertices}"
-        )
-    space = residue_space(graph, levels)
-    blocks = [graph.arrows_with_tail[v] for v in graph.vertices]
-    return projection_rank_table(space, graph.vertices, blocks)
+    _check_table_bound(graph, max_vertices)
+    return _tail_table(graph, residue_space(graph, levels))
 
 
 def contraction_table(graph, max_vertices=TABLE_BOUND):
@@ -193,16 +185,26 @@ def contraction_table(graph, max_vertices=TABLE_BOUND):
     the complement of I; equivalently the genus of the graph obtained by
     contracting each connected component of that subgraph to a point.
     """
-    if len(graph.vertices) > max_vertices:
-        raise ValueError(
-            f"{len(graph.vertices)} vertices exceed the table bound {max_vertices}"
-        )
+    _check_table_bound(graph, max_vertices)
     n = len(graph.vertices)
     values = []
     for mask in range(1 << n):
         complement = [graph.vertices[i] for i in range(n) if not mask >> i & 1]
         values.append(graph.genus - graph.genus_of_induced(complement))
     return SetFunction(graph.vertices, values)
+
+
+def _prefix_masks(ground, levels):
+    """Bitmasks over `ground` of the prefixes F_1, F_2, ... of an ordered
+    partition, F_n collecting the vertices of level at most n."""
+    position = {v: i for i, v in enumerate(ground)}
+    masks = []
+    mask = 0
+    for part in levels.parts:
+        for v in part:
+            mask |= 1 << position[v]
+        masks.append(mask)
+    return masks
 
 
 def splitting(table, levels, kind):
@@ -221,13 +223,7 @@ def splitting(table, levels, kind):
     if kind == "submodular":
         return adjoint(splitting(adjoint(table), levels, "supermodular"))
     n = table.n
-    prefix_masks = []
-    mask = 0
-    position = {v: i for i, v in enumerate(table.ground)}
-    for part in levels.parts:
-        for v in part:
-            mask |= 1 << position[v]
-        prefix_masks.append(mask)
+    prefix_masks = _prefix_masks(table.ground, levels)
     values = []
     for subset in range(1 << n):
         total = 0
@@ -273,13 +269,13 @@ def base_polytope(table, max_vertices=POLYTOPE_BOUND):
         raise ValueError("base polytope of a non-submodular table")
     seen = set()
     for perm in itertools.permutations(range(n)):
-        point = [Fraction(0)] * n
+        point = [0] * n
         mask = 0
         previous = table.values[0]
         for i in perm:
             mask |= 1 << i
             current = table.values[mask]
-            point[i] = Fraction(current - previous)
+            point[i] = current - previous
             previous = current
         seen.add(tuple(point))
     vertices = sorted(seen)
@@ -306,13 +302,7 @@ def chain_face(polytope, levels, orientation):
         raise ValueError("level structure does not match the polytope ground set")
     table = polytope.table
     bounds = table if orientation == "upper" else adjoint(table)
-    position = {v: i for i, v in enumerate(polytope.ground)}
-    prefix_masks = []
-    mask = 0
-    for part in levels.parts:
-        for v in part:
-            mask |= 1 << position[v]
-        prefix_masks.append(mask)
+    prefix_masks = _prefix_masks(polytope.ground, levels)
     tight = tuple(
         i
         for i, q in enumerate(polytope.vertices)

@@ -10,7 +10,7 @@ a failed check is reported with both sides and never corrected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import fixtures
 from .degeneration import check_degeneration
@@ -47,16 +47,7 @@ class VerifyConfig:
     include_random: bool = True
 
     def as_dict(self):
-        return {
-            "seed": self.seed,
-            "flag_cases": self.flag_cases,
-            "face_cases": self.face_cases,
-            "degeneration_cases": self.degeneration_cases,
-            "collection_cases": self.collection_cases,
-            "max_vertices": self.max_vertices,
-            "max_edges": self.max_edges,
-            "include_random": self.include_random,
-        }
+        return asdict(self)
 
     @classmethod
     def scaled(cls, seed, cases):
@@ -72,8 +63,12 @@ class VerifyConfig:
         )
 
 
-def _expect_failures(model, flag, report, expect):
-    """Compare computed values against a fixture's frozen expectations."""
+def _expect_failures(model, flag, report, expect, reference=None):
+    """Compare computed values against a fixture's frozen expectations.
+
+    ``reference`` is the one-level polytope when the face sweep built it;
+    otherwise it is built here if a vertex count is expected.
+    """
     graph = model.graph
     failures = []
 
@@ -112,16 +107,17 @@ def _expect_failures(model, flag, report, expect):
             got = sorted(graph.arrows[i].label for i in support)
             check(f"global condition {label}", got, sorted(item["arrows"]))
     if "polytope_vertex_count" in expect:
-        if len(graph.vertices) <= POLYTOPE_FIXTURE_BOUND:
+        if reference is None and len(graph.vertices) <= POLYTOPE_FIXTURE_BOUND:
             trivial = LevelStructure.trivial(graph.vertices)
-            poly = base_polytope(residue_projection_table(graph, trivial))
+            reference = base_polytope(residue_projection_table(graph, trivial))
+        if reference is None:
+            failures.append("polytope_vertex_count expected but graph too large")
+        else:
             check(
                 "one-level polytope vertex count",
-                len(poly.vertices),
+                len(reference.vertices),
                 expect["polytope_vertex_count"],
             )
-        else:
-            failures.append("polytope_vertex_count expected but graph too large")
     return failures
 
 
@@ -171,7 +167,12 @@ def verify_document(name, document, face_bound=FACE_FIXTURE_BOUND):
     report = model.component_report()
     relation_failures = model.relation_failures()
     identity_failures = _component_set_identity_failures(model)
-    expect_failures = _expect_failures(model, flag, report, expect)
+    faces = None
+    if len(graph.vertices) <= face_bound:
+        faces = check_polytope_faces(graph, max_vertices=face_bound)
+    expect_failures = _expect_failures(
+        model, flag, report, expect, faces.reference if faces else None
+    )
 
     section = {
         "name": name,
@@ -186,8 +187,7 @@ def verify_document(name, document, face_bound=FACE_FIXTURE_BOUND):
         "expect_failures": expect_failures,
     }
 
-    if len(graph.vertices) <= face_bound:
-        faces = check_polytope_faces(graph, max_vertices=face_bound)
+    if faces is not None:
         section["faces"] = {
             "orientation": faces.orientation,
             "partitions": faces.partitions_checked,

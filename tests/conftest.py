@@ -88,6 +88,22 @@ def is_supermodular(table):
     return True
 
 
+def range_value(table):
+    return table.values[table.full_mask]
+
+
+def mask_of(table, names):
+    mask = 0
+    position = {v: i for i, v in enumerate(table.ground)}
+    for name in names:
+        mask |= 1 << position[name]
+    return mask
+
+
+def value_of(table, names):
+    return table.values[mask_of(table, names)]
+
+
 def rank_mod_p(rows, p):
     """Rank over the prime field GF(p); a cheap cross-check of :func:`rank`.
 

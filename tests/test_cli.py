@@ -257,6 +257,20 @@ class TestVerify:
             )
             assert code == 0, f"{name}: {out[-2000:]}"
 
+    def test_vertex_count_reads_the_face_sweep_polytope(self, monkeypatch):
+        # k4 expects a one-level vertex count; the face sweep already built
+        # that polytope, so verify must not build it again
+        import resipoly.verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one-level polytope built twice")
+
+        monkeypatch.setattr(resipoly.verify, "base_polytope", refuse)
+        section = resipoly.verify.verify_document("k4", fixtures.document("k4"))
+        assert section["faces"] is not None
+        assert section["expect_failures"] == []
+        assert section["ok"]
+
     def test_small_random_suite(self, capsys, tmp_path):
         path = write_fixture(tmp_path, "loop1")
         code, out, _ = run_cli(

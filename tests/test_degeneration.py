@@ -233,6 +233,23 @@ class TestCheckDegeneration:
         assert report.splitting_matches
         assert report.ok
 
+    def test_one_residue_space_per_side(self, fig1, monkeypatch):
+        import resipoly.degeneration
+        import resipoly.polytopes
+
+        calls = []
+
+        def counted(graph, levels):
+            calls.append(levels)
+            return residue_space(graph, levels)
+
+        for module in (resipoly.degeneration, resipoly.polytopes):
+            monkeypatch.setattr(module, "residue_space", counted)
+        graph, levels, _ = fig1
+        trivial = LevelStructure.trivial(graph.vertices)
+        assert check_degeneration(graph, levels, trivial).ok
+        assert len(calls) == 2
+
     def test_fig2_intermediate_coarsening(self, fig2):
         graph, levels, _ = fig2
         merged = LevelStructure.from_parts(

@@ -14,9 +14,9 @@ from resipoly.graphs import (
     level_components,
     load_level_graph,
     ordered_partitions,
-    summits,
 )
 from resipoly.randomized import random_level_structure, random_multigraph
+from resipoly.residues import LevelGraph
 
 from conftest import reverse
 
@@ -238,13 +238,13 @@ class TestComponents:
 class TestSummits:
     def test_fig2_summits(self, fig2):
         graph, levels = fig2[0], fig2[1]
-        irreducible, reducible = summits(graph, levels)
+        irreducible, reducible = LevelGraph(graph, levels).summits
         assert sorted(irreducible) == [("u5",), ("ub",), ("uc",)]
         assert sorted(reducible) == [("u7", "u8"), ("u9", "ua")]
 
     def test_fig1_summits(self, fig1):
         graph, levels = fig1[0], fig1[1]
-        irreducible, reducible = summits(graph, levels)
+        irreducible, reducible = LevelGraph(graph, levels).summits
         assert irreducible == [("u4",), ("u5",)]
         assert reducible == []
 
@@ -253,7 +253,7 @@ class TestSummits:
         for _ in range(30):
             graph = random_multigraph(rng)
             levels = LevelStructure.trivial(graph.vertices)
-            irreducible, reducible = summits(graph, levels)
+            irreducible, reducible = LevelGraph(graph, levels).summits
             assert len(irreducible) + len(reducible) == graph.component_count
             for comp in irreducible:
                 assert len(comp) == 1
@@ -261,7 +261,7 @@ class TestSummits:
 
     def test_loop_summit_is_reducible(self, loop1):
         graph, levels = loop1[0], loop1[1]
-        irreducible, reducible = summits(graph, levels)
+        irreducible, reducible = LevelGraph(graph, levels).summits
         assert irreducible == []
         assert reducible == [("v",)]
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from resipoly.linalg import (
-    QMatrix,
     Subspace,
     VectorCollection,
     det,
@@ -15,7 +14,6 @@ from resipoly.linalg import (
     kernel_of_projection,
     project_image,
     rank,
-    rref,
     set_theoretic_checks,
     to_fraction,
 )
@@ -28,40 +26,49 @@ def random_matrix(rng, rows, cols, bound=4):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 class TestRationals:
     def test_round_trips(self):
         assert to_fraction("3/4") == Fraction(3, 4)
         assert to_fraction(7) == 7
         assert format_fraction(Fraction(6, 3)) == "2"
         assert format_fraction(Fraction(-1, 2)) == "-1/2"
+        assert rank([["1/2", "1/3"], ["3/2", 1]]) == 1
+        assert det([["1/2", 0], [0, "2/3"]]) == Fraction(1, 3)
+        assert kernel([["1/2", "1/3"]]) == Subspace(2, [[2, -3]])
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            to_fraction(0.5)
-        with pytest.raises(TypeError):
-            to_fraction(True)
+        for bad in (0.5, True):
+            with pytest.raises(TypeError):
+                to_fraction(bad)
+            for call in (rank, det, kernel):
+                with pytest.raises(TypeError):
+                    call([[bad]])
 
 
 class TestRref:
     def test_identity_is_fixed(self):
-        m = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        reduced, rk = rref(m)
-        assert rk == 3
-        assert reduced == m
+        space = Subspace(3, identity(3))
+        assert space.dim == 3
+        assert space.basis == tuple(map(tuple, identity(3)))
+        assert space.pivots == (0, 1, 2)
 
     def test_dependent_rows_collapse(self):
-        reduced, rk = rref([[1, 2], [2, 4]])
-        assert rk == 1
-        assert reduced.rows == ((Fraction(1), Fraction(2)),)
+        space = Subspace(2, [[1, 2], [2, 4]])
+        assert space.dim == 1
+        assert space.basis == ((Fraction(1), Fraction(2)),)
 
     def test_idempotent_on_random_matrices(self):
         rng = random.Random(11)
         for _ in range(60):
-            m = random_matrix(rng, rng.randint(0, 5), rng.randint(1, 6))
-            once, rk1 = rref(m, num_cols=6 if not m else None)
-            twice, rk2 = rref(once)
-            assert once == twice
-            assert rk1 == rk2
+            width = rng.randint(1, 6)
+            once = Subspace(width, random_matrix(rng, rng.randint(0, 5), width))
+            twice = Subspace(width, once.basis)
+            assert once.basis == twice.basis
+            assert once.pivots == twice.pivots
 
     def test_rank_agrees_with_reference(self):
         rng = random.Random(12)
@@ -70,8 +77,7 @@ class TestRref:
             if not m:
                 continue
             assert rank(m) == reference_rank(m)
-            _, rk = rref(m)
-            assert rk == reference_rank(m)
+            assert Subspace(len(m[0]), m).dim == reference_rank(m)
 
     def test_rank_clears_denominators(self):
         singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
@@ -90,7 +96,13 @@ class TestKernel:
     def test_zero_matrix_full_kernel(self):
         space = kernel([[0] * 5, [0] * 5], num_cols=5)
         assert space.dim == 5
-        assert space == Subspace.full(5)
+        assert space == Subspace(5, identity(5))
+
+    def test_malformed_matrix_rejected(self):
+        # ragged rows, and an empty matrix without a column count
+        for rows in ([[1, 2], [3]], [[1], [3, 4]], []):
+            with pytest.raises(ValueError):
+                kernel(rows)
 
     def test_full_rank_square_zero_kernel(self):
         space = kernel([[1, 1], [0, 1]])

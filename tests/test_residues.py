@@ -9,6 +9,7 @@ from resipoly.linalg import rank
 from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import (
     FAMILIES,
+    LevelGraph,
     build_constraints,
     build_flag,
     check_component_relations,
@@ -171,12 +172,12 @@ class TestFlag:
         for _ in range(80):
             graph = random_multigraph(rng)
             levels = random_level_structure(rng, graph)
-            from resipoly.graphs import classify_arrows, summits
+            from resipoly.graphs import classify_arrows
 
             cls = classify_arrows(graph, levels)
             families = build_constraints(graph, levels, cls)
             local_rows = dict(families["local"].rows)
-            _, reducible = summits(graph, levels, cls)
+            _, reducible = LevelGraph(graph, levels, cls).summits
             for comp in reducible:
                 seen += 1
                 total = [0] * graph.num_arrows
