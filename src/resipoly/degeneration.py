@@ -215,7 +215,9 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
     lowest valuation and setting t = 0 keeps exactly the minors whose
     weight sum is maximal among the nonvanishing ones; the surviving
     exterior coordinates are decoded into a basis from the lexicographically
-    first nonzero one.
+    first nonzero one.  The minors are taken of the integer basis: clearing
+    denominators scales every Plücker coordinate by the same factor, which
+    the projective decoding ignores.
     """
     space = laurent.space
     weights = laurent.coordinate_weights
@@ -227,7 +229,7 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
         raise ValueError(
             f"C({ambient},{m}) exterior coordinates exceed the bound {max_minors}"
         )
-    basis = space.basis
+    basis = space.integer_basis()
     minors = {}
     best = None
     for cols in itertools.combinations(range(ambient), m):

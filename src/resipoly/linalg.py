@@ -4,17 +4,21 @@ Nothing here ever touches a float.  Subspaces are canonicalized by their
 reduced row-echelon basis of :class:`fractions.Fraction` entries, which is
 unique, so equality of subspaces is literal equality of bases.
 
-Ranks and determinants clear each row's denominators once and then run on
-plain integers: an integer row echelon for ranks, fraction-free (Bareiss)
-elimination for determinants.  Both are exact and considerably faster than
-rational Gauss-Jordan.
+All elimination runs on plain integers.  Each input row has its
+denominators cleared once (a row of ints is taken as it is), and then:
+integer Gauss-Jordan with content reduction for reduced bases and kernels,
+an integer row echelon for ranks, and fraction-free (Bareiss) elimination
+for determinants.  Fractions appear only in the emitted bases, each row
+divided by its pivot entry at the end.  :meth:`Subspace.integer_basis`
+hands a basis back as int rows for consumers that take many ranks or
+minors of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Subspace",
@@ -34,6 +38,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT = {int}
 
 
 def to_fraction(value):
@@ -55,13 +60,43 @@ def format_fraction(value):
     return f"{q.numerator}/{q.denominator}"
 
 
-def _rref_rows(rows, num_cols):
-    """Reduced row echelon form of a list of Fraction rows.
+def _cleared(row):
+    """Clear the denominators of one row: ``(lcm, integer row)``, the integer
+    row being the rational row times the lcm of its denominators.  A row of
+    plain ints comes back unchanged, so it is never converted."""
+    if not isinstance(row, (list, tuple)):
+        row = list(row)
+    if set(map(type, row)) <= _INT:  # every entry is exactly an int
+        return 1, row
+    row = [to_fraction(x) for x in row]
+    mult = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            mult = mult * d // gcd(mult, d)
+    return mult, [x.numerator * (mult // x.denominator) for x in row]
 
-    Returns ``(rows, pivots)`` with zero rows dropped.  The output is the
-    unique RREF of the row space.
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries (its content)."""
+    g = gcd(*row)
+    if g > 1:
+        return [a // g for a in row]
+    return row
+
+
+def _rref_rows(mat, num_cols):
+    """Reduced row echelon form of a list of int rows, by integer
+    Gauss-Jordan elimination.
+
+    Returns ``(rows, pivots)`` with zero rows dropped.  Each returned row is
+    a list of ints: primitive, zero on every other row's pivot column, with
+    a positive pivot entry ``p``.  Dividing it by ``p`` gives the row of the
+    unique RREF of the row space; that division is the only place a
+    Fraction is made.  Rows are eliminated as ``row_i * p - f * row_r`` and
+    kept small by dividing out their content.  No input row is modified.
     """
-    mat = [list(row) for row in rows]
+    mat = [_primitive(row) for row in mat]
     pivots = []
     r = 0
     nrows = len(mat)
@@ -74,33 +109,23 @@ def _rref_rows(rows, num_cols):
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        lead = mat[r][c]
-        if lead != 1:
-            inv = _ONE / lead
-            mat[r] = [x * inv for x in mat[r]]
         row_r = mat[r]
+        p = row_r[c]
+        if p < 0:
+            row_r = mat[r] = [-a for a in row_r]
+            p = -p
         for i in range(nrows):
             if i != r:
                 f = mat[i][c]
                 if f:
-                    mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
+                    g = gcd(p, f)
+                    pg, fg = p // g, f // g
+                    mat[i] = _primitive([a * pg - fg * b for a, b in zip(mat[i], row_r)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return mat[:r], pivots
-
-
-def _cleared(row):
-    """Clear the denominators of one row: ``(lcm, integer row)``, the integer
-    row being the rational row times the lcm of its denominators."""
-    row = [to_fraction(x) for x in row]
-    mult = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            mult = mult * d // gcd(mult, d)
-    return mult, [x.numerator * (mult // x.denominator) for x in row]
 
 
 def _echelon_insert(echelon, row):
@@ -138,25 +163,30 @@ def _echelon_insert(echelon, row):
 def rank(rows):
     """Rank of a matrix given as an iterable of rows (exact, integer path)."""
     echelon = []
+    width = None
     for row in rows:
-        _echelon_insert(echelon, _cleared(row)[1])
+        ints = _cleared(row)[1]
+        if width is None:
+            width = len(ints)
+        elif len(ints) != width:
+            raise ValueError("ragged rows")
+        _echelon_insert(echelon, ints)
     return len(echelon)
 
 
 def det(rows):
     """Exact determinant of a square matrix (Bareiss over cleared integers)."""
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    if n == 0:
-        return _ONE
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a non-square matrix")
     scale = 1
     mat = []
     for row in rows:
         mult, ints = _cleared(row)
         scale *= mult
-        mat.append(ints)
+        mat.append(list(ints))
+    n = len(mat)
+    if n == 0:
+        return _ONE
+    if any(len(row) != n for row in mat):
+        raise ValueError("determinant of a non-square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -186,13 +216,15 @@ class Subspace:
     def __init__(self, ambient_dim, vectors=()):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        rows = [[to_fraction(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
+        rows = [_cleared(v)[1] for v in vectors]
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("vector length does not match ambient dimension")
         reduced, pivots = _rref_rows(rows, ambient_dim)
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(row) for row in reduced)
+        self.basis = tuple(
+            tuple(Fraction(a, row[c]) if a else _ZERO for a in row)
+            for row, c in zip(reduced, pivots)
+        )
         self.pivots = tuple(pivots)
 
     @property
@@ -209,6 +241,11 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
+
+    def integer_basis(self):
+        """The basis rows as int lists, each row times the lcm of its
+        denominators: the same row space, ready for integer elimination."""
+        return [_cleared(row)[1] for row in self.basis]
 
     def reduce(self, vector):
         """Residual of a vector after elimination against the basis."""
@@ -239,7 +276,7 @@ def kernel(matrix, num_cols=None):
     ``num_cols`` gives the width of an empty matrix; otherwise the width is
     that of the rows, which must all have the same length.
     """
-    rows = [[to_fraction(x) for x in row] for row in matrix]
+    rows = [_cleared(row)[1] for row in matrix]
     if rows:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
@@ -250,14 +287,17 @@ def kernel(matrix, num_cols=None):
         raise ValueError("column count required for an empty matrix")
     reduced, pivots = _rref_rows(rows, width)
     pivot_set = set(pivots)
+    # Row k reads row_k[p_k] * x[p_k] + (free columns) = 0.  Setting one free
+    # coordinate to the lcm of the pivot entries keeps the solution integral.
+    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     vectors = []
     for f in range(width):
         if f in pivot_set:
             continue
-        v = [_ZERO] * width
-        v[f] = _ONE
+        v = [0] * width
+        v[f] = scale
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+            v[p] = -row[f] * (scale // row[p])
         vectors.append(v)
     return Subspace(width, vectors)
 

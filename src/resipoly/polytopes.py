@@ -141,13 +141,14 @@ def projection_rank_table(space, ground, blocks):
     flat = [c for b in blocks for c in b]
     if len(flat) != len(set(flat)):
         raise ValueError("coordinate blocks overlap")
+    basis = space.integer_basis()
     values = []
     for mask in range((1 << len(ground))):
         cols = [c for i in range(len(ground)) if mask >> i & 1 for c in blocks[i]]
-        if not cols or space.dim == 0:
+        if not cols or not basis:
             values.append(0)
             continue
-        values.append(rank([[row[c] for c in cols] for row in space.basis]))
+        values.append(rank([[row[c] for c in cols] for row in basis]))
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
         raise AssertionError("projection table violates its invariants")

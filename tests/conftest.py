@@ -67,6 +67,43 @@ def reference_rank(rows):
     return r
 
 
+def reference_rref(rows, num_cols):
+    """Reduced row echelon form of a list of Fraction rows, by plain rational
+    Gauss-Jordan elimination, independent of the package's integer path.
+
+    Returns ``(rows, pivots)`` with zero rows dropped.  The output is the
+    unique RREF of the row space.
+    """
+    mat = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    nrows = len(mat)
+    for c in range(num_cols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if mat[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        lead = mat[r][c]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            mat[r] = [x * inv for x in mat[r]]
+        row_r = mat[r]
+        for i in range(nrows):
+            if i != r:
+                f = mat[i][c]
+                if f:
+                    mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots
+
+
 # Helpers that only the tests use.
 
 

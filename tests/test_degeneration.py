@@ -167,6 +167,26 @@ class TestPluckerOracle:
             laurent = laurent_for(w, weights)
             assert plucker_limit_oracle(laurent) == initial_space_limit(laurent)
 
+    def test_basis_is_cleared_once(self, fig1, monkeypatch):
+        # fig1's one-level space: dim 3 in Q^14, so C(14, 3) = 364 minors;
+        # converting entries once per minor would cost thousands of calls
+        import resipoly.linalg
+
+        calls = []
+        original = resipoly.linalg.to_fraction
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        graph, _, _ = fig1
+        space = residue_space(graph, LevelStructure.trivial(graph.vertices))
+        assert (space.dim, space.ambient_dim) == (3, 14)
+        laurent = laurent_for(space, tuple(range(14)))
+        monkeypatch.setattr(resipoly.linalg, "to_fraction", counted)
+        plucker_limit_oracle(laurent)
+        assert 0 < len(calls) < 364
+
     def test_size_bound(self):
         rows = [[0] * i + [1] + [0] * (29 - i) for i in range(10)]
         w = Subspace(30, rows)

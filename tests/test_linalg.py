@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from resipoly.linalg import (
 )
 from resipoly.randomized import random_sti_collection
 
-from conftest import find_arrows, rank_mod_p, reference_rank
+from conftest import find_arrows, rank_mod_p, reference_rank, reference_rref
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -84,6 +85,32 @@ class TestRref:
         assert rank(singular) == reference_rank(singular) == 1
         regular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 1)]]
         assert rank(regular) == reference_rank(regular) == 2
+
+    def test_rank_rejects_ragged_rows(self):
+        for rows in ([[1, 0], [1]], [[1], [0, 1]], [["1/2", 0], [1]]):
+            with pytest.raises(ValueError, match="ragged rows"):
+                rank(rows)
+
+    def test_matches_reference_rref(self):
+        # "p/q" strings, zero rows, duplicate rows, wide and tall shapes
+        rng = random.Random(16)
+        entries = [0, 0, 1, -1, 2, -3, "1/2", "-2/3", "5/4", "7/6"]
+        for case in range(120):
+            width = rng.randint(1, 3) if case % 2 else rng.randint(4, 8)
+            height = rng.randint(4, 9) if case % 2 else rng.randint(0, 3)
+            rows = [[rng.choice(entries) for _ in range(width)] for _ in range(height)]
+            if rows and case % 3 == 0:
+                rows.append([0] * width)
+            if rows and case % 4 == 0:
+                rows.append(list(rng.choice(rows)))
+            rng.shuffle(rows)
+            expected_rows, expected_pivots = reference_rref(
+                [[to_fraction(x) for x in row] for row in rows], width
+            )
+            space = Subspace(width, rows)
+            assert space.basis == tuple(tuple(row) for row in expected_rows)
+            assert space.pivots == tuple(expected_pivots)
+            assert all(type(x) is Fraction for row in space.basis for x in row)
 
     def test_rank_mod_p_matches_on_small_entries(self):
         rng = random.Random(13)
@@ -157,6 +184,16 @@ class TestSubspace:
             ker = kernel_of_projection(w, coords)
             assert image.dim + ker.dim == w.dim
             assert w.contains(ker)
+
+    def test_integer_basis(self):
+        w = Subspace(3, [["1/2", "1/3", 0], [0, "3/4", "5/6"]])
+        ints = w.integer_basis()
+        assert all(type(x) is int for row in ints for x in row)
+        for cleared, row in zip(ints, w.basis):
+            scale = math.lcm(*(x.denominator for x in row))
+            assert cleared == [x * scale for x in row]
+        assert Subspace(3, ints) == w
+        assert Subspace(3, []).integer_basis() == []
 
     def test_embed_round_trip(self):
         w = Subspace(2, [[1, 2]])
