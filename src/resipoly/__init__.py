@@ -44,6 +44,7 @@ from .linalg import (
 )
 from .polytopes import (
     BasePolytope,
+    InvariantViolation,
     SetFunction,
     adjoint,
     base_polytope,

@@ -13,7 +13,9 @@ Commands
 
 All rational output is exact ("n" or "p/q" strings); reports are
 deterministic for a fixed input and seed.  Exit status: 0 when every check
-passes, 1 when a mathematical check fails, 2 for input or usage errors.
+passes, 1 when a mathematical check fails or an invariant is violated
+(:class:`~resipoly.polytopes.InvariantViolation`), 2 for input or usage
+errors.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .polytopes import (
     FACE_SWEEP_BOUND,
     POLYTOPE_BOUND,
     TABLE_BOUND,
+    InvariantViolation,
     base_polytope,
     check_polytope_faces,
     residue_projection_table,
@@ -341,11 +344,19 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # once per process: each parser leaves cyclic garbage
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantViolation as err:
+        print(f"error: invariant violated: {err}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

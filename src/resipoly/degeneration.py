@@ -26,7 +26,13 @@ from math import comb
 
 from .graphs import LevelStructure, is_coarsening
 from .linalg import Subspace, det, embed, kernel_of_projection, project_image
-from .polytopes import TABLE_BOUND, _check_table_bound, _tail_table, splitting
+from .polytopes import (
+    TABLE_BOUND,
+    InvariantViolation,
+    _check_table_bound,
+    _tail_table,
+    splitting,
+)
 from .residues import residue_space
 
 __all__ = [
@@ -134,7 +140,7 @@ def flag_and_realization(space, levels, coordinate_blocks):
             realization_rows.append(row)
     realization = Subspace(ambient, realization_rows)
     if realization.dim != space.dim:
-        raise AssertionError("realization changed the dimension")
+        raise InvariantViolation("realization changed the dimension")
     return tuple(flag), realization
 
 
@@ -189,7 +195,7 @@ def initial_space_limit(laurent):
                         if c:
                             new_row = [a + c * b for a, b in zip(new_row, rows[k])]
                     if not any(new_row):
-                        raise AssertionError("basis rows were dependent")
+                        raise InvariantViolation("basis rows were dependent")
                     replacement = (idx, new_row)
                     break
                 inv = Fraction(1) / vec[lead_col]
@@ -201,7 +207,7 @@ def initial_space_limit(laurent):
         if replacement is None:
             limit = Subspace(width, [lead for _, lead in leads])
             if limit.dim != space.dim:
-                raise AssertionError("limit changed the dimension")
+                raise InvariantViolation("limit changed the dimension")
             return limit
         idx, new_row = replacement
         rows[idx] = new_row
@@ -264,7 +270,7 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
         rows.append(row)
     limit = Subspace(ambient, rows)
     if limit.dim != m:
-        raise AssertionError("decoded limit has the wrong dimension")
+        raise InvariantViolation("decoded limit has the wrong dimension")
     return limit
 
 

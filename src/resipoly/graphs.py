@@ -55,9 +55,32 @@ class Arrow(NamedTuple):
         return f"e{self.edge}:{self.tail}>{self.head}"
 
 
+def bits(mask):
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _union(table, mask):
+    """The union of ``table[i]`` over the set bits i of `mask`."""
+    out = 0
+    for i in bits(mask):
+        out |= table[i]
+    return out
+
+
 class Multigraph:
     """Finite multigraph over named vertices.
 
+    Vertex sets are also handled as bitmasks, bit i standing for the i-th
+    vertex in input order, and arrow sets as bitmasks over arrow indices.
+    Per vertex, ``neighbours`` is the vertex mask of its neighbours (itself
+    included when it carries a loop), and ``out_arrows`` and ``in_arrows``
+    are the arrow masks of the arrows with that tail and that head.
     ``component_count`` and ``genus`` (first Betti number,
     |E| - |V| + components) are computed on construction.
     """
@@ -68,7 +91,9 @@ class Multigraph:
         "index",
         "arrows",
         "arrows_with_tail",
-        "adjacency",
+        "neighbours",
+        "out_arrows",
+        "in_arrows",
         "component_count",
         "genus",
     )
@@ -101,37 +126,72 @@ class Multigraph:
 
         arrows = []
         arrows_with_tail = {v: [] for v in vertices}
-        adjacency = {i: [] for i in range(len(vertices))}
+        neighbours = [0] * len(vertices)
+        out_arrows = [0] * len(vertices)
+        in_arrows = [0] * len(vertices)
         for i, (u, v) in enumerate(self.edges):
             arrows.append(Arrow(i, 0, u, v))
             arrows.append(Arrow(i, 1, v, u))
             arrows_with_tail[u].append(2 * i)
             arrows_with_tail[v].append(2 * i + 1)
-            adjacency[index[u]].append((i, index[v]))
-            if u != v:
-                adjacency[index[v]].append((i, index[u]))
+            iu, iv = index[u], index[v]
+            neighbours[iu] |= 1 << iv
+            neighbours[iv] |= 1 << iu
+            out_arrows[iu] |= 1 << 2 * i
+            in_arrows[iv] |= 1 << 2 * i
+            out_arrows[iv] |= 2 << 2 * i
+            in_arrows[iu] |= 2 << 2 * i
         self.arrows = tuple(arrows)
         self.arrows_with_tail = {v: tuple(a) for v, a in arrows_with_tail.items()}
-        self.adjacency = {i: tuple(n) for i, n in adjacency.items()}
-
-        parent = list(range(len(vertices)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self.edges:
-            ra, rb = find(index[u]), find(index[v])
-            if ra != rb:
-                parent[rb] = ra
-        self.component_count = len({find(i) for i in range(len(vertices))})
+        self.neighbours = tuple(neighbours)
+        self.out_arrows = tuple(out_arrows)
+        self.in_arrows = tuple(in_arrows)
+        self.component_count = len(self.mask_components((1 << len(vertices)) - 1))
         self.genus = len(self.edges) - len(vertices) + self.component_count
 
     @property
     def num_arrows(self):
         return 2 * len(self.edges)
+
+    def mask_of(self, subset):
+        """The vertex bitmask of `subset` (bit i is vertex i in input order)."""
+        mask = 0
+        for v in subset:
+            mask |= 1 << self.index[v]
+        return mask
+
+    def names(self, mask):
+        """The vertices of a vertex bitmask, in input order."""
+        return tuple(self.vertices[i] for i in bits(mask))
+
+    def neighbour_mask(self, mask):
+        """The vertices adjacent to some vertex of `mask`."""
+        return _union(self.neighbours, mask)
+
+    def arrows_from(self, mask):
+        """The arrows with tail in the vertex mask, as an arrow mask."""
+        return _union(self.out_arrows, mask)
+
+    def arrows_into(self, mask):
+        """The arrows with head in the vertex mask, as an arrow mask."""
+        return _union(self.in_arrows, mask)
+
+    def mask_components(self, mask):
+        """Connected components of the subgraph induced on a vertex bitmask,
+        as bitmasks ordered by their lowest vertex."""
+        neighbours = self.neighbours
+        components = []
+        while mask:
+            component = frontier = mask & -mask
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = neighbours[low.bit_length() - 1] & mask & ~component
+                component |= new
+                frontier |= new
+            components.append(component)
+            mask &= ~component
+        return components
 
     def induced_components(self, subset):
         """Connected components of the induced subgraph, as vertex tuples.
@@ -139,24 +199,7 @@ class Multigraph:
         Components are sorted by their first vertex in input order; vertices
         within a component likewise.
         """
-        chosen = {self.index[v] for v in subset}
-        seen = set()
-        components = []
-        for start in sorted(chosen):
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            comp = []
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for _, j in self.adjacency[i]:
-                    if j in chosen and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            components.append(tuple(self.vertices[i] for i in sorted(comp)))
-        return components
+        return [self.names(c) for c in self.mask_components(self.mask_of(subset))]
 
     def induced_edges(self, subset):
         """Edge indices with both endpoints (loops included) inside subset."""
@@ -321,53 +364,21 @@ def level_components(graph, levels, n):
     return graph.induced_components(levels.part(n))
 
 
-def _split_summits(graph, classification, components):
-    """The summits among the given level components, as (irreducible,
-    reducible) lists in the order given."""
-    irreducible = []
-    reducible = []
-    for comp in components:
-        has_upward = any(
-            classification.tags[a] == UPWARD
-            for v in comp
-            for a in graph.arrows_with_tail[v]
-        )
-        if has_upward:
-            continue
-        if len(comp) == 1 and not graph.induced_edges(comp):
-            irreducible.append(comp)
-        else:
-            reducible.append(comp)
-    return irreducible, reducible
-
-
 def components_below(graph, levels, n):
     """Components of the subgraph strictly below level n, and the special ones.
 
-    A component is special when it receives an upward arrow from level n.
-    For n = 1 both lists are empty.
+    A component is special when it receives an upward arrow from level n,
+    that is when it meets the neighbours of level n.  For n = 1 both lists
+    are empty.
     """
     if not 1 <= n <= levels.r:
         raise GraphDocumentError(f"level {n} out of range 1..{levels.r}")
-    below = tuple(
-        v for v, lv in zip(levels.vertices, levels.levels) if lv < n
+    below = graph.mask_components(graph.mask_of(levels.prefix(n - 1)))
+    reach = graph.neighbour_mask(graph.mask_of(levels.part(n)))
+    return (
+        [graph.names(c) for c in below],
+        [graph.names(c) for c in below if c & reach],
     )
-    if not below:
-        return [], []
-    comps = graph.induced_components(below)
-    membership = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            membership[v] = idx
-    special_idx = set()
-    part = levels.part(n)
-    for v in part:
-        for a in graph.arrows_with_tail[v]:
-            head = graph.arrows[a].head
-            if head in membership:
-                special_idx.add(membership[head])
-    special = [comps[i] for i in sorted(special_idx)]
-    return comps, special
 
 
 def is_coarsening(fine, coarse):
@@ -399,15 +410,22 @@ def _raw_ordered_partitions(items):
 def ordered_partitions(vertices, max_vertices=DEFAULT_ENUMERATION_BOUND):
     """Every ordered partition of the vertex tuple, exactly once.
 
-    The count is the Fubini number of len(vertices).
+    The count is the Fubini number of len(vertices).  Each structure is
+    built straight from its level tuple.
     """
     vertices = tuple(vertices)
     if len(vertices) > max_vertices:
         raise GraphDocumentError(
             f"{len(vertices)} vertices exceed the enumeration bound {max_vertices}"
         )
-    for parts in _raw_ordered_partitions(list(vertices)):
-        yield LevelStructure.from_parts(vertices, parts)
+    if len(set(vertices)) != len(vertices):
+        raise GraphDocumentError("duplicate vertex name")
+    for parts in _raw_ordered_partitions(list(range(len(vertices)))):
+        levels = [0] * len(vertices)
+        for n, part in enumerate(parts, start=1):
+            for i in part:
+                levels[i] = n
+        yield LevelStructure(vertices, levels)
 
 
 def coarsenings(levels):

@@ -394,7 +394,7 @@ class SetTheoreticReport:
 
 
 def _is_set_independent(supports):
-    seen = set()
+    seen = 0
     for s in supports:
         if not s or s & seen:
             return False
@@ -402,68 +402,75 @@ def _is_set_independent(supports):
     return True
 
 
-def _matching_components(sup1, sup2):
-    """Connected components of the support overlap graph between collections.
+def _closed_components(sup1, sup2):
+    """One flag per component of the support overlap graph between two
+    set-independent collections: whether it is closed, that is whether its
+    two support unions coincide.
 
     Under set-theoretic independence a pair of subcollections covers the
-    same coordinate set iff it is a union of components whose two support
-    unions coincide ("closed" components), so relatedness reduces to a
-    finite component scan.
+    same coordinate set iff it is a union of closed components, so
+    relatedness reduces to a finite component scan.  Each component is
+    found by a coordinate-closure sweep: starting from one support, take in
+    every support meeting the covered coordinates until none is left.
     """
-    n1, n2 = len(sup1), len(sup2)
-    parent = list(range(n1 + n2))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    owner = {}
-    for i, s in enumerate(sup1):
-        for c in s:
-            owner[c] = i
-    for j, s in enumerate(sup2):
-        for c in s:
-            if c in owner:
-                union(owner[c], n1 + j)
-    groups = {}
-    for node in range(n1 + n2):
-        groups.setdefault(find(node), []).append(node)
-    components = []
-    for nodes in groups.values():
-        u1 = frozenset().union(*(sup1[i] for i in nodes if i < n1)) if any(
-            i < n1 for i in nodes
-        ) else frozenset()
-        u2 = frozenset().union(*(sup2[i - n1] for i in nodes if i >= n1)) if any(
-            i >= n1 for i in nodes
-        ) else frozenset()
-        components.append((nodes, u1 == u2))
-    return components
+    rest1, rest2 = list(sup1), list(sup2)
+    closed = []
+    while rest1 or rest2:
+        if rest1:
+            union1, union2 = rest1.pop(), 0
+        else:
+            union1, union2 = 0, rest2.pop()
+        grown = True
+        while grown:
+            cover = union1 | union2
+            grown = False
+            keep1 = []
+            for s in rest1:
+                if s & cover:
+                    union1 |= s
+                    grown = True
+                else:
+                    keep1.append(s)
+            keep2 = []
+            for s in rest2:
+                if s & cover:
+                    union2 |= s
+                    grown = True
+                else:
+                    keep2.append(s)
+            rest1, rest2 = keep1, keep2
+        closed.append(union1 == union2)
+    return closed
 
 
 def _related_bruteforce(sup1, sup2):
     related = False
     properly = True
-    for mask1 in range(1, 1 << len(sup1)):
-        u1 = frozenset().union(
-            *(sup1[i] for i in range(len(sup1)) if mask1 >> i & 1)
-        )
-        for mask2 in range(1, 1 << len(sup2)):
-            u2 = frozenset().union(
-                *(sup2[j] for j in range(len(sup2)) if mask2 >> j & 1)
-            )
+    full1 = (1 << len(sup1)) - 1
+    full2 = (1 << len(sup2)) - 1
+    for mask1 in range(1, full1 + 1):
+        u1 = 0
+        for i, s in enumerate(sup1):
+            if mask1 >> i & 1:
+                u1 |= s
+        for mask2 in range(1, full2 + 1):
+            u2 = 0
+            for j, s in enumerate(sup2):
+                if mask2 >> j & 1:
+                    u2 |= s
             if u1 == u2:
                 related = True
-                full = mask1 == (1 << len(sup1)) - 1 and mask2 == (1 << len(sup2)) - 1
-                if not full:
+                if mask1 != full1 or mask2 != full2:
                     properly = False
     return related, properly
+
+
+def _mask(support):
+    """The int bitmask of an iterable of distinct indices."""
+    mask = 0
+    for c in support:
+        mask |= 1 << c
+    return mask
 
 
 def set_theoretic_checks(collection_1, collection_2):
@@ -476,23 +483,21 @@ def set_theoretic_checks(collection_1, collection_2):
     """
     if collection_1.ambient_dim != collection_2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return support_checks(collection_1.supports, collection_2.supports)
+    return support_checks(
+        tuple(_mask(s) for s in collection_1.supports),
+        tuple(_mask(s) for s in collection_2.supports),
+    )
 
 
 def support_checks(sup1, sup2):
-    """:func:`set_theoretic_checks` on two tuples of supports (sets of
-    coordinate indices), one per vector."""
+    """:func:`set_theoretic_checks` on two tuples of supports, one per
+    vector, each an int bitmask of coordinate indices."""
     sti_1 = _is_set_independent(sup1)
     sti_2 = _is_set_independent(sup2)
     if sti_1 and sti_2:
-        components = _matching_components(sup1, sup2)
-        closed = [nodes for nodes, ok in components if ok]
-        related = bool(closed)
-        properly = not closed or (
-            len(components) == 1
-            and components[0][1]
-            and len(components[0][0]) == len(sup1) + len(sup2)
-        )
+        closed = _closed_components(sup1, sup2)
+        related = any(closed)
+        properly = not related or len(closed) == 1
     else:
         if len(sup1) + len(sup2) > 22:
             raise ValueError(

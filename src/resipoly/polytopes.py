@@ -27,6 +27,7 @@ from .residues import residue_space
 __all__ = [
     "BasePolytope",
     "FaceReport",
+    "InvariantViolation",
     "SetFunction",
     "adjoint",
     "base_polytope",
@@ -43,6 +44,14 @@ POLYTOPE_BOUND = 8
 FACE_SWEEP_BOUND = 6
 
 ORIENTATIONS = ("upper", "lower")
+
+
+class InvariantViolation(AssertionError):
+    """A computed object broke an invariant the mathematics guarantees.
+
+    This signals a bug in the computation, never bad input; the CLI exits 1
+    on it, where input errors exit 2.
+    """
 
 
 class SetFunction:
@@ -151,7 +160,7 @@ def projection_rank_table(space, ground, blocks):
         values.append(rank([[row[c] for c in cols] for row in basis]))
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
-        raise AssertionError("projection table violates its invariants")
+        raise InvariantViolation("projection table violates its invariants")
     return table
 
 
@@ -267,7 +276,7 @@ def base_polytope(table, max_vertices=POLYTOPE_BOUND):
     if n > max_vertices:
         raise ValueError(f"{n} ground elements exceed the polytope bound {max_vertices}")
     if not table.is_submodular():
-        raise ValueError("base polytope of a non-submodular table")
+        raise InvariantViolation("base polytope of a non-submodular table")
     seen = set()
     for perm in itertools.permutations(range(n)):
         point = [0] * n
@@ -285,7 +294,7 @@ def base_polytope(table, max_vertices=POLYTOPE_BOUND):
         for mask in range(full + 1):
             value = _point_value(q, mask)
             if value > table.values[mask] or (mask == full and value != table.values[mask]):
-                raise AssertionError("greedy point violates the subset inequalities")
+                raise InvariantViolation("greedy point violates the subset inequalities")
     return BasePolytope(table.ground, vertices, table)
 
 
@@ -319,7 +328,7 @@ def chain_face(polytope, levels, orientation):
     best = max(scores)
     argmax = tuple(i for i, s in enumerate(scores) if s == best)
     if argmax != tight:
-        raise AssertionError("chain-tight vertices differ from the weight argmax")
+        raise InvariantViolation("chain-tight vertices differ from the weight argmax")
     return tight
 
 

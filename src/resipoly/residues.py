@@ -23,13 +23,17 @@ mismatch signals an implementation bug, never data to be corrected.
 
 :class:`LevelGraph` is the one model of a graph with an ordered partition.
 Each of its parts is computed once, on first use: the arrow classification,
-the level components, the components below each level and the special ones
-among them, the components of each prefix V<=n, the summits, the counts and
-the four condition families.  Every condition is a 0/1 row, so it is built
-once, as its labelled support (the frozenset of arrow indices where it is
-1).  The flag, the per-component blocks and the relatedness predicates all
-read those supports; full-width 0/1 vectors are made from them only where
-a kernel or a rank needs them.
+the vertex masks of every level with their components, the components of
+V<n and the special ones among them (those meeting the neighbours of level
+n), the components of each prefix V<=n, the summits, the counts and the four
+condition families.  Vertex sets are int bitmasks throughout, and become
+vertex-name tuples only where they are reported.  Every condition is a 0/1
+row, so it is built once, as its labelled support: the int bitmask of the
+arrow indices where it is 1.  Indexes built with the rows let each
+component find its own rows without scanning the others.  The flag, the
+per-component blocks and the relatedness predicates all read those
+supports; full-width 0/1 vectors are made from them only where a kernel or
+a rank needs them.
 """
 
 from __future__ import annotations
@@ -38,14 +42,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graphs import (
-    DOWNWARD,
-    _split_summits,
-    classify_arrows,
-    components_below,
-    level_components,
-)
-from .linalg import _echelon_insert, kernel, support_checks
+from .graphs import bits, classify_arrows
+from .linalg import _echelon_insert, _mask, kernel, support_checks
 
 __all__ = [
     "FAMILIES",
@@ -55,6 +53,7 @@ __all__ = [
     "IdentityCheck",
     "LevelCounts",
     "LevelGraph",
+    "LevelMasks",
     "LevelSummary",
     "ResidueFlag",
     "Row",
@@ -71,12 +70,12 @@ FAMILIES = ("downward", "local", "rosenlicht", "global")
 
 
 class Row(NamedTuple):
-    """One condition: its label, the arrow indices where it is 1, and what
-    it belongs to (an arrow, a vertex, an edge index, or a level with a
-    special component below it)."""
+    """One condition: its label, its support (an int bitmask whose bit a is
+    set when the row is 1 at arrow a), and what it belongs to (an arrow, a
+    vertex, an edge index, or a level with a special component below it)."""
 
     label: str
-    support: frozenset
+    support: int
     owner: object
 
 
@@ -126,11 +125,11 @@ class IdentityCheck:
 
 
 def _supports(rows):
-    return tuple(row.support for row in rows)
+    return [row.support for row in rows]
 
 
 def _dense(support, width):
-    return tuple(1 if c in support else 0 for c in range(width))
+    return tuple([support >> c & 1 for c in range(width)])
 
 
 def _cumulative_ranks(groups, width):
@@ -144,15 +143,32 @@ def _cumulative_ranks(groups, width):
     return ranks
 
 
+def _owner(row):
+    return row.owner
+
+
 class _Block(NamedTuple):
-    """The rows of one component C of V<=n that live at level n."""
+    """The rows of one component C of V<=n that live at level n; C and its
+    level-n vertices are vertex masks."""
 
     level: int
-    component: tuple
-    level_vertices: tuple
+    component: int
+    level_vertices: int
     local: tuple
     rosenlicht: tuple
     glob: tuple
+
+
+class LevelMasks(NamedTuple):
+    """Level n of a level graph as vertex masks: the level itself, its
+    components, the components of V<n and the special ones among them, and
+    the components of V<=n."""
+
+    mask: int
+    components: list
+    below: list
+    special: list
+    upto: list
 
 
 class LevelGraph:
@@ -161,7 +177,8 @@ class LevelGraph:
 
     Every part is computed on first use and kept, so each is built once per
     model however many checks read it.  The parts are facts about the level
-    graph, never the verdict of a check.
+    graph, never the verdict of a check.  Vertex sets are bitmasks (see
+    :class:`~resipoly.graphs.Multigraph`) until they are reported.
     """
 
     def __init__(self, graph, levels, classification=None):
@@ -179,33 +196,73 @@ class LevelGraph:
         return range(1, self.levels.r + 1)
 
     @cached_property
+    def masks(self):
+        """Level n -> its :class:`LevelMasks`, each computed once."""
+        graph = self.graph
+        out = {}
+        below = []
+        prefix = 0
+        for n, part in enumerate(self.levels.parts, start=1):
+            mask = graph.mask_of(part)
+            prefix |= mask
+            reach = graph.neighbour_mask(mask)
+            upto = graph.mask_components(prefix)
+            out[n] = LevelMasks(
+                mask, graph.mask_components(mask), below, [c for c in below if c & reach], upto
+            )
+            below = upto
+        return out
+
+    @cached_property
     def level_components(self):
         """Level n -> components of the subgraph induced on level n."""
-        return {n: level_components(self.graph, self.levels, n) for n in self.level_numbers}
+        names = self.graph.names
+        return {n: [names(c) for c in at.components] for n, at in self.masks.items()}
 
     @cached_property
     def components_below(self):
         """Level n -> (components strictly below level n, the special ones)."""
-        return {n: components_below(self.graph, self.levels, n) for n in self.level_numbers}
+        names = self.graph.names
+        return {
+            n: ([names(c) for c in at.below], [names(c) for c in at.special])
+            for n, at in self.masks.items()
+        }
 
     @cached_property
     def prefix_components(self):
         """Level n -> components of the subgraph induced on the levels <= n."""
-        return {
-            n: self.graph.induced_components(self.levels.prefix(n))
-            for n in self.level_numbers
-        }
+        names = self.graph.names
+        return {n: [names(c) for c in at.upto] for n, at in self.masks.items()}
+
+    @cached_property
+    def _summit_masks(self):
+        """(irreducible, reducible) summits among the level components, as
+        vertex masks.  A summit is a level component that is the tail of no
+        upward arrow; it is irreducible when it is one vertex without a loop."""
+        graph = self.graph
+        upward = _mask(self.classification.upward)
+        irreducible = []
+        reducible = []
+        for at in self.masks.values():
+            for comp in at.components:
+                if graph.arrows_from(comp) & upward:
+                    continue
+                if comp & (comp - 1) or graph.neighbours[comp.bit_length() - 1] & comp:
+                    reducible.append(comp)
+                else:
+                    irreducible.append(comp)
+        return irreducible, reducible
 
     @cached_property
     def summits(self):
         """(irreducible, reducible) summits among the level components."""
-        components = [c for comps in self.level_components.values() for c in comps]
-        return _split_summits(self.graph, self.classification, components)
+        names = self.graph.names
+        return tuple([names(c) for c in masks] for masks in self._summit_masks)
 
     @cached_property
     def counts(self):
         graph, cls = self.graph, self.classification
-        irreducible, reducible = self.summits
+        irreducible, reducible = self._summit_masks
         return LevelCounts(
             vertices=len(graph.vertices),
             edges=len(graph.edges),
@@ -228,48 +285,67 @@ class LevelGraph:
         every special component, even when linearly dependent on the other
         families.
         """
-        graph, levels, cls = self.graph, self.levels, self.classification
-        downward = tuple(
-            Row(graph.arrows[a].label, frozenset((a,)), a) for a in cls.downward
-        )
+        return self._indexed_rows[0]
+
+    @cached_property
+    def _indexed_rows(self):
+        """The rows by family, and the indexes each component reads its rows
+        through: local rows by vertex index, rosenlicht rows by the index of
+        their edge's first vertex, global rows by (level, component mask)."""
+        graph, cls = self.graph, self.classification
+        names, index = graph.names, graph.index
+        downward = tuple(Row(graph.arrows[a].label, 1 << a, a) for a in cls.downward)
+        keep = ~_mask(cls.downward)
         local = []
-        for v in graph.vertices:
-            support = frozenset(
-                a for a in graph.arrows_with_tail[v] if cls.tags[a] != DOWNWARD
-            )
+        local_at = [None] * len(graph.vertices)
+        for i, v in enumerate(graph.vertices):
+            support = graph.out_arrows[i] & keep
             if support:
-                local.append(Row(v, support, v))
+                local_at[i] = row = Row(v, support, v)
+                local.append(row)
         rosenlicht = []
+        ros_at = [()] * len(graph.vertices)
         for e in cls.horizontal_edges:
             u, v = graph.edges[e]
-            rosenlicht.append(Row(f"e{e}:{u}-{v}", frozenset((2 * e, 2 * e + 1)), e))
+            row = Row(f"e{e}:{u}-{v}", 3 << 2 * e, e)
+            rosenlicht.append(row)
+            ros_at[index[u]] += (row,)
         glob = []
-        for n in self.level_numbers:
-            for comp in self.components_below[n][1]:
-                members = set(comp)
-                support = frozenset(
-                    a
-                    for v in levels.part(n)
-                    for a in graph.arrows_with_tail[v]
-                    if graph.arrows[a].head in members
-                )
-                glob.append(Row(f"{n}:{'+'.join(comp)}", support, (n, comp)))
-        return {
+        glob_at = {}
+        for n, at in self.masks.items():
+            if not at.special:
+                continue
+            out = graph.arrows_from(at.mask)
+            for comp in at.special:
+                members = names(comp)
+                row = Row(f"{n}:{'+'.join(members)}", out & graph.arrows_into(comp), (n, members))
+                glob.append(row)
+                glob_at[n, comp] = row
+        families = {
             "downward": downward,
             "local": tuple(local),
             "rosenlicht": tuple(rosenlicht),
             "global": tuple(glob),
         }
+        return families, (local_at, ros_at, glob_at)
 
-    def _rows_within(self, vertices):
-        """The local rows of `vertices` and the rosenlicht rows of the
-        horizontal edges with both ends among them."""
-        edges = self.graph.edges
-        local = tuple(row for row in self.rows["local"] if row.owner in vertices)
-        ros = tuple(
-            row for row in self.rows["rosenlicht"] if vertices.issuperset(edges[row.owner])
-        )
-        return local, ros
+    def _rows_within(self, mask):
+        """The local rows of the vertices of `mask` and the rosenlicht rows of
+        the horizontal edges with both ends in it, in label order.
+
+        `mask` must hold both ends of every horizontal edge with one end in
+        it, as the level-n vertices of any component of V<=n do.
+        """
+        _, (local_at, ros_at, _) = self._indexed_rows
+        local = []
+        ros = []
+        for i in bits(mask):
+            if local_at[i]:
+                local.append(local_at[i])
+            ros += ros_at[i]
+        if len(ros) > 1:
+            ros.sort(key=_owner)
+        return tuple(local), tuple(ros)
 
     @cached_property
     def blocks(self):
@@ -279,17 +355,13 @@ class LevelGraph:
         Each group's rows live in the coordinates of the non-downward arrows
         with tail in the component's level-n vertices.
         """
+        _, (_, _, glob_at) = self._indexed_rows
         blocks = []
-        for n in self.level_numbers:
-            for comp in self.prefix_components[n]:
-                members = set(comp)
-                here = tuple(v for v in self.levels.part(n) if v in members)
-                glob = tuple(
-                    row
-                    for row in self.rows["global"]
-                    if row.owner[0] == n and members.issuperset(row.owner[1])
-                )
-                blocks.append(_Block(n, comp, here, *self._rows_within(set(here)), glob))
+        for n, at in self.masks.items():
+            for comp in at.upto:
+                here = comp & at.mask
+                glob = tuple(glob_at[n, c] for c in at.special if c & comp)
+                blocks.append(_Block(n, comp, here, *self._rows_within(here), glob))
         return tuple(blocks)
 
     def constraints(self):
@@ -330,14 +402,18 @@ class LevelGraph:
         checked against the flag dimensions."""
         _, dims = self.flag_dims()
         width = self.graph.num_arrows
+        names = self.graph.names
         blocks = []
         for b in self.blocks:
             groups = (b.local, b.rosenlicht, b.glob)
             labels = [tuple(row.label for row in group) for group in groups]
-            block_dim = len(frozenset().union(*_supports(b.local)))
+            # local supports are disjoint (one vertex each): the sum is the union
+            block_dim = sum(_supports(b.local)).bit_count()
             codims = _cumulative_ranks([_supports(group) for group in groups], width)
             blocks.append(
-                ComponentBlock(b.level, b.component, b.level_vertices, *labels, block_dim, *codims)
+                ComponentBlock(
+                    b.level, names(b.component), names(b.level_vertices), *labels, block_dim, *codims
+                )
             )
         summaries = []
         for n in self.level_numbers:
@@ -375,16 +451,17 @@ class LevelGraph:
         predicates hold).
         """
         failures = []
-        reducible = set(self.summits[1])
-        for n, comps in self.level_components.items():
-            for comp in comps:
-                local, ros = self._rows_within(set(comp))
+        names = self.graph.names
+        reducible = set(self._summit_masks[1])
+        for n, at in self.masks.items():
+            for comp in at.components:
+                local, ros = self._rows_within(comp)
                 report = support_checks(_supports(local), _supports(ros))
                 if not report.properly_unrelated:
-                    failures.append(f"level {n} component {comp}: not properly unrelated")
+                    failures.append(f"level {n} component {names(comp)}: not properly unrelated")
                 if report.related != (comp in reducible):
                     failures.append(
-                        f"level {n} component {comp}: related={report.related} "
+                        f"level {n} component {names(comp)}: related={report.related} "
                         f"but reducible-summit={comp in reducible}"
                     )
 
@@ -394,12 +471,13 @@ class LevelGraph:
             report = support_checks(_supports(b.glob + b.rosenlicht), _supports(b.local))
             if not report.properly_unrelated:
                 failures.append(
-                    f"level {b.level} merged component {b.component}: not properly unrelated"
+                    f"level {b.level} merged component {names(b.component)}: "
+                    "not properly unrelated"
                 )
             nonempty = bool(b.local or b.rosenlicht or b.glob)
             if report.related != nonempty:
                 failures.append(
-                    f"level {b.level} merged component {b.component}: "
+                    f"level {b.level} merged component {names(b.component)}: "
                     f"related={report.related} with nonempty={nonempty}"
                 )
         return failures

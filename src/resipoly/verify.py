@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import fixtures
 from .degeneration import check_degeneration
-from .graphs import LevelStructure, load_level_graph, ordered_partitions
+from .graphs import LevelStructure, bits, load_level_graph, ordered_partitions
 from .linalg import rank, set_theoretic_checks
 from .polytopes import (
     base_polytope,
@@ -104,7 +104,7 @@ def _expect_failures(model, flag, report, expect, reference=None):
             if support is None:
                 failures.append(f"global condition {label}: row not generated")
                 continue
-            got = sorted(graph.arrows[i].label for i in support)
+            got = sorted(graph.arrows[i].label for i in bits(support))
             check(f"global condition {label}", got, sorted(item["arrows"]))
     if "polytope_vertex_count" in expect:
         if reference is None and len(graph.vertices) <= POLYTOPE_FIXTURE_BOUND:
@@ -126,10 +126,9 @@ def _component_set_identity_failures(model):
     strictly-below subgraph are exactly its components that survive as
     components one level up."""
     failures = []
-    for n, (below, special) in model.components_below.items():
-        upto = model.prefix_components[n]
-        lhs = set(below) - set(special)
-        rhs = set(upto) & set(below)
+    for n, at in model.masks.items():
+        lhs = set(at.below) - set(at.special)
+        rhs = set(at.upto) & set(at.below)
         if lhs != rhs:
             failures.append(f"level {n}: component identity fails")
     return failures

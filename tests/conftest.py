@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import pytest
 
 from resipoly import fixtures
-from resipoly.linalg import Subspace, to_fraction
+from resipoly.graphs import DOWNWARD, UPWARD, GraphDocumentError, classify_arrows
+from resipoly.linalg import SetTheoreticReport, Subspace, to_fraction
+from resipoly.residues import Row
 
 
 @pytest.fixture(scope="session")
@@ -203,3 +207,336 @@ def find_arrows(graph, tail, head):
 
 def reverse(graph, arrow_index):
     return arrow_index ^ 1
+
+
+# The frozenset level-graph model that the bitmask model in graphs,
+# residues and linalg replaced, kept as a reference for it.  Each body is
+# the replaced one with `self` turned into an argument where it was a
+# Multigraph method; supports are frozensets of arrow or coordinate
+# indices, and components are vertex-name tuples.
+
+
+def reference_adjacency(graph):
+    """Vertex index -> ((edge, neighbour index), ...), as Multigraph held it."""
+    index = graph.index
+    adjacency = {i: [] for i in range(len(graph.vertices))}
+    for i, (u, v) in enumerate(graph.edges):
+        adjacency[index[u]].append((i, index[v]))
+        if u != v:
+            adjacency[index[v]].append((i, index[u]))
+    return {i: tuple(n) for i, n in adjacency.items()}
+
+
+def induced_components(graph, subset):
+    """Connected components of the induced subgraph, as vertex tuples.
+
+    Components are sorted by their first vertex in input order; vertices
+    within a component likewise.
+    """
+    adjacency = reference_adjacency(graph)
+    chosen = {graph.index[v] for v in subset}
+    seen = set()
+    components = []
+    for start in sorted(chosen):
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for _, j in adjacency[i]:
+                if j in chosen and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        components.append(tuple(graph.vertices[i] for i in sorted(comp)))
+    return components
+
+
+def split_summits(graph, classification, components):
+    """The summits among the given level components, as (irreducible,
+    reducible) lists in the order given."""
+    irreducible = []
+    reducible = []
+    for comp in components:
+        has_upward = any(
+            classification.tags[a] == UPWARD
+            for v in comp
+            for a in graph.arrows_with_tail[v]
+        )
+        if has_upward:
+            continue
+        if len(comp) == 1 and not graph.induced_edges(comp):
+            irreducible.append(comp)
+        else:
+            reducible.append(comp)
+    return irreducible, reducible
+
+
+def components_below(graph, levels, n):
+    """Components of the subgraph strictly below level n, and the special ones.
+
+    A component is special when it receives an upward arrow from level n.
+    For n = 1 both lists are empty.
+    """
+    if not 1 <= n <= levels.r:
+        raise GraphDocumentError(f"level {n} out of range 1..{levels.r}")
+    below = tuple(
+        v for v, lv in zip(levels.vertices, levels.levels) if lv < n
+    )
+    if not below:
+        return [], []
+    comps = induced_components(graph, below)
+    membership = {}
+    for idx, comp in enumerate(comps):
+        for v in comp:
+            membership[v] = idx
+    special_idx = set()
+    part = levels.part(n)
+    for v in part:
+        for a in graph.arrows_with_tail[v]:
+            head = graph.arrows[a].head
+            if head in membership:
+                special_idx.add(membership[head])
+    special = [comps[i] for i in sorted(special_idx)]
+    return comps, special
+
+
+def _is_set_independent(supports):
+    seen = set()
+    for s in supports:
+        if not s or s & seen:
+            return False
+        seen |= s
+    return True
+
+
+def _matching_components(sup1, sup2):
+    """Connected components of the support overlap graph between collections.
+
+    Under set-theoretic independence a pair of subcollections covers the
+    same coordinate set iff it is a union of components whose two support
+    unions coincide ("closed" components), so relatedness reduces to a
+    finite component scan.
+    """
+    n1, n2 = len(sup1), len(sup2)
+    parent = list(range(n1 + n2))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    owner = {}
+    for i, s in enumerate(sup1):
+        for c in s:
+            owner[c] = i
+    for j, s in enumerate(sup2):
+        for c in s:
+            if c in owner:
+                union(owner[c], n1 + j)
+    groups = {}
+    for node in range(n1 + n2):
+        groups.setdefault(find(node), []).append(node)
+    components = []
+    for nodes in groups.values():
+        u1 = frozenset().union(*(sup1[i] for i in nodes if i < n1)) if any(
+            i < n1 for i in nodes
+        ) else frozenset()
+        u2 = frozenset().union(*(sup2[i - n1] for i in nodes if i >= n1)) if any(
+            i >= n1 for i in nodes
+        ) else frozenset()
+        components.append((nodes, u1 == u2))
+    return components
+
+
+def _related_bruteforce(sup1, sup2):
+    related = False
+    properly = True
+    for mask1 in range(1, 1 << len(sup1)):
+        u1 = frozenset().union(
+            *(sup1[i] for i in range(len(sup1)) if mask1 >> i & 1)
+        )
+        for mask2 in range(1, 1 << len(sup2)):
+            u2 = frozenset().union(
+                *(sup2[j] for j in range(len(sup2)) if mask2 >> j & 1)
+            )
+            if u1 == u2:
+                related = True
+                full = mask1 == (1 << len(sup1)) - 1 and mask2 == (1 << len(sup2)) - 1
+                if not full:
+                    properly = False
+    return related, properly
+
+
+def reference_support_checks(sup1, sup2):
+    """Relatedness on two tuples of frozenset supports."""
+    sti_1 = _is_set_independent(sup1)
+    sti_2 = _is_set_independent(sup2)
+    if sti_1 and sti_2:
+        components = _matching_components(sup1, sup2)
+        closed = [nodes for nodes, ok in components if ok]
+        related = bool(closed)
+        properly = not closed or (
+            len(components) == 1
+            and components[0][1]
+            and len(components[0][0]) == len(sup1) + len(sup2)
+        )
+    else:
+        if len(sup1) + len(sup2) > 22:
+            raise ValueError(
+                "collections too large for the general relatedness search"
+            )
+        related, properly = _related_bruteforce(sup1, sup2)
+    return SetTheoreticReport(sti_1, sti_2, related, properly)
+
+
+def _supports(rows):
+    return tuple(row.support for row in rows)
+
+
+class ReferenceBlock(NamedTuple):
+    level: int
+    component: tuple
+    level_vertices: tuple
+    local: tuple
+    rosenlicht: tuple
+    glob: tuple
+
+
+class ReferenceLevelGraph:
+    """The frozenset model of a graph with an ordered partition."""
+
+    def __init__(self, graph, levels):
+        self.graph = graph
+        self.levels = levels
+        self.classification = classify_arrows(graph, levels)
+
+    @property
+    def level_numbers(self):
+        return range(1, self.levels.r + 1)
+
+    @cached_property
+    def level_components(self):
+        return {
+            n: induced_components(self.graph, self.levels.part(n))
+            for n in self.level_numbers
+        }
+
+    @cached_property
+    def components_below(self):
+        return {n: components_below(self.graph, self.levels, n) for n in self.level_numbers}
+
+    @cached_property
+    def prefix_components(self):
+        return {
+            n: induced_components(self.graph, self.levels.prefix(n))
+            for n in self.level_numbers
+        }
+
+    @cached_property
+    def summits(self):
+        components = [c for comps in self.level_components.values() for c in comps]
+        return split_summits(self.graph, self.classification, components)
+
+    @cached_property
+    def rows(self):
+        graph, levels, cls = self.graph, self.levels, self.classification
+        downward = tuple(
+            Row(graph.arrows[a].label, frozenset((a,)), a) for a in cls.downward
+        )
+        local = []
+        for v in graph.vertices:
+            support = frozenset(
+                a for a in graph.arrows_with_tail[v] if cls.tags[a] != DOWNWARD
+            )
+            if support:
+                local.append(Row(v, support, v))
+        rosenlicht = []
+        for e in cls.horizontal_edges:
+            u, v = graph.edges[e]
+            rosenlicht.append(Row(f"e{e}:{u}-{v}", frozenset((2 * e, 2 * e + 1)), e))
+        glob = []
+        for n in self.level_numbers:
+            for comp in self.components_below[n][1]:
+                members = set(comp)
+                support = frozenset(
+                    a
+                    for v in levels.part(n)
+                    for a in graph.arrows_with_tail[v]
+                    if graph.arrows[a].head in members
+                )
+                glob.append(Row(f"{n}:{'+'.join(comp)}", support, (n, comp)))
+        return {
+            "downward": downward,
+            "local": tuple(local),
+            "rosenlicht": tuple(rosenlicht),
+            "global": tuple(glob),
+        }
+
+    def _rows_within(self, vertices):
+        """The local rows of `vertices` and the rosenlicht rows of the
+        horizontal edges with both ends among them."""
+        edges = self.graph.edges
+        local = tuple(row for row in self.rows["local"] if row.owner in vertices)
+        ros = tuple(
+            row for row in self.rows["rosenlicht"] if vertices.issuperset(edges[row.owner])
+        )
+        return local, ros
+
+    @cached_property
+    def blocks(self):
+        blocks = []
+        for n in self.level_numbers:
+            for comp in self.prefix_components[n]:
+                members = set(comp)
+                here = tuple(v for v in self.levels.part(n) if v in members)
+                glob = tuple(
+                    row
+                    for row in self.rows["global"]
+                    if row.owner[0] == n and members.issuperset(row.owner[1])
+                )
+                blocks.append(
+                    ReferenceBlock(n, comp, here, *self._rows_within(set(here)), glob)
+                )
+        return tuple(blocks)
+
+    def relation_failures(self):
+        failures = []
+        reducible = set(self.summits[1])
+        for n, comps in self.level_components.items():
+            for comp in comps:
+                local, ros = self._rows_within(set(comp))
+                report = reference_support_checks(_supports(local), _supports(ros))
+                if not report.properly_unrelated:
+                    failures.append(f"level {n} component {comp}: not properly unrelated")
+                if report.related != (comp in reducible):
+                    failures.append(
+                        f"level {n} component {comp}: related={report.related} "
+                        f"but reducible-summit={comp in reducible}"
+                    )
+
+        for b in self.blocks:
+            if not b.level_vertices:
+                continue
+            report = reference_support_checks(
+                _supports(b.glob + b.rosenlicht), _supports(b.local)
+            )
+            if not report.properly_unrelated:
+                failures.append(
+                    f"level {b.level} merged component {b.component}: not properly unrelated"
+                )
+            nonempty = bool(b.local or b.rosenlicht or b.glob)
+            if report.related != nonempty:
+                failures.append(
+                    f"level {b.level} merged component {b.component}: "
+                    f"related={report.related} with nonempty={nonempty}"
+                )
+        return failures

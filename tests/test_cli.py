@@ -226,6 +226,72 @@ class TestErrors:
         assert "bound 12" in err
 
 
+class TestInvariantViolations:
+    """A violated invariant is a failed check: exit 1, one error line, no
+    traceback.  Each test forces one invariant site of a module to fire."""
+
+    def assert_exit_1(self, code, out, err):
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invariant violated:")
+        assert "Traceback" not in err
+
+    def test_polytopes_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
+        import resipoly.polytopes
+
+        monkeypatch.setattr(resipoly.polytopes.SetFunction, "is_submodular", lambda self: False)
+        path = write_fixture(tmp_path, "k4")
+        code, out, err = run_cli(capsys, "gamma", "--input", path)
+        self.assert_exit_1(code, out, err)
+        assert "projection table violates its invariants" in err
+
+    def test_degeneration_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
+        import resipoly.degeneration
+        from resipoly.linalg import Subspace
+
+        # every blockwise image re-embeds as zero, so the realization loses
+        # dimension
+        monkeypatch.setattr(
+            resipoly.degeneration, "embed", lambda space, ambient, coords: Subspace(ambient)
+        )
+        coarse = fixtures.document("fig1")
+        fine_levels = coarse.pop("levels")
+        graph_path = tmp_path / "coarse.json"
+        graph_path.write_text(json.dumps(coarse))
+        fine_path = tmp_path / "fine.json"
+        fine_path.write_text(json.dumps({"levels": fine_levels}))
+        code, out, err = run_cli(
+            capsys, "degenerate", "--input", str(graph_path), "--fine", str(fine_path)
+        )
+        self.assert_exit_1(code, out, err)
+        assert "realization changed the dimension" in err
+
+
+class TestParser:
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        import resipoly.cli
+
+        built = []
+        original = resipoly.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(resipoly.cli, "_parser", None)
+        monkeypatch.setattr(resipoly.cli, "build_parser", counting)
+        path = write_fixture(tmp_path, "fig2")
+        first = run_cli(capsys, "dims", "--input", path)
+        second = run_cli(capsys, "dims", "--input", path)
+        assert first == second
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dims"])
+        assert exit_info.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        assert len(built) == 1
+
+
 class TestVerify:
     def test_single_fixture_passes(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "fig1")

@@ -333,6 +333,17 @@ class TestEnumeration:
             assert sorted(v for part in p.parts for v in part) == ["a", "b", "c", "d"]
             assert all(part for part in p.parts)
 
+    def test_structures_match_from_parts(self):
+        for n in range(1, 6):
+            vertices = tuple(f"x{i}" for i in range(n))
+            for p in ordered_partitions(vertices):
+                assert p == LevelStructure.from_parts(vertices, p.parts)
+                assert p.parts == LevelStructure.from_parts(vertices, p.parts).parts
+
+    def test_duplicate_vertices_rejected(self):
+        with pytest.raises(GraphDocumentError):
+            list(ordered_partitions(("a", "b", "a")))
+
     def test_empty_part_rejected(self):
         with pytest.raises(GraphDocumentError):
             LevelStructure.from_parts(("a", "b"), [["a"], [], ["b"]])

@@ -302,6 +302,27 @@ class TestSetTheoreticChecks:
             related, properly = brute_force_relatedness(c1.supports, c2.supports)
             assert report.related == related
             assert report.properly_unrelated == properly
+        # collections that need not be set-independent: overlapping and
+        # empty supports take the general search instead of the component scan
+        seen_dependent = 0
+        for _ in range(300):
+            ambient = rng.randint(1, 6)
+            c1, c2 = (
+                VectorCollection(
+                    ambient,
+                    [
+                        (f"x{i}", [rng.choice((0, 0, 1, -2)) for _ in range(ambient)])
+                        for i in range(rng.randint(0, 4))
+                    ],
+                )
+                for _ in range(2)
+            )
+            report = set_theoretic_checks(c1, c2)
+            seen_dependent += not (report.sti_1 and report.sti_2)
+            related, properly = brute_force_relatedness(c1.supports, c2.supports)
+            assert report.related == related
+            assert report.properly_unrelated == properly
+        assert seen_dependent > 100
 
     def test_unrelated_union_is_linearly_independent(self):
         # the first independence proposition, on seeded random pairs

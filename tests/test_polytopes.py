@@ -5,6 +5,7 @@ import pytest
 
 from resipoly.graphs import LevelStructure, load_level_graph, ordered_partitions
 from resipoly.polytopes import (
+    InvariantViolation,
     SetFunction,
     adjoint,
     base_polytope,
@@ -134,7 +135,7 @@ class TestBasePolytope:
 
     def test_non_submodular_rejected(self):
         bad = SetFunction(("a", "b"), (0, 0, 0, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation):
             base_polytope(bad)
 
     def test_vertices_inside_simplex(self):

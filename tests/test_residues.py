@@ -2,10 +2,13 @@ import random
 
 from resipoly.graphs import (
     LevelStructure,
+    bits,
+    components_below,
+    level_components,
     load_level_graph,
     ordered_partitions,
 )
-from resipoly.linalg import rank
+from resipoly.linalg import rank, support_checks
 from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import (
     FAMILIES,
@@ -18,7 +21,12 @@ from resipoly.residues import (
     residue_space,
 )
 
-from conftest import rank_mod_p, reference_rank
+from conftest import (
+    ReferenceLevelGraph,
+    rank_mod_p,
+    reference_rank,
+    reference_support_checks,
+)
 
 
 def stacked_rows(graph, levels, families=FAMILIES):
@@ -271,3 +279,60 @@ class TestComponentRelations:
             graph = random_multigraph(rng)
             levels = random_level_structure(rng, graph)
             assert check_component_relations(graph, levels) == []
+
+
+def _as_sets(rows):
+    """(label, arrow set, owner) of each row of the bitmask model."""
+    return [(row.label, frozenset(bits(row.support)), row.owner) for row in rows]
+
+
+def _reference_rows(rows):
+    return [(row.label, row.support, row.owner) for row in rows]
+
+
+class TestMaskModelAgainstReference:
+    def test_every_partition_of_random_graphs(self):
+        # the bitmask model against the frozenset model it replaced, on every
+        # ordered partition of seeded random graphs with up to five vertices
+        rng = random.Random(43)
+        graphs = [random_multigraph(rng, 5, 8) for _ in range(16)]
+        partitions = 0
+        for graph in graphs:
+            names = graph.names
+            for pi in ordered_partitions(graph.vertices):
+                partitions += 1
+                model = LevelGraph(graph, pi)
+                reference = ReferenceLevelGraph(graph, pi)
+                assert model.level_components == reference.level_components
+                assert model.prefix_components == reference.prefix_components
+                assert model.components_below == reference.components_below
+                for n in range(1, pi.r + 1):
+                    assert level_components(graph, pi, n) == reference.level_components[n]
+                    assert components_below(graph, pi, n) == reference.components_below[n]
+                assert model.summits == reference.summits
+                for family in FAMILIES:
+                    assert _as_sets(model.rows[family]) == _reference_rows(
+                        reference.rows[family]
+                    )
+                assert len(model.blocks) == len(reference.blocks)
+                for got, want in zip(model.blocks, reference.blocks):
+                    assert (got.level, names(got.component), names(got.level_vertices)) == (
+                        want.level,
+                        want.component,
+                        want.level_vertices,
+                    )
+                    for group in ("local", "rosenlicht", "glob"):
+                        assert _as_sets(getattr(got, group)) == _reference_rows(
+                            getattr(want, group)
+                        )
+                    pairs = (
+                        (got.glob + got.rosenlicht, want.glob + want.rosenlicht),
+                        (got.local, want.local),
+                    )
+                    assert support_checks(
+                        *[[row.support for row in rows] for rows, _ in pairs]
+                    ) == reference_support_checks(
+                        *[tuple(row.support for row in rows) for _, rows in pairs]
+                    )
+                assert model.relation_failures() == reference.relation_failures()
+        assert partitions >= 4 * 541  # at least four five-vertex graphs
