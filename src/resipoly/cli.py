@@ -284,21 +284,19 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_common(parser, input_required=True):
-    if input_required:
-        parser.add_argument("--input", required=True, help="graph document (JSON)")
-    else:
-        parser.add_argument("--input", help="graph document (JSON)")
+def _add_common(parser, input_required=True, bounded=False):
+    parser.add_argument("--input", required=input_required, help="graph document (JSON)")
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
-    parser.add_argument(
-        "--max-vertices",
-        type=int,
-        default=12,
-        metavar="N",
-        help="size bound for table and enumeration commands",
-    )
+    if bounded:
+        parser.add_argument(
+            "--max-vertices",
+            type=int,
+            default=12,
+            metavar="N",
+            help="size bound for table and enumeration commands",
+        )
 
 
 def build_parser():
@@ -308,16 +306,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, blurb in (
-        ("info", cmd_info, "counts and per-level components"),
-        ("dims", cmd_dims, "flag dimensions and identity checks"),
-        ("basis", cmd_basis, "canonical basis of the residue space"),
-        ("gamma", cmd_gamma, "projected-dimension subset table"),
-        ("polytope", cmd_polytope, "base polytope vertices and inequalities"),
-        ("faces", cmd_faces, "face correspondence sweep"),
+    for name, fn, bounded, blurb in (
+        ("info", cmd_info, False, "counts and per-level components"),
+        ("dims", cmd_dims, False, "flag dimensions and identity checks"),
+        ("basis", cmd_basis, False, "canonical basis of the residue space"),
+        ("gamma", cmd_gamma, True, "projected-dimension subset table"),
+        ("polytope", cmd_polytope, True, "base polytope vertices and inequalities"),
+        ("faces", cmd_faces, True, "face correspondence sweep"),
     ):
         p = sub.add_parser(name, help=blurb)
-        _add_common(p)
+        _add_common(p, bounded=bounded)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("degenerate", help="limit checks against a finer partition")
@@ -326,7 +324,7 @@ def build_parser():
     p.set_defaults(func=cmd_degenerate)
 
     p = sub.add_parser("verify", help="full verification suite")
-    _add_common(p, input_required=False)
+    _add_common(p, input_required=False, bounded=True)
     p.add_argument("--seed", type=int, default=0, help="random suite seed")
     p.add_argument(
         "--random-cases",

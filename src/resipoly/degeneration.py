@@ -136,8 +136,7 @@ def flag_and_realization(space, levels, coordinate_blocks):
         step = kernel_of_projection(space, above)
         flag.append(step)
         image = project_image(step, blocks[n])
-        for row in embed(image, ambient, blocks[n]).basis:
-            realization_rows.append(row)
+        realization_rows.extend(embed(image, ambient, blocks[n]).rows)
     realization = Subspace(ambient, realization_rows)
     if realization.dim != space.dim:
         raise InvariantViolation("realization changed the dimension")
@@ -167,7 +166,7 @@ def initial_space_limit(laurent):
     if space.dim == 0:
         return space
     width = space.ambient_dim
-    rows = [list(row) for row in space.basis]
+    rows = [list(row) for row in space.rows]
     while True:
         leads = [_leading_form(row, weights) for row in rows]
         by_weight = {}
@@ -221,9 +220,12 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
     lowest valuation and setting t = 0 keeps exactly the minors whose
     weight sum is maximal among the nonvanishing ones; the surviving
     exterior coordinates are decoded into a basis from the lexicographically
-    first nonzero one.  The minors are taken of the integer basis: clearing
-    denominators scales every Plücker coordinate by the same factor, which
-    the projective decoding ignores.
+    first nonzero one.  The minors are taken of the integer basis rows
+    (reduced-basis rows times their pivot entries), which scales every
+    exterior coordinate by one common factor that the projective decoding
+    ignores.  So every minor is an integer, and so is every decoded row:
+    row k holds the anchor minor at the k-th anchor column and, at each
+    other column j, plus or minus the minor with j in place of that column.
     """
     space = laurent.space
     weights = laurent.coordinate_weights
@@ -235,11 +237,11 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
         raise ValueError(
             f"C({ambient},{m}) exterior coordinates exceed the bound {max_minors}"
         )
-    basis = space.integer_basis()
+    basis = space.rows
     minors = {}
     best = None
     for cols in itertools.combinations(range(ambient), m):
-        value = det([[row[c] for c in cols] for row in basis])
+        value = det([[row[c] for c in cols] for row in basis]).numerator
         if value:
             weight = sum(weights[c] for c in cols)
             minors[cols] = (weight, value)
@@ -252,21 +254,21 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
     def plucker(cols):
         entry = minors.get(cols)
         if entry is None or entry[0] != best:
-            return Fraction(0)
+            return 0
         return entry[1]
 
     anchor_set = set(anchor)
     rows = []
     for k, s in enumerate(anchor):
-        row = [Fraction(0)] * ambient
-        row[s] = Fraction(1)
+        row = [0] * ambient
+        row[s] = anchor_value
         for j in range(ambient):
             if j in anchor_set:
                 continue
             cols = tuple(sorted((anchor_set - {s}) | {j}))
             position = cols.index(j) + 1
             sign = -1 if (k + 1 + position) % 2 else 1
-            row[j] = sign * plucker(cols) / anchor_value
+            row[j] = sign * plucker(cols)
         rows.append(row)
     limit = Subspace(ambient, rows)
     if limit.dim != m:
@@ -297,7 +299,7 @@ class DegenerationReport:
         )
 
 
-def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
+def check_degeneration(graph, fine, coarse, with_oracle=True):
     """Degenerate the coarse residue space toward the fine partition and
     compare, exactly, against the fine residue space.
 
@@ -312,7 +314,7 @@ def check_degeneration(graph, fine, coarse, rule=None, with_oracle=True):
     coarse_space = residue_space(graph, coarse)
     fine_space = residue_space(graph, fine)
 
-    assignment = WeightAssignment.from_levels(fine, rule)
+    assignment = WeightAssignment.from_levels(fine)
     laurent = LaurentSubspace.for_residues(coarse_space, graph, assignment)
     limit = initial_space_limit(laurent)
 

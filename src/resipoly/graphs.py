@@ -430,16 +430,13 @@ def ordered_partitions(vertices, max_vertices=DEFAULT_ENUMERATION_BOUND):
 
 def coarsenings(levels):
     """All coarsenings of an ordered partition (merges of consecutive parts),
-    the structure itself and the trivial one included."""
-    r = levels.r
-    for gaps in itertools.product((False, True), repeat=r - 1):
-        merged = [list(levels.parts[0])]
-        for part, cut in zip(levels.parts[1:], gaps):
-            if cut:
-                merged.append(list(part))
-            else:
-                merged[-1].extend(part)
-        yield LevelStructure.from_parts(levels.vertices, merged)
+    the structure itself and the trivial one included.  Each structure is
+    built straight from its relabelled level tuple."""
+    for gaps in itertools.product((False, True), repeat=levels.r - 1):
+        relabel = [0, 1]  # old level n -> its level in the coarsening
+        for cut in gaps:
+            relabel.append(relabel[-1] + cut)
+        yield LevelStructure(levels.vertices, [relabel[n] for n in levels.levels])
 
 
 def load_level_graph(document):

@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Nothing here ever touches a float.  Subspaces are canonicalized by their
-reduced row-echelon basis of :class:`fractions.Fraction` entries, which is
-unique, so equality of subspaces is literal equality of bases.
+Nothing here ever touches a float.  A subspace is held by its canonical
+integer basis: the reduced row-echelon basis with each row scaled to a
+primitive integer row with a positive pivot entry.  That form is unique, so
+equality of subspaces is literal equality of integer rows.
 
 All elimination runs on plain integers.  Each input row has its
 denominators cleared once (a row of ints is taken as it is), and then:
-integer Gauss-Jordan with content reduction for reduced bases and kernels,
-an integer row echelon for ranks, and fraction-free (Bareiss) elimination
-for determinants.  Fractions appear only in the emitted bases, each row
-divided by its pivot entry at the end.  :meth:`Subspace.integer_basis`
-hands a basis back as int rows for consumers that take many ranks or
-minors of it.
+integer Gauss-Jordan with content reduction for canonical bases, kernels
+and containment, an integer row echelon for ranks, and fraction-free
+(Bareiss) elimination for determinants.  Fractions appear only at input
+(``"p/q"`` strings and Fraction entries), in a determinant, and in
+:attr:`Subspace.basis`, the printed reduced basis.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "to_fraction",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _INT = {int}
 
 
@@ -184,7 +182,7 @@ def det(rows):
         mat.append(list(ints))
     n = len(mat)
     if n == 0:
-        return _ONE
+        return Fraction(1)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
     sign = 1
@@ -197,7 +195,7 @@ def det(rows):
                     swap = i
                     break
             if swap is None:
-                return _ZERO
+                return Fraction(0)
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -209,9 +207,14 @@ def det(rows):
 
 
 class Subspace:
-    """A linear subspace of Q^n, held by its reduced row-echelon basis."""
+    """A linear subspace of Q^n, held by its canonical integer basis.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    ``rows`` are the rows of :func:`_rref_rows`: row k is the k-th row of the
+    reduced row-echelon basis times its pivot entry ``rows[k][pivots[k]]``,
+    which is positive and makes the row primitive.
+    """
+
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
         if ambient_dim < 0:
@@ -221,53 +224,38 @@ class Subspace:
             raise ValueError("vector length does not match ambient dimension")
         reduced, pivots = _rref_rows(rows, ambient_dim)
         self.ambient_dim = ambient_dim
-        self.basis = tuple(
-            tuple(Fraction(a, row[c]) if a else _ZERO for a in row)
-            for row, c in zip(reduced, pivots)
-        )
+        self.rows = tuple(map(tuple, reduced))
         self.pivots = tuple(pivots)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self):
+        """The reduced row-echelon basis, as Fraction rows."""
+        return tuple(
+            tuple(Fraction(a, row[c]) for a in row) for row, c in zip(self.rows, self.pivots)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def integer_basis(self):
-        """The basis rows as int lists, each row times the lcm of its
-        denominators: the same row space, ready for integer elimination."""
-        return [_cleared(row)[1] for row in self.basis]
-
-    def reduce(self, vector):
-        """Residual of a vector after elimination against the basis."""
-        v = [to_fraction(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains_vector(self, vector):
-        return not any(self.reduce(vector))
-
     def contains(self, other):
-        """Subspace containment: every basis vector of `other` reduces to zero."""
-        if not isinstance(other, Subspace):
-            return self.contains_vector(other)
+        """Subspace containment: no row of `other` survives integer
+        elimination against this basis."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return all(self.contains_vector(row) for row in other.basis)
+        echelon = list(zip(self.pivots, self.rows))
+        return not any(_echelon_insert(echelon, row) for row in other.rows)
 
 
 def kernel(matrix, num_cols=None):
@@ -316,7 +304,7 @@ def project_image(space, coords):
     Q^len(coords).
     """
     coords = _canonical_coords(coords, space.ambient_dim)
-    rows = [[row[c] for c in coords] for row in space.basis]
+    rows = [[row[c] for c in coords] for row in space.rows]
     return Subspace(len(coords), rows)
 
 
@@ -329,12 +317,12 @@ def kernel_of_projection(space, coords):
     coords = _canonical_coords(coords, space.ambient_dim)
     if space.dim == 0 or not coords:
         return space
-    constraint = [[row[c] for row in space.basis] for c in coords]
+    constraint = [[row[c] for row in space.rows] for c in coords]
     mixing = kernel(constraint, num_cols=space.dim)
     vectors = []
-    for coeffs in mixing.basis:
-        v = [_ZERO] * space.ambient_dim
-        for lam, row in zip(coeffs, space.basis):
+    for coeffs in mixing.rows:
+        v = [0] * space.ambient_dim
+        for lam, row in zip(coeffs, space.rows):
             if lam:
                 v = [a + lam * b for a, b in zip(v, row)]
         vectors.append(v)
@@ -349,8 +337,8 @@ def embed(space, ambient_dim, coords):
     if coords and coords[-1] >= ambient_dim:
         raise IndexError("coordinate index out of range")
     rows = []
-    for row in space.basis:
-        v = [_ZERO] * ambient_dim
+    for row in space.rows:
+        v = [0] * ambient_dim
         for c, x in zip(coords, row):
             v[c] = x
         rows.append(v)

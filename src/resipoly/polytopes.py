@@ -150,7 +150,7 @@ def projection_rank_table(space, ground, blocks):
     flat = [c for b in blocks for c in b]
     if len(flat) != len(set(flat)):
         raise ValueError("coordinate blocks overlap")
-    basis = space.integer_basis()
+    basis = space.rows
     values = []
     for mask in range((1 << len(ground))):
         cols = [c for i in range(len(ground)) if mask >> i & 1 for c in blocks[i]]

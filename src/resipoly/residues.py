@@ -49,7 +49,6 @@ __all__ = [
     "FAMILIES",
     "ComponentBlock",
     "ComponentReport",
-    "ConstraintSet",
     "IdentityCheck",
     "LevelCounts",
     "LevelGraph",
@@ -77,17 +76,6 @@ class Row(NamedTuple):
     label: str
     support: int
     owner: object
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """One family of labeled 0/1 constraint rows over the arrow coordinates."""
-
-    family: str
-    rows: tuple  # ((label, vector), ...)
-
-    def vectors(self):
-        return [row for _, row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -181,11 +169,9 @@ class LevelGraph:
     :class:`~resipoly.graphs.Multigraph`) until they are reported.
     """
 
-    def __init__(self, graph, levels, classification=None):
+    def __init__(self, graph, levels):
         self.graph = graph
         self.levels = levels
-        if classification is not None:
-            self.classification = classification
 
     @cached_property
     def classification(self):
@@ -364,26 +350,15 @@ class LevelGraph:
                 blocks.append(_Block(n, comp, here, *self._rows_within(here), glob))
         return tuple(blocks)
 
-    def constraints(self):
-        """All four families as labelled full-width 0/1 rows."""
-        width = self.graph.num_arrows
-        return {
-            family: ConstraintSet(
-                family,
-                tuple((row.label, _dense(row.support, width)) for row in self.rows[family]),
-            )
-            for family in FAMILIES
-        }
-
     def flag(self):
         """Impose the four families cumulatively and keep every kernel."""
-        constraints = self.constraints()
+        width = self.graph.num_arrows
         stacked = []
         spaces = {}
         for family in FAMILIES:
-            stacked.extend(constraints[family].vectors())
-            spaces[family] = kernel(stacked, num_cols=self.graph.num_arrows)
-        return ResidueFlag(self.counts, spaces, constraints)
+            stacked.extend(_dense(row.support, width) for row in self.rows[family])
+            spaces[family] = kernel(stacked, num_cols=width)
+        return ResidueFlag(self.counts, spaces)
 
     def flag_dims(self):
         """The counts and the four flag dimensions, by integer rank only."""
@@ -514,12 +489,11 @@ def flag_identities(counts, dims):
 class ResidueFlag:
     """The four nested kernels together with the verification bookkeeping."""
 
-    __slots__ = ("counts", "spaces", "constraints")
+    __slots__ = ("counts", "spaces")
 
-    def __init__(self, counts, spaces, constraints):
+    def __init__(self, counts, spaces):
         self.counts = counts
         self.spaces = spaces  # dict family -> Subspace, cumulative
-        self.constraints = constraints
 
     @property
     def dims(self):
@@ -548,9 +522,9 @@ class ResidueFlag:
         )
 
 
-def build_constraints(graph, levels, classification=None):
-    """All four constraint families, fully labeled (see :class:`LevelGraph`)."""
-    return LevelGraph(graph, levels, classification).constraints()
+def build_constraints(graph, levels):
+    """Family -> its labelled condition rows (see :attr:`LevelGraph.rows`)."""
+    return LevelGraph(graph, levels).rows
 
 
 def build_flag(graph, levels):
@@ -558,12 +532,12 @@ def build_flag(graph, levels):
     return LevelGraph(graph, levels).flag()
 
 
-def flag_dims(graph, levels, classification=None):
+def flag_dims(graph, levels):
     """The four flag dimensions by integer rank only (no kernels materialized).
 
     Same mathematics as :func:`build_flag`, used for large sweeps.
     """
-    return LevelGraph(graph, levels, classification).flag_dims()
+    return LevelGraph(graph, levels).flag_dims()
 
 
 def residue_space(graph, levels):
@@ -635,7 +609,7 @@ def per_component_report(graph, levels):
     return LevelGraph(graph, levels).component_report()
 
 
-def check_component_relations(graph, levels, classification=None):
+def check_component_relations(graph, levels):
     """Relatedness predicates on the per-component collections; see
     :meth:`LevelGraph.relation_failures`."""
-    return LevelGraph(graph, levels, classification).relation_failures()
+    return LevelGraph(graph, levels).relation_failures()

@@ -17,6 +17,8 @@ from .degeneration import check_degeneration
 from .graphs import LevelStructure, bits, load_level_graph, ordered_partitions
 from .linalg import rank, set_theoretic_checks
 from .polytopes import (
+    FACE_SWEEP_BOUND,
+    POLYTOPE_BOUND,
     base_polytope,
     check_polytope_faces,
     residue_projection_table,
@@ -30,9 +32,6 @@ from .randomized import (
 from .residues import LevelGraph, flag_identities
 
 __all__ = ["VerifyConfig", "full_verification", "verify_document"]
-
-FACE_FIXTURE_BOUND = 6
-POLYTOPE_FIXTURE_BOUND = 8
 
 
 @dataclass
@@ -107,7 +106,7 @@ def _expect_failures(model, flag, report, expect, reference=None):
             got = sorted(graph.arrows[i].label for i in bits(support))
             check(f"global condition {label}", got, sorted(item["arrows"]))
     if "polytope_vertex_count" in expect:
-        if reference is None and len(graph.vertices) <= POLYTOPE_FIXTURE_BOUND:
+        if reference is None and len(graph.vertices) <= POLYTOPE_BOUND:
             trivial = LevelStructure.trivial(graph.vertices)
             reference = base_polytope(residue_projection_table(graph, trivial))
         if reference is None:
@@ -154,7 +153,7 @@ def _fixture_degenerations(graph, levels):
     return pairs
 
 
-def verify_document(name, document, face_bound=FACE_FIXTURE_BOUND):
+def verify_document(name, document):
     """All applicable checks for one graph document; returns a JSON-ready dict."""
     graph, levels = load_level_graph(document)
     expect = document.get("expect", {})
@@ -167,8 +166,8 @@ def verify_document(name, document, face_bound=FACE_FIXTURE_BOUND):
     relation_failures = model.relation_failures()
     identity_failures = _component_set_identity_failures(model)
     faces = None
-    if len(graph.vertices) <= face_bound:
-        faces = check_polytope_faces(graph, max_vertices=face_bound)
+    if len(graph.vertices) <= FACE_SWEEP_BOUND:
+        faces = check_polytope_faces(graph)
     expect_failures = _expect_failures(
         model, flag, report, expect, faces.reference if faces else None
     )

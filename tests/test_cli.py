@@ -225,6 +225,18 @@ class TestErrors:
         assert out == ""
         assert "bound 12" in err
 
+    @pytest.mark.parametrize("command", ["info", "dims", "basis", "degenerate"])
+    def test_max_vertices_only_where_read(self, tmp_path, capsys, command):
+        # only gamma, polytope, faces and verify have a size bound to set
+        path = write_fixture(tmp_path, "fig1")
+        argv = [command, "--input", path, "--max-vertices", "1"]
+        if command == "degenerate":
+            argv += ["--fine", path]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--max-vertices" in capsys.readouterr().err
+
 
 class TestInvariantViolations:
     """A violated invariant is a failed check: exit 1, one error line, no

@@ -12,7 +12,7 @@ from resipoly.degeneration import (
     residue_blocks,
 )
 from resipoly.graphs import LevelStructure
-from resipoly.linalg import Subspace
+from resipoly.linalg import Subspace, det
 from resipoly.polytopes import adjoint, projection_rank_table, splitting
 from resipoly.randomized import (
     random_coarsening,
@@ -169,7 +169,9 @@ class TestPluckerOracle:
 
     def test_basis_is_cleared_once(self, fig1, monkeypatch):
         # fig1's one-level space: dim 3 in Q^14, so C(14, 3) = 364 minors;
-        # converting entries once per minor would cost thousands of calls
+        # converting entries once per minor would cost thousands of calls.
+        # The basis is held as int rows and the limit is decoded as int
+        # rows, so the oracle converts nothing at all.
         import resipoly.linalg
 
         calls = []
@@ -185,7 +187,9 @@ class TestPluckerOracle:
         laurent = laurent_for(space, tuple(range(14)))
         monkeypatch.setattr(resipoly.linalg, "to_fraction", counted)
         plucker_limit_oracle(laurent)
-        assert 0 < len(calls) < 364
+        assert calls == []
+        det([["1/2", 0], [0, 1]])  # the counter does see a rational row
+        assert calls == ["1/2", 0]
 
     def test_size_bound(self):
         rows = [[0] * i + [1] + [0] * (29 - i) for i in range(10)]

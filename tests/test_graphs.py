@@ -339,6 +339,9 @@ class TestEnumeration:
             for p in ordered_partitions(vertices):
                 assert p == LevelStructure.from_parts(vertices, p.parts)
                 assert p.parts == LevelStructure.from_parts(vertices, p.parts).parts
+                for c in coarsenings(p):
+                    assert c == LevelStructure.from_parts(vertices, c.parts)
+                    assert c.parts == LevelStructure.from_parts(vertices, c.parts).parts
 
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(GraphDocumentError):

@@ -31,6 +31,23 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def rref_cases():
+    """120 seeded (width, rows) cases: "p/q" strings, zero rows, duplicate
+    rows, wide and tall shapes."""
+    rng = random.Random(16)
+    entries = [0, 0, 1, -1, 2, -3, "1/2", "-2/3", "5/4", "7/6"]
+    for case in range(120):
+        width = rng.randint(1, 3) if case % 2 else rng.randint(4, 8)
+        height = rng.randint(4, 9) if case % 2 else rng.randint(0, 3)
+        rows = [[rng.choice(entries) for _ in range(width)] for _ in range(height)]
+        if rows and case % 3 == 0:
+            rows.append([0] * width)
+        if rows and case % 4 == 0:
+            rows.append(list(rng.choice(rows)))
+        rng.shuffle(rows)
+        yield width, rows
+
+
 class TestRationals:
     def test_round_trips(self):
         assert to_fraction("3/4") == Fraction(3, 4)
@@ -92,18 +109,7 @@ class TestRref:
                 rank(rows)
 
     def test_matches_reference_rref(self):
-        # "p/q" strings, zero rows, duplicate rows, wide and tall shapes
-        rng = random.Random(16)
-        entries = [0, 0, 1, -1, 2, -3, "1/2", "-2/3", "5/4", "7/6"]
-        for case in range(120):
-            width = rng.randint(1, 3) if case % 2 else rng.randint(4, 8)
-            height = rng.randint(4, 9) if case % 2 else rng.randint(0, 3)
-            rows = [[rng.choice(entries) for _ in range(width)] for _ in range(height)]
-            if rows and case % 3 == 0:
-                rows.append([0] * width)
-            if rows and case % 4 == 0:
-                rows.append(list(rng.choice(rows)))
-            rng.shuffle(rows)
+        for width, rows in rref_cases():
             expected_rows, expected_pivots = reference_rref(
                 [[to_fraction(x) for x in row] for row in rows], width
             )
@@ -185,15 +191,38 @@ class TestSubspace:
             assert image.dim + ker.dim == w.dim
             assert w.contains(ker)
 
-    def test_integer_basis(self):
-        w = Subspace(3, [["1/2", "1/3", 0], [0, "3/4", "5/6"]])
-        ints = w.integer_basis()
-        assert all(type(x) is int for row in ints for x in row)
-        for cleared, row in zip(ints, w.basis):
-            scale = math.lcm(*(x.denominator for x in row))
-            assert cleared == [x * scale for x in row]
-        assert Subspace(3, ints) == w
-        assert Subspace(3, []).integer_basis() == []
+    def test_rows_are_scaled_rref_rows(self):
+        for width, rows in rref_cases():
+            space = Subspace(width, rows)
+            assert len(space.rows) == len(space.basis) == len(space.pivots)
+            for row, p, reduced in zip(space.rows, space.pivots, space.basis):
+                assert all(type(x) is int for x in row)
+                assert math.gcd(*row) == 1
+                assert row[p] > 0
+                assert all(row[q] == 0 for q in space.pivots if q != p)
+                assert tuple(Fraction(x, row[p]) for x in row) == reduced
+            assert Subspace(width, space.rows) == space
+
+    def test_contains_matches_rank(self):
+        rng = random.Random(17)
+        held = 0
+        for _ in range(200):
+            ambient = rng.randint(1, 6)
+            a = Subspace(ambient, random_matrix(rng, rng.randint(0, 4), ambient, bound=2))
+            if rng.random() < 0.5:
+                # a subspace of a: random integer combinations of its rows
+                combos = random_matrix(rng, rng.randint(0, 3), a.dim, bound=3)
+                vectors = [
+                    [sum(c * row[j] for c, row in zip(combo, a.rows)) for j in range(ambient)]
+                    for combo in combos
+                ]
+            else:
+                vectors = random_matrix(rng, rng.randint(0, 3), ambient, bound=2)
+            b = Subspace(ambient, vectors)
+            expected = rank(list(a.rows) + list(b.rows)) == a.dim
+            assert a.contains(b) == expected
+            held += expected
+        assert 40 < held < 160  # both verdicts occur often
 
     def test_embed_round_trip(self):
         w = Subspace(2, [[1, 2]])

@@ -30,57 +30,58 @@ from conftest import (
 
 
 def stacked_rows(graph, levels, families=FAMILIES):
-    constraints = build_constraints(graph, levels)
-    rows = []
-    for family in families:
-        rows.extend(constraints[family].vectors())
-    return rows
+    rows = build_constraints(graph, levels)
+    return [
+        [row.support >> a & 1 for a in range(graph.num_arrows)]
+        for family in families
+        for row in rows[family]
+    ]
+
+
+def arrow_labels(graph, support):
+    return sorted(graph.arrows[a].label for a in bits(support))
 
 
 class TestConstraints:
     def test_fig1_global_rows(self, fig1):
         graph, levels = fig1[0], fig1[1]
         families = build_constraints(graph, levels)
-        rows = dict(families["global"].rows)
+        rows = {row.label: row.support for row in families["global"]}
         assert set(rows) == {"2:u4", "2:u5"}
-
-        def support(label):
-            return sorted(
-                graph.arrows[i].label for i, x in enumerate(rows[label]) if x
-            )
-
-        assert support("2:u5") == ["e2:u2>u5", "e3:u1>u5", "e4:u3>u5"]
-        assert support("2:u4") == ["e0:u1>u4", "e1:u2>u4"]
+        assert arrow_labels(graph, rows["2:u5"]) == ["e2:u2>u5", "e3:u1>u5", "e4:u3>u5"]
+        assert arrow_labels(graph, rows["2:u4"]) == ["e0:u1>u4", "e1:u2>u4"]
 
     def test_trivial_structure_families(self, fig1):
         graph = fig1[0]
         families = build_constraints(graph, LevelStructure.trivial(graph.vertices))
-        assert not families["downward"].rows
-        assert not families["global"].rows
-        assert len(families["rosenlicht"].rows) == len(graph.edges)
+        assert not families["downward"]
+        assert not families["global"]
+        assert len(families["rosenlicht"]) == len(graph.edges)
 
     def test_loop_rows(self, loop1):
         graph, levels = loop1[0], loop1[1]
         families = build_constraints(graph, levels)
-        (local_label, local_row), = families["local"].rows
-        (ros_label, ros_row), = families["rosenlicht"].rows
-        assert local_label == "v"
-        assert local_row == ros_row == (1, 1)
-        assert ros_label != local_label
+        (local,) = families["local"]
+        (ros,) = families["rosenlicht"]
+        assert local.label == "v"
+        assert graph.num_arrows == 2
+        assert local.support == ros.support == 0b11
+        assert ros.label != local.label
 
     def test_downward_rows_are_unit_vectors(self, fig2):
         graph, levels = fig2[0], fig2[1]
         families = build_constraints(graph, levels)
-        assert len(families["downward"].rows) == 9
-        for _, row in families["downward"].rows:
-            assert sum(row) == 1 and set(row) <= {0, 1}
+        assert len(families["downward"]) == 9
+        for row in families["downward"]:
+            assert row.support.bit_count() == 1
+            assert row.support < 1 << graph.num_arrows
 
     def test_isolated_vertex_has_no_local_row(self):
         graph, levels = load_level_graph(
             {"vertices": ["a", "b"], "edges": [["a", "a"]]}
         )
         families = build_constraints(graph, levels)
-        assert [label for label, _ in families["local"].rows] == ["a"]
+        assert [row.label for row in families["local"]] == ["a"]
 
     def test_fig1_full_system_rank(self, fig1):
         graph, levels = fig1[0], fig1[1]
@@ -180,19 +181,16 @@ class TestFlag:
         for _ in range(80):
             graph = random_multigraph(rng)
             levels = random_level_structure(rng, graph)
-            from resipoly.graphs import classify_arrows
-
-            cls = classify_arrows(graph, levels)
-            families = build_constraints(graph, levels, cls)
-            local_rows = dict(families["local"].rows)
-            _, reducible = LevelGraph(graph, levels, cls).summits
+            model = LevelGraph(graph, levels)
+            cls = model.classification
+            local_rows = {row.label: row.support for row in model.rows["local"]}
+            _, reducible = model.summits
             for comp in reducible:
                 seen += 1
                 total = [0] * graph.num_arrows
                 for v in comp:
-                    row = local_rows.get(v)
-                    if row:
-                        total = [a + b for a, b in zip(total, row)]
+                    for a in bits(local_rows.get(v, 0)):
+                        total[a] += 1
                 for e in graph.induced_edges(comp):
                     if cls.tags[2 * e] == "horizontal":
                         total[2 * e] -= 1
