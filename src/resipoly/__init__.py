@@ -29,7 +29,6 @@ from .graphs import (
     coarsenings,
     components_below,
     is_coarsening,
-    level_components,
     load_level_graph,
     ordered_partitions,
 )

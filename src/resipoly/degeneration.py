@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graphs import LevelStructure, is_coarsening
+from .graphs import bits, check_same_vertices, is_coarsening
 from .linalg import Subspace, det, embed, kernel_of_projection, project_image
 from .polytopes import (
     TABLE_BOUND,
@@ -50,23 +50,18 @@ PLUCKER_MINOR_BOUND = 100_000
 
 
 class WeightAssignment:
-    """Integer weights on vertices, constant on parts and strictly increasing
-    with the level index of the induced ordered partition."""
+    """Integer weights on vertices.  Those built by :meth:`from_levels` are
+    constant on parts and strictly increasing with the level index."""
 
-    __slots__ = ("vertices", "weights", "levels")
+    __slots__ = ("vertices", "weights")
 
     def __init__(self, vertices, weights):
         vertices = tuple(vertices)
         weights = dict(weights)
         if set(weights) != set(vertices):
             raise ValueError("weights must cover exactly the vertex set")
-        distinct = sorted(set(weights.values()))
-        level_of = {w: n + 1 for n, w in enumerate(distinct)}
         self.vertices = vertices
         self.weights = weights
-        self.levels = LevelStructure(
-            vertices, [level_of[weights[v]] for v in vertices]
-        )
 
     @classmethod
     def from_levels(cls, levels, rule=None):
@@ -108,11 +103,9 @@ class LaurentSubspace:
 
 def residue_blocks(graph, levels):
     """Coordinate blocks of the arrow space by level: block n holds the
-    arrows whose tail has level n."""
-    blocks = {n: [] for n in range(1, levels.r + 1)}
-    for i, arrow in enumerate(graph.arrows):
-        blocks[levels.level_of(arrow.tail)].append(i)
-    return {n: tuple(b) for n, b in blocks.items()}
+    arrows whose tail has level n, in ascending order."""
+    check_same_vertices(graph, levels)
+    return {n: tuple(bits(graph.arrows_from(mask))) for n, mask in enumerate(levels.masks, 1)}
 
 
 def flag_and_realization(space, levels, coordinate_blocks):

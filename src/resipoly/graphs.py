@@ -6,6 +6,14 @@ global arrow order (edge index, orientation) is the canonical coordinate
 order for the arrow space used by the linear-algebra layers.  Arrow index
 ``2 * edge + direction``, so reversal is ``index ^ 1``.
 
+A vertex set is a positional int bitmask throughout: bit i stands for the
+i-th vertex of the graph's vertex tuple.  Arrow sets are bitmasks over
+arrow indices.  Vertex names appear only at input (documents, level maps,
+:meth:`Multigraph.mask_of`) and in reports (:meth:`Multigraph.names`,
+:attr:`LevelStructure.parts`).  Since masks are positional, a level
+structure is read together with a graph only when both list the same
+vertices in the same order.
+
 Level values in input documents may be arbitrary integers; they are
 compressed to consecutive 1..r preserving order, since only the order
 matters.  With the drawing convention that level 1 sits on top, an arrow is
@@ -28,16 +36,11 @@ __all__ = [
     "coarsenings",
     "components_below",
     "is_coarsening",
-    "level_components",
     "load_level_graph",
     "ordered_partitions",
 ]
 
 DEFAULT_ENUMERATION_BOUND = 8
-
-UPWARD = "upward"
-DOWNWARD = "downward"
-HORIZONTAL = "horizontal"
 
 
 class GraphDocumentError(ValueError):
@@ -76,11 +79,11 @@ def _union(table, mask):
 class Multigraph:
     """Finite multigraph over named vertices.
 
-    Vertex sets are also handled as bitmasks, bit i standing for the i-th
-    vertex in input order, and arrow sets as bitmasks over arrow indices.
-    Per vertex, ``neighbours`` is the vertex mask of its neighbours (itself
-    included when it carries a loop), and ``out_arrows`` and ``in_arrows``
-    are the arrow masks of the arrows with that tail and that head.
+    Vertex sets are bitmasks, bit i standing for the i-th vertex in input
+    order, and arrow sets are bitmasks over arrow indices.  Per vertex,
+    ``neighbours`` is the vertex mask of its neighbours (itself included
+    when it carries a loop), and ``out_arrows`` and ``in_arrows`` are the
+    arrow masks of the arrows with that tail and that head.
     ``component_count`` and ``genus`` (first Betti number,
     |E| - |V| + components) are computed on construction.
     """
@@ -90,7 +93,6 @@ class Multigraph:
         "edges",
         "index",
         "arrows",
-        "arrows_with_tail",
         "neighbours",
         "out_arrows",
         "in_arrows",
@@ -125,15 +127,12 @@ class Multigraph:
         self.index = index
 
         arrows = []
-        arrows_with_tail = {v: [] for v in vertices}
         neighbours = [0] * len(vertices)
         out_arrows = [0] * len(vertices)
         in_arrows = [0] * len(vertices)
         for i, (u, v) in enumerate(self.edges):
             arrows.append(Arrow(i, 0, u, v))
             arrows.append(Arrow(i, 1, v, u))
-            arrows_with_tail[u].append(2 * i)
-            arrows_with_tail[v].append(2 * i + 1)
             iu, iv = index[u], index[v]
             neighbours[iu] |= 1 << iv
             neighbours[iv] |= 1 << iu
@@ -142,7 +141,6 @@ class Multigraph:
             out_arrows[iv] |= 2 << 2 * i
             in_arrows[iu] |= 2 << 2 * i
         self.arrows = tuple(arrows)
-        self.arrows_with_tail = {v: tuple(a) for v, a in arrows_with_tail.items()}
         self.neighbours = tuple(neighbours)
         self.out_arrows = tuple(out_arrows)
         self.in_arrows = tuple(in_arrows)
@@ -193,40 +191,27 @@ class Multigraph:
             mask &= ~component
         return components
 
-    def induced_components(self, subset):
-        """Connected components of the induced subgraph, as vertex tuples.
+    def genus_of(self, mask):
+        """First Betti number of the subgraph induced on a vertex bitmask.
 
-        Components are sorted by their first vertex in input order; vertices
-        within a component likewise.
+        Each edge with both ends in `mask`, a loop included, gives exactly
+        two arrows with tail and head in it.
         """
-        return [self.names(c) for c in self.mask_components(self.mask_of(subset))]
-
-    def induced_edges(self, subset):
-        """Edge indices with both endpoints (loops included) inside subset."""
-        chosen = set(subset)
-        return tuple(
-            i
-            for i, (u, v) in enumerate(self.edges)
-            if u in chosen and v in chosen
-        )
-
-    def genus_of_induced(self, subset):
-        chosen = tuple(dict.fromkeys(subset))
-        if not chosen:
-            return 0
-        edges = len(self.induced_edges(chosen))
-        comps = len(self.induced_components(chosen))
-        return edges - len(chosen) + comps
+        inside = self.arrows_from(mask) & self.arrows_into(mask)
+        return inside.bit_count() // 2 - mask.bit_count() + len(self.mask_components(mask))
 
 
 class LevelStructure:
     """Ordered partition of a fixed vertex tuple, stored as levels 1..r.
 
-    ``parts[n-1]`` lists the vertices of level n in graph input order.  The
-    trivial structure has r = 1 with a single part covering everything.
+    ``masks[n-1]`` is the vertex mask of level n, bit i standing for
+    ``vertices[i]``; every layer reads the levels, and their prefixes, from
+    it.  ``parts[n-1]`` names the same vertices, in input order, for
+    reports.  The trivial structure has r = 1 with a single part covering
+    everything.
     """
 
-    __slots__ = ("vertices", "levels", "r", "parts", "_level_of")
+    __slots__ = ("vertices", "levels", "r", "parts", "masks", "_level_of")
 
     def __init__(self, vertices, levels):
         vertices = tuple(vertices)
@@ -243,9 +228,12 @@ class LevelStructure:
         self.levels = levels
         self.r = r
         parts = [[] for _ in range(r)]
-        for v, n in zip(vertices, levels):
+        masks = [0] * r
+        for i, (v, n) in enumerate(zip(vertices, levels)):
             parts[n - 1].append(v)
+            masks[n - 1] |= 1 << i
         self.parts = tuple(tuple(p) for p in parts)
+        self.masks = tuple(masks)
         self._level_of = dict(zip(vertices, levels))
 
     @classmethod
@@ -294,10 +282,6 @@ class LevelStructure:
             raise GraphDocumentError(f"level {n} out of range 1..{self.r}")
         return self.parts[n - 1]
 
-    def prefix(self, n):
-        """Vertices of level <= n, in graph order."""
-        return tuple(v for v, lv in zip(self.vertices, self.levels) if lv <= n)
-
     def key(self):
         return self.levels
 
@@ -318,50 +302,44 @@ class LevelStructure:
         return f"LevelStructure({body})"
 
 
-class ArrowClassification:
-    """Per-arrow upward/downward/horizontal tags plus the derived index sets."""
+class ArrowClassification(NamedTuple):
+    """The upward and downward arrows in ascending order, and the vertical
+    and horizontal edges; every arrow of a horizontal edge is horizontal."""
 
-    __slots__ = (
-        "tags",
-        "upward",
-        "downward",
-        "horizontal",
-        "vertical_edges",
-        "horizontal_edges",
-    )
-
-    def __init__(self, tags, vertical_edges, horizontal_edges):
-        self.tags = tuple(tags)
-        self.upward = tuple(i for i, t in enumerate(self.tags) if t == UPWARD)
-        self.downward = tuple(i for i, t in enumerate(self.tags) if t == DOWNWARD)
-        self.horizontal = tuple(
-            i for i, t in enumerate(self.tags) if t == HORIZONTAL
-        )
-        self.vertical_edges = tuple(vertical_edges)
-        self.horizontal_edges = tuple(horizontal_edges)
+    upward: tuple
+    downward: tuple
+    vertical_edges: tuple
+    horizontal_edges: tuple
 
 
 def classify_arrows(graph, levels):
-    """Tag every arrow; loops are always horizontal."""
-    tags = []
+    """Sort every arrow by direction; loops are always horizontal."""
+    upward = []
+    downward = []
     vertical = []
     horizontal = []
     for i, (u, v) in enumerate(graph.edges):
         lu, lv = levels.level_of(u), levels.level_of(v)
         if lu == lv:
             horizontal.append(i)
-            tags.extend((HORIZONTAL, HORIZONTAL))
+            continue
+        vertical.append(i)
+        # arrow 2i runs u->v, arrow 2i+1 runs v->u
+        if lu > lv:
+            upward.append(2 * i)
+            downward.append(2 * i + 1)
         else:
-            vertical.append(i)
-            # arrow 2i runs u->v, arrow 2i+1 runs v->u
-            tags.append(UPWARD if lu > lv else DOWNWARD)
-            tags.append(UPWARD if lv > lu else DOWNWARD)
-    return ArrowClassification(tags, vertical, horizontal)
+            downward.append(2 * i)
+            upward.append(2 * i + 1)
+    return ArrowClassification(tuple(upward), tuple(downward), tuple(vertical), tuple(horizontal))
 
 
-def level_components(graph, levels, n):
-    """Connected components of the subgraph induced on the level-n vertices."""
-    return graph.induced_components(levels.part(n))
+def check_same_vertices(graph, levels):
+    """Reject a level structure whose vertex tuple is not the graph's: its
+    masks are positional, so the same names in another order would make
+    them name other vertices."""
+    if levels.vertices != graph.vertices:
+        raise GraphDocumentError("level structure does not list the graph's vertices in order")
 
 
 def components_below(graph, levels, n):
@@ -371,10 +349,11 @@ def components_below(graph, levels, n):
     that is when it meets the neighbours of level n.  For n = 1 both lists
     are empty.
     """
+    check_same_vertices(graph, levels)
     if not 1 <= n <= levels.r:
         raise GraphDocumentError(f"level {n} out of range 1..{levels.r}")
-    below = graph.mask_components(graph.mask_of(levels.prefix(n - 1)))
-    reach = graph.neighbour_mask(graph.mask_of(levels.part(n)))
+    below = graph.mask_components(sum(levels.masks[: n - 1]))  # disjoint: sum is union
+    reach = graph.neighbour_mask(levels.masks[n - 1])
     return (
         [graph.names(c) for c in below],
         [graph.names(c) for c in below if c & reach],

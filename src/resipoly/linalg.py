@@ -6,12 +6,13 @@ primitive integer row with a positive pivot entry.  That form is unique, so
 equality of subspaces is literal equality of integer rows.
 
 All elimination runs on plain integers.  Each input row has its
-denominators cleared once (a row of ints is taken as it is), and then:
-integer Gauss-Jordan with content reduction for canonical bases, kernels
-and containment, an integer row echelon for ranks, and fraction-free
-(Bareiss) elimination for determinants.  Fractions appear only at input
-(``"p/q"`` strings and Fraction entries), in a determinant, and in
-:attr:`Subspace.basis`, the printed reduced basis.
+denominators cleared once (a row of ints is taken as it is), and then goes
+into an integer row echelon with content reduction: that echelon alone
+gives ranks, containment and kernels of projections, and back-substitution
+on it gives canonical bases and kernels.  Determinants use fraction-free
+(Bareiss) elimination.  Fractions appear only at input (``"p/q"`` strings
+and Fraction entries), in a determinant, and in :attr:`Subspace.basis`, the
+printed reduced basis.
 """
 
 from __future__ import annotations
@@ -83,54 +84,13 @@ def _primitive(row):
     return row
 
 
-def _rref_rows(mat, num_cols):
-    """Reduced row echelon form of a list of int rows, by integer
-    Gauss-Jordan elimination.
-
-    Returns ``(rows, pivots)`` with zero rows dropped.  Each returned row is
-    a list of ints: primitive, zero on every other row's pivot column, with
-    a positive pivot entry ``p``.  Dividing it by ``p`` gives the row of the
-    unique RREF of the row space; that division is the only place a
-    Fraction is made.  Rows are eliminated as ``row_i * p - f * row_r`` and
-    kept small by dividing out their content.  No input row is modified.
-    """
-    mat = [_primitive(row) for row in mat]
-    pivots = []
-    r = 0
-    nrows = len(mat)
-    for c in range(num_cols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        row_r = mat[r]
-        p = row_r[c]
-        if p < 0:
-            row_r = mat[r] = [-a for a in row_r]
-            p = -p
-        for i in range(nrows):
-            if i != r:
-                f = mat[i][c]
-                if f:
-                    g = gcd(p, f)
-                    pg, fg = p // g, f // g
-                    mat[i] = _primitive([a * pg - fg * b for a, b in zip(mat[i], row_r)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
-
-
 def _echelon_insert(echelon, row):
     """Reduce an integer row against an echelon list, append if nonzero.
 
     ``echelon`` holds ``(pivot_column, row)`` pairs; rows stay integral via
-    cross-multiplication followed by content reduction.
+    cross-multiplication followed by content reduction.  The appended row is
+    primitive, has a positive lead entry, and is zero at the pivot columns
+    of every row before it.
     """
     for pivot_col, pivot_row in echelon:
         x = row[pivot_col]
@@ -156,6 +116,39 @@ def _echelon_insert(echelon, row):
         row = [-a for a in row]
     echelon.append((lead, row))
     return True
+
+
+def _rref_rows(mat):
+    """Reduced row echelon form of a list of int rows: the echelon of
+    :func:`_echelon_insert`, then back-substitution.
+
+    Returns ``(rows, pivots)`` with zero rows dropped, pivots ascending.
+    Each returned row is a list of ints: primitive, zero on every other
+    row's pivot column, with a positive pivot entry ``p``.  Dividing it by
+    ``p`` gives the row of the unique RREF of the row space; that division
+    is the only place a Fraction is made.  A row of the echelon is zero left
+    of its pivot, so back-substitution only clears it at the later pivots,
+    as ``row * p - x * other`` over gcd(p, x), bottom row first.  No input
+    row is modified.
+    """
+    echelon = []
+    for row in mat:
+        _echelon_insert(echelon, row)
+    echelon.sort()  # pivots are distinct
+    pivots = [c for c, _ in echelon]
+    rows = [row for _, row in echelon]
+    for k in range(len(rows) - 2, -1, -1):
+        row = rows[k]
+        for j in range(k + 1, len(rows)):
+            x = row[pivots[j]]
+            if x:
+                other = rows[j]
+                p = other[pivots[j]]
+                g = gcd(p, x)
+                pg, xg = p // g, x // g
+                row = _primitive([a * pg - xg * b for a, b in zip(row, other)])
+        rows[k] = row
+    return rows, pivots
 
 
 def rank(rows):
@@ -222,7 +215,7 @@ class Subspace:
         rows = [_cleared(v)[1] for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length does not match ambient dimension")
-        reduced, pivots = _rref_rows(rows, ambient_dim)
+        reduced, pivots = _rref_rows(rows)
         self.ambient_dim = ambient_dim
         self.rows = tuple(map(tuple, reduced))
         self.pivots = tuple(pivots)
@@ -273,7 +266,7 @@ def kernel(matrix, num_cols=None):
         width = num_cols
     else:
         raise ValueError("column count required for an empty matrix")
-    reduced, pivots = _rref_rows(rows, width)
+    reduced, pivots = _rref_rows(rows)
     pivot_set = set(pivots)
     # Row k reads row_k[p_k] * x[p_k] + (free columns) = 0.  Setting one free
     # coordinate to the lcm of the pivot entries keeps the solution integral.
@@ -312,20 +305,26 @@ def kernel_of_projection(space, coords):
     """Vectors of the subspace vanishing on every coordinate in `coords`.
 
     This is the kernel of :func:`project_image` onto `coords`; rank plus
-    nullity always equals ``space.dim``.
+    nullity always equals ``space.dim``.  The basis rows go into one echelon
+    with the `coords` columns taken first; the rows whose lead falls after
+    them vanish on `coords`, and there are exactly nullity many.
     """
     coords = _canonical_coords(coords, space.ambient_dim)
     if space.dim == 0 or not coords:
         return space
-    constraint = [[row[c] for row in space.rows] for c in coords]
-    mixing = kernel(constraint, num_cols=space.dim)
+    taken = set(coords)
+    rest = [c for c in range(space.ambient_dim) if c not in taken]
+    order = coords + rest
+    echelon = []
+    for row in space.rows:
+        _echelon_insert(echelon, [row[c] for c in order])
     vectors = []
-    for coeffs in mixing.rows:
-        v = [0] * space.ambient_dim
-        for lam, row in zip(coeffs, space.rows):
-            if lam:
-                v = [a + lam * b for a, b in zip(v, row)]
-        vectors.append(v)
+    for lead, row in echelon:
+        if lead >= len(coords):
+            v = [0] * space.ambient_dim
+            for c, x in zip(rest, row[len(coords) :]):
+                v[c] = x
+            vectors.append(v)
     return Subspace(space.ambient_dim, vectors)
 
 

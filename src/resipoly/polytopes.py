@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import or_
 
-from .graphs import LevelStructure, coarsenings, ordered_partitions
-from .linalg import rank
+from .graphs import LevelStructure, bits, coarsenings, ordered_partitions
+from .linalg import _echelon_insert
 from .residues import residue_space
 
 __all__ = [
@@ -140,8 +141,9 @@ def projection_rank_table(space, ground, blocks):
     """Per-subset dimensions of coordinate projections of a subspace.
 
     ``blocks[i]`` lists the coordinates belonging to ground element i; the
-    blocks must be disjoint.  The result is validated to be submodular,
-    nonnegative and nondecreasing.
+    blocks must be disjoint.  Each entry is the rank of the integer basis
+    rows sliced to the subset's columns.  The result is validated to be
+    submodular, nonnegative and nondecreasing.
     """
     ground = tuple(ground)
     blocks = [tuple(b) for b in blocks]
@@ -154,10 +156,10 @@ def projection_rank_table(space, ground, blocks):
     values = []
     for mask in range((1 << len(ground))):
         cols = [c for i in range(len(ground)) if mask >> i & 1 for c in blocks[i]]
-        if not cols or not basis:
-            values.append(0)
-            continue
-        values.append(rank([[row[c] for c in cols] for row in basis]))
+        echelon = []
+        for row in basis:
+            _echelon_insert(echelon, [row[c] for c in cols])
+        values.append(len(echelon))
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
         raise InvariantViolation("projection table violates its invariants")
@@ -174,7 +176,7 @@ def _check_table_bound(graph, max_vertices):
 def _tail_table(graph, space):
     """Projection table of a subspace of the arrow space, one coordinate block
     per vertex: the arrows with that tail."""
-    blocks = [graph.arrows_with_tail[v] for v in graph.vertices]
+    blocks = [bits(arrows) for arrows in graph.out_arrows]
     return projection_rank_table(space, graph.vertices, blocks)
 
 
@@ -196,25 +198,9 @@ def contraction_table(graph, max_vertices=TABLE_BOUND):
     contracting each connected component of that subgraph to a point.
     """
     _check_table_bound(graph, max_vertices)
-    n = len(graph.vertices)
-    values = []
-    for mask in range(1 << n):
-        complement = [graph.vertices[i] for i in range(n) if not mask >> i & 1]
-        values.append(graph.genus - graph.genus_of_induced(complement))
+    full = (1 << len(graph.vertices)) - 1
+    values = [graph.genus - graph.genus_of(full & ~mask) for mask in range(full + 1)]
     return SetFunction(graph.vertices, values)
-
-
-def _prefix_masks(ground, levels):
-    """Bitmasks over `ground` of the prefixes F_1, F_2, ... of an ordered
-    partition, F_n collecting the vertices of level at most n."""
-    position = {v: i for i, v in enumerate(ground)}
-    masks = []
-    mask = 0
-    for part in levels.parts:
-        for v in part:
-            mask |= 1 << position[v]
-        masks.append(mask)
-    return masks
 
 
 def splitting(table, levels, kind):
@@ -232,10 +218,9 @@ def splitting(table, levels, kind):
         raise ValueError("ground set does not match the level structure")
     if kind == "submodular":
         return adjoint(splitting(adjoint(table), levels, "supermodular"))
-    n = table.n
-    prefix_masks = _prefix_masks(table.ground, levels)
+    prefix_masks = list(itertools.accumulate(levels.masks, or_))
     values = []
-    for subset in range(1 << n):
+    for subset in range(1 << table.n):
         total = 0
         previous = 0
         for pm in prefix_masks:
@@ -312,7 +297,7 @@ def chain_face(polytope, levels, orientation):
         raise ValueError("level structure does not match the polytope ground set")
     table = polytope.table
     bounds = table if orientation == "upper" else adjoint(table)
-    prefix_masks = _prefix_masks(polytope.ground, levels)
+    prefix_masks = list(itertools.accumulate(levels.masks, or_))
     tight = tuple(
         i
         for i, q in enumerate(polytope.vertices)

@@ -23,14 +23,15 @@ mismatch signals an implementation bug, never data to be corrected.
 
 :class:`LevelGraph` is the one model of a graph with an ordered partition.
 Each of its parts is computed once, on first use: the arrow classification,
-the vertex masks of every level with their components, the components of
-V<n and the special ones among them (those meeting the neighbours of level
-n), the components of each prefix V<=n, the summits, the counts and the four
-condition families.  Vertex sets are int bitmasks throughout, and become
-vertex-name tuples only where they are reported.  Every condition is a 0/1
-row, so it is built once, as its labelled support: the int bitmask of the
-arrow indices where it is 1.  Indexes built with the rows let each
-component find its own rows without scanning the others.  The flag, the
+the components of every level, the components of V<n and the special ones
+among them (those meeting the neighbours of level n), the components of
+each prefix V<=n, the summits, the counts and the four condition families.
+Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`, read
+from :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name
+tuples only where they are reported.  Every condition is a 0/1 row, so it
+is built once, as its labelled support: the int bitmask of the arrow
+indices where it is 1.  Indexes built with the rows let each component
+find its own rows without scanning the others.  The flag, the
 per-component blocks and the relatedness predicates all read those
 supports; full-width 0/1 vectors are made from them only where a kernel or
 a rank needs them.
@@ -42,7 +43,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graphs import bits, classify_arrows
+from .graphs import bits, check_same_vertices, classify_arrows
 from .linalg import _echelon_insert, _mask, kernel, support_checks
 
 __all__ = [
@@ -166,10 +167,12 @@ class LevelGraph:
     Every part is computed on first use and kept, so each is built once per
     model however many checks read it.  The parts are facts about the level
     graph, never the verdict of a check.  Vertex sets are bitmasks (see
-    :class:`~resipoly.graphs.Multigraph`) until they are reported.
+    :class:`~resipoly.graphs.Multigraph`) until they are reported, so the
+    level structure must list the graph's vertices in the graph's order.
     """
 
     def __init__(self, graph, levels):
+        check_same_vertices(graph, levels)
         self.graph = graph
         self.levels = levels
 
@@ -188,8 +191,7 @@ class LevelGraph:
         out = {}
         below = []
         prefix = 0
-        for n, part in enumerate(self.levels.parts, start=1):
-            mask = graph.mask_of(part)
+        for n, mask in enumerate(self.levels.masks, start=1):
             prefix |= mask
             reach = graph.neighbour_mask(mask)
             upto = graph.mask_components(prefix)
@@ -215,12 +217,6 @@ class LevelGraph:
         }
 
     @cached_property
-    def prefix_components(self):
-        """Level n -> components of the subgraph induced on the levels <= n."""
-        names = self.graph.names
-        return {n: [names(c) for c in at.upto] for n, at in self.masks.items()}
-
-    @cached_property
     def _summit_masks(self):
         """(irreducible, reducible) summits among the level components, as
         vertex masks.  A summit is a level component that is the tail of no
@@ -238,12 +234,6 @@ class LevelGraph:
                 else:
                     irreducible.append(comp)
         return irreducible, reducible
-
-    @cached_property
-    def summits(self):
-        """(irreducible, reducible) summits among the level components."""
-        names = self.graph.names
-        return tuple([names(c) for c in masks] for masks in self._summit_masks)
 
     @cached_property
     def counts(self):

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from resipoly import fixtures
-from resipoly.graphs import DOWNWARD, UPWARD, GraphDocumentError, classify_arrows
+from resipoly.graphs import GraphDocumentError, classify_arrows
 from resipoly.linalg import SetTheoreticReport, Subspace, to_fraction
 from resipoly.residues import Row
 
@@ -209,11 +209,48 @@ def reverse(graph, arrow_index):
     return arrow_index ^ 1
 
 
+def arrow_tags(graph, classification):
+    """Per-arrow "upward", "downward" or "horizontal" tag read off a
+    classification, checking that its upward arrows, downward arrows and
+    the arrows of its horizontal edges partition the arrows."""
+    horizontal = [a for e in classification.horizontal_edges for a in (2 * e, 2 * e + 1)]
+    tags = {}
+    for tag, arrows in (
+        ("upward", classification.upward),
+        ("downward", classification.downward),
+        ("horizontal", horizontal),
+    ):
+        for a in arrows:
+            assert a not in tags, f"arrow {a} tagged twice"
+            tags[a] = tag
+    assert sorted(tags) == list(range(graph.num_arrows))
+    return tuple(tags[a] for a in range(graph.num_arrows))
+
+
+def summit_names(model):
+    """A LevelGraph's (irreducible, reducible) summits as vertex-name tuples."""
+    return tuple([model.graph.names(c) for c in masks] for masks in model._summit_masks)
+
+
 # The frozenset level-graph model that the bitmask model in graphs,
 # residues and linalg replaced, kept as a reference for it.  Each body is
 # the replaced one with `self` turned into an argument where it was a
-# Multigraph method; supports are frozensets of arrow or coordinate
-# indices, and components are vertex-name tuples.
+# Multigraph or LevelStructure method; supports are frozensets of arrow or
+# coordinate indices, and vertex sets are vertex-name tuples.
+
+
+def arrows_with_tail(graph):
+    """Vertex name -> indices of the arrows with that tail, ascending."""
+    out = {v: [] for v in graph.vertices}
+    for i, (u, v) in enumerate(graph.edges):
+        out[u].append(2 * i)
+        out[v].append(2 * i + 1)
+    return {v: tuple(a) for v, a in out.items()}
+
+
+def prefix(levels, n):
+    """Vertices of level <= n, in graph order."""
+    return tuple(v for v, lv in zip(levels.vertices, levels.levels) if lv <= n)
 
 
 def reference_adjacency(graph):
@@ -254,20 +291,42 @@ def induced_components(graph, subset):
     return components
 
 
+def induced_edges(graph, subset):
+    """Edge indices with both endpoints (loops included) inside subset."""
+    chosen = set(subset)
+    return tuple(
+        i
+        for i, (u, v) in enumerate(graph.edges)
+        if u in chosen and v in chosen
+    )
+
+
+def genus_of_induced(graph, subset):
+    chosen = tuple(dict.fromkeys(subset))
+    if not chosen:
+        return 0
+    edges = len(induced_edges(graph, chosen))
+    comps = len(induced_components(graph, chosen))
+    return edges - len(chosen) + comps
+
+
+def level_components(graph, levels, n):
+    """Connected components of the subgraph induced on the level-n vertices."""
+    return induced_components(graph, levels.part(n))
+
+
 def split_summits(graph, classification, components):
     """The summits among the given level components, as (irreducible,
     reducible) lists in the order given."""
     irreducible = []
     reducible = []
+    upward = set(classification.upward)
+    tails = arrows_with_tail(graph)
     for comp in components:
-        has_upward = any(
-            classification.tags[a] == UPWARD
-            for v in comp
-            for a in graph.arrows_with_tail[v]
-        )
+        has_upward = any(a in upward for v in comp for a in tails[v])
         if has_upward:
             continue
-        if len(comp) == 1 and not graph.induced_edges(comp):
+        if len(comp) == 1 and not induced_edges(graph, comp):
             irreducible.append(comp)
         else:
             reducible.append(comp)
@@ -294,8 +353,9 @@ def components_below(graph, levels, n):
             membership[v] = idx
     special_idx = set()
     part = levels.part(n)
+    tails = arrows_with_tail(graph)
     for v in part:
-        for a in graph.arrows_with_tail[v]:
+        for a in tails[v]:
             head = graph.arrows[a].head
             if head in membership:
                 special_idx.add(membership[head])
@@ -425,10 +485,7 @@ class ReferenceLevelGraph:
 
     @cached_property
     def level_components(self):
-        return {
-            n: induced_components(self.graph, self.levels.part(n))
-            for n in self.level_numbers
-        }
+        return {n: level_components(self.graph, self.levels, n) for n in self.level_numbers}
 
     @cached_property
     def components_below(self):
@@ -437,7 +494,7 @@ class ReferenceLevelGraph:
     @cached_property
     def prefix_components(self):
         return {
-            n: induced_components(self.graph, self.levels.prefix(n))
+            n: induced_components(self.graph, prefix(self.levels, n))
             for n in self.level_numbers
         }
 
@@ -449,14 +506,13 @@ class ReferenceLevelGraph:
     @cached_property
     def rows(self):
         graph, levels, cls = self.graph, self.levels, self.classification
+        tails = arrows_with_tail(graph)
         downward = tuple(
             Row(graph.arrows[a].label, frozenset((a,)), a) for a in cls.downward
         )
         local = []
         for v in graph.vertices:
-            support = frozenset(
-                a for a in graph.arrows_with_tail[v] if cls.tags[a] != DOWNWARD
-            )
+            support = frozenset(a for a in tails[v] if a not in cls.downward)
             if support:
                 local.append(Row(v, support, v))
         rosenlicht = []
@@ -470,7 +526,7 @@ class ReferenceLevelGraph:
                 support = frozenset(
                     a
                     for v in levels.part(n)
-                    for a in graph.arrows_with_tail[v]
+                    for a in tails[v]
                     if graph.arrows[a].head in members
                 )
                 glob.append(Row(f"{n}:{'+'.join(comp)}", support, (n, comp)))

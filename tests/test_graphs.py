@@ -4,21 +4,31 @@ from math import comb
 
 import pytest
 
+from resipoly.degeneration import residue_blocks
 from resipoly.graphs import (
     GraphDocumentError,
     LevelStructure,
+    Multigraph,
     classify_arrows,
     coarsenings,
     components_below,
     is_coarsening,
-    level_components,
     load_level_graph,
     ordered_partitions,
 )
 from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import LevelGraph
 
-from conftest import reverse
+from conftest import (
+    arrow_tags,
+    genus_of_induced,
+    induced_components,
+    induced_edges,
+    level_components,
+    prefix,
+    reverse,
+    summit_names,
+)
 
 
 def fubini(n):
@@ -77,7 +87,7 @@ class TestLoading:
         assert graph.num_arrows == 2
         assert graph.genus == 1
         cls = classify_arrows(graph, levels)
-        assert cls.tags == ("horizontal", "horizontal")
+        assert arrow_tags(graph, cls) == ("horizontal", "horizontal")
 
     def test_levels_compressed(self):
         _, levels = load_level_graph(
@@ -136,7 +146,7 @@ class TestClassification:
     def test_trivial_structure_all_horizontal(self, fig1):
         graph = fig1[0]
         cls = classify_arrows(graph, LevelStructure.trivial(graph.vertices))
-        assert len(cls.horizontal) == 14
+        assert arrow_tags(graph, cls).count("horizontal") == 14
         assert not cls.upward and not cls.downward
 
     def test_fig2_horizontal_and_vertical(self, fig2):
@@ -153,24 +163,25 @@ class TestClassification:
             graph = random_multigraph(rng)
             levels = random_level_structure(rng, graph)
             cls = classify_arrows(graph, levels)
-            for i, tag in enumerate(cls.tags):
-                mate = cls.tags[reverse(graph, i)]
+            tags = arrow_tags(graph, cls)
+            for i, tag in enumerate(tags):
+                mate = tags[reverse(graph, i)]
                 if tag == "horizontal":
                     assert mate == "horizontal"
                 else:
                     assert {tag, mate} == {"upward", "downward"}
-            assert len(cls.upward) + len(cls.downward) + len(cls.horizontal) == graph.num_arrows
+            assert len(cls.upward) + len(cls.downward) + tags.count("horizontal") == graph.num_arrows
 
 
 class TestComponents:
     def test_fig1_level_components(self, fig1):
-        graph, levels = fig1[0], fig1[1]
-        assert level_components(graph, levels, 2) == [("u1",), ("u2", "u3")]
-        assert level_components(graph, levels, 1) == [("u4",), ("u5",)]
+        components = LevelGraph(fig1[0], fig1[1]).level_components
+        assert components[2] == [("u1",), ("u2", "u3")]
+        assert components[1] == [("u4",), ("u5",)]
 
     def test_fig2_level_one(self, fig2):
-        graph, levels = fig2[0], fig2[1]
-        assert level_components(graph, levels, 1) == [("u9", "ua"), ("ub",), ("uc",)]
+        components = LevelGraph(fig2[0], fig2[1]).level_components
+        assert components[1] == [("u9", "ua"), ("ub",), ("uc",)]
 
     def test_out_of_range(self, fig1):
         graph, levels = fig1[0], fig1[1]
@@ -178,6 +189,8 @@ class TestComponents:
             level_components(graph, levels, 3)
         with pytest.raises(GraphDocumentError):
             components_below(graph, levels, 0)
+        with pytest.raises(GraphDocumentError):
+            components_below(graph, levels, 3)
 
     def test_components_against_brute_force(self):
         rng = random.Random(24)
@@ -185,9 +198,9 @@ class TestComponents:
             graph = random_multigraph(rng)
             names = list(graph.vertices)
             subset = [v for v in names if rng.random() < 0.6]
-            assert sorted(graph.induced_components(subset)) == brute_components(
-                graph, subset
-            )
+            components = graph.mask_components(graph.mask_of(subset))
+            assert sorted(map(graph.names, components)) == brute_components(graph, subset)
+            assert induced_components(graph, subset) == list(map(graph.names, components))
 
     def test_genus_formula_against_brute_force(self):
         rng = random.Random(28)
@@ -231,20 +244,62 @@ class TestComponents:
             levels = random_level_structure(rng, graph)
             for n in range(1, levels.r + 1):
                 below, special = components_below(graph, levels, n)
-                upto = graph.induced_components(levels.prefix(n))
+                upto = induced_components(graph, prefix(levels, n))
                 assert set(below) - set(special) == set(upto) & set(below)
+
+
+def graphs_with_loops_parallels_and_isolated_vertices():
+    """Seeded random multigraphs, checked to include loops, parallel edges
+    and isolated vertices among them."""
+    rng = random.Random(29)
+    graphs = [random_multigraph(rng, 5, 8) for _ in range(40)]
+    graphs.append(Multigraph("abcd", [("a", "a"), ("a", "b"), ("b", "a"), ("b", "c")]))
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(len({frozenset(e) for e in g.edges}) < len(g.edges) for g in graphs)
+    assert any(not g.out_arrows[i] for g in graphs for i in range(len(g.vertices)))
+    return graphs
+
+
+class TestVertexMasks:
+    def test_genus_of_every_vertex_subset(self):
+        for graph in graphs_with_loops_parallels_and_isolated_vertices():
+            full = (1 << len(graph.vertices)) - 1
+            for mask in range(full + 1):
+                assert graph.genus_of(mask) == genus_of_induced(graph, graph.names(mask))
+            assert graph.genus_of(full) == graph.genus
+
+    def test_level_masks_name_the_parts(self):
+        for graph in graphs_with_loops_parallels_and_isolated_vertices():
+            for pi in ordered_partitions(graph.vertices):
+                assert len(pi.masks) == pi.r
+                for n, part in enumerate(pi.parts, start=1):
+                    assert pi.masks[n - 1] == graph.mask_of(part)
+
+    def test_reordered_vertex_tuple_rejected(self, fig1):
+        # masks are positional: the same levels over the vertices listed in
+        # another order would put each bit on another vertex
+        graph, levels = fig1[0], fig1[1]
+        level_map = dict(zip(levels.vertices, levels.levels))
+        reordered = LevelStructure.from_map(graph.vertices[::-1], level_map)
+        assert {frozenset(p) for p in reordered.parts} == {frozenset(p) for p in levels.parts}
+        with pytest.raises(GraphDocumentError):
+            LevelGraph(graph, reordered)
+        with pytest.raises(GraphDocumentError):
+            components_below(graph, reordered, 1)
+        with pytest.raises(GraphDocumentError):
+            residue_blocks(graph, reordered)
 
 
 class TestSummits:
     def test_fig2_summits(self, fig2):
         graph, levels = fig2[0], fig2[1]
-        irreducible, reducible = LevelGraph(graph, levels).summits
+        irreducible, reducible = summit_names(LevelGraph(graph, levels))
         assert sorted(irreducible) == [("u5",), ("ub",), ("uc",)]
         assert sorted(reducible) == [("u7", "u8"), ("u9", "ua")]
 
     def test_fig1_summits(self, fig1):
         graph, levels = fig1[0], fig1[1]
-        irreducible, reducible = LevelGraph(graph, levels).summits
+        irreducible, reducible = summit_names(LevelGraph(graph, levels))
         assert irreducible == [("u4",), ("u5",)]
         assert reducible == []
 
@@ -253,15 +308,15 @@ class TestSummits:
         for _ in range(30):
             graph = random_multigraph(rng)
             levels = LevelStructure.trivial(graph.vertices)
-            irreducible, reducible = LevelGraph(graph, levels).summits
+            irreducible, reducible = summit_names(LevelGraph(graph, levels))
             assert len(irreducible) + len(reducible) == graph.component_count
             for comp in irreducible:
                 assert len(comp) == 1
-                assert not graph.induced_edges(comp)
+                assert not induced_edges(graph, comp)
 
     def test_loop_summit_is_reducible(self, loop1):
         graph, levels = loop1[0], loop1[1]
-        irreducible, reducible = LevelGraph(graph, levels).summits
+        irreducible, reducible = summit_names(LevelGraph(graph, levels))
         assert irreducible == []
         assert reducible == [("v",)]
 

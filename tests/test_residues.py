@@ -4,7 +4,6 @@ from resipoly.graphs import (
     LevelStructure,
     bits,
     components_below,
-    level_components,
     load_level_graph,
     ordered_partitions,
 )
@@ -23,9 +22,13 @@ from resipoly.residues import (
 
 from conftest import (
     ReferenceLevelGraph,
+    arrow_tags,
+    arrows_with_tail,
+    induced_edges,
     rank_mod_p,
     reference_rank,
     reference_support_checks,
+    summit_names,
 )
 
 
@@ -125,9 +128,10 @@ class TestFlag:
 
         graph, levels = fig1[0], fig1[1]
         space = residue_space(graph, levels)
-        u4_coords = graph.arrows_with_tail["u4"]
+        tails = arrows_with_tail(graph)
+        u4_coords = tails["u4"]
         assert project_image(space, u4_coords).dim == 0
-        top = graph.arrows_with_tail["u4"] + graph.arrows_with_tail["u5"]
+        top = tails["u4"] + tails["u5"]
         assert project_image(space, top).dim == 0
         assert kernel_of_projection(space, top).dim == 3
 
@@ -184,15 +188,16 @@ class TestFlag:
             model = LevelGraph(graph, levels)
             cls = model.classification
             local_rows = {row.label: row.support for row in model.rows["local"]}
-            _, reducible = model.summits
+            _, reducible = summit_names(model)
             for comp in reducible:
                 seen += 1
                 total = [0] * graph.num_arrows
                 for v in comp:
                     for a in bits(local_rows.get(v, 0)):
                         total[a] += 1
-                for e in graph.induced_edges(comp):
-                    if cls.tags[2 * e] == "horizontal":
+                tags = arrow_tags(graph, cls)
+                for e in induced_edges(graph, comp):
+                    if tags[2 * e] == "horizontal":
                         total[2 * e] -= 1
                         total[2 * e + 1] -= 1
                 assert not any(total)
@@ -246,7 +251,7 @@ class TestPerComponentReport:
                 if not block.level_vertices:
                     assert block.block_dim == 0
                     continue
-                if len(block.component) == 1 and not graph.induced_edges(block.component):
+                if len(block.component) == 1 and not induced_edges(graph, block.component):
                     assert not block.local_labels
                 else:
                     assert len(block.local_labels) == len(block.level_vertices)
@@ -302,12 +307,15 @@ class TestMaskModelAgainstReference:
                 model = LevelGraph(graph, pi)
                 reference = ReferenceLevelGraph(graph, pi)
                 assert model.level_components == reference.level_components
-                assert model.prefix_components == reference.prefix_components
+                assert {
+                    n: [names(c) for c in at.upto] for n, at in model.masks.items()
+                } == reference.prefix_components
                 assert model.components_below == reference.components_below
                 for n in range(1, pi.r + 1):
-                    assert level_components(graph, pi, n) == reference.level_components[n]
+                    level = graph.mask_components(pi.masks[n - 1])
+                    assert [names(c) for c in level] == reference.level_components[n]
                     assert components_below(graph, pi, n) == reference.components_below[n]
-                assert model.summits == reference.summits
+                assert summit_names(model) == reference.summits
                 for family in FAMILIES:
                     assert _as_sets(model.rows[family]) == _reference_rows(
                         reference.rows[family]
