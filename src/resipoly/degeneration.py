@@ -10,22 +10,21 @@ dominate.  The limit is computed three independent ways:
 * ``initial_space_limit``  -- iterated extraction of leading forms (the
   restriction of a vector to the highest-weight coordinates in its
   support), with elimination until the leading forms are independent;
-* ``plucker_limit_oracle`` -- maximal minors as Laurent monomials in t,
-  normalized by the lowest valuation and evaluated at t = 0, then decoded
-  back to a basis.
+* ``plucker_limit_oracle`` -- maximal minors as Laurent monomials in t:
+  the greedy maximum-weight basis of the columns anchors the limit, and the
+  minors one column away from it decode it back to a basis.
 
 Everything is algebraic; no small-t sampling happens anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .graphs import bits, check_same_vertices, is_coarsening
-from .linalg import Subspace, det, embed, kernel_of_projection, project_image
+from .linalg import Subspace, _echelon_insert, det, embed, kernel_of_projection, project_image
 from .polytopes import (
     TABLE_BOUND,
     InvariantViolation,
@@ -205,20 +204,22 @@ def initial_space_limit(laurent):
         rows[idx] = new_row
 
 
-def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
+def plucker_limit_oracle(laurent):
     """Limit subspace via exterior coordinates.
 
     Column j of the basis matrix scales by t^(-w_j), so the minor on a
-    column set S picks up t^(-sum of weights over S).  Dividing by the
-    lowest valuation and setting t = 0 keeps exactly the minors whose
-    weight sum is maximal among the nonvanishing ones; the surviving
-    exterior coordinates are decoded into a basis from the lexicographically
-    first nonzero one.  The minors are taken of the integer basis rows
-    (reduced-basis rows times their pivot entries), which scales every
-    exterior coordinate by one common factor that the projective decoding
-    ignores.  So every minor is an integer, and so is every decoded row:
-    row k holds the anchor minor at the k-th anchor column and, at each
-    other column j, plus or minus the minor with j in place of that column.
+    column set S picks up t^(-w(S)), w(S) the weight sum over S.  Dividing
+    by the lowest valuation and setting t = 0 keeps exactly the nonzero
+    minors of largest weight.  The column sets with a nonzero minor are the
+    bases of the column matroid, so the greedy rule (columns by weight
+    descending, index ascending, each kept if it raises the rank) finds one
+    of largest weight, B.  Row k of the decoded basis holds det(B) at the
+    k-th column s of B and, at each column j outside B, plus or minus the
+    minor with j in place of s; that minor has the largest weight only if
+    w_j = w_s, and otherwise vanishes in the limit.  So at most
+    m(n - m) + 1 minors are taken.  They are minors of the integer basis
+    rows, which scales every exterior coordinate by one common factor that
+    the projective decoding ignores, so every decoded row is integral.
     """
     space = laurent.space
     weights = laurent.coordinate_weights
@@ -226,42 +227,35 @@ def plucker_limit_oracle(laurent, max_minors=PLUCKER_MINOR_BOUND):
     ambient = space.ambient_dim
     if m == 0:
         return space
-    if comb(ambient, m) > max_minors:
+    if comb(ambient, m) > PLUCKER_MINOR_BOUND:
         raise ValueError(
-            f"C({ambient},{m}) exterior coordinates exceed the bound {max_minors}"
+            f"C({ambient},{m}) exterior coordinates exceed the bound {PLUCKER_MINOR_BOUND}"
         )
     basis = space.rows
-    minors = {}
-    best = None
-    for cols in itertools.combinations(range(ambient), m):
-        value = det([[row[c] for c in cols] for row in basis]).numerator
-        if value:
-            weight = sum(weights[c] for c in cols)
-            minors[cols] = (weight, value)
-            if best is None or weight > best:
-                best = weight
-    support = sorted(cols for cols, (w, _) in minors.items() if w == best)
-    anchor = support[0]
-    anchor_value = minors[anchor][1]
 
-    def plucker(cols):
-        entry = minors.get(cols)
-        if entry is None or entry[0] != best:
-            return 0
-        return entry[1]
+    def minor(cols):
+        return det([[row[c] for c in cols] for row in basis]).numerator
 
-    anchor_set = set(anchor)
+    echelon = []
+    anchor = []
+    for j in sorted(range(ambient), key=lambda j: (-weights[j], j)):
+        if _echelon_insert(echelon, [row[j] for row in basis]):
+            anchor.append(j)
+            if len(anchor) == m:
+                break
+    anchor.sort()
+    anchor_value = minor(anchor)
+    if not anchor_value:
+        raise InvariantViolation("greedy anchor minor is zero")
     rows = []
     for k, s in enumerate(anchor):
         row = [0] * ambient
         row[s] = anchor_value
         for j in range(ambient):
-            if j in anchor_set:
-                continue
-            cols = tuple(sorted((anchor_set - {s}) | {j}))
-            position = cols.index(j) + 1
-            sign = -1 if (k + 1 + position) % 2 else 1
-            row[j] = sign * plucker(cols)
+            if weights[j] == weights[s] and j not in anchor:
+                cols = sorted([c for c in anchor if c != s] + [j])
+                sign = -1 if (k + cols.index(j)) % 2 else 1
+                row[j] = sign * minor(cols)
         rows.append(row)
     limit = Subspace(ambient, rows)
     if limit.dim != m:
@@ -297,9 +291,10 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     compare, exactly, against the fine residue space.
 
     Three equalities are checked: the leading-form limit, the flag
-    realization, and the submodular splitting of the projection table.  The
-    exterior-coordinate oracle additionally re-derives the limit when its
-    size bound allows; without it ``oracle_matches`` is None.
+    realization, and the submodular splitting of the projection table.  With
+    ``with_oracle`` the exterior-coordinate oracle re-derives the limit, and
+    raises ValueError past its minor bound; without it ``oracle_matches`` is
+    None.
     """
     if not is_coarsening(fine, coarse):
         raise ValueError("second structure is not a coarsening of the first")

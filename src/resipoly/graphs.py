@@ -33,6 +33,7 @@ __all__ = [
     "LevelStructure",
     "Multigraph",
     "classify_arrows",
+    "coarsened_levels",
     "coarsenings",
     "components_below",
     "is_coarsening",
@@ -407,15 +408,22 @@ def ordered_partitions(vertices, max_vertices=DEFAULT_ENUMERATION_BOUND):
         yield LevelStructure(vertices, levels)
 
 
-def coarsenings(levels):
-    """All coarsenings of an ordered partition (merges of consecutive parts),
-    the structure itself and the trivial one included.  Each structure is
-    built straight from its relabelled level tuple."""
+def coarsened_levels(levels):
+    """The level tuples of all coarsenings of an ordered partition (merges
+    of consecutive parts), the structure itself and the trivial one
+    included."""
     for gaps in itertools.product((False, True), repeat=levels.r - 1):
         relabel = [0, 1]  # old level n -> its level in the coarsening
         for cut in gaps:
             relabel.append(relabel[-1] + cut)
-        yield LevelStructure(levels.vertices, [relabel[n] for n in levels.levels])
+        yield tuple(relabel[n] for n in levels.levels)
+
+
+def coarsenings(levels):
+    """All coarsenings of an ordered partition, each structure built
+    straight from its level tuple of :func:`coarsened_levels`."""
+    for coarse in coarsened_levels(levels):
+        yield LevelStructure(levels.vertices, coarse)
 
 
 def load_level_graph(document):

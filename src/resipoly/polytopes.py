@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from operator import or_
 
-from .graphs import LevelStructure, bits, coarsenings, ordered_partitions
+from .graphs import LevelStructure, bits, coarsened_levels, ordered_partitions
 from .linalg import _echelon_insert
 from .residues import residue_space
 
@@ -398,14 +398,14 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
 
     coarsening_ok = True
     for pi, face, table, _ in entries.values():
-        for coarser in coarsenings(pi):
-            other = entries[coarser.key()]
-            if face is None or other[1] is None:
+        for key in coarsened_levels(pi):
+            coarser, coarser_face, coarser_table, _ = entries[key]
+            if face is None or coarser_face is None:
                 continue
-            if not set(face) <= set(other[1]):
+            if not set(face) <= set(coarser_face):
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: vertex set not contained")
-            if any(a > b for a, b in zip(table.values, other[2].values)):
+            if any(a > b for a, b in zip(table.values, coarser_table.values)):
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
 

@@ -10,11 +10,17 @@ a failed check is reported with both sides and never corrected.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import fixtures
 from .degeneration import check_degeneration
-from .graphs import LevelStructure, bits, load_level_graph, ordered_partitions
+from .graphs import (
+    GraphDocumentError,
+    LevelStructure,
+    bits,
+    load_level_graph,
+    ordered_partitions,
+)
 from .linalg import rank, set_theoretic_checks
 from .polytopes import (
     FACE_SWEEP_BOUND,
@@ -29,7 +35,7 @@ from .randomized import (
     random_multigraph,
     random_sti_collection,
 )
-from .residues import LevelGraph, flag_identities
+from .residues import LevelGraph, LevelSummary, flag_identities
 
 __all__ = ["VerifyConfig", "full_verification", "verify_document"]
 
@@ -60,6 +66,75 @@ class VerifyConfig:
             degeneration_cases=max(1, cases // 4),
             collection_cases=5 * cases,
         )
+
+
+_EXPECT_INTS = ("genus", "components", "polytope_vertex_count")
+_EXPECT_INT_LISTS = {"flag_dims": 4, "summits": 2}
+_EXPECT_KEYS = {*_EXPECT_INTS, *_EXPECT_INT_LISTS, "levels", "global_conditions"}
+# the per-level fields of a component report, as LevelSummary.as_dict() names them
+_LEVEL_FIELDS = frozenset(LevelSummary(*[0] * len(fields(LevelSummary))).as_dict()) - {"level"}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value):
+    return isinstance(value, str)
+
+
+def _is_list_of(value, check, length=None):
+    return (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(map(check, value))
+    )
+
+
+def _check_expect(expect):
+    """Reject an ``expect`` block with an unknown key or a JSON type that
+    :func:`_expect_failures` cannot compare, so that a malformed block is an
+    input error, never a failed check and never a silent pass."""
+    if not isinstance(expect, dict):
+        raise GraphDocumentError("expect must be an object")
+    unknown = sorted(set(expect) - _EXPECT_KEYS)
+    if unknown:
+        raise GraphDocumentError(f"unknown expect key {unknown[0]!r}")
+    for key in _EXPECT_INTS:
+        if key in expect and not _is_int(expect[key]):
+            raise GraphDocumentError(f"expect {key} must be an integer")
+    for key, length in _EXPECT_INT_LISTS.items():
+        if key in expect and not _is_list_of(expect[key], _is_int, length):
+            raise GraphDocumentError(f"expect {key} must be a list of {length} integers")
+    levels = expect.get("levels", {})
+    if not isinstance(levels, dict):
+        raise GraphDocumentError("expect levels must be an object")
+    for level, want in levels.items():
+        if not (level.isascii() and level.isdecimal()):
+            raise GraphDocumentError(f"expect level {level!r} is not a decimal number")
+        if not (
+            isinstance(want, dict)
+            and set(want) <= _LEVEL_FIELDS
+            and all(map(_is_int, want.values()))
+        ):
+            raise GraphDocumentError(
+                f"expect level {level} must map some of {sorted(_LEVEL_FIELDS)} to integers"
+            )
+    conditions = expect.get("global_conditions", [])
+    if not isinstance(conditions, list):
+        raise GraphDocumentError("expect global_conditions must be a list")
+    for item in conditions:
+        if not (
+            isinstance(item, dict)
+            and set(item) == {"level", "component", "arrows"}
+            and _is_int(item["level"])
+            and _is_list_of(item["component"], _is_str)
+            and _is_list_of(item["arrows"], _is_str)
+        ):
+            raise GraphDocumentError(
+                "each expect global condition must hold exactly an integer level "
+                "and string lists component and arrows"
+            )
 
 
 def _expect_failures(model, flag, report, expect, reference=None):
@@ -157,6 +232,7 @@ def verify_document(name, document):
     """All applicable checks for one graph document; returns a JSON-ready dict."""
     graph, levels = load_level_graph(document)
     expect = document.get("expect", {})
+    _check_expect(expect)
 
     model = LevelGraph(graph, levels)
     flag = model.flag()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -7,7 +8,7 @@ import pytest
 
 from resipoly import fixtures
 from resipoly.graphs import GraphDocumentError, classify_arrows
-from resipoly.linalg import SetTheoreticReport, Subspace, to_fraction
+from resipoly.linalg import SetTheoreticReport, Subspace, det, to_fraction
 from resipoly.residues import Row
 
 
@@ -106,6 +107,58 @@ def reference_rref(rows, num_cols):
         if r == nrows:
             break
     return mat[:r], pivots
+
+
+def reference_plucker_oracle(laurent):
+    """Limit subspace of a ``LaurentSubspace`` from all C(n, m) maximal
+    minors, with no size bound.
+
+    Every nonzero minor is stored with its weight sum; those of the largest
+    weight survive, and the limit is decoded from the lexicographically
+    first of them: row k holds the anchor minor at the k-th anchor column
+    and, at each other column j, plus or minus the surviving minor with j in
+    place of that column.
+    """
+    space = laurent.space
+    weights = laurent.coordinate_weights
+    m = space.dim
+    ambient = space.ambient_dim
+    if m == 0:
+        return space
+    basis = space.rows
+    minors = {}
+    best = None
+    for cols in itertools.combinations(range(ambient), m):
+        value = det([[row[c] for c in cols] for row in basis]).numerator
+        if value:
+            weight = sum(weights[c] for c in cols)
+            minors[cols] = (weight, value)
+            if best is None or weight > best:
+                best = weight
+    support = sorted(cols for cols, (w, _) in minors.items() if w == best)
+    anchor = support[0]
+    anchor_value = minors[anchor][1]
+
+    def plucker(cols):
+        entry = minors.get(cols)
+        if entry is None or entry[0] != best:
+            return 0
+        return entry[1]
+
+    anchor_set = set(anchor)
+    rows = []
+    for k, s in enumerate(anchor):
+        row = [0] * ambient
+        row[s] = anchor_value
+        for j in range(ambient):
+            if j in anchor_set:
+                continue
+            cols = tuple(sorted((anchor_set - {s}) | {j}))
+            position = cols.index(j) + 1
+            sign = -1 if (k + 1 + position) % 2 else 1
+            row[j] = sign * plucker(cols)
+        rows.append(row)
+    return Subspace(ambient, rows)
 
 
 # Helpers that only the tests use.

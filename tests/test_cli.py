@@ -327,6 +327,48 @@ class TestVerify:
         assert not report["ok"]
         assert report["fixtures"][0]["expect_failures"]
 
+    @pytest.mark.parametrize(
+        "expect",
+        [
+            {"global_conditions": [{"level": 1}]},
+            {"levels": {"1": []}},
+            {"flag_dims": 5},
+            {"summits": None},
+            {"genus": "1"},
+            {"genuss": 1},
+            [],
+        ],
+        ids=[
+            "condition-without-component",
+            "level-fields-list",
+            "flag-dims-scalar",
+            "summits-null",
+            "genus-string",
+            "unknown-key",
+            "expect-list",
+        ],
+    )
+    def test_malformed_expect_exits_2(self, tmp_path, capsys, expect):
+        # unchecked, each would escape as a traceback, read as a failed
+        # check, or pass with the expectation never compared
+        path = tmp_path / "triangle.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": ["a", "b", "c"],
+                    "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+                    "expect": expect,
+                }
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(path), "--skip-random"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_each_shipped_fixture_verifies(self, tmp_path, capsys):
         for name in fixtures.NAMES:
             path = write_fixture(tmp_path, name)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from resipoly import fixtures
 from resipoly.degeneration import (
     LaurentSubspace,
     WeightAssignment,
@@ -11,21 +13,39 @@ from resipoly.degeneration import (
     plucker_limit_oracle,
     residue_blocks,
 )
-from resipoly.graphs import LevelStructure
+from resipoly.graphs import LevelStructure, load_level_graph
 from resipoly.linalg import Subspace, det
-from resipoly.polytopes import adjoint, projection_rank_table, splitting
+from resipoly.polytopes import (
+    InvariantViolation,
+    adjoint,
+    projection_rank_table,
+    splitting,
+)
 from resipoly.randomized import (
     random_coarsening,
     random_level_structure,
     random_multigraph,
 )
 from resipoly.residues import residue_space
+from resipoly.verify import _fixture_degenerations
 
-from conftest import random_subspace
+from conftest import random_subspace, reference_plucker_oracle
 
 
 def laurent_for(space, weights):
     return LaurentSubspace(space, weights)
+
+
+def residue_laurent(graph, fine, coarse):
+    """The coarse residue space weighted toward the fine partition."""
+    assignment = WeightAssignment.from_levels(fine)
+    return LaurentSubspace.for_residues(residue_space(graph, coarse), graph, assignment)
+
+
+def assert_three_limits_agree(laurent):
+    limit = plucker_limit_oracle(laurent)
+    assert limit == reference_plucker_oracle(laurent)
+    assert limit == initial_space_limit(laurent)
 
 
 def weights_follow_levels(assignment, levels):
@@ -178,11 +198,67 @@ class TestPluckerOracle:
             laurent = laurent_for(w, weights)
             assert plucker_limit_oracle(laurent) == initial_space_limit(laurent)
 
+    def test_matches_reference_on_residue_triples(self):
+        rng = random.Random(57)
+        for _ in range(300):
+            graph = random_multigraph(rng, max_vertices=5, max_edges=7)
+            fine = random_level_structure(rng, graph)
+            coarse = random_coarsening(rng, fine)
+            assert_three_limits_agree(residue_laurent(graph, fine, coarse))
+
+    def test_matches_reference_on_tied_weights(self):
+        # weights drawn from two or three values, so that many columns tie
+        # and the greedy anchor is one of several of largest weight
+        rng = random.Random(58)
+        for _ in range(300):
+            ambient = rng.randint(1, 8)
+            values = rng.sample(range(-2, 4), rng.randint(2, 3))
+            weights = tuple(rng.choice(values) for _ in range(ambient))
+            assert_three_limits_agree(laurent_for(random_subspace(rng, ambient), weights))
+
+    @pytest.mark.parametrize("name", ["fig1", "k4"])
+    def test_matches_reference_on_fixture_pairs(self, name):
+        graph, levels = load_level_graph(fixtures.document(name))
+        for fine, coarse in _fixture_degenerations(graph, levels):
+            assert_three_limits_agree(residue_laurent(graph, fine, coarse))
+
+    def test_minors_next_to_the_anchor_only(self, fig1, monkeypatch):
+        # fig1's one-level space: dim 3 in Q^14.  Under constant weights
+        # every column ties, so the decoding takes the anchor minor and the
+        # 3 * 11 minors one column away from it, not all C(14, 3) = 364;
+        # under distinct weights none ties, and the anchor minor is all.
+        import resipoly.degeneration
+
+        calls = []
+        original = resipoly.degeneration.det
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        graph, _, _ = fig1
+        space = residue_space(graph, LevelStructure.trivial(graph.vertices))
+        assert (space.dim, space.ambient_dim) == (3, 14)
+        monkeypatch.setattr(resipoly.degeneration, "det", counted)
+        for weights, most in (((0,) * 14, 3 * 11 + 1), (tuple(range(14)), 1)):
+            laurent = laurent_for(space, weights)
+            calls.clear()
+            limit = plucker_limit_oracle(laurent)
+            assert 0 < len(calls) <= most
+            assert limit == reference_plucker_oracle(laurent)
+
+    def test_zero_anchor_minor_is_an_invariant_violation(self, monkeypatch):
+        import resipoly.degeneration
+
+        monkeypatch.setattr(resipoly.degeneration, "det", lambda rows: Fraction(0))
+        laurent = laurent_for(Subspace(2, [[1, 1]]), (0, 1))
+        with pytest.raises(InvariantViolation, match="anchor minor"):
+            plucker_limit_oracle(laurent)
+
     def test_basis_is_cleared_once(self, fig1, monkeypatch):
-        # fig1's one-level space: dim 3 in Q^14, so C(14, 3) = 364 minors;
-        # converting entries once per minor would cost thousands of calls.
-        # The basis is held as int rows and the limit is decoded as int
-        # rows, so the oracle converts nothing at all.
+        # fig1's one-level space: dim 3 in Q^14.  The basis is held as int
+        # rows and the limit is decoded as int rows, so the oracle converts
+        # nothing at all.
         import resipoly.linalg
 
         calls = []
@@ -203,11 +279,12 @@ class TestPluckerOracle:
         assert calls == ["1/2", 0]
 
     def test_size_bound(self):
+        # C(30, 10), about 3 * 10^7 exterior coordinates, is over the bound
         rows = [[0] * i + [1] + [0] * (29 - i) for i in range(10)]
         w = Subspace(30, rows)
         laurent = laurent_for(w, tuple(range(30)))
-        with pytest.raises(ValueError):
-            plucker_limit_oracle(laurent, max_minors=10)
+        with pytest.raises(ValueError, match="exceed the bound"):
+            plucker_limit_oracle(laurent)
 
 
 class TestRealizationTables:
