@@ -12,7 +12,6 @@ over exact rationals and verifies the identities on concrete graphs.
 
 from .degeneration import (
     LaurentSubspace,
-    WeightAssignment,
     check_degeneration,
     flag_and_realization,
     initial_space_limit,
@@ -26,7 +25,6 @@ from .graphs import (
     LevelStructure,
     Multigraph,
     classify_arrows,
-    coarsenings,
     components_below,
     is_coarsening,
     load_level_graph,

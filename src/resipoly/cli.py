@@ -284,6 +284,17 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _positive_int(text):
+    """An argparse type: a decimal integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _add_common(parser, input_required=True, bounded=False):
     parser.add_argument("--input", required=input_required, help="graph document (JSON)")
     parser.add_argument(
@@ -292,7 +303,7 @@ def _add_common(parser, input_required=True, bounded=False):
     if bounded:
         parser.add_argument(
             "--max-vertices",
-            type=int,
+            type=_positive_int,
             default=12,
             metavar="N",
             help="size bound for table and enumeration commands",
@@ -328,7 +339,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="random suite seed")
     p.add_argument(
         "--random-cases",
-        type=int,
+        type=_positive_int,
         default=200,
         metavar="N",
         help="random graphs for the identity sweep (other suites scale off it)",

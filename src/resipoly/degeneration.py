@@ -37,7 +37,6 @@ from .residues import residue_space
 __all__ = [
     "DegenerationReport",
     "LaurentSubspace",
-    "WeightAssignment",
     "check_degeneration",
     "flag_and_realization",
     "initial_space_limit",
@@ -46,37 +45,6 @@ __all__ = [
 ]
 
 PLUCKER_MINOR_BOUND = 100_000
-
-
-class WeightAssignment:
-    """Integer weights on vertices.  Those built by :meth:`from_levels` are
-    constant on parts and strictly increasing with the level index."""
-
-    __slots__ = ("vertices", "weights")
-
-    def __init__(self, vertices, weights):
-        vertices = tuple(vertices)
-        weights = dict(weights)
-        if set(weights) != set(vertices):
-            raise ValueError("weights must cover exactly the vertex set")
-        self.vertices = vertices
-        self.weights = weights
-
-    @classmethod
-    def from_levels(cls, levels, rule=None):
-        """Weights from a level structure; the default rule is the level
-        index itself (any strictly increasing rule induces the same limit)."""
-        rule = rule or (lambda n: n)
-        values = [rule(n) for n in range(1, levels.r + 1)]
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError("weight rule must be strictly increasing")
-        return cls(
-            levels.vertices,
-            {v: values[levels.level_of(v) - 1] for v in levels.vertices},
-        )
-
-    def weight_of(self, v):
-        return self.weights[v]
 
 
 class LaurentSubspace:
@@ -92,11 +60,14 @@ class LaurentSubspace:
         self.coordinate_weights = coordinate_weights
 
     @classmethod
-    def for_residues(cls, space, graph, assignment):
-        """Arrow coordinates inherit the weight of their tail vertex."""
-        weights = tuple(
-            assignment.weight_of(arrow.tail) for arrow in graph.arrows
-        )
+    def for_residues(cls, space, graph, levels):
+        """Each arrow coordinate weighs the level of its tail, the block of
+        :func:`residue_blocks` it lies in.  Any weights strictly increasing
+        with the level induce the same limit."""
+        weights = [0] * graph.num_arrows
+        for n, block in residue_blocks(graph, levels).items():
+            for a in block:
+                weights[a] = n
         return cls(space, weights)
 
 
@@ -302,8 +273,7 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     coarse_space = residue_space(graph, coarse)
     fine_space = residue_space(graph, fine)
 
-    assignment = WeightAssignment.from_levels(fine)
-    laurent = LaurentSubspace.for_residues(coarse_space, graph, assignment)
+    laurent = LaurentSubspace.for_residues(coarse_space, graph, fine)
     limit = initial_space_limit(laurent)
 
     _, realization = flag_and_realization(

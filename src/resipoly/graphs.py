@@ -34,7 +34,6 @@ __all__ = [
     "Multigraph",
     "classify_arrows",
     "coarsened_levels",
-    "coarsenings",
     "components_below",
     "is_coarsening",
     "load_level_graph",
@@ -212,7 +211,7 @@ class LevelStructure:
     everything.
     """
 
-    __slots__ = ("vertices", "levels", "r", "parts", "masks", "_level_of")
+    __slots__ = ("vertices", "levels", "r", "parts", "masks")
 
     def __init__(self, vertices, levels):
         vertices = tuple(vertices)
@@ -235,7 +234,6 @@ class LevelStructure:
             masks[n - 1] |= 1 << i
         self.parts = tuple(tuple(p) for p in parts)
         self.masks = tuple(masks)
-        self._level_of = dict(zip(vertices, levels))
 
     @classmethod
     def from_map(cls, vertices, mapping):
@@ -275,16 +273,10 @@ class LevelStructure:
                 mapping[v] = n
         return cls.from_map(tuple(vertices), mapping)
 
-    def level_of(self, v):
-        return self._level_of[v]
-
     def part(self, n):
         if not 1 <= n <= self.r:
             raise GraphDocumentError(f"level {n} out of range 1..{self.r}")
         return self.parts[n - 1]
-
-    def key(self):
-        return self.levels
 
     @property
     def is_trivial(self):
@@ -315,12 +307,14 @@ class ArrowClassification(NamedTuple):
 
 def classify_arrows(graph, levels):
     """Sort every arrow by direction; loops are always horizontal."""
+    check_same_vertices(graph, levels)
+    index, level = graph.index, levels.levels
     upward = []
     downward = []
     vertical = []
     horizontal = []
     for i, (u, v) in enumerate(graph.edges):
-        lu, lv = levels.level_of(u), levels.level_of(v)
+        lu, lv = level[index[u]], level[index[v]]
         if lu == lv:
             horizontal.append(i)
             continue
@@ -363,12 +357,13 @@ def components_below(graph, levels, n):
 
 def is_coarsening(fine, coarse):
     """True when every part of `fine` sits inside a part of `coarse` and the
-    induced map on level indices is nondecreasing."""
-    if set(fine.vertices) != set(coarse.vertices):
-        raise GraphDocumentError("vertex sets differ")
+    induced map on level indices is nondecreasing.  Both must list the same
+    vertices in the same order."""
+    if fine.vertices != coarse.vertices:
+        raise GraphDocumentError("level structures do not list the same vertices in order")
     images = []
-    for part in fine.parts:
-        targets = {coarse.level_of(v) for v in part}
+    for mask in fine.masks:
+        targets = {coarse.levels[i] for i in bits(mask)}
         if len(targets) != 1:
             return False
         images.append(targets.pop())
@@ -417,13 +412,6 @@ def coarsened_levels(levels):
         for cut in gaps:
             relabel.append(relabel[-1] + cut)
         yield tuple(relabel[n] for n in levels.levels)
-
-
-def coarsenings(levels):
-    """All coarsenings of an ordered partition, each structure built
-    straight from its level tuple of :func:`coarsened_levels`."""
-    for coarse in coarsened_levels(levels):
-        yield LevelStructure(levels.vertices, coarse)
 
 
 def load_level_graph(document):

@@ -304,11 +304,10 @@ def chain_face(polytope, levels, orientation):
         if all(_point_value(q, pm) == bounds.values[pm] for pm in prefix_masks)
     )
 
-    r = levels.r
     if orientation == "upper":
-        weight = [r - levels.level_of(v) for v in polytope.ground]
+        weight = [levels.r - n for n in levels.levels]
     else:
-        weight = [levels.level_of(v) for v in polytope.ground]
+        weight = levels.levels
     scores = [sum(w * x for w, x in zip(weight, q)) for q in polytope.vertices]
     best = max(scores)
     argmax = tuple(i for i, s in enumerate(scores) if s == best)
@@ -384,7 +383,7 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
             failures.append(f"{pi!r}: no chain-face orientation matches")
         else:
             candidates &= feasible
-        entries[pi.key()] = (pi, face, table, chains)
+        entries[pi.levels] = (pi, face, table, chains)
     if candidates == set(ORIENTATIONS):
         orientation = "both"
         probe = "lower"

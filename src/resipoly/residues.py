@@ -29,9 +29,10 @@ each prefix V<=n, the summits, the counts and the four condition families.
 Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`, read
 from :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name
 tuples only where they are reported.  Every condition is a 0/1 row, so it
-is built once, as its labelled support: the int bitmask of the arrow
-indices where it is 1.  Indexes built with the rows let each component
-find its own rows without scanning the others.  The flag, the
+is built once, as its support (the int bitmask of the arrow indices where
+it is 1) and its positional owner; :meth:`LevelGraph.label` names a row
+only for a report.  Indexes built with the rows let each component find
+its own rows without scanning the others.  The flag, the
 per-component blocks and the relatedness predicates all read those
 supports; full-width 0/1 vectors are made from them only where a kernel or
 a rank needs them.
@@ -70,11 +71,12 @@ FAMILIES = ("downward", "local", "rosenlicht", "global")
 
 
 class Row(NamedTuple):
-    """One condition: its label, its support (an int bitmask whose bit a is
-    set when the row is 1 at arrow a), and what it belongs to (an arrow, a
-    vertex, an edge index, or a level with a special component below it)."""
+    """One condition: its support (an int bitmask whose bit a is set when
+    the row is 1 at arrow a) and what it belongs to, by position: the arrow
+    index of a downward row, the vertex index of a local row, the edge index
+    of a rosenlicht row, and (level, special component mask) of a global
+    row."""
 
-    label: str
     support: int
     owner: object
 
@@ -253,7 +255,8 @@ class LevelGraph:
 
     @cached_property
     def rows(self):
-        """Family -> its condition rows, in label order.
+        """Family -> its condition rows, ordered by owner (global rows by
+        level, then by the lowest vertex of their component).
 
         The local row of a vertex is the support of its non-downward arrows;
         vertices where that support is empty (irreducible summits and
@@ -269,23 +272,21 @@ class LevelGraph:
         through: local rows by vertex index, rosenlicht rows by the index of
         their edge's first vertex, global rows by (level, component mask)."""
         graph, cls = self.graph, self.classification
-        names, index = graph.names, graph.index
-        downward = tuple(Row(graph.arrows[a].label, 1 << a, a) for a in cls.downward)
+        downward = tuple(Row(1 << a, a) for a in cls.downward)
         keep = ~_mask(cls.downward)
         local = []
         local_at = [None] * len(graph.vertices)
-        for i, v in enumerate(graph.vertices):
-            support = graph.out_arrows[i] & keep
+        for i, arrows in enumerate(graph.out_arrows):
+            support = arrows & keep
             if support:
-                local_at[i] = row = Row(v, support, v)
+                local_at[i] = row = Row(support, i)
                 local.append(row)
         rosenlicht = []
         ros_at = [()] * len(graph.vertices)
         for e in cls.horizontal_edges:
-            u, v = graph.edges[e]
-            row = Row(f"e{e}:{u}-{v}", 3 << 2 * e, e)
+            row = Row(3 << 2 * e, e)
             rosenlicht.append(row)
-            ros_at[index[u]] += (row,)
+            ros_at[graph.index[graph.edges[e][0]]] += (row,)
         glob = []
         glob_at = {}
         for n, at in self.masks.items():
@@ -293,8 +294,7 @@ class LevelGraph:
                 continue
             out = graph.arrows_from(at.mask)
             for comp in at.special:
-                members = names(comp)
-                row = Row(f"{n}:{'+'.join(members)}", out & graph.arrows_into(comp), (n, members))
+                row = Row(out & graph.arrows_into(comp), (n, comp))
                 glob.append(row)
                 glob_at[n, comp] = row
         families = {
@@ -305,9 +305,25 @@ class LevelGraph:
         }
         return families, (local_at, ros_at, glob_at)
 
+    def label(self, family, row):
+        """The report label of a condition row of `family`: the arrow label
+        of a downward row, the vertex name of a local row, ``e{edge}:{u}-{v}``
+        of a rosenlicht row and ``{level}:{names joined by +}`` of a global
+        row."""
+        graph, owner = self.graph, row.owner
+        if family == "downward":
+            return graph.arrows[owner].label
+        if family == "local":
+            return graph.vertices[owner]
+        if family == "rosenlicht":
+            u, v = graph.edges[owner]
+            return f"e{owner}:{u}-{v}"
+        n, component = owner
+        return f"{n}:{'+'.join(graph.names(component))}"
+
     def _rows_within(self, mask):
         """The local rows of the vertices of `mask` and the rosenlicht rows of
-        the horizontal edges with both ends in it, in label order.
+        the horizontal edges with both ends in it, in owner order.
 
         `mask` must hold both ends of every horizontal edge with one end in
         it, as the level-n vertices of any component of V<=n do.
@@ -371,7 +387,10 @@ class LevelGraph:
         blocks = []
         for b in self.blocks:
             groups = (b.local, b.rosenlicht, b.glob)
-            labels = [tuple(row.label for row in group) for group in groups]
+            labels = [
+                tuple(self.label(family, row) for row in group)
+                for family, group in zip(FAMILIES[1:], groups)
+            ]
             # local supports are disjoint (one vertex each): the sum is the union
             block_dim = sum(_supports(b.local)).bit_count()
             codims = _cumulative_ranks([_supports(group) for group in groups], width)
@@ -513,7 +532,7 @@ class ResidueFlag:
 
 
 def build_constraints(graph, levels):
-    """Family -> its labelled condition rows (see :attr:`LevelGraph.rows`)."""
+    """Family -> its condition rows (see :attr:`LevelGraph.rows`)."""
     return LevelGraph(graph, levels).rows
 
 

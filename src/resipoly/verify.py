@@ -35,7 +35,7 @@ from .randomized import (
     random_multigraph,
     random_sti_collection,
 )
-from .residues import LevelGraph, LevelSummary, flag_identities
+from .residues import LevelGraph, LevelSummary, Row, flag_identities
 
 __all__ = ["VerifyConfig", "full_verification", "verify_document"]
 
@@ -91,10 +91,11 @@ def _is_list_of(value, check, length=None):
     )
 
 
-def _check_expect(expect):
-    """Reject an ``expect`` block with an unknown key or a JSON type that
-    :func:`_expect_failures` cannot compare, so that a malformed block is an
-    input error, never a failed check and never a silent pass."""
+def _check_expect(expect, graph):
+    """Reject an ``expect`` block with an unknown key, a JSON type that
+    :func:`_expect_failures` cannot compare or a component name that is not
+    a vertex of `graph`, so that a malformed block is an input error, never
+    a failed check and never a silent pass."""
     if not isinstance(expect, dict):
         raise GraphDocumentError("expect must be an object")
     unknown = sorted(set(expect) - _EXPECT_KEYS)
@@ -135,6 +136,9 @@ def _check_expect(expect):
                 "each expect global condition must hold exactly an integer level "
                 "and string lists component and arrows"
             )
+        for v in item["component"]:
+            if v not in graph.index:
+                raise GraphDocumentError(f"unknown vertex {v!r} in expect global condition")
 
 
 def _expect_failures(model, flag, report, expect, reference=None):
@@ -171,10 +175,11 @@ def _expect_failures(model, flag, report, expect, reference=None):
             for field_name, want_value in want.items():
                 check(f"level {key} {field_name}", got.get(field_name), want_value)
     if "global_conditions" in expect:
-        rows = {row.label: row.support for row in model.rows["global"]}
+        rows = {row.owner: row.support for row in model.rows["global"]}
         for item in expect["global_conditions"]:
-            label = f"{item['level']}:{'+'.join(item['component'])}"
-            support = rows.get(label)
+            owner = (item["level"], graph.mask_of(item["component"]))
+            label = model.label("global", Row(0, owner))
+            support = rows.get(owner)
             if support is None:
                 failures.append(f"global condition {label}: row not generated")
                 continue
@@ -232,7 +237,7 @@ def verify_document(name, document):
     """All applicable checks for one graph document; returns a JSON-ready dict."""
     graph, levels = load_level_graph(document)
     expect = document.get("expect", {})
-    _check_expect(expect)
+    _check_expect(expect, graph)
 
     model = LevelGraph(graph, levels)
     flag = model.flag()

@@ -7,9 +7,8 @@ from typing import NamedTuple
 import pytest
 
 from resipoly import fixtures
-from resipoly.graphs import GraphDocumentError, classify_arrows
+from resipoly.graphs import GraphDocumentError, LevelStructure, classify_arrows, coarsened_levels
 from resipoly.linalg import SetTheoreticReport, Subspace, det, to_fraction
-from resipoly.residues import Row
 
 
 @pytest.fixture(scope="session")
@@ -280,6 +279,13 @@ def arrow_tags(graph, classification):
     return tuple(tags[a] for a in range(graph.num_arrows))
 
 
+def coarsenings(levels):
+    """All coarsenings of an ordered partition, each structure built
+    straight from its level tuple of :func:`coarsened_levels`."""
+    for coarse in coarsened_levels(levels):
+        yield LevelStructure(levels.vertices, coarse)
+
+
 def summit_names(model):
     """A LevelGraph's (irreducible, reducible) summits as vertex-name tuples."""
     return tuple([model.graph.names(c) for c in masks] for masks in model._summit_masks)
@@ -513,6 +519,16 @@ def reference_support_checks(sup1, sup2):
 
 def _supports(rows):
     return tuple(row.support for row in rows)
+
+
+class Row(NamedTuple):
+    """One condition of the reference model: its label, its support as a
+    frozenset of arrow indices and its owner, with vertex sets as name
+    tuples."""
+
+    label: str
+    support: frozenset
+    owner: object
 
 
 class ReferenceBlock(NamedTuple):

@@ -225,6 +225,26 @@ class TestErrors:
         assert out == ""
         assert "bound 12" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seed", "1", "--random-cases", "-5"],
+            ["verify", "--random-cases", "0"],
+            ["verify", "--max-vertices", "0"],
+            ["faces", "--max-vertices", "-1"],
+        ],
+        ids=["random-cases-negative", "random-cases-zero", "verify-bound-zero", "faces-bound"],
+    )
+    def test_counts_must_be_positive(self, tmp_path, capsys, argv):
+        # a count below 1 would report checks that never ran as passed, or
+        # fail deep inside the sweep
+        if argv[0] != "verify":
+            argv = argv + ["--input", write_fixture(tmp_path, "k4")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "is not a positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["info", "dims", "basis", "degenerate"])
     def test_max_vertices_only_where_read(self, tmp_path, capsys, command):
         # only gamma, polytope, faces and verify have a size bound to set
@@ -337,6 +357,7 @@ class TestVerify:
             {"genus": "1"},
             {"genuss": 1},
             [],
+            {"global_conditions": [{"level": 1, "component": ["zz"], "arrows": []}]},
         ],
         ids=[
             "condition-without-component",
@@ -346,6 +367,7 @@ class TestVerify:
             "genus-string",
             "unknown-key",
             "expect-list",
+            "component-not-a-vertex",
         ],
     )
     def test_malformed_expect_exits_2(self, tmp_path, capsys, expect):
@@ -368,6 +390,28 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_global_condition_component_in_any_order(self, tmp_path, capsys):
+        # a component is a vertex set, so the reordered ones find their rows;
+        # a real mismatch reads as it did
+        def expect(doc):
+            doc["expect"]["global_conditions"] = [
+                {"level": 3, "component": ["u8", "u7"], "arrows": ["e8:u4>u7"]},
+                {
+                    "level": 3,
+                    "component": ["uc", "u6", "ub"],
+                    "arrows": ["e7:u4>uc", "e6:u3>uc", "e4:u2>ub"],
+                },
+                {"level": 3, "component": ["u9", "ua"], "arrows": ["e2:u1>u9"]},
+            ]
+
+        path = write_fixture(tmp_path, "fig2", expect)
+        code, out, _ = run_cli(capsys, "verify", "--input", path, "--skip-random")
+        assert code == 1
+        assert json.loads(out)["fixtures"][0]["expect_failures"] == [
+            "global condition 3:u9+ua: computed ['e2:u1>u9', 'e5:u3>ua'], "
+            "fixture expects ['e2:u1>u9']"
+        ]
 
     def test_each_shipped_fixture_verifies(self, tmp_path, capsys):
         for name in fixtures.NAMES:

@@ -6,7 +6,6 @@ import pytest
 from resipoly import fixtures
 from resipoly.degeneration import (
     LaurentSubspace,
-    WeightAssignment,
     check_degeneration,
     flag_and_realization,
     initial_space_limit,
@@ -29,7 +28,7 @@ from resipoly.randomized import (
 from resipoly.residues import residue_space
 from resipoly.verify import _fixture_degenerations
 
-from conftest import random_subspace, reference_plucker_oracle
+from conftest import arrows_with_tail, random_subspace, reference_plucker_oracle
 
 
 def laurent_for(space, weights):
@@ -38,8 +37,7 @@ def laurent_for(space, weights):
 
 def residue_laurent(graph, fine, coarse):
     """The coarse residue space weighted toward the fine partition."""
-    assignment = WeightAssignment.from_levels(fine)
-    return LaurentSubspace.for_residues(residue_space(graph, coarse), graph, assignment)
+    return LaurentSubspace.for_residues(residue_space(graph, coarse), graph, fine)
 
 
 def assert_three_limits_agree(laurent):
@@ -48,34 +46,24 @@ def assert_three_limits_agree(laurent):
     assert limit == initial_space_limit(laurent)
 
 
-def weights_follow_levels(assignment, levels):
-    """Whether a weight assignment is on the structure's vertices, constant
-    on its parts and strictly increasing across its levels, that is whether
-    it induces exactly that ordered partition."""
-    per_level = [{assignment.weight_of(v) for v in part} for part in levels.parts]
-    if assignment.vertices != levels.vertices or any(len(w) != 1 for w in per_level):
+def weights_follow_levels(graph, weights, levels):
+    """Whether arrow weights are constant on the arrows with tail in each
+    part and strictly increasing across the levels, that is whether they
+    induce exactly that ordered partition of the tails."""
+    tails = arrows_with_tail(graph)
+    per_level = [{weights[a] for v in part for a in tails[v]} for part in levels.parts]
+    if any(len(w) != 1 for w in per_level):
         return False
     values = [w.pop() for w in per_level]
     return all(a < b for a, b in zip(values, values[1:]))
 
 
-class TestWeightAssignment:
+class TestLaurentSubspace:
     def test_levels_recovered(self, fig1):
-        _, levels, _ = fig1
-        assignment = WeightAssignment.from_levels(levels)
-        assert weights_follow_levels(assignment, levels)
-
-    def test_custom_rule(self, fig1):
-        _, levels, _ = fig1
-        assignment = WeightAssignment.from_levels(levels, lambda n: 3 * n + 1)
-        assert weights_follow_levels(assignment, levels)
-        assert assignment.weight_of("u4") == 4
-        assert assignment.weight_of("u1") == 7
-
-    def test_non_increasing_rule_rejected(self, fig1):
-        _, levels, _ = fig1
-        with pytest.raises(ValueError):
-            WeightAssignment.from_levels(levels, lambda n: -n)
+        graph, levels, _ = fig1
+        laurent = LaurentSubspace.for_residues(residue_space(graph, levels), graph, levels)
+        assert len(laurent.coordinate_weights) == graph.num_arrows
+        assert weights_follow_levels(graph, laurent.coordinate_weights, levels)
 
 
 class TestFlagAndRealization:
@@ -133,8 +121,7 @@ class TestInitialSpaceLimit:
         graph, levels, _ = fig1
         trivial = LevelStructure.trivial(graph.vertices)
         cycle_space = residue_space(graph, trivial)
-        assignment = WeightAssignment.from_levels(levels)
-        laurent = LaurentSubspace.for_residues(cycle_space, graph, assignment)
+        laurent = LaurentSubspace.for_residues(cycle_space, graph, levels)
         assert initial_space_limit(laurent) == residue_space(graph, levels)
 
     def test_dimension_preserved(self):
@@ -152,9 +139,9 @@ class TestInitialSpaceLimit:
             fine = random_level_structure(rng, graph)
             coarse = random_coarsening(rng, fine)
             space = residue_space(graph, coarse)
-            for rule in (None, lambda n: 3 * n + 1):
-                assignment = WeightAssignment.from_levels(fine, rule)
-                laurent = LaurentSubspace.for_residues(space, graph, assignment)
+            by_level = LaurentSubspace.for_residues(space, graph, fine)
+            spread = LaurentSubspace(space, [3 * n + 1 for n in by_level.coordinate_weights])
+            for laurent in (by_level, spread):
                 assert initial_space_limit(laurent) == residue_space(graph, fine)
 
     def test_limit_equals_realization_on_arbitrary_subspaces(self):
@@ -313,8 +300,8 @@ class TestRealizationTables:
                 begin = cut
             levels = LevelStructure.from_parts(ground, part_lists)
             block_map = {n: [] for n in range(1, levels.r + 1)}
-            for i, name in enumerate(ground):
-                block_map[levels.level_of(name)].extend(blocks[i])
+            for i, n in enumerate(levels.levels):
+                block_map[n].extend(blocks[i])
             _, realization = flag_and_realization(w, levels, block_map)
             table = projection_rank_table(w, ground, blocks)
             realized_table = projection_rank_table(realization, ground, blocks)
@@ -375,7 +362,7 @@ class TestCheckDegeneration:
         graph, levels, _ = fig1
         flipped = LevelStructure.from_map(
             graph.vertices,
-            {v: -levels.level_of(v) for v in graph.vertices},
+            {v: -n for v, n in zip(graph.vertices, levels.levels)},
         )
         with pytest.raises(ValueError):
             check_degeneration(graph, levels, flipped)

@@ -10,7 +10,6 @@ from resipoly.graphs import (
     LevelStructure,
     Multigraph,
     classify_arrows,
-    coarsenings,
     components_below,
     is_coarsening,
     load_level_graph,
@@ -21,6 +20,7 @@ from resipoly.residues import LevelGraph
 
 from conftest import (
     arrow_tags,
+    coarsenings,
     genus_of_induced,
     induced_components,
     induced_edges,
@@ -231,7 +231,7 @@ class TestComponents:
             for n in range(1, levels.r + 1):
                 below, special = components_below(graph, levels, n)
                 covered = [v for comp in below for v in comp]
-                expected = [v for v in graph.vertices if levels.level_of(v) < n]
+                expected = [v for v, m in zip(graph.vertices, levels.levels) if m < n]
                 assert sorted(covered) == sorted(expected)
                 assert set(special) <= set(below)
 
@@ -342,6 +342,13 @@ class TestCoarsening:
                 LevelStructure(("a",), (1,)), LevelStructure(("b",), (1,))
             )
 
+    def test_reordered_vertices_rejected(self):
+        # the same ordered partition over a reordered vertex tuple: levels
+        # are read by position, so the order must match
+        fine = LevelStructure(("a", "b"), (1, 2))
+        with pytest.raises(GraphDocumentError):
+            is_coarsening(fine, LevelStructure(("b", "a"), (2, 1)))
+
     def test_poset_laws_on_small_ground(self):
         vertices = ("a", "b", "c")
         partitions = list(ordered_partitions(vertices))
@@ -358,9 +365,9 @@ class TestCoarsening:
         vertices = ("a", "b", "c", "d")
         partitions = list(ordered_partitions(vertices))
         for fine in partitions:
-            generated = {c.key() for c in coarsenings(fine)}
+            generated = {c.levels for c in coarsenings(fine)}
             direct = {
-                c.key() for c in partitions if is_coarsening(fine, c)
+                c.levels for c in partitions if is_coarsening(fine, c)
             }
             assert generated == direct
 
@@ -376,7 +383,7 @@ class TestEnumeration:
     def test_no_duplicates_up_to_six(self):
         for n in range(1, 7):
             vertices = tuple(f"x{i}" for i in range(n))
-            keys = [p.key() for p in ordered_partitions(vertices)]
+            keys = [p.levels for p in ordered_partitions(vertices)]
             assert len(keys) == len(set(keys)) == fubini(n)
 
     def test_bound_enforced(self):

@@ -18,7 +18,7 @@ from resipoly.polytopes import (
 )
 from resipoly.randomized import random_level_structure, random_multigraph
 
-from conftest import is_supermodular, range_value, value_of
+from conftest import coarsenings, is_supermodular, range_value, value_of
 
 
 def modular_from_point(ground, point):
@@ -211,8 +211,6 @@ class TestSplitting:
 
     def test_splitting_monotone_under_coarsening(self):
         rng = random.Random(45)
-        from resipoly.graphs import coarsenings
-
         for _ in range(20):
             graph = random_multigraph(rng, max_vertices=4)
             fine = random_level_structure(rng, graph)

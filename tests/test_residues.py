@@ -45,11 +45,20 @@ def arrow_labels(graph, support):
     return sorted(graph.arrows[a].label for a in bits(support))
 
 
+def labelled(model, family):
+    """Label -> support of each row of a family."""
+    return {model.label(family, row): row.support for row in model.rows[family]}
+
+
 class TestConstraints:
     def test_fig1_global_rows(self, fig1):
         graph, levels = fig1[0], fig1[1]
-        families = build_constraints(graph, levels)
-        rows = {row.label: row.support for row in families["global"]}
+        model = LevelGraph(graph, levels)
+        rows = labelled(model, "global")
+        assert [row.owner for row in model.rows["global"]] == [
+            (2, graph.mask_of(["u4"])),
+            (2, graph.mask_of(["u5"])),
+        ]
         assert set(rows) == {"2:u4", "2:u5"}
         assert arrow_labels(graph, rows["2:u5"]) == ["e2:u2>u5", "e3:u1>u5", "e4:u3>u5"]
         assert arrow_labels(graph, rows["2:u4"]) == ["e0:u1>u4", "e1:u2>u4"]
@@ -63,13 +72,14 @@ class TestConstraints:
 
     def test_loop_rows(self, loop1):
         graph, levels = loop1[0], loop1[1]
-        families = build_constraints(graph, levels)
-        (local,) = families["local"]
-        (ros,) = families["rosenlicht"]
-        assert local.label == "v"
+        model = LevelGraph(graph, levels)
+        (local,) = model.rows["local"]
+        (ros,) = model.rows["rosenlicht"]
+        assert (local.owner, ros.owner) == (0, 0)  # vertex 0, edge 0
+        assert model.label("local", local) == "v"
+        assert model.label("rosenlicht", ros) == "e0:v-v"
         assert graph.num_arrows == 2
         assert local.support == ros.support == 0b11
-        assert ros.label != local.label
 
     def test_downward_rows_are_unit_vectors(self, fig2):
         graph, levels = fig2[0], fig2[1]
@@ -83,8 +93,7 @@ class TestConstraints:
         graph, levels = load_level_graph(
             {"vertices": ["a", "b"], "edges": [["a", "a"]]}
         )
-        families = build_constraints(graph, levels)
-        assert [row.label for row in families["local"]] == ["a"]
+        assert list(labelled(LevelGraph(graph, levels), "local")) == ["a"]
 
     def test_fig1_full_system_rank(self, fig1):
         graph, levels = fig1[0], fig1[1]
@@ -187,7 +196,7 @@ class TestFlag:
             levels = random_level_structure(rng, graph)
             model = LevelGraph(graph, levels)
             cls = model.classification
-            local_rows = {row.label: row.support for row in model.rows["local"]}
+            local_rows = labelled(model, "local")
             _, reducible = summit_names(model)
             for comp in reducible:
                 seen += 1
@@ -284,9 +293,19 @@ class TestComponentRelations:
             assert check_component_relations(graph, levels) == []
 
 
-def _as_sets(rows):
-    """(label, arrow set, owner) of each row of the bitmask model."""
-    return [(row.label, frozenset(bits(row.support)), row.owner) for row in rows]
+def _as_sets(model, family, rows):
+    """(label, arrow set, owner) of each row of the bitmask model, with the
+    owner's vertices named as the reference model names them."""
+    graph = model.graph
+
+    def owner(row):
+        if family == "local":
+            return graph.vertices[row.owner]
+        if family == "global":
+            return row.owner[0], graph.names(row.owner[1])
+        return row.owner
+
+    return [(model.label(family, row), frozenset(bits(row.support)), owner(row)) for row in rows]
 
 
 def _reference_rows(rows):
@@ -317,7 +336,7 @@ class TestMaskModelAgainstReference:
                     assert components_below(graph, pi, n) == reference.components_below[n]
                 assert summit_names(model) == reference.summits
                 for family in FAMILIES:
-                    assert _as_sets(model.rows[family]) == _reference_rows(
+                    assert _as_sets(model, family, model.rows[family]) == _reference_rows(
                         reference.rows[family]
                     )
                 assert len(model.blocks) == len(reference.blocks)
@@ -327,8 +346,8 @@ class TestMaskModelAgainstReference:
                         want.component,
                         want.level_vertices,
                     )
-                    for group in ("local", "rosenlicht", "glob"):
-                        assert _as_sets(getattr(got, group)) == _reference_rows(
+                    for family, group in zip(FAMILIES[1:], ("local", "rosenlicht", "glob")):
+                        assert _as_sets(model, family, getattr(got, group)) == _reference_rows(
                             getattr(want, group)
                         )
                     pairs = (
