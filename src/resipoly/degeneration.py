@@ -7,9 +7,9 @@ dominate.  The limit is computed three independent ways:
 
 * ``flag_and_realization`` -- kernels along the prefix flag of the induced
   ordered partition, blockwise projections summed back up;
-* ``initial_space_limit``  -- iterated extraction of leading forms (the
-  restriction of a vector to the highest-weight coordinates in its
-  support), with elimination until the leading forms are independent;
+* ``initial_space_limit``  -- leading forms (the restriction of a vector to
+  the highest-weight coordinates in its support) of one integer echelon of
+  the basis rows, with the coordinates taken by weight descending;
 * ``plucker_limit_oracle`` -- maximal minors as Laurent monomials in t:
   the greedy maximum-weight basis of the columns anchors the limit, and the
   minors one column away from it decode it back to a basis.
@@ -20,7 +20,6 @@ Everything is algebraic; no small-t sampling happens anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .graphs import bits, check_same_vertices, is_coarsening
@@ -106,73 +105,40 @@ def flag_and_realization(space, levels, coordinate_blocks):
     return tuple(flag), realization
 
 
-def _leading_form(row, weights):
-    support = [j for j, x in enumerate(row) if x]
-    top = max(weights[j] for j in support)
-    return top, tuple(x if weights[j] == top else 0 for j, x in enumerate(row))
-
-
 def initial_space_limit(laurent):
     """Limit subspace via leading forms.
 
     Scaling sends a vector to the sum of t^(-w_j) times its coordinates, so
-    after dividing by the dominant power the surviving part is the
-    restriction to the maximal-weight coordinates of the support.  Leading
-    forms of distinct weights live on disjoint coordinate sets, so any
-    dependency happens within one weight; replacing one participating row
-    by the dependent combination strictly lowers its leading weight, and
-    the process terminates with as many independent leading forms as the
-    input dimension.
+    after dividing by the dominant power the surviving part is its leading
+    form: the restriction to the maximal-weight coordinates of its support.
+    The basis rows go into one integer echelon with the coordinates taken
+    by weight descending, index ascending.  Each echelon row's pivot is then
+    its highest-weight coordinate, and every later row vanishes at the
+    earlier pivots.  So leading forms of equal weight form a staircase, and
+    leading forms of different weights have disjoint supports: the echelon
+    gives as many independent leading forms as the input dimension, and
+    their span is the limit.
     """
     space = laurent.space
     weights = laurent.coordinate_weights
-    if space.dim == 0:
-        return space
     width = space.ambient_dim
-    rows = [list(row) for row in space.rows]
-    while True:
-        leads = [_leading_form(row, weights) for row in rows]
-        by_weight = {}
-        for idx, (top, _) in enumerate(leads):
-            by_weight.setdefault(top, []).append(idx)
-        replacement = None
-        for top in sorted(by_weight, reverse=True):
-            group = by_weight[top]
-            pivots = []  # (column, lead vector, multipliers over row indices)
-            for idx in group:
-                vec = list(leads[idx][1])
-                mult = {idx: Fraction(1)}
-                for col, pvec, pmult in pivots:
-                    f = vec[col]
-                    if f:
-                        vec = [a - f * b for a, b in zip(vec, pvec)]
-                        for k, c in pmult.items():
-                            mult[k] = mult.get(k, Fraction(0)) - f * c
-                lead_col = next((j for j, a in enumerate(vec) if a), None)
-                if lead_col is None:
-                    # dependent leading forms: the same combination of full
-                    # rows drops strictly below this weight
-                    new_row = [Fraction(0)] * width
-                    for k, c in mult.items():
-                        if c:
-                            new_row = [a + c * b for a, b in zip(new_row, rows[k])]
-                    if not any(new_row):
-                        raise InvariantViolation("basis rows were dependent")
-                    replacement = (idx, new_row)
-                    break
-                inv = Fraction(1) / vec[lead_col]
-                vec = [a * inv for a in vec]
-                mult = {k: c * inv for k, c in mult.items()}
-                pivots.append((lead_col, vec, mult))
-            if replacement:
-                break
-        if replacement is None:
-            limit = Subspace(width, [lead for _, lead in leads])
-            if limit.dim != space.dim:
-                raise InvariantViolation("limit changed the dimension")
-            return limit
-        idx, new_row = replacement
-        rows[idx] = new_row
+    order = sorted(range(width), key=lambda j: (-weights[j], j))
+    echelon = []
+    for row in space.rows:
+        if not _echelon_insert(echelon, [row[j] for j in order]):
+            raise InvariantViolation("basis rows were dependent")
+    leads = []
+    for pivot, row in echelon:
+        top = weights[order[pivot]]
+        lead = [0] * width
+        for j, x in zip(order, row):
+            if weights[j] == top:
+                lead[j] = x
+        leads.append(lead)
+    limit = Subspace(width, leads)
+    if limit.dim != space.dim:
+        raise InvariantViolation("limit changed the dimension")
+    return limit
 
 
 def plucker_limit_oracle(laurent):

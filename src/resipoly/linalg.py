@@ -345,7 +345,8 @@ def embed(space, ambient_dim, coords):
 
 
 class VectorCollection:
-    """Labeled vectors in Q^n with exactly computed supports."""
+    """Labeled vectors in Q^n with exactly computed supports, each an int
+    bitmask of the nonzero coordinates."""
 
     __slots__ = ("ambient_dim", "labels", "vectors", "supports")
 
@@ -361,9 +362,7 @@ class VectorCollection:
         self.ambient_dim = ambient_dim
         self.labels = tuple(labels)
         self.vectors = tuple(vectors)
-        self.supports = tuple(
-            frozenset(j for j, x in enumerate(v) if x) for v in self.vectors
-        )
+        self.supports = tuple(_mask(j for j, x in enumerate(v) if x) for v in vectors)
 
     def __len__(self):
         return len(self.vectors)
@@ -470,10 +469,7 @@ def set_theoretic_checks(collection_1, collection_2):
     """
     if collection_1.ambient_dim != collection_2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return support_checks(
-        tuple(_mask(s) for s in collection_1.supports),
-        tuple(_mask(s) for s in collection_2.supports),
-    )
+    return support_checks(collection_1.supports, collection_2.supports)
 
 
 def support_checks(sup1, sup2):

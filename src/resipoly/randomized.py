@@ -6,8 +6,6 @@ same graphs, partitions and vector collections, bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graphs import LevelStructure, Multigraph
 from .linalg import VectorCollection
 
@@ -57,7 +55,7 @@ def random_coarsening(rng, levels):
 
 def random_sti_collection(rng, ambient, max_vectors=4, max_support=3):
     """A set-theoretically independent collection: disjoint random supports
-    with nonzero rational entries."""
+    with nonzero integer entries."""
     coords = list(range(ambient))
     rng.shuffle(coords)
     count = rng.randint(1, max_vectors)
@@ -69,12 +67,12 @@ def random_sti_collection(rng, ambient, max_vectors=4, max_support=3):
         size = rng.randint(1, min(max_support, ambient - used))
         support = coords[used : used + size]
         used += size
-        vector = [Fraction(0)] * ambient
+        vector = [0] * ambient
         for c in support:
             value = 0
             while value == 0:
                 value = rng.randint(-3, 3)
-            vector[c] = Fraction(value)
+            vector[c] = value
         items.append((f"w{i}", vector))
     return VectorCollection(ambient, items)
 

@@ -310,6 +310,14 @@ def verify_document(name, document):
     return section
 
 
+def _listed(failures):
+    """The first 20 failures of a random section, plus their total when
+    the list was cut."""
+    if len(failures) > 20:
+        return {"failures": failures[:20], "failures_total": len(failures)}
+    return {"failures": failures}
+
+
 def _random_flag_sweep(config):
     rng = random.Random(config.seed)
     failures = []
@@ -337,7 +345,7 @@ def _random_flag_sweep(config):
         "graphs": config.flag_cases,
         "partitions": partitions,
         "ok": not failures,
-        "failures": failures[:20],
+        **_listed(failures),
     }
 
 
@@ -357,7 +365,7 @@ def _random_face_sweep(config):
         "graphs": config.face_cases,
         "ok": not failures,
         "orientations": {k: tally[k] for k in sorted(tally)},
-        "failures": failures[:20],
+        **_listed(failures),
     }
 
 
@@ -381,7 +389,7 @@ def _random_degenerations(config):
         "cases": config.degeneration_cases,
         "oracle_cases": oracle_cases,
         "ok": not failures,
-        "failures": failures[:20],
+        **_listed(failures),
     }
 
 
@@ -418,7 +426,7 @@ def _random_collections(config):
         "unrelated_cases": unrelated_cases,
         "properly_unrelated_cases": properly_unrelated_cases,
         "ok": not failures,
-        "failures": failures[:20],
+        **_listed(failures),
     }
 
 

@@ -9,6 +9,7 @@ import pytest
 from resipoly import fixtures
 from resipoly.graphs import GraphDocumentError, LevelStructure, classify_arrows, coarsened_levels
 from resipoly.linalg import SetTheoreticReport, Subspace, det, to_fraction
+from resipoly.polytopes import InvariantViolation
 
 
 @pytest.fixture(scope="session")
@@ -158,6 +159,74 @@ def reference_plucker_oracle(laurent):
             row[j] = sign * plucker(cols)
         rows.append(row)
     return Subspace(ambient, rows)
+
+
+def _leading_form(row, weights):
+    support = [j for j, x in enumerate(row) if x]
+    top = max(weights[j] for j in support)
+    return top, tuple(x if weights[j] == top else 0 for j, x in enumerate(row))
+
+
+def reference_initial_space_limit(laurent):
+    """Limit subspace of a ``LaurentSubspace`` via leading forms, by plain
+    rational elimination, independent of the package's weight-ordered
+    integer echelon.
+
+    Leading forms of distinct weights live on disjoint coordinate sets, so
+    any dependency happens within one weight; replacing one participating
+    row by the dependent combination strictly lowers its leading weight, and
+    the process terminates with as many independent leading forms as the
+    input dimension.
+    """
+    space = laurent.space
+    weights = laurent.coordinate_weights
+    if space.dim == 0:
+        return space
+    width = space.ambient_dim
+    rows = [list(row) for row in space.rows]
+    while True:
+        leads = [_leading_form(row, weights) for row in rows]
+        by_weight = {}
+        for idx, (top, _) in enumerate(leads):
+            by_weight.setdefault(top, []).append(idx)
+        replacement = None
+        for top in sorted(by_weight, reverse=True):
+            group = by_weight[top]
+            pivots = []  # (column, lead vector, multipliers over row indices)
+            for idx in group:
+                vec = list(leads[idx][1])
+                mult = {idx: Fraction(1)}
+                for col, pvec, pmult in pivots:
+                    f = vec[col]
+                    if f:
+                        vec = [a - f * b for a, b in zip(vec, pvec)]
+                        for k, c in pmult.items():
+                            mult[k] = mult.get(k, Fraction(0)) - f * c
+                lead_col = next((j for j, a in enumerate(vec) if a), None)
+                if lead_col is None:
+                    # dependent leading forms: the same combination of full
+                    # rows drops strictly below this weight
+                    new_row = [Fraction(0)] * width
+                    for k, c in mult.items():
+                        if c:
+                            new_row = [a + c * b for a, b in zip(new_row, rows[k])]
+                    if not any(new_row):
+                        raise InvariantViolation("basis rows were dependent")
+                    replacement = (idx, new_row)
+                    break
+                inv = Fraction(1) / vec[lead_col]
+                vec = [a * inv for a in vec]
+                mult = {k: c * inv for k, c in mult.items()}
+                pivots.append((lead_col, vec, mult))
+            if replacement:
+                break
+        if replacement is None:
+            limit = Subspace(width, [lead for _, lead in leads])
+            if limit.dim != space.dim:
+                raise InvariantViolation("limit changed the dimension")
+            return limit
+        idx, new_row = replacement
+        rows[idx] = new_row
 
 
 # Helpers that only the tests use.

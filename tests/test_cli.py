@@ -452,6 +452,31 @@ class TestVerify:
         assert report["random"]["flag_sweep"]["ok"]
         assert report["random"]["collections"]["cases"] == 40
 
+    def test_failure_total_when_the_list_is_cut(self, capsys, tmp_path, monkeypatch):
+        # every partition of the flag sweep fails one identity: the section
+        # lists 20 failures and reports how many there were in all
+        import resipoly.verify
+        from resipoly.residues import IdentityCheck
+
+        monkeypatch.setattr(
+            resipoly.verify,
+            "flag_identities",
+            lambda counts, dims: [IdentityCheck("residue dimension", 1, 0)],
+        )
+        path = write_fixture(tmp_path, "loop1")
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", path, "--seed", "7", "--random-cases", "8"
+        )
+        assert code == 1
+        random_sections = json.loads(out)["random"]
+        sweep = random_sections["flag_sweep"]
+        assert sweep["partitions"] > 20
+        assert len(sweep["failures"]) == 20
+        assert sweep["failures_total"] == sweep["partitions"]
+        for name in ("face_sweep", "degenerations", "collections"):
+            assert random_sections[name]["ok"]
+            assert "failures_total" not in random_sections[name]
+
     def test_determinism_across_processes(self, tmp_path):
         # separate processes get different hash seeds; output must not care
         cmd = [

@@ -28,7 +28,12 @@ from resipoly.randomized import (
 from resipoly.residues import residue_space
 from resipoly.verify import _fixture_degenerations
 
-from conftest import arrows_with_tail, random_subspace, reference_plucker_oracle
+from conftest import (
+    arrows_with_tail,
+    random_subspace,
+    reference_initial_space_limit,
+    reference_plucker_oracle,
+)
 
 
 def laurent_for(space, weights):
@@ -44,6 +49,17 @@ def assert_three_limits_agree(laurent):
     limit = plucker_limit_oracle(laurent)
     assert limit == reference_plucker_oracle(laurent)
     assert limit == initial_space_limit(laurent)
+    assert limit == reference_initial_space_limit(laurent)
+
+
+def residue_triples():
+    """300 seeded coarse residue spaces weighted toward a finer partition."""
+    rng = random.Random(57)
+    for _ in range(300):
+        graph = random_multigraph(rng, max_vertices=5, max_edges=7)
+        fine = random_level_structure(rng, graph)
+        coarse = random_coarsening(rng, fine)
+        yield residue_laurent(graph, fine, coarse)
 
 
 def weights_follow_levels(graph, weights, levels):
@@ -166,6 +182,51 @@ class TestInitialSpaceLimit:
             limit = initial_space_limit(LaurentSubspace(w, weights))
             assert limit == realization
 
+    def test_matches_reference(self):
+        # 40 subspaces of each dimension 0..n of Q^n, n = 1..9, with sparse
+        # entries and weights in -3..3, at least two of them tied
+        rng = random.Random(59)
+        cases = 0
+        for ambient in range(1, 10):
+            for dim in range(ambient + 1):
+                for _ in range(40):
+                    space = Subspace(ambient)
+                    while space.dim != dim:
+                        rows = [
+                            [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(ambient)]
+                            for _ in range(dim)
+                        ]
+                        space = Subspace(ambient, rows)
+                    weights = [rng.randint(-3, 3) for _ in range(ambient)]
+                    if ambient > 1:
+                        i, j = rng.sample(range(ambient), 2)
+                        weights[j] = weights[i]
+                    laurent = laurent_for(space, weights)
+                    assert initial_space_limit(laurent) == reference_initial_space_limit(laurent)
+                    cases += 1
+        for laurent in residue_triples():
+            assert initial_space_limit(laurent) == reference_initial_space_limit(laurent)
+        assert cases == 40 * sum(range(2, 11))
+
+    def test_limit_stays_integral(self, monkeypatch):
+        # the leading forms (0,0,1,0) and (0,0,2,0) of the basis are
+        # dependent; the limit is still found on ints alone
+        import resipoly.linalg
+
+        calls = []
+        original = resipoly.linalg.to_fraction
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        laurent = laurent_for(Subspace(4, [[1, 0, 1, 0], [0, 1, 2, 0]]), (0, 0, 1, 0))
+        monkeypatch.setattr(resipoly.linalg, "to_fraction", counted)
+        limit = initial_space_limit(laurent)
+        assert calls == []
+        assert limit.rows == ((2, -1, 0, 0), (0, 0, 1, 0))
+        assert all(type(x) is int for row in limit.rows for x in row)
+
 
 class TestPluckerOracle:
     def test_constant_weights(self):
@@ -186,12 +247,8 @@ class TestPluckerOracle:
             assert plucker_limit_oracle(laurent) == initial_space_limit(laurent)
 
     def test_matches_reference_on_residue_triples(self):
-        rng = random.Random(57)
-        for _ in range(300):
-            graph = random_multigraph(rng, max_vertices=5, max_edges=7)
-            fine = random_level_structure(rng, graph)
-            coarse = random_coarsening(rng, fine)
-            assert_three_limits_agree(residue_laurent(graph, fine, coarse))
+        for laurent in residue_triples():
+            assert_three_limits_agree(laurent)
 
     def test_matches_reference_on_tied_weights(self):
         # weights drawn from two or three values, so that many columns tie

@@ -249,7 +249,11 @@ class TestDet:
                 assert det(swapped) == -det(m)
 
 
-def brute_force_relatedness(sup1, sup2):
+def brute_force_relatedness(vectors1, vectors2):
+    sup1, sup2 = (
+        [frozenset(j for j, x in enumerate(v) if x) for v in vectors]
+        for vectors in (vectors1, vectors2)
+    )
     related = False
     properly = True
     for r in range(1, len(sup1) + 1):
@@ -328,7 +332,7 @@ class TestSetTheoreticChecks:
             c1 = random_sti_collection(rng, ambient, max_vectors=3, max_support=3)
             c2 = random_sti_collection(rng, ambient, max_vectors=3, max_support=3)
             report = set_theoretic_checks(c1, c2)
-            related, properly = brute_force_relatedness(c1.supports, c2.supports)
+            related, properly = brute_force_relatedness(c1.vectors, c2.vectors)
             assert report.related == related
             assert report.properly_unrelated == properly
         # collections that need not be set-independent: overlapping and
@@ -348,7 +352,7 @@ class TestSetTheoreticChecks:
             )
             report = set_theoretic_checks(c1, c2)
             seen_dependent += not (report.sti_1 and report.sti_2)
-            related, properly = brute_force_relatedness(c1.supports, c2.supports)
+            related, properly = brute_force_relatedness(c1.vectors, c2.vectors)
             assert report.related == related
             assert report.properly_unrelated == properly
         assert seen_dependent > 100
