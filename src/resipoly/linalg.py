@@ -344,9 +344,19 @@ def embed(space, ambient_dim, coords):
     return Subspace(ambient_dim, rows)
 
 
+def _exact(value):
+    """An exact entry as an int when it is integral, else as a Fraction;
+    floats and booleans are rejected by :func:`to_fraction`."""
+    if type(value) is int:
+        return value
+    q = to_fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 class VectorCollection:
     """Labeled vectors in Q^n with exactly computed supports, each an int
-    bitmask of the nonzero coordinates."""
+    bitmask of the nonzero coordinates.  An integral entry is stored as an
+    int, any other as a Fraction."""
 
     __slots__ = ("ambient_dim", "labels", "vectors", "supports")
 
@@ -354,7 +364,7 @@ class VectorCollection:
         labels = []
         vectors = []
         for label, coords in items:
-            v = tuple(to_fraction(x) for x in coords)
+            v = tuple(map(_exact, coords))
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
             labels.append(label)

@@ -3,23 +3,28 @@
 Set functions on a ground set of up to a dozen or so elements are stored
 densely, indexed by subset bitmask in the ground order.  Base polytopes are
 represented by their exact vertex sets: every vertex of the base polytope of
-a submodular function comes from the greedy rule over some vertex ordering,
-so enumerating permutations and deduplicating is a complete V-description.
-The subset table itself is the H-description.  The greedy vertices of an
-integer table, such as every projection table, are integer points.
+a submodular function is the greedy point of some maximal chain of subsets
+(Edmonds), and the greedy point is built one prefix at a time, so a
+depth-first walk over prefix masks that never expands a (prefix, partial
+point) state twice is a complete V-description.  The subset table itself is
+the H-description.  The greedy vertices of an integer table, such as every
+projection table, are integer points.
 
 The projection table of a subspace W of a coordinate-blocked space assigns
 to each subset I of blocks the dimension of the projection of W onto the
-coordinates of I.  It is submodular, nonnegative and nondecreasing; applied
-to the residue space of a level graph (blocks = arrows grouped by tail
-vertex) it is the function whose base polytope this module studies.
+coordinates of I, which is the rank of the basis columns at those
+coordinates.  A depth-first walk over the subsets extends one column
+echelon by one block per step.  The table is submodular, nonnegative and
+nondecreasing; applied to the residue space of a level graph (blocks =
+arrows grouped by tail vertex) it is the function whose base polytope this
+module studies.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import or_
+from operator import ge, gt, or_, sub
 
 from .graphs import LevelStructure, bits, coarsened_levels, ordered_partitions
 from .linalg import _echelon_insert
@@ -55,6 +60,33 @@ class InvariantViolation(AssertionError):
     """
 
 
+def _halves(seq, step):
+    """Aligned slice pairs ``(lower, upper)`` of ``seq`` along one index
+    bit, ``step`` being the bit's value: between them they pair ``seq[m]``
+    with ``seq[m + step]`` over every index m with that bit clear.  The
+    pairs are contiguous blocks or strided slices, whichever are fewer;
+    ``len(seq)`` is a power of two."""
+    width = 2 * step
+    if step <= len(seq) // width:
+        return [(seq[r::width], seq[r + step :: width]) for r in range(step)]
+    return [(seq[lo : lo + step], seq[lo + step : lo + width]) for lo in range(0, len(seq), width)]
+
+
+def _marginals(values, step):
+    """The rises ``values[m + step] - values[m]`` over the masks m without
+    the bit ``step``, listed by m with that bit deleted."""
+    width = 2 * step
+    if step <= len(values) // width:
+        out = [0] * (len(values) // 2)
+        for r in range(step):
+            out[r::step] = map(sub, values[r + step :: width], values[r::width])
+        return out
+    out = []
+    for lo in range(0, len(values), width):
+        out += map(sub, values[lo + step : lo + width], values[lo : lo + step])
+    return out
+
+
 class SetFunction:
     """A function on subsets of a ground set, stored densely by bitmask."""
 
@@ -84,30 +116,30 @@ class SetFunction:
 
     def is_submodular(self):
         """Checked through diminishing marginal returns, which is equivalent
-        to the pairwise subset inequalities."""
+        to the pairwise subset inequalities.
+
+        For each element i the marginals f(S + i) - f(S) over the S without
+        i must not increase when an element j > i joins S; the pairs with
+        j < i are the same inequalities read the other way round.  Each
+        comparison runs over whole slices of the table.
+        """
         if not self.is_zero_at_empty():
             return False
         n = self.n
-        for mask in range(1 << n):
-            outside = [i for i in range(n) if not mask >> i & 1]
-            for x in range(len(outside)):
-                a = 1 << outside[x]
-                for y in range(x + 1, len(outside)):
-                    b = 1 << outside[y]
-                    if (
-                        self.values[mask | a] + self.values[mask | b]
-                        < self.values[mask | a | b] + self.values[mask]
-                    ):
+        for i in range(n):
+            marginals = _marginals(self.values, 1 << i)
+            # element j > i is bit j - 1 of the index of `marginals`
+            for t in range(i, n - 1):
+                for lower, upper in _halves(marginals, 1 << t):
+                    if not all(map(ge, lower, upper)):
                         return False
         return True
 
     def is_nondecreasing(self):
-        n = self.n
         return all(
-            self.values[mask | (1 << i)] >= self.values[mask]
-            for mask in range(1 << n)
-            for i in range(n)
-            if not mask >> i & 1
+            all(map(ge, upper, lower))
+            for i in range(self.n)
+            for lower, upper in _halves(self.values, 1 << i)
         )
 
     def is_nonnegative(self):
@@ -141,9 +173,13 @@ def projection_rank_table(space, ground, blocks):
     """Per-subset dimensions of coordinate projections of a subspace.
 
     ``blocks[i]`` lists the coordinates belonging to ground element i; the
-    blocks must be disjoint.  Each entry is the rank of the integer basis
-    rows sliced to the subset's columns.  The result is validated to be
-    submodular, nonnegative and nondecreasing.
+    blocks must be disjoint.  Entry I is the rank of the integer basis
+    columns at the coordinates of I's blocks.  The subsets are walked depth
+    first, each child adding one element above its parent's highest: the
+    child copies its parent's column echelon and inserts only the new
+    block's columns.  Once the echelon has ``space.dim`` rows, every subset
+    the walk would reach from there takes that value at once.  The result
+    is validated to be submodular, nonnegative and nondecreasing.
     """
     ground = tuple(ground)
     blocks = [tuple(b) for b in blocks]
@@ -152,14 +188,25 @@ def projection_rank_table(space, ground, blocks):
     flat = [c for b in blocks for c in b]
     if len(flat) != len(set(flat)):
         raise ValueError("coordinate blocks overlap")
-    basis = space.rows
-    values = []
-    for mask in range((1 << len(ground))):
-        cols = [c for i in range(len(ground)) if mask >> i & 1 for c in blocks[i]]
-        echelon = []
-        for row in basis:
-            _echelon_insert(echelon, [row[c] for c in cols])
-        values.append(len(echelon))
+    dim = space.dim
+    columns = list(zip(*space.rows))
+    n = len(ground)
+    values = [0] * (1 << n)
+
+    def walk(mask, start, echelon):
+        # `mask` holds only elements below `start`
+        if len(echelon) == dim:
+            values[mask :: 1 << start] = [dim] * (1 << (n - start))
+            return
+        values[mask] = len(echelon)
+        for j in range(start, n):
+            child = list(echelon)
+            for c in blocks[j]:
+                if _echelon_insert(child, columns[c]) and len(child) == dim:
+                    break
+            walk(mask | 1 << j, j + 1, child)
+
+    walk(0, 0, [])
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
         raise InvariantViolation("projection table violates its invariants")
@@ -252,34 +299,46 @@ def _point_value(point, mask):
 
 
 def base_polytope(table, max_vertices=POLYTOPE_BOUND):
-    """Vertices by the greedy rule over all vertex orderings, deduplicated.
+    """Vertices as the greedy points of all maximal chains, deduplicated.
+
+    The greedy point gives each element the rise of the table where the
+    chain adds it.  It is built one prefix at a time in a depth-first walk
+    over prefix masks, and a (prefix mask, partial point) state is expanded
+    once however many orderings reach it.
 
     Every returned point is verified against the full inequality table:
-    q(I) <= f(I) for all subsets with equality at the ground set.
+    q(I) <= f(I) for all subsets with equality at the ground set, reading
+    q(I) off a subset-sum table that doubles once per coordinate.
     """
     n = table.n
     if n > max_vertices:
         raise ValueError(f"{n} ground elements exceed the polytope bound {max_vertices}")
     if not table.is_submodular():
         raise InvariantViolation("base polytope of a non-submodular table")
-    seen = set()
-    for perm in itertools.permutations(range(n)):
-        point = [0] * n
-        mask = 0
-        previous = table.values[0]
-        for i in perm:
-            mask |= 1 << i
-            current = table.values[mask]
-            point[i] = current - previous
-            previous = current
-        seen.add(tuple(point))
-    vertices = sorted(seen)
+    values = table.values
     full = table.full_mask
+    root = (0, (0,) * n)
+    seen = {root}
+    stack = [root]
+    while stack:
+        mask, point = stack.pop()
+        base = values[mask]
+        rest = full ^ mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            state = (mask | low, point[:i] + (values[mask | low] - base,) + point[i + 1 :])
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    vertices = sorted(point for mask, point in seen if mask == full)
     for q in vertices:
-        for mask in range(full + 1):
-            value = _point_value(q, mask)
-            if value > table.values[mask] or (mask == full and value != table.values[mask]):
-                raise InvariantViolation("greedy point violates the subset inequalities")
+        sums = [0]
+        for x in q:
+            sums += [s + x for s in sums]
+        if any(map(gt, sums, values)) or sums[full] != values[full]:
+            raise InvariantViolation("greedy point violates the subset inequalities")
     return BasePolytope(table.ground, vertices, table)
 
 
@@ -404,7 +463,7 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
             if not set(face) <= set(coarser_face):
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: vertex set not contained")
-            if any(a > b for a, b in zip(table.values, coarser_table.values)):
+            if any(map(gt, table.values, coarser_table.values)):
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
 

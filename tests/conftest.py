@@ -8,8 +8,8 @@ import pytest
 
 from resipoly import fixtures
 from resipoly.graphs import GraphDocumentError, LevelStructure, classify_arrows, coarsened_levels
-from resipoly.linalg import SetTheoreticReport, Subspace, det, to_fraction
-from resipoly.polytopes import InvariantViolation
+from resipoly.linalg import SetTheoreticReport, Subspace, _echelon_insert, det, to_fraction
+from resipoly.polytopes import BasePolytope, InvariantViolation, SetFunction
 
 
 @pytest.fixture(scope="session")
@@ -227,6 +227,97 @@ def reference_initial_space_limit(laurent):
             return limit
         idx, new_row = replacement
         rows[idx] = new_row
+
+
+def reference_is_submodular(table):
+    """The pairwise subset inequalities one at a time, as diminishing
+    marginal returns: the previous body of `SetFunction.is_submodular`."""
+    if not table.is_zero_at_empty():
+        return False
+    n = table.n
+    for mask in range(1 << n):
+        outside = [i for i in range(n) if not mask >> i & 1]
+        for x in range(len(outside)):
+            a = 1 << outside[x]
+            for y in range(x + 1, len(outside)):
+                b = 1 << outside[y]
+                if (
+                    table.values[mask | a] + table.values[mask | b]
+                    < table.values[mask | a | b] + table.values[mask]
+                ):
+                    return False
+    return True
+
+
+def reference_is_nondecreasing(table):
+    """The previous body of `SetFunction.is_nondecreasing`."""
+    n = table.n
+    return all(
+        table.values[mask | (1 << i)] >= table.values[mask]
+        for mask in range(1 << n)
+        for i in range(n)
+        if not mask >> i & 1
+    )
+
+
+def reference_projection_rank_table(space, ground, blocks):
+    """One fresh row echelon per subset, of the basis rows sliced to the
+    subset's columns: the previous body of `projection_rank_table`."""
+    ground = tuple(ground)
+    blocks = [tuple(b) for b in blocks]
+    if len(blocks) != len(ground):
+        raise ValueError("one coordinate block per ground element required")
+    flat = [c for b in blocks for c in b]
+    if len(flat) != len(set(flat)):
+        raise ValueError("coordinate blocks overlap")
+    basis = space.rows
+    values = []
+    for mask in range((1 << len(ground))):
+        cols = [c for i in range(len(ground)) if mask >> i & 1 for c in blocks[i]]
+        echelon = []
+        for row in basis:
+            _echelon_insert(echelon, [row[c] for c in cols])
+        values.append(len(echelon))
+    table = SetFunction(ground, values)
+    if not (
+        reference_is_submodular(table)
+        and table.is_nonnegative()
+        and reference_is_nondecreasing(table)
+    ):
+        raise InvariantViolation("projection table violates its invariants")
+    return table
+
+
+def _point_value(point, mask):
+    return sum(x for i, x in enumerate(point) if mask >> i & 1)
+
+
+def reference_base_polytope(table):
+    """The greedy rule over all n! vertex orderings, deduplicated, with each
+    point re-checked one subset at a time: the previous body of
+    `base_polytope`."""
+    n = table.n
+    if not reference_is_submodular(table):
+        raise InvariantViolation("base polytope of a non-submodular table")
+    seen = set()
+    for perm in itertools.permutations(range(n)):
+        point = [0] * n
+        mask = 0
+        previous = table.values[0]
+        for i in perm:
+            mask |= 1 << i
+            current = table.values[mask]
+            point[i] = current - previous
+            previous = current
+        seen.add(tuple(point))
+    vertices = sorted(seen)
+    full = table.full_mask
+    for q in vertices:
+        for mask in range(full + 1):
+            value = _point_value(q, mask)
+            if value > table.values[mask] or (mask == full and value != table.values[mask]):
+                raise InvariantViolation("greedy point violates the subset inequalities")
+    return BasePolytope(table.ground, vertices, table)
 
 
 # Helpers that only the tests use.

@@ -277,6 +277,23 @@ class TestInvariantViolations:
         self.assert_exit_1(code, out, err)
         assert "projection table violates its invariants" in err
 
+    def test_greedy_point_recheck_exits_1(self, tmp_path, capsys, monkeypatch):
+        import resipoly.cli
+        from resipoly.polytopes import SetFunction
+
+        # 0 below the ground set and 1 at it, admitted as submodular: the
+        # greedy points are the unit vectors, each above f at its singleton
+        monkeypatch.setattr(SetFunction, "is_submodular", lambda self: True)
+        monkeypatch.setattr(
+            resipoly.cli,
+            "residue_projection_table",
+            lambda graph, levels, max_vertices: SetFunction(graph.vertices, [0] * 15 + [1]),
+        )
+        path = write_fixture(tmp_path, "k4")
+        code, out, err = run_cli(capsys, "polytope", "--input", path)
+        self.assert_exit_1(code, out, err)
+        assert err == "error: invariant violated: greedy point violates the subset inequalities\n"
+
     def test_degeneration_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
         import resipoly.degeneration
         from resipoly.linalg import Subspace

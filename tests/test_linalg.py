@@ -269,6 +269,40 @@ def brute_force_relatedness(vectors1, vectors2):
     return related, properly
 
 
+class TestVectorCollection:
+    def test_entries_stay_exact(self):
+        c = VectorCollection(
+            4, [("a", [1, 0, -3, 2]), ("b", ["1/2", "4/2", Fraction(6, 3), 0])]
+        )
+        assert c.vectors == ((1, 0, -3, 2), (Fraction(1, 2), 2, 2, 0))
+        assert [type(x) for x in c.vectors[0]] == [int] * 4
+        assert [type(x) for x in c.vectors[1]] == [Fraction, int, int, int]
+        assert c.supports == (0b1101, 0b0111)
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True])
+    def test_floats_and_booleans_rejected(self, entry):
+        with pytest.raises(TypeError):
+            VectorCollection(2, [("a", [entry, 1])])
+
+    def test_random_collections_make_no_fractions(self, monkeypatch):
+        # the generator draws int entries, so neither the collections nor
+        # the ranks of their unions convert a single entry
+        import resipoly.linalg
+        from resipoly.verify import VerifyConfig, _random_collections
+
+        calls = []
+        real = resipoly.linalg.to_fraction
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(resipoly.linalg, "to_fraction", counting)
+        report = _random_collections(VerifyConfig.scaled(11, 20))
+        assert report["ok"]
+        assert calls == []
+
+
 class TestSetTheoreticChecks:
     def test_disjoint_unit_vectors(self):
         c1 = VectorCollection(3, [("a", [1, 0, 0]), ("b", [0, 1, 0])])

@@ -1,10 +1,17 @@
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from resipoly.graphs import LevelStructure, load_level_graph, ordered_partitions
+from resipoly import fixtures, polytopes
+from resipoly.cli import main
+from resipoly.graphs import LevelStructure, bits, load_level_graph, ordered_partitions
+from resipoly.linalg import Subspace
 from resipoly.polytopes import (
+    BasePolytope,
     InvariantViolation,
     SetFunction,
     adjoint,
@@ -17,8 +24,19 @@ from resipoly.polytopes import (
     splitting,
 )
 from resipoly.randomized import random_level_structure, random_multigraph
+from resipoly.residues import residue_space
 
-from conftest import coarsenings, is_supermodular, range_value, value_of
+from conftest import (
+    coarsenings,
+    is_supermodular,
+    random_subspace,
+    range_value,
+    reference_base_polytope,
+    reference_is_nondecreasing,
+    reference_is_submodular,
+    reference_projection_rank_table,
+    value_of,
+)
 
 
 def modular_from_point(ground, point):
@@ -111,11 +129,7 @@ class TestBasePolytope:
         graph, levels, _ = k4
         poly = base_polytope(residue_projection_table(graph, levels))
         points = {tuple(int(x) for x in q) for q in poly.vertices}
-        expected = set()
-        import itertools
-
-        for perm in itertools.permutations((2, 1, 0, 0)):
-            expected.add(perm)
+        expected = set(itertools.permutations((2, 1, 0, 0)))
         assert points == expected
         assert len(poly.vertices) == 12
 
@@ -152,8 +166,6 @@ class TestBasePolytope:
     def test_every_vertex_has_a_tight_flag(self):
         # some ordering of the ground set makes every prefix inequality tight
         rng = random.Random(47)
-        import itertools
-
         for _ in range(12):
             graph = random_multigraph(rng, max_vertices=4)
             levels = random_level_structure(rng, graph)
@@ -292,8 +304,6 @@ class TestFaceSweep:
 
 class TestProjectionRankTable:
     def test_blocks_must_partition(self):
-        from resipoly.linalg import Subspace
-
         space = Subspace(4, [[1, 1, 0, 0]])
         with pytest.raises(ValueError):
             projection_rank_table(space, ("a", "b"), [(0, 1), (1, 2)])
@@ -304,3 +314,336 @@ class TestProjectionRankTable:
         assert table.values == (0, 0)
         poly = base_polytope(table)
         assert poly.vertices == ((Fraction(0),),)
+
+
+def coverage_values(rng, n, universe=6):
+    """A submodular, nondecreasing table: the weight of the union of one
+    random subset of a small weighted universe per ground element."""
+    weights = [rng.randint(1, 3) for _ in range(universe)]
+    covers = [rng.getrandbits(universe) for _ in range(n)]
+    values = []
+    for mask in range(1 << n):
+        union = 0
+        for i in range(n):
+            if mask >> i & 1:
+                union |= covers[i]
+        values.append(sum(w for k, w in enumerate(weights) if union >> k & 1))
+    return values
+
+
+def random_table_values(rng, n):
+    """Coverage tables, some shifted by a modular part, some with one entry
+    moved, some arbitrary: about half of them are not submodular."""
+    values = coverage_values(rng, n)
+    kind = rng.randrange(4)
+    if kind == 1:
+        point = [rng.randint(-3, 3) for _ in range(n)]
+        values = [v + sum(x for i, x in enumerate(point) if m >> i & 1) for m, v in enumerate(values)]
+    elif kind == 2:
+        values[rng.randrange(len(values))] += rng.choice((-2, -1, 1, 2))
+    elif kind == 3:
+        values = [0] + [rng.randint(-2, 5) for _ in range(len(values) - 1)]
+    return values
+
+
+def permutahedron_table(n):
+    """f(S) = n + (n - 1) + ... over the first |S| terms: its base polytope
+    is the permutahedron, whose n! vertices are the permutations of
+    (1, ..., n)."""
+    ground = tuple(f"x{i}" for i in range(n))
+    return SetFunction(
+        ground, [sum(n - k for k in range(bin(m).count("1"))) for m in range(1 << n)]
+    )
+
+
+class TestAgainstReferences:
+    """The slice predicates, the column-echelon walk and the prefix walk
+    against the per-inequality, per-subset and per-ordering bodies kept in
+    conftest, on seeded inputs."""
+
+    def test_projection_tables_of_level_graphs(self):
+        rng = random.Random(71)
+        sizes = set()
+        for _ in range(60):
+            graph = random_multigraph(rng, max_vertices=8, max_edges=12)
+            levels = random_level_structure(rng, graph)
+            space = residue_space(graph, levels)
+            blocks = [bits(arrows) for arrows in graph.out_arrows]
+            table = projection_rank_table(space, graph.vertices, blocks)
+            assert table == reference_projection_rank_table(space, graph.vertices, blocks)
+            sizes.add(len(graph.vertices))
+        assert 8 in sizes
+
+    def test_projection_tables_of_random_subspaces(self):
+        # blocks in shuffled coordinate order, some empty, some coordinates
+        # in no block; dimension 0 included
+        rng = random.Random(72)
+        dims = set()
+        for _ in range(300):
+            ambient = rng.randint(0, 9)
+            space = random_subspace(rng, ambient, max_dim=5)
+            n = rng.randint(0, 5)
+            blocks = [[] for _ in range(n)]
+            coords = list(range(ambient))
+            rng.shuffle(coords)
+            for c in coords:
+                owner = rng.randint(-1, n - 1)
+                if owner >= 0:
+                    blocks[owner].append(c)
+            ground = tuple(f"x{i}" for i in range(n))
+            table = projection_rank_table(space, ground, blocks)
+            assert table == reference_projection_rank_table(space, ground, blocks)
+            dims.add(space.dim)
+        assert 0 in dims and max(dims) >= 4
+
+    def test_zero_dimensional_space(self):
+        for n in range(4):
+            ground = tuple(f"x{i}" for i in range(n))
+            blocks = [[2 * i, 2 * i + 1] for i in range(n)]
+            table = projection_rank_table(Subspace(2 * n), ground, blocks)
+            assert table.values == (0,) * (1 << n)
+            assert table == reference_projection_rank_table(Subspace(2 * n), ground, blocks)
+            assert base_polytope(table).vertices == ((0,) * n,)
+
+    def test_predicates_on_random_tables(self):
+        rng = random.Random(73)
+        verdicts = {(a, b): 0 for a in (False, True) for b in (False, True)}
+        for _ in range(3000):
+            n = rng.randint(2, 6)  # smaller ground sets: test_smallest_ground_sets
+            table = SetFunction(tuple(f"x{i}" for i in range(n)), random_table_values(rng, n))
+            submodular = reference_is_submodular(table)
+            nondecreasing = reference_is_nondecreasing(table)
+            assert table.is_submodular() == submodular
+            assert table.is_nondecreasing() == nondecreasing
+            verdicts[submodular, nondecreasing] += 1
+        rejected = verdicts[False, False] + verdicts[False, True]
+        assert 3 * rejected >= 3000
+        assert min(verdicts.values()) >= 100
+
+    def test_nonzero_at_empty_is_not_submodular(self):
+        for values in ((1,), (1, 1), (-1, 0, 0, 0), (2, 2, 2, 2, 2, 2, 2, 2)):
+            n = len(values).bit_length() - 1
+            table = SetFunction(tuple(f"x{i}" for i in range(n)), values)
+            assert not table.is_submodular()
+            assert not reference_is_submodular(table)
+
+    def test_smallest_ground_sets(self):
+        for values in ((0,), (0, 0), (0, 3), (0, -2), (1, 0)):
+            n = len(values).bit_length() - 1
+            table = SetFunction(tuple(f"x{i}" for i in range(n)), values)
+            assert table.is_submodular() == reference_is_submodular(table)
+            assert table.is_nondecreasing() == reference_is_nondecreasing(table)
+            if reference_is_submodular(table):
+                assert base_polytope(table).vertices == reference_base_polytope(table).vertices
+        assert base_polytope(SetFunction((), (0,))).vertices == ((),)
+        assert base_polytope(SetFunction(("a",), (0, -2))).vertices == ((-2,),)
+
+    def test_base_polytopes_of_random_submodular_tables(self):
+        rng = random.Random(74)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(0, 6)
+            table = SetFunction(tuple(f"x{i}" for i in range(n)), random_table_values(rng, n))
+            if not reference_is_submodular(table):
+                with pytest.raises(InvariantViolation):
+                    base_polytope(table)
+                continue
+            assert base_polytope(table).vertices == reference_base_polytope(table).vertices
+            checked += 1
+
+    def test_base_polytopes_of_level_graph_tables(self):
+        rng = random.Random(75)
+        for _ in range(60):
+            graph = random_multigraph(rng, max_vertices=6, max_edges=9)
+            table = residue_projection_table(graph, random_level_structure(rng, graph))
+            assert base_polytope(table).vertices == reference_base_polytope(table).vertices
+
+    def test_modular_table_has_one_vertex(self):
+        point = (3, -1, 0, 2, 5)
+        table = modular_from_point(tuple("abcde"), point)
+        assert base_polytope(table).vertices == (point,)
+        assert reference_base_polytope(table).vertices == (point,)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_permutahedron_has_n_factorial_vertices(self, n):
+        table = permutahedron_table(n)
+        vertices = base_polytope(table).vertices
+        assert len(vertices) == len(set(vertices)) == math.factorial(n)
+        assert set(vertices) == set(itertools.permutations(range(1, n + 1)))
+        assert vertices == reference_base_polytope(table).vertices
+
+
+def k4_faces_payload(tmp_path, capsys):
+    """`resipoly faces` on the k4 fixture: exit code and parsed report."""
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(fixtures.document("k4")))
+    code = main(["faces", "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def misreport_partition(monkeypatch, graph, parts, table=None, vertices=None):
+    """Make the face sweep read a wrong table (``table(true table)``) or a
+    wrong vertex set (``vertices(true vertices)``) for the ordered partition
+    with these parts; every other partition, and the vertex set of the
+    wrong table, are computed as usual.  Returns that partition."""
+    target = LevelStructure.from_parts(graph.vertices, parts)
+    real_table = polytopes.residue_projection_table
+    real_polytope = polytopes.base_polytope
+    true_tables = {}  # id of the table handed to the sweep -> (it, true table)
+
+    def wrong_table(g, levels, *args, **kwargs):
+        true = real_table(g, levels, *args, **kwargs)
+        if levels.levels != target.levels:
+            return true
+        handed = table(true) if table else true
+        true_tables[id(handed)] = (handed, true)
+        return handed
+
+    def wrong_polytope(t, *args, **kwargs):
+        if id(t) not in true_tables:
+            return real_polytope(t, *args, **kwargs)
+        poly = real_polytope(true_tables[id(t)][1], *args, **kwargs)
+        points = vertices(poly.vertices) if vertices else poly.vertices
+        return BasePolytope(poly.ground, points, t)
+
+    monkeypatch.setattr(polytopes, "residue_projection_table", wrong_table)
+    monkeypatch.setattr(polytopes, "base_polytope", wrong_polytope)
+    return target
+
+
+class TestFaultInjection:
+    """Each check of the polytope layer fed one wrong object must fail, with
+    its own message; the face sweep reports ``ok`` false and `resipoly
+    faces` exits 1."""
+
+    def test_vertex_recheck_catches_an_exceeded_inequality(self, monkeypatch):
+        # the greedy points (1, 0) and (0, 1) exceed f({a}) = f({b}) = 0 by 1
+        monkeypatch.setattr(SetFunction, "is_submodular", lambda self: True)
+        with pytest.raises(InvariantViolation) as err:
+            base_polytope(SetFunction(("a", "b"), (0, 0, 0, 1)))
+        assert str(err.value) == "greedy point violates the subset inequalities"
+
+    def test_vertex_recheck_catches_a_missed_ground_equality(self, monkeypatch):
+        # f(empty) = 1: the greedy point (0, 0) meets every inequality but
+        # sums to 0, not to f(V) = 1
+        monkeypatch.setattr(SetFunction, "is_submodular", lambda self: True)
+        with pytest.raises(InvariantViolation) as err:
+            base_polytope(SetFunction(("a", "b"), (1, 1, 1, 1)))
+        assert str(err.value) == "greedy point violates the subset inequalities"
+
+    def test_chain_face_cross_check(self, k4):
+        # (3, 0, 0, 0) is not tight on the prefix {v1}, where f = 2, but it
+        # has the highest upper-orientation weight
+        graph, levels, _ = k4
+        poly = base_polytope(residue_projection_table(graph, levels))
+        wrong = BasePolytope(poly.ground, poly.vertices + ((3, 0, 0, 0),), poly.table)
+        pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
+        assert chain_face(wrong, pi, "lower") == chain_face(poly, pi, "lower")
+        with pytest.raises(InvariantViolation) as err:
+            chain_face(wrong, pi, "upper")
+        assert str(err.value) == "chain-tight vertices differ from the weight argmax"
+
+    def test_faces_exits_1_on_a_chain_face_mismatch(self, tmp_path, capsys, monkeypatch):
+        real = polytopes.base_polytope
+        built = []
+
+        def with_extra_point(table, *args, **kwargs):
+            poly = real(table, *args, **kwargs)
+            built.append(poly)
+            if len(built) > 1:
+                return poly
+            # the one-level polytope, which the chain faces are read from
+            return BasePolytope(poly.ground, poly.vertices + ((3, 0, 0, 0),), table)
+
+        monkeypatch.setattr(polytopes, "base_polytope", with_extra_point)
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(fixtures.document("k4")))
+        assert main(["faces", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invariant violated: chain-tight vertices differ from the weight argmax\n"
+        )
+
+    def test_vertex_outside_the_one_level_polytope(self, k4, tmp_path, capsys, monkeypatch):
+        graph = k4[0]
+        pi = misreport_partition(
+            monkeypatch, graph, [["v1"], ["v2", "v3", "v4"]],
+            vertices=lambda points: points + ((3, 0, 0, 0),),
+        )
+        failure = f"{pi!r}: vertex outside the one-level polytope"
+        report = check_polytope_faces(graph)
+        assert not report.containment_ok
+        assert not report.ok
+        assert failure in report.failures
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["containment_ok"] is False
+        assert failure in payload["failures"]
+
+    def test_unrealized_chain_face(self, k4, tmp_path, capsys, monkeypatch):
+        # the partition reports every one-level vertex, so its own chain face
+        # (the six vertices with q(v1) = 0) is realized by no partition
+        graph = k4[0]
+        every_vertex = base_polytope(
+            residue_projection_table(graph, LevelStructure.trivial(graph.vertices))
+        ).vertices
+        misreport_partition(
+            monkeypatch, graph, [["v1"], ["v2", "v3", "v4"]],
+            vertices=lambda points: every_vertex,
+        )
+        failure = "chain faces and realized faces differ"
+        report = check_polytope_faces(graph)
+        assert report.containment_ok and report.coarsening_ok
+        assert not report.cover_ok
+        assert not report.ok
+        assert failure in report.failures
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["cover_ok"] is False
+        assert failure in payload["failures"]
+
+    def test_vertex_set_not_contained_in_a_coarsening(self, k4, tmp_path, capsys, monkeypatch):
+        # the coarse partition keeps only its first vertex, (0, 0, 1, 2); the
+        # finer one's face also holds (0, 0, 2, 1)
+        graph = k4[0]
+        coarse = misreport_partition(
+            monkeypatch, graph, [["v1"], ["v2", "v3", "v4"]],
+            vertices=lambda points: points[:1],
+        )
+        fine = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2"], ["v3", "v4"]])
+        failure = f"{fine!r} -> {coarse!r}: vertex set not contained"
+        report = check_polytope_faces(graph)
+        assert report.containment_ok
+        assert not report.coarsening_ok
+        assert not report.ok
+        assert failure in report.failures
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["coarsening_ok"] is False
+        assert failure in payload["failures"]
+
+    def test_table_not_dominated_by_a_coarsening(self, k4, tmp_path, capsys, monkeypatch):
+        # one more at every nonempty subset keeps the table submodular, and
+        # its full-set value 4 exceeds the one-level table's 3; the vertex
+        # set stays that of the true table, so only domination can fail
+        graph = k4[0]
+        pi = misreport_partition(
+            monkeypatch, graph, [["v1"], ["v2", "v3", "v4"]],
+            table=lambda t: SetFunction(t.ground, [v + (m > 0) for m, v in enumerate(t.values)]),
+        )
+        trivial = LevelStructure.trivial(graph.vertices)
+        failure = f"{pi!r} -> {trivial!r}: table not dominated"
+        report = check_polytope_faces(graph)
+        assert report.containment_ok and report.chain_match_ok and report.cover_ok
+        assert not report.coarsening_ok
+        assert not report.ok
+        assert report.failures == (failure,)
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["coarsening_ok"] is False
+        assert payload["failures"] == [failure]
