@@ -92,18 +92,17 @@ def _emit_text(value, out, indent=0):
 
 def cmd_info(args):
     model = LevelGraph(*_load_input(args.input))
-    per_level = []
-    for n, comps in model.level_components.items():
-        below, special = model.components_below[n]
-        per_level.append(
-            {
-                "level": n,
-                "vertices": list(model.levels.part(n)),
-                "level_components": [list(c) for c in comps],
-                "components_below": [list(c) for c in below],
-                "special_below": [list(c) for c in special],
-            }
-        )
+    names = model.graph.names
+    per_level = [
+        {
+            "level": n,
+            "vertices": list(model.levels.part(n)),
+            "level_components": [list(names(c)) for c in at.components],
+            "components_below": [list(names(c)) for c in at.below],
+            "special_below": [list(names(c)) for c in at.special],
+        }
+        for n, at in model.masks.items()
+    ]
     report = {"counts": model.counts.as_dict(), "per_level": per_level}
     _emit(report, args.format)
     return EXIT_OK

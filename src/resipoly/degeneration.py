@@ -246,7 +246,7 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
         coarse_space, fine, residue_blocks(graph, fine)
     )
 
-    split = splitting(_tail_table(graph, coarse_space), fine, "submodular")
+    split = splitting(_tail_table(graph, coarse_space), fine)
     fine_table = _tail_table(graph, fine_space)
 
     oracle_matches = None

@@ -116,12 +116,11 @@ class Multigraph:
             pair = tuple(e)
             if len(pair) != 2:
                 raise GraphDocumentError(f"edge {e!r} is not a vertex pair")
-            u, v = pair
-            if u not in index:
-                raise GraphDocumentError(f"unknown vertex {u!r} in edge {e!r}")
-            if v not in index:
-                raise GraphDocumentError(f"unknown vertex {v!r} in edge {e!r}")
-            edge_list.append((u, v))
+            for w in pair:
+                # an array or object endpoint is no vertex name, and unhashable
+                if not isinstance(w, str) or w not in index:
+                    raise GraphDocumentError(f"unknown vertex {w!r} in edge {e!r}")
+            edge_list.append(pair)
         self.vertices = vertices
         self.edges = tuple(edge_list)
         self.index = index

@@ -18,6 +18,14 @@ echelon by one block per step.  The table is submodular, nonnegative and
 nondecreasing; applied to the residue space of a level graph (blocks =
 arrows grouped by tail vertex) it is the function whose base polytope this
 module studies.
+
+Chains run one way only: the prefix chain of an ordered partition, the
+unions of its levels up to each n.  Tightness against the adjoint
+f*(X) = f(V) - f(V \\ X) on that chain is tightness against f on the
+prefix chain of the reversed partition, because every vertex q has
+q(V) = f(V) (the dual f# of Fujishige, *Submodular Functions and
+Optimization*, 2nd ed., 2005).  So one chain face per partition serves
+both orientations, and the splitting needs no conjugation by the adjoint.
 """
 
 from __future__ import annotations
@@ -250,31 +258,31 @@ def contraction_table(graph, max_vertices=TABLE_BOUND):
     return SetFunction(graph.vertices, values)
 
 
-def splitting(table, levels, kind):
-    """Split a set function along the prefix chain of an ordered partition.
+def splitting(table, levels):
+    """Split a set function along an ordered partition.
 
-    For a supermodular function f the split is the sum over levels of
-    ``I -> f((I n F_n) u F_{n-1}) - f(F_{n-1})`` where F_n collects the
-    vertices of level at most n.  The submodular split conjugates by the
-    adjoint.  Splitting along the trivial partition is the identity, and
+    The split is the sum over levels of ``I -> f((I n L_n) u U_n) - f(U_n)``,
+    where L_n is level n and U_n collects the levels above it (U_r is
+    empty).  This is the submodular split: for any f it equals the adjoint
+    of the supermodular split of the adjoint along the prefix chain.
+    Splitting the projection table of a coarse residue space along a finer
+    partition gives the finer partition's table, which `check_degeneration`
+    checks.  Splitting along the trivial partition subtracts f(empty), and
     modular functions are fixed.
     """
-    if kind not in ("supermodular", "submodular"):
-        raise ValueError(f"unknown splitting kind {kind!r}")
     if tuple(levels.vertices) != table.ground:
         raise ValueError("ground set does not match the level structure")
-    if kind == "submodular":
-        return adjoint(splitting(adjoint(table), levels, "supermodular"))
-    prefix_masks = list(itertools.accumulate(levels.masks, or_))
-    values = []
-    for subset in range(1 << table.n):
-        total = 0
-        previous = 0
-        for pm in prefix_masks:
-            total += table.values[(subset & pm) | previous] - table.values[previous]
-            previous = pm
-        values.append(total)
-    return SetFunction(table.ground, values)
+    values = table.values
+    top_down = levels.masks[::-1]
+    # (level n, the union of the levels above it), top level first
+    steps = list(zip(top_down, itertools.accumulate(top_down, or_, initial=0)))
+    return SetFunction(
+        table.ground,
+        [
+            sum(values[(subset & mask) | up] - values[up] for mask, up in steps)
+            for subset in range(1 << table.n)
+        ],
+    )
 
 
 class BasePolytope:
@@ -342,31 +350,26 @@ def base_polytope(table, max_vertices=POLYTOPE_BOUND):
     return BasePolytope(table.ground, vertices, table)
 
 
-def chain_face(polytope, levels, orientation):
-    """Vertices tight on the prefix chain of an ordered partition.
+def chain_face(polytope, levels):
+    """Vertices tight on the prefix chain of an ordered partition: q(F_n) =
+    f(F_n) for every union F_n of the levels up to n.
 
-    ``upper`` takes tightness against the table itself, ``lower`` against
-    its adjoint (equivalently, tightness against the table on the suffix
-    chain).  The result is double-checked to be the argmax vertex set of a
-    weight vector constant on parts and strictly monotone across them.
+    The adjoint's face on the same chain is this face of the reversed
+    partition (see the module notes).  The result is double-checked to be
+    the argmax vertex set of the weight r - level, constant on parts and
+    strictly decreasing across them.
     """
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}")
     if tuple(levels.vertices) != polytope.ground:
         raise ValueError("level structure does not match the polytope ground set")
-    table = polytope.table
-    bounds = table if orientation == "upper" else adjoint(table)
+    values = polytope.table.values
     prefix_masks = list(itertools.accumulate(levels.masks, or_))
     tight = tuple(
         i
         for i, q in enumerate(polytope.vertices)
-        if all(_point_value(q, pm) == bounds.values[pm] for pm in prefix_masks)
+        if all(_point_value(q, pm) == values[pm] for pm in prefix_masks)
     )
 
-    if orientation == "upper":
-        weight = [levels.r - n for n in levels.levels]
-    else:
-        weight = levels.levels
+    weight = [levels.r - n for n in levels.levels]
     scores = [sum(w * x for w, x in zip(weight, q)) for q in polytope.vertices]
     best = max(scores)
     argmax = tuple(i for i, s in enumerate(scores) if s == best)
@@ -406,12 +409,16 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
     """Sweep every ordered partition and match its polytope against the faces
     of the one-level polytope.
 
-    Checks, for a single chain-face orientation shared by all partitions:
+    One chain face is computed per partition.  The ``upper`` face of a
+    partition is its own chain face, the ``lower`` one (tightness against
+    the adjoint) that of the reversed partition, level n going to
+    r + 1 - n.  Checks, for a single orientation shared by all partitions:
     (a) each partition's vertex set sits inside the one-level vertex set;
     (b) it equals the chain face of the one-level polytope at its partition;
     (c) coarsening a partition only enlarges both the vertex set and the
         subset table;
-    (d) every chain face is realized by some partition.
+    (d) every chain face is realized by some partition (reversal permutes
+        the partitions, so both orientations have the same chain faces).
     """
     if len(graph.vertices) > max_vertices:
         raise ValueError(
@@ -421,10 +428,6 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
     reference = base_polytope(residue_projection_table(graph, trivial))
     locate = reference.vertex_index()
 
-    failures = []
-    containment_ok = True
-    chain_match_ok = True
-    candidates = set(ORIENTATIONS)
     entries = {}
     for pi in ordered_partitions(graph.vertices, max_vertices):
         table = residue_projection_table(graph, pi)
@@ -432,25 +435,32 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
         face = None
         if all(v in locate for v in poly.vertices):
             face = tuple(sorted(locate[v] for v in poly.vertices))
-        else:
+        entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
+
+    failures = []
+    containment_ok = True
+    chain_match_ok = True
+    candidates = set(ORIENTATIONS)
+    chain_faces = []
+    for pi, face, _, upper in entries.values():
+        if face is None:
             containment_ok = False
             failures.append(f"{pi!r}: vertex outside the one-level polytope")
-        chains = {o: chain_face(reference, pi, o) for o in ORIENTATIONS}
+        reversed_levels = tuple(pi.r + 1 - n for n in pi.levels)
+        chains = {"upper": upper, "lower": entries[reversed_levels][3]}
         feasible = {o for o, cf in chains.items() if face is not None and cf == face}
         if not feasible:
             chain_match_ok = False
             failures.append(f"{pi!r}: no chain-face orientation matches")
         else:
             candidates &= feasible
-        entries[pi.levels] = (pi, face, table, chains)
+        chain_faces.append((pi, chains))
     if candidates == set(ORIENTATIONS):
         orientation = "both"
-        probe = "lower"
     elif candidates:
-        orientation = probe = next(iter(candidates))
+        orientation = next(iter(candidates))
     else:
         orientation = "none"
-        probe = "lower"
         chain_match_ok = False
         failures.append("no globally consistent chain-face orientation")
 
@@ -468,8 +478,7 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
                 failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
 
     realized = {face for _, face, _, _ in entries.values() if face is not None}
-    chain_set = {chains[probe] for _, _, _, chains in entries.values()}
-    cover_ok = chain_set == realized
+    cover_ok = {upper for _, _, _, upper in entries.values()} == realized
     if not cover_ok:
         failures.append("chain faces and realized faces differ")
 
@@ -483,5 +492,5 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
         cover_ok=cover_ok,
         failures=tuple(failures),
         reference=reference,
-        chain_faces=tuple((pi, chains) for pi, _, _, chains in entries.values()),
+        chain_faces=tuple(chain_faces),
     )

@@ -204,21 +204,6 @@ class LevelGraph:
         return out
 
     @cached_property
-    def level_components(self):
-        """Level n -> components of the subgraph induced on level n."""
-        names = self.graph.names
-        return {n: [names(c) for c in at.components] for n, at in self.masks.items()}
-
-    @cached_property
-    def components_below(self):
-        """Level n -> (components strictly below level n, the special ones)."""
-        names = self.graph.names
-        return {
-            n: ([names(c) for c in at.below], [names(c) for c in at.special])
-            for n, at in self.masks.items()
-        }
-
-    @cached_property
     def _summit_masks(self):
         """(irreducible, reducible) summits among the level components, as
         vertex masks.  A summit is a level component that is the tail of no
@@ -507,10 +492,6 @@ class ResidueFlag:
     @property
     def dims(self):
         return tuple(self.spaces[f].dim for f in FAMILIES)
-
-    @property
-    def residue(self):
-        return self.spaces["global"]
 
     def identities(self):
         return flag_identities(self.counts, self.dims)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
+from operator import or_
 from typing import NamedTuple
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from resipoly import fixtures
 from resipoly.graphs import GraphDocumentError, LevelStructure, classify_arrows, coarsened_levels
 from resipoly.linalg import SetTheoreticReport, Subspace, _echelon_insert, det, to_fraction
-from resipoly.polytopes import BasePolytope, InvariantViolation, SetFunction
+from resipoly.polytopes import BasePolytope, InvariantViolation, SetFunction, adjoint
 
 
 @pytest.fixture(scope="session")
@@ -318,6 +319,56 @@ def reference_base_polytope(table):
             if value > table.values[mask] or (mask == full and value != table.values[mask]):
                 raise InvariantViolation("greedy point violates the subset inequalities")
     return BasePolytope(table.ground, vertices, table)
+
+
+def reference_splitting(table, levels, kind):
+    """The supermodular split along the prefix chain, and the submodular
+    one conjugated by the adjoint: the previous body of `splitting`."""
+    if kind not in ("supermodular", "submodular"):
+        raise ValueError(f"unknown splitting kind {kind!r}")
+    if tuple(levels.vertices) != table.ground:
+        raise ValueError("ground set does not match the level structure")
+    if kind == "submodular":
+        return adjoint(reference_splitting(adjoint(table), levels, "supermodular"))
+    prefix_masks = list(itertools.accumulate(levels.masks, or_))
+    values = []
+    for subset in range(1 << table.n):
+        total = 0
+        previous = 0
+        for pm in prefix_masks:
+            total += table.values[(subset & pm) | previous] - table.values[previous]
+            previous = pm
+        values.append(total)
+    return SetFunction(table.ground, values)
+
+
+def reference_chain_face(polytope, levels, orientation):
+    """Tightness on the prefix chain against the table (``upper``) or its
+    adjoint (``lower``), cross-checked by each orientation's weight argmax:
+    the previous body of `chain_face`."""
+    if orientation not in ("upper", "lower"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    if tuple(levels.vertices) != polytope.ground:
+        raise ValueError("level structure does not match the polytope ground set")
+    table = polytope.table
+    bounds = table if orientation == "upper" else adjoint(table)
+    prefix_masks = list(itertools.accumulate(levels.masks, or_))
+    tight = tuple(
+        i
+        for i, q in enumerate(polytope.vertices)
+        if all(_point_value(q, pm) == bounds.values[pm] for pm in prefix_masks)
+    )
+
+    if orientation == "upper":
+        weight = [levels.r - n for n in levels.levels]
+    else:
+        weight = levels.levels
+    scores = [sum(w * x for w, x in zip(weight, q)) for q in polytope.vertices]
+    best = max(scores)
+    argmax = tuple(i for i, s in enumerate(scores) if s == best)
+    if argmax != tight:
+        raise InvariantViolation("chain-tight vertices differ from the weight argmax")
+    return tight
 
 
 # Helpers that only the tests use.

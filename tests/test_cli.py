@@ -210,6 +210,28 @@ class TestErrors:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "edge",
+        [[["a"], "a"], ["a", ["a"]], [{"x": 1}, "a"], ["a", {"x": 1}]],
+        ids=["array-tail", "array-head", "object-tail", "object-head"],
+    )
+    def test_non_string_endpoint_exits_2(self, tmp_path, edge):
+        # in a separate process, so an uncaught exception would show as a
+        # traceback and exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": ["a"], "edges": [edge]}))
+        done = subprocess.run(
+            [sys.executable, "-m", "resipoly", "info", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: unknown vertex ")
+
     def test_gamma_max_vertices_is_clamped(self, tmp_path, capsys):
         # 13 vertices: over the 12-vertex table bound however high
         # --max-vertices is set
@@ -314,6 +336,28 @@ class TestInvariantViolations:
         )
         self.assert_exit_1(code, out, err)
         assert "realization changed the dimension" in err
+
+
+    def test_limit_dimension_guard_exits_1(self, tmp_path, capsys, monkeypatch):
+        import resipoly.degeneration
+        from resipoly.linalg import Subspace
+
+        # the limit is the first subspace the degeneration builds; drop its
+        # last row, and it loses a dimension
+        monkeypatch.setattr(
+            resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
+        )
+        coarse = fixtures.document("fig1")
+        fine_levels = coarse.pop("levels")
+        graph_path = tmp_path / "coarse.json"
+        graph_path.write_text(json.dumps(coarse))
+        fine_path = tmp_path / "fine.json"
+        fine_path.write_text(json.dumps({"levels": fine_levels}))
+        code, out, err = run_cli(
+            capsys, "degenerate", "--input", str(graph_path), "--fine", str(fine_path)
+        )
+        self.assert_exit_1(code, out, err)
+        assert err == "error: invariant violated: limit changed the dimension\n"
 
 
 class TestParser:

@@ -140,6 +140,20 @@ class TestInitialSpaceLimit:
         laurent = LaurentSubspace.for_residues(cycle_space, graph, levels)
         assert initial_space_limit(laurent) == residue_space(graph, levels)
 
+    def test_dimension_guard(self, fig1, monkeypatch):
+        # a limit that loses a row must not pass as the limit
+        import resipoly.degeneration
+
+        monkeypatch.setattr(
+            resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
+        )
+        graph, levels, _ = fig1
+        space = residue_space(graph, LevelStructure.trivial(graph.vertices))
+        laurent = LaurentSubspace.for_residues(space, graph, levels)
+        with pytest.raises(InvariantViolation) as err:
+            initial_space_limit(laurent)
+        assert str(err.value) == "limit changed the dimension"
+
     def test_dimension_preserved(self):
         rng = random.Random(52)
         for _ in range(50):
@@ -362,10 +376,10 @@ class TestRealizationTables:
             _, realization = flag_and_realization(w, levels, block_map)
             table = projection_rank_table(w, ground, blocks)
             realized_table = projection_rank_table(realization, ground, blocks)
-            assert splitting(table, levels, "submodular") == realized_table
-            assert splitting(adjoint(table), levels, "supermodular") == adjoint(
-                realized_table
-            )
+            assert splitting(table, levels) == realized_table
+            # the supermodular split of the adjoint, through the adjoint
+            dual = adjoint(table)
+            assert adjoint(splitting(adjoint(dual), levels)) == adjoint(realized_table)
 
 
 class TestCheckDegeneration:

@@ -115,6 +115,17 @@ class TestLoading:
         with pytest.raises(GraphDocumentError):
             load_level_graph(document)
 
+    @pytest.mark.parametrize(
+        "edge",
+        [[["a"], "a"], ["a", ["a"]], [{"x": 1}, "a"], ["a", {"x": 1}]],
+        ids=["array-tail", "array-head", "object-tail", "object-head"],
+    )
+    def test_non_string_endpoint_is_an_unknown_vertex(self, edge):
+        # arrays and objects are unhashable: a membership test on the name
+        # index would raise TypeError instead
+        with pytest.raises(GraphDocumentError, match="unknown vertex"):
+            load_level_graph({"vertices": ["a"], "edges": [edge]})
+
     def test_arrow_reversal_is_an_involution(self, fig1):
         graph = fig1[0]
         for i, arrow in enumerate(graph.arrows):
@@ -173,14 +184,21 @@ class TestClassification:
             assert len(cls.upward) + len(cls.downward) + tags.count("horizontal") == graph.num_arrows
 
 
+def level_component_names(model):
+    """Level n -> the names of its components, as `resipoly info` reports
+    them."""
+    names = model.graph.names
+    return {n: [names(c) for c in at.components] for n, at in model.masks.items()}
+
+
 class TestComponents:
     def test_fig1_level_components(self, fig1):
-        components = LevelGraph(fig1[0], fig1[1]).level_components
+        components = level_component_names(LevelGraph(fig1[0], fig1[1]))
         assert components[2] == [("u1",), ("u2", "u3")]
         assert components[1] == [("u4",), ("u5",)]
 
     def test_fig2_level_one(self, fig2):
-        components = LevelGraph(fig2[0], fig2[1]).level_components
+        components = level_component_names(LevelGraph(fig2[0], fig2[1]))
         assert components[1] == [("u9", "ua"), ("ub",), ("uc",)]
 
     def test_out_of_range(self, fig1):

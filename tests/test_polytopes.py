@@ -32,9 +32,11 @@ from conftest import (
     random_subspace,
     range_value,
     reference_base_polytope,
+    reference_chain_face,
     reference_is_nondecreasing,
     reference_is_submodular,
     reference_projection_rank_table,
+    reference_splitting,
     value_of,
 )
 
@@ -189,27 +191,38 @@ class TestBasePolytope:
                 assert found
 
 
+def supermodular_split(table, levels):
+    """The supermodular split along the prefix chain, as the adjoint of the
+    submodular split of the adjoint."""
+    return adjoint(splitting(adjoint(table), levels))
+
+
+def reversed_partition(levels):
+    """The ordered partition with its levels in the opposite order."""
+    return LevelStructure(levels.vertices, [levels.r + 1 - n for n in levels.levels])
+
+
 class TestSplitting:
     def test_trivial_partition_is_identity(self, k4):
         graph, levels, _ = k4
         table = residue_projection_table(graph, levels)
-        assert splitting(table, levels, "submodular") == table
-        assert splitting(adjoint(table), levels, "supermodular") == adjoint(table)
+        assert splitting(table, levels) == table
+        assert supermodular_split(adjoint(table), levels) == adjoint(table)
 
     def test_modular_functions_are_fixed(self):
         ground = ("a", "b", "c", "d")
         q = modular_from_point(ground, (1, 3, 0, 2))
         for pi in ordered_partitions(ground):
-            assert splitting(q, pi, "supermodular") == q
-            assert splitting(q, pi, "submodular") == q
+            assert supermodular_split(q, pi) == q
+            assert splitting(q, pi) == q
 
     def test_k4_splitting_matches_level_table(self, k4):
         graph, levels, _ = k4
         table = residue_projection_table(graph, levels)
         pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
         fine = residue_projection_table(graph, pi)
-        assert splitting(table, pi, "submodular") == fine
-        assert splitting(adjoint(table), pi, "supermodular") == adjoint(fine)
+        assert splitting(table, pi) == fine
+        assert supermodular_split(adjoint(table), pi) == adjoint(fine)
 
     def test_supermodular_split_stays_supermodular(self):
         rng = random.Random(44)
@@ -218,7 +231,7 @@ class TestSplitting:
             coarse = random_level_structure(rng, graph)
             table = adjoint(residue_projection_table(graph, coarse))
             pi = random_level_structure(rng, graph)
-            out = splitting(table, pi, "supermodular")
+            out = supermodular_split(table, pi)
             assert is_supermodular(out)
 
     def test_splitting_monotone_under_coarsening(self):
@@ -233,39 +246,32 @@ class TestSplitting:
                     a <= b for a, b in zip(fine_table.values, coarse_table.values)
                 )
 
-    def test_kind_validated(self, k4):
-        graph, levels, _ = k4
-        table = residue_projection_table(graph, levels)
-        with pytest.raises(ValueError):
-            splitting(table, levels, "modular")
-
     def test_ground_set_mismatch(self, k4, c3):
         table = residue_projection_table(k4[0], k4[1])
         with pytest.raises(ValueError):
-            splitting(table, c3[1], "submodular")
+            splitting(table, c3[1])
 
 
 class TestChainFace:
     def test_trivial_chain_is_everything(self, k4):
         graph, levels, _ = k4
         poly = base_polytope(residue_projection_table(graph, levels))
-        assert chain_face(poly, levels, "upper") == tuple(range(12))
-        assert chain_face(poly, levels, "lower") == tuple(range(12))
+        assert chain_face(poly, levels) == tuple(range(12))
+        assert reversed_partition(levels) == levels
 
     def test_k4_split_faces(self, k4):
         graph, levels, _ = k4
         poly = base_polytope(residue_projection_table(graph, levels))
         pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
-        upper = chain_face(poly, pi, "upper")
+        upper = chain_face(poly, pi)
         assert [poly.vertices[i][0] for i in upper] == [Fraction(2)] * 3
-        lower = chain_face(poly, pi, "lower")
+        lower = chain_face(poly, reversed_partition(pi))
         assert [poly.vertices[i][0] for i in lower] == [Fraction(0)] * 6
 
-    def test_bad_orientation(self, k4):
-        graph, levels, _ = k4
-        poly = base_polytope(residue_projection_table(graph, levels))
+    def test_level_structure_must_match(self, k4, c3):
+        poly = base_polytope(residue_projection_table(k4[0], k4[1]))
         with pytest.raises(ValueError):
-            chain_face(poly, levels, "sideways")
+            chain_face(poly, c3[1])
 
 
 class TestFaceSweep:
@@ -276,6 +282,25 @@ class TestFaceSweep:
         assert report.partitions_checked == 75
         assert report.orientation == "lower"
         assert report.failures == ()
+
+    def test_one_chain_face_per_partition(self, k4, monkeypatch):
+        real = polytopes.chain_face
+        calls = []
+
+        def counting(polytope, levels):
+            calls.append(levels.levels)
+            return real(polytope, levels)
+
+        monkeypatch.setattr(polytopes, "chain_face", counting)
+        report = check_polytope_faces(k4[0])
+        assert report.ok
+        assert len(calls) == len(set(calls)) == report.partitions_checked == 75
+
+    def test_lower_face_is_the_reversed_partitions_face(self, fig1):
+        report = check_polytope_faces(fig1[0])
+        faces = {pi.levels: chains for pi, chains in report.chain_faces}
+        for pi, chains in report.chain_faces:
+            assert chains["lower"] == faces[reversed_partition(pi).levels]["upper"]
 
     def test_c3_full_sweep(self, c3):
         report = check_polytope_faces(c3[0])
@@ -357,9 +382,10 @@ def permutahedron_table(n):
 
 
 class TestAgainstReferences:
-    """The slice predicates, the column-echelon walk and the prefix walk
-    against the per-inequality, per-subset and per-ordering bodies kept in
-    conftest, on seeded inputs."""
+    """The slice predicates, the column-echelon walk, the prefix walk, the
+    one-direction chain face and the direct split against the
+    per-inequality, per-subset, per-ordering, two-orientation and adjoint
+    bodies kept in conftest, on seeded inputs."""
 
     def test_projection_tables_of_level_graphs(self):
         rng = random.Random(71)
@@ -464,6 +490,55 @@ class TestAgainstReferences:
         assert base_polytope(table).vertices == (point,)
         assert reference_base_polytope(table).vertices == (point,)
 
+    def test_chain_faces_of_every_partition(self):
+        # the upper face against the previous body's, and the lower face,
+        # tightness against the adjoint, as the reversed partition's face
+        rng = random.Random(76)
+        partitions = 0
+        for _ in range(40):
+            graph = random_multigraph(rng, max_vertices=5, max_edges=8)
+            trivial = LevelStructure.trivial(graph.vertices)
+            poly = base_polytope(residue_projection_table(graph, trivial))
+            for pi in ordered_partitions(graph.vertices):
+                assert chain_face(poly, pi) == reference_chain_face(poly, pi, "upper")
+                assert chain_face(poly, reversed_partition(pi)) == reference_chain_face(
+                    poly, pi, "lower"
+                )
+                partitions += 1
+        assert partitions >= 4000
+
+    def test_splittings_of_random_tables(self):
+        # tables of every kind, about half not submodular, a third shifted
+        # away from zero at the empty set, along random ordered partitions
+        rng = random.Random(77)
+        shifted = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            ground = tuple(f"x{i}" for i in range(n))
+            values = random_table_values(rng, n)
+            if rng.randrange(3) == 0:
+                values[0] += rng.choice((-3, -1, 2, 5))
+                shifted += 1
+            table = SetFunction(ground, values)
+            pi = LevelStructure.from_map(ground, {x: rng.randint(1, n) for x in ground})
+            assert splitting(table, pi) == reference_splitting(table, pi, "submodular")
+            assert supermodular_split(table, pi) == reference_splitting(
+                table, pi, "supermodular"
+            )
+        assert shifted >= 60
+
+    def test_splittings_of_level_graph_tables(self):
+        rng = random.Random(78)
+        for _ in range(60):
+            graph = random_multigraph(rng, max_vertices=6, max_edges=9)
+            table = residue_projection_table(graph, random_level_structure(rng, graph))
+            for pi in (random_level_structure(rng, graph), LevelStructure.trivial(graph.vertices)):
+                assert splitting(table, pi) == reference_splitting(table, pi, "submodular")
+                dual = adjoint(table)
+                assert supermodular_split(dual, pi) == reference_splitting(
+                    dual, pi, "supermodular"
+                )
+
     @pytest.mark.parametrize("n", range(7))
     def test_permutahedron_has_n_factorial_vertices(self, n):
         table = permutahedron_table(n)
@@ -533,14 +608,16 @@ class TestFaultInjection:
 
     def test_chain_face_cross_check(self, k4):
         # (3, 0, 0, 0) is not tight on the prefix {v1}, where f = 2, but it
-        # has the highest upper-orientation weight
+        # has the highest weight r - level; on the reversed partition it is
+        # neither tight nor of the highest weight
         graph, levels, _ = k4
         poly = base_polytope(residue_projection_table(graph, levels))
         wrong = BasePolytope(poly.ground, poly.vertices + ((3, 0, 0, 0),), poly.table)
         pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
-        assert chain_face(wrong, pi, "lower") == chain_face(poly, pi, "lower")
+        flipped = reversed_partition(pi)
+        assert chain_face(wrong, flipped) == chain_face(poly, flipped)
         with pytest.raises(InvariantViolation) as err:
-            chain_face(wrong, pi, "upper")
+            chain_face(wrong, pi)
         assert str(err.value) == "chain-tight vertices differ from the weight argmax"
 
     def test_faces_exits_1_on_a_chain_face_mismatch(self, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,9 @@
+import dataclasses
+import json
 import random
 
+from resipoly import fixtures, residues
+from resipoly.cli import main
 from resipoly.graphs import (
     LevelStructure,
     bits,
@@ -325,11 +329,16 @@ class TestMaskModelAgainstReference:
                 partitions += 1
                 model = LevelGraph(graph, pi)
                 reference = ReferenceLevelGraph(graph, pi)
-                assert model.level_components == reference.level_components
+                assert {
+                    n: [names(c) for c in at.components] for n, at in model.masks.items()
+                } == reference.level_components
                 assert {
                     n: [names(c) for c in at.upto] for n, at in model.masks.items()
                 } == reference.prefix_components
-                assert model.components_below == reference.components_below
+                assert {
+                    n: ([names(c) for c in at.below], [names(c) for c in at.special])
+                    for n, at in model.masks.items()
+                } == reference.components_below
                 for n in range(1, pi.r + 1):
                     level = graph.mask_components(pi.masks[n - 1])
                     assert [names(c) for c in level] == reference.level_components[n]
@@ -361,3 +370,121 @@ class TestMaskModelAgainstReference:
                     )
                 assert model.relation_failures() == reference.relation_failures()
         assert partitions >= 4 * 541  # at least four five-vertex graphs
+
+
+def run_fig1(tmp_path, capsys, command):
+    """`resipoly <command>` on the fig1 fixture, random sections skipped
+    for verify: exit code and parsed report."""
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(fixtures.document("fig1")))
+    argv = [command, "--input", str(path)]
+    if command == "verify":
+        argv.append("--skip-random")
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def misreport_support_checks(monkeypatch, sup1, sup2, **wrong):
+    """Make the relation checks read a support report with the fields in
+    ``wrong`` changed for the one pair of collections (sup1, sup2); every
+    other pair gets its true report."""
+    real = residues.support_checks
+    target = (list(sup1), list(sup2))
+
+    def patched(a, b):
+        report = real(a, b)
+        if (list(a), list(b)) == target:
+            return dataclasses.replace(report, **wrong)
+        return report
+
+    monkeypatch.setattr(residues, "support_checks", patched)
+
+
+class TestFaultInjection:
+    """Each verdict of the residue layer fed one wrong object must fail, with
+    its own message, and the command that reports it exits 1.  On fig1 every
+    relation holds; level 2 has the component {u2, u3}, which is no summit,
+    and one component of V<=2, the whole graph."""
+
+    U23 = "level 2 component ('u2', 'u3')"
+    MERGED = "level 2 merged component ('u1', 'u2', 'u3', 'u4', 'u5')"
+
+    def level_component_pair(self, fig1):
+        model = LevelGraph(fig1[0], fig1[1])
+        local, ros = model._rows_within(fig1[0].mask_of(["u2", "u3"]))
+        return residues._supports(local), residues._supports(ros)
+
+    def merged_pair(self, fig1):
+        (block,) = [b for b in LevelGraph(fig1[0], fig1[1]).blocks if b.level == 2]
+        return residues._supports(block.glob + block.rosenlicht), residues._supports(block.local)
+
+    def assert_relation_failure(self, fig1, tmp_path, capsys, failure):
+        assert LevelGraph(fig1[0], fig1[1]).relation_failures() == [failure]
+        code, report = run_fig1(tmp_path, capsys, "verify")
+        assert code == 1
+        assert report["ok"] is False
+        (section,) = report["fixtures"]
+        assert section["ok"] is False
+        assert section["relation_failures"] == [failure]
+
+    def test_level_component_not_properly_unrelated(self, fig1, tmp_path, capsys, monkeypatch):
+        misreport_support_checks(
+            monkeypatch, *self.level_component_pair(fig1), properly_unrelated=False
+        )
+        failure = f"{self.U23}: not properly unrelated"
+        self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
+    def test_level_component_related_but_no_reducible_summit(
+        self, fig1, tmp_path, capsys, monkeypatch
+    ):
+        misreport_support_checks(monkeypatch, *self.level_component_pair(fig1), related=True)
+        failure = f"{self.U23}: related=True but reducible-summit=False"
+        self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
+    def test_merged_component_not_properly_unrelated(self, fig1, tmp_path, capsys, monkeypatch):
+        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), properly_unrelated=False)
+        failure = f"{self.MERGED}: not properly unrelated"
+        self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
+    def test_merged_component_unrelated_but_nonempty(self, fig1, tmp_path, capsys, monkeypatch):
+        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), related=False)
+        failure = f"{self.MERGED}: related=False with nonempty=True"
+        self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
+    def test_wrong_global_codimension(self, fig1, tmp_path, capsys, monkeypatch):
+        # one more on the one level-2 block: the other totals still agree
+        real = residues.ComponentBlock
+
+        def wrong_block(*args):
+            block = real(*args)
+            if block.level == 2:
+                return dataclasses.replace(block, codim_global=block.codim_global + 1)
+            return block
+
+        monkeypatch.setattr(residues, "ComponentBlock", wrong_block)
+        assert not LevelGraph(fig1[0], fig1[1]).component_report().totals_consistent
+        code, payload = run_fig1(tmp_path, capsys, "dims")
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["component_totals_ok"] is False
+        assert all(item["ok"] for item in payload["identities"])
+
+    def test_wrong_special_components(self, fig1, tmp_path, capsys, monkeypatch):
+        # both components below level 2 receive an upward arrow; drop one
+        # from the special list, and it reads as surviving one level up.
+        # Models of other partitions, built by the face sweep and the
+        # degenerations, are left alone.
+        real = LevelGraph.masks.func
+
+        def wrong_masks(self):
+            masks = dict(real(self))
+            if self.levels == fig1[1]:
+                masks[2] = masks[2]._replace(special=masks[2].special[:1])
+            return masks
+
+        monkeypatch.setattr(LevelGraph, "masks", property(wrong_masks))
+        code, report = run_fig1(tmp_path, capsys, "verify")
+        assert code == 1
+        assert report["ok"] is False
+        (section,) = report["fixtures"]
+        assert section["component_identity_failures"] == ["level 2: component identity fails"]
