@@ -271,9 +271,12 @@ def cmd_degenerate(args):
 
 
 def cmd_verify(args):
-    config = VerifyConfig.scaled(args.seed, args.random_cases)
-    config.max_vertices = min(args.max_vertices, 5)
-    config.include_random = not args.skip_random
+    config = VerifyConfig(
+        seed=args.seed,
+        cases=args.random_cases,
+        max_vertices=min(args.max_vertices, 5),
+        include_random=not args.skip_random,
+    )
     if args.input:
         documents = [(args.input, _read_document(args.input))]
     else:

@@ -29,13 +29,14 @@ each prefix V<=n, the summits, the counts and the four condition families.
 Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`, read
 from :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name
 tuples only where they are reported.  Every condition is a 0/1 row, so it
-is built once, as its support (the int bitmask of the arrow indices where
-it is 1) and its positional owner; :meth:`LevelGraph.label` names a row
-only for a report.  Indexes built with the rows let each component find
-its own rows without scanning the others.  The flag, the
-per-component blocks and the relatedness predicates all read those
-supports; full-width 0/1 vectors are made from them only where a kernel or
-a rank needs them.
+is built once as the int bitmask of the arrow indices where it is 1, like
+every other arrow set.  Indexes built with the rows let each component
+find its own rows without scanning the others.  The flag, the
+per-component blocks and the relatedness predicates all read those masks;
+full-width 0/1 vectors are made from them only where a kernel or a rank
+needs them.  What a row belongs to is derived from its lowest arrow
+(:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
+where a report names the row.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "LevelMasks",
     "LevelSummary",
     "ResidueFlag",
-    "Row",
     "build_constraints",
     "build_flag",
     "check_component_relations",
@@ -68,17 +68,6 @@ __all__ = [
 ]
 
 FAMILIES = ("downward", "local", "rosenlicht", "global")
-
-
-class Row(NamedTuple):
-    """One condition: its support (an int bitmask whose bit a is set when
-    the row is 1 at arrow a) and what it belongs to, by position: the arrow
-    index of a downward row, the vertex index of a local row, the edge index
-    of a rosenlicht row, and (level, special component mask) of a global
-    row."""
-
-    support: int
-    owner: object
 
 
 @dataclass(frozen=True)
@@ -115,10 +104,6 @@ class IdentityCheck:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
-def _supports(rows):
-    return [row.support for row in rows]
-
-
 def _dense(support, width):
     return tuple([support >> c & 1 for c in range(width)])
 
@@ -132,10 +117,6 @@ def _cumulative_ranks(groups, width):
             _echelon_insert(echelon, _dense(support, width))
         ranks.append(len(echelon))
     return ranks
-
-
-def _owner(row):
-    return row.owner
 
 
 class _Block(NamedTuple):
@@ -240,8 +221,8 @@ class LevelGraph:
 
     @cached_property
     def rows(self):
-        """Family -> its condition rows, ordered by owner (global rows by
-        level, then by the lowest vertex of their component).
+        """Family -> its condition rows as arrow masks, ordered by owner
+        (global rows by level, then by the lowest vertex of their component).
 
         The local row of a vertex is the support of its non-downward arrows;
         vertices where that support is empty (irreducible summits and
@@ -254,22 +235,17 @@ class LevelGraph:
     @cached_property
     def _indexed_rows(self):
         """The rows by family, and the indexes each component reads its rows
-        through: local rows by vertex index, rosenlicht rows by the index of
-        their edge's first vertex, global rows by (level, component mask)."""
+        through: local rows by vertex index (0 for a vertex without one),
+        rosenlicht rows by the index of their edge's first vertex, global
+        rows by (level, component mask)."""
         graph, cls = self.graph, self.classification
-        downward = tuple(Row(1 << a, a) for a in cls.downward)
+        downward = tuple(1 << a for a in cls.downward)
         keep = ~_mask(cls.downward)
-        local = []
-        local_at = [None] * len(graph.vertices)
-        for i, arrows in enumerate(graph.out_arrows):
-            support = arrows & keep
-            if support:
-                local_at[i] = row = Row(support, i)
-                local.append(row)
+        local_at = [arrows & keep for arrows in graph.out_arrows]
         rosenlicht = []
         ros_at = [()] * len(graph.vertices)
         for e in cls.horizontal_edges:
-            row = Row(3 << 2 * e, e)
+            row = 3 << 2 * e
             rosenlicht.append(row)
             ros_at[graph.index[graph.edges[e][0]]] += (row,)
         glob = []
@@ -279,23 +255,42 @@ class LevelGraph:
                 continue
             out = graph.arrows_from(at.mask)
             for comp in at.special:
-                row = Row(out & graph.arrows_into(comp), (n, comp))
+                glob_at[n, comp] = row = out & graph.arrows_into(comp)
                 glob.append(row)
-                glob_at[n, comp] = row
         families = {
             "downward": downward,
-            "local": tuple(local),
+            "local": tuple(row for row in local_at if row),
             "rosenlicht": tuple(rosenlicht),
             "global": tuple(glob),
         }
         return families, (local_at, ros_at, glob_at)
 
-    def label(self, family, row):
-        """The report label of a condition row of `family`: the arrow label
-        of a downward row, the vertex name of a local row, ``e{edge}:{u}-{v}``
-        of a rosenlicht row and ``{level}:{names joined by +}`` of a global
-        row."""
-        graph, owner = self.graph, row.owner
+    def owner(self, family, row):
+        """What a condition row of `family` belongs to, by position, read off
+        its lowest arrow: that arrow for a downward row, its tail vertex for
+        a local row, its edge for a rosenlicht row, and for a global row the
+        level of its tail with the special component of that level holding
+        its head."""
+        a = (row & -row).bit_length() - 1
+        if family == "downward":
+            return a
+        if family == "rosenlicht":
+            return a >> 1
+        graph = self.graph
+        arrow = graph.arrows[a]
+        tail = graph.index[arrow.tail]
+        if family == "local":
+            return tail
+        n = self.levels.levels[tail]
+        head = 1 << graph.index[arrow.head]
+        return n, next(c for c in self.masks[n].special if c & head)
+
+    def label(self, family, owner):
+        """The report label of the condition row of `family` with this
+        :meth:`owner`: the arrow label of a downward row, the vertex name of
+        a local row, ``e{edge}:{u}-{v}`` of a rosenlicht row and
+        ``{level}:{names joined by +}`` of a global row."""
+        graph = self.graph
         if family == "downward":
             return graph.arrows[owner].label
         if family == "local":
@@ -321,7 +316,7 @@ class LevelGraph:
                 local.append(local_at[i])
             ros += ros_at[i]
         if len(ros) > 1:
-            ros.sort(key=_owner)
+            ros.sort()  # 3 << 2e grows with the edge e: mask order is owner order
         return tuple(local), tuple(ros)
 
     @cached_property
@@ -347,20 +342,20 @@ class LevelGraph:
         stacked = []
         spaces = {}
         for family in FAMILIES:
-            stacked.extend(_dense(row.support, width) for row in self.rows[family])
+            stacked.extend(_dense(row, width) for row in self.rows[family])
             spaces[family] = kernel(stacked, num_cols=width)
         return ResidueFlag(self.counts, spaces)
 
     def flag_dims(self):
         """The counts and the four flag dimensions, by integer rank only."""
         width = self.graph.num_arrows
-        ranks = _cumulative_ranks((_supports(self.rows[f]) for f in FAMILIES), width)
+        ranks = _cumulative_ranks((self.rows[f] for f in FAMILIES), width)
         return self.counts, tuple(width - r for r in ranks)
 
     def residue_space(self):
         """The subspace cut out by all four condition families."""
         width = self.graph.num_arrows
-        rows = [_dense(row.support, width) for f in FAMILIES for row in self.rows[f]]
+        rows = [_dense(row, width) for f in FAMILIES for row in self.rows[f]]
         return kernel(rows, num_cols=width)
 
     def component_report(self):
@@ -373,12 +368,12 @@ class LevelGraph:
         for b in self.blocks:
             groups = (b.local, b.rosenlicht, b.glob)
             labels = [
-                tuple(self.label(family, row) for row in group)
+                tuple(self.label(family, self.owner(family, row)) for row in group)
                 for family, group in zip(FAMILIES[1:], groups)
             ]
-            # local supports are disjoint (one vertex each): the sum is the union
-            block_dim = sum(_supports(b.local)).bit_count()
-            codims = _cumulative_ranks([_supports(group) for group in groups], width)
+            # local rows are disjoint (one vertex each): the sum is the union
+            block_dim = sum(b.local).bit_count()
+            codims = _cumulative_ranks(groups, width)
             blocks.append(
                 ComponentBlock(
                     b.level, names(b.component), names(b.level_vertices), *labels, block_dim, *codims
@@ -425,7 +420,7 @@ class LevelGraph:
         for n, at in self.masks.items():
             for comp in at.components:
                 local, ros = self._rows_within(comp)
-                report = support_checks(_supports(local), _supports(ros))
+                report = support_checks(local, ros)
                 if not report.properly_unrelated:
                     failures.append(f"level {n} component {names(comp)}: not properly unrelated")
                 if report.related != (comp in reducible):
@@ -437,7 +432,7 @@ class LevelGraph:
         for b in self.blocks:
             if not b.level_vertices:
                 continue
-            report = support_checks(_supports(b.glob + b.rosenlicht), _supports(b.local))
+            report = support_checks(b.glob + b.rosenlicht, b.local)
             if not report.properly_unrelated:
                 failures.append(
                     f"level {b.level} merged component {names(b.component)}: "

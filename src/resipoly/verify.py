@@ -10,7 +10,7 @@ a failed check is reported with both sides and never corrected.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import fixtures
 from .degeneration import check_degeneration
@@ -35,37 +35,55 @@ from .randomized import (
     random_multigraph,
     random_sti_collection,
 )
-from .residues import LevelGraph, LevelSummary, Row, flag_identities
+from .residues import LevelGraph, LevelSummary, flag_identities
 
 __all__ = ["VerifyConfig", "full_verification", "verify_document"]
 
+# the "config" block of a report, in its order
+_CONFIG_KEYS = (
+    "seed",
+    "flag_cases",
+    "face_cases",
+    "degeneration_cases",
+    "collection_cases",
+    "max_vertices",
+    "max_edges",
+    "include_random",
+)
 
-@dataclass
+
+@dataclass(frozen=True)
 class VerifyConfig:
+    """The settings of a verification run.  Every suite size derives from
+    `cases`: `cases` random graphs for the identity sweep, an eighth of that
+    for faces, a quarter for degenerations, five times as many independence
+    pairs.  Random graphs have at most `max_vertices` vertices and
+    `max_edges` edges, a constant rather than a field."""
+
     seed: int = 0
-    flag_cases: int = 200
-    face_cases: int = 25
-    degeneration_cases: int = 50
-    collection_cases: int = 1000
+    cases: int = 200
     max_vertices: int = 5
-    max_edges: int = 8
     include_random: bool = True
+    max_edges = 8
+
+    @property
+    def flag_cases(self):
+        return self.cases
+
+    @property
+    def face_cases(self):
+        return max(1, self.cases // 8)
+
+    @property
+    def degeneration_cases(self):
+        return max(1, self.cases // 4)
+
+    @property
+    def collection_cases(self):
+        return 5 * self.cases
 
     def as_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def scaled(cls, seed, cases):
-        """Suite sizes derived from one knob: `cases` random graphs for the
-        identity sweep, an eighth of that for faces, a quarter for
-        degenerations, five times as many independence pairs."""
-        return cls(
-            seed=seed,
-            flag_cases=cases,
-            face_cases=max(1, cases // 8),
-            degeneration_cases=max(1, cases // 4),
-            collection_cases=5 * cases,
-        )
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
 
 _EXPECT_INTS = ("genus", "components", "polytope_vertex_count")
@@ -93,9 +111,10 @@ def _is_list_of(value, check, length=None):
 
 def _check_expect(expect, graph):
     """Reject an ``expect`` block with an unknown key, a JSON type that
-    :func:`_expect_failures` cannot compare or a component name that is not
-    a vertex of `graph`, so that a malformed block is an input error, never
-    a failed check and never a silent pass."""
+    :func:`_expect_failures` cannot compare, an empty component, a component
+    name that is not a vertex of `graph` or an arrow name that is not an
+    arrow label of `graph`, so that a malformed block is an input error,
+    never a failed check and never a silent pass."""
     if not isinstance(expect, dict):
         raise GraphDocumentError("expect must be an object")
     unknown = sorted(set(expect) - _EXPECT_KEYS)
@@ -124,6 +143,7 @@ def _check_expect(expect, graph):
     conditions = expect.get("global_conditions", [])
     if not isinstance(conditions, list):
         raise GraphDocumentError("expect global_conditions must be a list")
+    arrow_labels = {arrow.label for arrow in graph.arrows}
     for item in conditions:
         if not (
             isinstance(item, dict)
@@ -136,9 +156,14 @@ def _check_expect(expect, graph):
                 "each expect global condition must hold exactly an integer level "
                 "and string lists component and arrows"
             )
+        if not item["component"]:
+            raise GraphDocumentError("empty component in expect global condition")
         for v in item["component"]:
             if v not in graph.index:
                 raise GraphDocumentError(f"unknown vertex {v!r} in expect global condition")
+        for label in item["arrows"]:
+            if label not in arrow_labels:
+                raise GraphDocumentError(f"unknown arrow {label!r} in expect global condition")
 
 
 def _expect_failures(model, flag, report, expect, reference=None):
@@ -175,15 +200,15 @@ def _expect_failures(model, flag, report, expect, reference=None):
             for field_name, want_value in want.items():
                 check(f"level {key} {field_name}", got.get(field_name), want_value)
     if "global_conditions" in expect:
-        rows = {row.owner: row.support for row in model.rows["global"]}
+        rows = {model.owner("global", row): row for row in model.rows["global"]}
         for item in expect["global_conditions"]:
             owner = (item["level"], graph.mask_of(item["component"]))
-            label = model.label("global", Row(0, owner))
-            support = rows.get(owner)
-            if support is None:
+            label = model.label("global", owner)
+            row = rows.get(owner)
+            if row is None:
                 failures.append(f"global condition {label}: row not generated")
                 continue
-            got = sorted(graph.arrows[i].label for i in bits(support))
+            got = sorted(graph.arrows[i].label for i in bits(row))
             check(f"global condition {label}", got, sorted(item["arrows"]))
     if "polytope_vertex_count" in expect:
         if reference is None and len(graph.vertices) <= POLYTOPE_BOUND:

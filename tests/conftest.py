@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -36,6 +37,18 @@ def c3():
 @pytest.fixture(scope="session")
 def loop1():
     return fixtures.load("loop1")
+
+
+def fig1_degenerate_argv(tmp_path):
+    """The argv of `resipoly degenerate` from fig1's one-level graph to its
+    levels, with both documents written under `tmp_path`."""
+    coarse = fixtures.document("fig1")
+    fine_levels = coarse.pop("levels")
+    graph_path = tmp_path / "coarse.json"
+    graph_path.write_text(json.dumps(coarse))
+    fine_path = tmp_path / "fine.json"
+    fine_path.write_text(json.dumps({"levels": fine_levels}))
+    return ["degenerate", "--input", str(graph_path), "--fine", str(fine_path)]
 
 
 def rng(seed):

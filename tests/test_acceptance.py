@@ -57,7 +57,7 @@ def test_criterion_1_figure_one():
     assert flag.dims[3] == counts.edges - counts.vertices + counts.components == 3
     assert all(c.ok for c in flag.identities())
 
-    rows = {model.label("global", row): row.support for row in model.rows["global"]}
+    rows = {model.label("global", model.owner("global", row)): row for row in model.rows["global"]}
     expected = 0
     for tail in ("u1", "u2", "u3"):
         (arrow,) = find_arrows(graph, tail, "u5")

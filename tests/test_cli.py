@@ -7,6 +7,8 @@ import pytest
 from resipoly import fixtures
 from resipoly.cli import main
 
+from conftest import fig1_degenerate_argv
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -325,15 +327,7 @@ class TestInvariantViolations:
         monkeypatch.setattr(
             resipoly.degeneration, "embed", lambda space, ambient, coords: Subspace(ambient)
         )
-        coarse = fixtures.document("fig1")
-        fine_levels = coarse.pop("levels")
-        graph_path = tmp_path / "coarse.json"
-        graph_path.write_text(json.dumps(coarse))
-        fine_path = tmp_path / "fine.json"
-        fine_path.write_text(json.dumps({"levels": fine_levels}))
-        code, out, err = run_cli(
-            capsys, "degenerate", "--input", str(graph_path), "--fine", str(fine_path)
-        )
+        code, out, err = run_cli(capsys, *fig1_degenerate_argv(tmp_path))
         self.assert_exit_1(code, out, err)
         assert "realization changed the dimension" in err
 
@@ -347,17 +341,34 @@ class TestInvariantViolations:
         monkeypatch.setattr(
             resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
         )
-        coarse = fixtures.document("fig1")
-        fine_levels = coarse.pop("levels")
-        graph_path = tmp_path / "coarse.json"
-        graph_path.write_text(json.dumps(coarse))
-        fine_path = tmp_path / "fine.json"
-        fine_path.write_text(json.dumps({"levels": fine_levels}))
-        code, out, err = run_cli(
-            capsys, "degenerate", "--input", str(graph_path), "--fine", str(fine_path)
-        )
+        code, out, err = run_cli(capsys, *fig1_degenerate_argv(tmp_path))
         self.assert_exit_1(code, out, err)
         assert err == "error: invariant violated: limit changed the dimension\n"
+
+    def test_non_submodular_table_exits_1(self, tmp_path, capsys, monkeypatch):
+        import resipoly.cli
+        from resipoly.polytopes import SetFunction
+
+        # f(S) = |S|^2 on k4's vertices rises faster on bigger sets
+        monkeypatch.setattr(
+            resipoly.cli,
+            "residue_projection_table",
+            lambda graph, levels, max_vertices: SetFunction(
+                graph.vertices, [m.bit_count() ** 2 for m in range(16)]
+            ),
+        )
+        path = write_fixture(tmp_path, "k4")
+        code, out, err = run_cli(capsys, "polytope", "--input", path)
+        self.assert_exit_1(code, out, err)
+        assert err == "error: invariant violated: base polytope of a non-submodular table\n"
+
+    def test_zero_anchor_minor_exits_1(self, tmp_path, capsys, monkeypatch):
+        import resipoly.degeneration
+
+        monkeypatch.setattr(resipoly.degeneration, "det", lambda rows: 0)
+        code, out, err = run_cli(capsys, *fig1_degenerate_argv(tmp_path))
+        self.assert_exit_1(code, out, err)
+        assert err == "error: invariant violated: greedy anchor minor is zero\n"
 
 
 class TestParser:
@@ -386,6 +397,40 @@ class TestParser:
 
 
 class TestVerify:
+    def test_config_derives_the_suite_sizes(self):
+        # four settable fields; the report's config block keeps all eight keys
+        from dataclasses import fields
+
+        from resipoly.verify import VerifyConfig
+
+        assert [f.name for f in fields(VerifyConfig)] == [
+            "seed",
+            "cases",
+            "max_vertices",
+            "include_random",
+        ]
+        assert list(VerifyConfig().as_dict().items()) == [
+            ("seed", 0),
+            ("flag_cases", 200),
+            ("face_cases", 25),
+            ("degeneration_cases", 50),
+            ("collection_cases", 1000),
+            ("max_vertices", 5),
+            ("max_edges", 8),
+            ("include_random", True),
+        ]
+        small = VerifyConfig(seed=3, cases=7, max_vertices=4, include_random=False)
+        assert small.as_dict() == {
+            "seed": 3,
+            "flag_cases": 7,
+            "face_cases": 1,
+            "degeneration_cases": 1,
+            "collection_cases": 35,
+            "max_vertices": 4,
+            "max_edges": 8,
+            "include_random": False,
+        }
+
     def test_single_fixture_passes(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "fig1")
         code, out, _ = run_cli(
@@ -450,6 +495,33 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "condition,message",
+        [
+            (
+                {"level": 2, "component": [], "arrows": []},
+                "empty component in expect global condition",
+            ),
+            (
+                {"level": 2, "component": ["u5"], "arrows": ["bogus"]},
+                "unknown arrow 'bogus' in expect global condition",
+            ),
+        ],
+        ids=["empty-component", "arrow-not-a-label"],
+    )
+    def test_malformed_global_condition_exits_2(self, tmp_path, capsys, condition, message):
+        # before, the first read as "row not generated" and the second as a
+        # mismatch, both exit 1
+        def expect(doc):
+            doc["expect"]["global_conditions"] = [condition]
+
+        path = write_fixture(tmp_path, "fig1", expect)
+        code, out, err = run_cli(capsys, "verify", "--input", path, "--skip-random")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
         assert "Traceback" not in err
 
     def test_global_condition_component_in_any_order(self, tmp_path, capsys):

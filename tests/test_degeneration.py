@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from resipoly import fixtures
+from resipoly.cli import main
 from resipoly.degeneration import (
     LaurentSubspace,
     check_degeneration,
@@ -30,6 +33,7 @@ from resipoly.verify import _fixture_degenerations
 
 from conftest import (
     arrows_with_tail,
+    fig1_degenerate_argv,
     random_subspace,
     reference_initial_space_limit,
     reference_plucker_oracle,
@@ -153,6 +157,13 @@ class TestInitialSpaceLimit:
         with pytest.raises(InvariantViolation) as err:
             initial_space_limit(laurent)
         assert str(err.value) == "limit changed the dimension"
+
+    def test_dependent_basis_rows(self):
+        # a stand-in space claiming dimension 2 with rows (1, 1) and (2, 2)
+        space = SimpleNamespace(ambient_dim=2, dim=2, rows=((1, 1), (2, 2)))
+        with pytest.raises(InvariantViolation) as err:
+            initial_space_limit(LaurentSubspace(space, (0, 1)))
+        assert str(err.value) == "basis rows were dependent"
 
     def test_dimension_preserved(self):
         rng = random.Random(52)
@@ -310,8 +321,28 @@ class TestPluckerOracle:
 
         monkeypatch.setattr(resipoly.degeneration, "det", lambda rows: Fraction(0))
         laurent = laurent_for(Subspace(2, [[1, 1]]), (0, 1))
-        with pytest.raises(InvariantViolation, match="anchor minor"):
+        with pytest.raises(InvariantViolation) as err:
             plucker_limit_oracle(laurent)
+        assert str(err.value) == "greedy anchor minor is zero"
+
+    def test_decoded_dimension_guard(self, fig1, monkeypatch):
+        """A decoded limit that loses a row must not pass as the limit.
+
+        Only a broken `Subspace` reaches this guard: row k of the decoded
+        basis holds the anchor minor, which is nonzero, at its own anchor
+        column and 0 at the other anchor columns, so the decoded rows always
+        have rank m."""
+        import resipoly.degeneration
+
+        monkeypatch.setattr(
+            resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
+        )
+        graph, levels, _ = fig1
+        space = residue_space(graph, LevelStructure.trivial(graph.vertices))
+        laurent = LaurentSubspace.for_residues(space, graph, levels)
+        with pytest.raises(InvariantViolation) as err:
+            plucker_limit_oracle(laurent)
+        assert str(err.value) == "decoded limit has the wrong dimension"
 
     def test_basis_is_cleared_once(self, fig1, monkeypatch):
         # fig1's one-level space: dim 3 in Q^14.  The basis is held as int
@@ -445,3 +476,36 @@ class TestCheckDegeneration:
             fine = random_level_structure(rng, graph)
             coarse = random_coarsening(rng, fine)
             assert check_degeneration(graph, fine, coarse).ok
+
+
+class TestFaultInjection:
+    """Each verdict of `check_degeneration` fed one wrong object must fail on
+    its own, and `resipoly degenerate` exits 1.  Every wrong object is fig1's
+    one-level residue space (or its table) left undegenerated, which differs
+    from the residue space (and table) of fig1's levels."""
+
+    @pytest.mark.parametrize(
+        "target,wrong,failed",
+        [
+            ("initial_space_limit", lambda laurent: laurent.space, {"limit", "oracle"}),
+            ("flag_and_realization", lambda space, levels, blocks: ((), space), {"realization"}),
+            ("splitting", lambda table, levels: table, {"splitting"}),
+            ("plucker_limit_oracle", lambda laurent: laurent.space, {"oracle"}),
+        ],
+        ids=["limit", "realization", "splitting", "oracle"],
+    )
+    def test_wrong_route_fails_its_check(
+        self, fig1, tmp_path, capsys, monkeypatch, target, wrong, failed
+    ):
+        import resipoly.degeneration
+
+        # the oracle is compared with the leading-form limit, so a wrong
+        # limit fails both
+        monkeypatch.setattr(resipoly.degeneration, target, wrong)
+        graph, levels, _ = fig1
+        report = check_degeneration(graph, levels, LevelStructure.trivial(graph.vertices))
+        assert not report.ok
+        assert main(fig1_degenerate_argv(tmp_path)) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert {name for name, ok in payload["checks"].items() if not ok} == failed

@@ -298,7 +298,7 @@ class TestVectorCollection:
             return real(value)
 
         monkeypatch.setattr(resipoly.linalg, "to_fraction", counting)
-        report = _random_collections(VerifyConfig.scaled(11, 20))
+        report = _random_collections(VerifyConfig(seed=11, cases=20))
         assert report["ok"]
         assert calls == []
 

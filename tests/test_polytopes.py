@@ -150,9 +150,11 @@ class TestBasePolytope:
         assert poly.vertices == ((Fraction(2), Fraction(0), Fraction(1)),)
 
     def test_non_submodular_rejected(self):
+        # f({a, b}) = 5 exceeds f({a}) + f({b}) - f(empty) = 0
         bad = SetFunction(("a", "b"), (0, 0, 0, 5))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation) as err:
             base_polytope(bad)
+        assert str(err.value) == "base polytope of a non-submodular table"
 
     def test_vertices_inside_simplex(self):
         rng = random.Random(43)
@@ -680,6 +682,55 @@ class TestFaultInjection:
         assert code == 1
         assert payload["ok"] is False
         assert payload["cover_ok"] is False
+        assert failure in payload["failures"]
+
+    def one_level_vertices(self, graph, indices):
+        every_vertex = base_polytope(
+            residue_projection_table(graph, LevelStructure.trivial(graph.vertices))
+        ).vertices
+        return tuple(every_vertex[i] for i in indices)
+
+    def test_partition_matches_no_chain_face(self, k4, tmp_path, capsys, monkeypatch):
+        # the partition ({v4}, {v1, v2, v3}) has upper face (0, 2, 6) and
+        # lower face (3, 5, 7, 8, 10, 11); it reports one-level vertex 0 alone
+        graph = k4[0]
+        only_zero = self.one_level_vertices(graph, [0])
+        pi = misreport_partition(
+            monkeypatch, graph, [["v4"], ["v1", "v2", "v3"]], vertices=lambda points: only_zero
+        )
+        failure = f"{pi!r}: no chain-face orientation matches"
+        report = check_polytope_faces(graph)
+        assert report.containment_ok
+        assert not report.chain_match_ok
+        assert report.orientation == "lower"
+        assert not report.ok
+        assert failure in report.failures
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["chain_match_ok"] is False
+        assert failure in payload["failures"]
+
+    def test_no_consistent_orientation(self, k4, tmp_path, capsys, monkeypatch):
+        # the same partition reports its upper face; every other partition
+        # matches the lower orientation, so no orientation fits them all
+        graph = k4[0]
+        upper = self.one_level_vertices(graph, [0, 2, 6])
+        misreport_partition(
+            monkeypatch, graph, [["v4"], ["v1", "v2", "v3"]], vertices=lambda points: upper
+        )
+        failure = "no globally consistent chain-face orientation"
+        report = check_polytope_faces(graph)
+        assert report.containment_ok
+        assert report.orientation == "none"
+        assert not report.chain_match_ok
+        assert not report.ok
+        assert failure in report.failures
+        assert not any("no chain-face orientation matches" in f for f in report.failures)
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["chain_match_ok"] is False
         assert failure in payload["failures"]
 
     def test_vertex_set_not_contained_in_a_coarsening(self, k4, tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import random
 
+import pytest
+
 from resipoly import fixtures, residues
 from resipoly.cli import main
 from resipoly.graphs import (
@@ -39,7 +41,7 @@ from conftest import (
 def stacked_rows(graph, levels, families=FAMILIES):
     rows = build_constraints(graph, levels)
     return [
-        [row.support >> a & 1 for a in range(graph.num_arrows)]
+        [row >> a & 1 for a in range(graph.num_arrows)]
         for family in families
         for row in rows[family]
     ]
@@ -50,8 +52,8 @@ def arrow_labels(graph, support):
 
 
 def labelled(model, family):
-    """Label -> support of each row of a family."""
-    return {model.label(family, row): row.support for row in model.rows[family]}
+    """Label -> arrow mask of each row of a family."""
+    return {model.label(family, model.owner(family, row)): row for row in model.rows[family]}
 
 
 class TestConstraints:
@@ -59,7 +61,7 @@ class TestConstraints:
         graph, levels = fig1[0], fig1[1]
         model = LevelGraph(graph, levels)
         rows = labelled(model, "global")
-        assert [row.owner for row in model.rows["global"]] == [
+        assert [model.owner("global", row) for row in model.rows["global"]] == [
             (2, graph.mask_of(["u4"])),
             (2, graph.mask_of(["u5"])),
         ]
@@ -79,19 +81,30 @@ class TestConstraints:
         model = LevelGraph(graph, levels)
         (local,) = model.rows["local"]
         (ros,) = model.rows["rosenlicht"]
-        assert (local.owner, ros.owner) == (0, 0)  # vertex 0, edge 0
-        assert model.label("local", local) == "v"
-        assert model.label("rosenlicht", ros) == "e0:v-v"
+        assert (model.owner("local", local), model.owner("rosenlicht", ros)) == (0, 0)
+        assert model.label("local", 0) == "v"  # vertex 0
+        assert model.label("rosenlicht", 0) == "e0:v-v"  # edge 0
         assert graph.num_arrows == 2
-        assert local.support == ros.support == 0b11
+        assert local == ros == 0b11
+
+    def test_rows_are_arrow_masks(self, fig1, fig2, k4, c3, loop1):
+        # every condition row, in the families and in the blocks, is a bare
+        # int: the bitmask of the arrows where the row is 1
+        for graph, levels, _ in (fig1, fig2, k4, c3, loop1):
+            model = LevelGraph(graph, levels)
+            for family in FAMILIES:
+                assert all(type(row) is int for row in model.rows[family])
+            for block in model.blocks:
+                for group in (block.local, block.rosenlicht, block.glob):
+                    assert all(type(row) is int for row in group)
 
     def test_downward_rows_are_unit_vectors(self, fig2):
         graph, levels = fig2[0], fig2[1]
         families = build_constraints(graph, levels)
         assert len(families["downward"]) == 9
         for row in families["downward"]:
-            assert row.support.bit_count() == 1
-            assert row.support < 1 << graph.num_arrows
+            assert row.bit_count() == 1
+            assert row < 1 << graph.num_arrows
 
     def test_isolated_vertex_has_no_local_row(self):
         graph, levels = load_level_graph(
@@ -299,17 +312,22 @@ class TestComponentRelations:
 
 def _as_sets(model, family, rows):
     """(label, arrow set, owner) of each row of the bitmask model, with the
-    owner's vertices named as the reference model names them."""
+    owner derived from the row and its vertices named as the reference
+    model names them."""
     graph = model.graph
 
-    def owner(row):
+    def named(owner):
         if family == "local":
-            return graph.vertices[row.owner]
+            return graph.vertices[owner]
         if family == "global":
-            return row.owner[0], graph.names(row.owner[1])
-        return row.owner
+            return owner[0], graph.names(owner[1])
+        return owner
 
-    return [(model.label(family, row), frozenset(bits(row.support)), owner(row)) for row in rows]
+    owners = [model.owner(family, row) for row in rows]
+    return [
+        (model.label(family, owner), frozenset(bits(row)), named(owner))
+        for row, owner in zip(rows, owners)
+    ]
 
 
 def _reference_rows(rows):
@@ -363,9 +381,7 @@ class TestMaskModelAgainstReference:
                         (got.glob + got.rosenlicht, want.glob + want.rosenlicht),
                         (got.local, want.local),
                     )
-                    assert support_checks(
-                        *[[row.support for row in rows] for rows, _ in pairs]
-                    ) == reference_support_checks(
+                    assert support_checks(*[rows for rows, _ in pairs]) == reference_support_checks(
                         *[tuple(row.support for row in rows) for _, rows in pairs]
                     )
                 assert model.relation_failures() == reference.relation_failures()
@@ -411,12 +427,11 @@ class TestFaultInjection:
 
     def level_component_pair(self, fig1):
         model = LevelGraph(fig1[0], fig1[1])
-        local, ros = model._rows_within(fig1[0].mask_of(["u2", "u3"]))
-        return residues._supports(local), residues._supports(ros)
+        return model._rows_within(fig1[0].mask_of(["u2", "u3"]))
 
     def merged_pair(self, fig1):
         (block,) = [b for b in LevelGraph(fig1[0], fig1[1]).blocks if b.level == 2]
-        return residues._supports(block.glob + block.rosenlicht), residues._supports(block.local)
+        return block.glob + block.rosenlicht, block.local
 
     def assert_relation_failure(self, fig1, tmp_path, capsys, failure):
         assert LevelGraph(fig1[0], fig1[1]).relation_failures() == [failure]
@@ -451,14 +466,15 @@ class TestFaultInjection:
         failure = f"{self.MERGED}: related=False with nonempty=True"
         self.assert_relation_failure(fig1, tmp_path, capsys, failure)
 
-    def test_wrong_global_codimension(self, fig1, tmp_path, capsys, monkeypatch):
-        # one more on the one level-2 block: the other totals still agree
+    def assert_wrong_total(self, fig1, tmp_path, capsys, monkeypatch, field):
+        # one more in `field` of the one level-2 block: the other totals
+        # still agree
         real = residues.ComponentBlock
 
         def wrong_block(*args):
             block = real(*args)
             if block.level == 2:
-                return dataclasses.replace(block, codim_global=block.codim_global + 1)
+                return dataclasses.replace(block, **{field: getattr(block, field) + 1})
             return block
 
         monkeypatch.setattr(residues, "ComponentBlock", wrong_block)
@@ -467,6 +483,27 @@ class TestFaultInjection:
         assert code == 1
         assert payload["ok"] is False
         assert payload["component_totals_ok"] is False
+        assert all(item["ok"] for item in payload["identities"])
+
+    def test_wrong_global_codimension(self, fig1, tmp_path, capsys, monkeypatch):
+        self.assert_wrong_total(fig1, tmp_path, capsys, monkeypatch, "codim_global")
+
+    @pytest.mark.parametrize("field", ["block_dim", "codim_local", "codim_rosenlicht"])
+    def test_wrong_block_total(self, fig1, tmp_path, capsys, monkeypatch, field):
+        self.assert_wrong_total(fig1, tmp_path, capsys, monkeypatch, field)
+
+    def test_flag_step_outside_the_previous(self, fig1, tmp_path, capsys, monkeypatch):
+        # every containment of a flag step in the one before reads false
+        from resipoly.linalg import Subspace
+
+        monkeypatch.setattr(Subspace, "contains", lambda self, other: False)
+        flag = LevelGraph(fig1[0], fig1[1]).flag()
+        assert [ok for _, ok in flag.inclusions()] == [False] * 3
+        assert not flag.ok
+        code, payload = run_fig1(tmp_path, capsys, "dims")
+        assert code == 1
+        assert payload["ok"] is False
+        assert [item["ok"] for item in payload["inclusions"]] == [False] * 3
         assert all(item["ok"] for item in payload["identities"])
 
     def test_wrong_special_components(self, fig1, tmp_path, capsys, monkeypatch):
