@@ -111,7 +111,7 @@ def cmd_info(args):
 def cmd_dims(args):
     model = LevelGraph(*_load_input(args.input))
     flag = model.flag()
-    report = model.component_report()
+    report = model.component_report(flag.dims)
     identities = [c.as_dict() for c in flag.identities()]
     payload = {
         "counts": flag.counts.as_dict(),

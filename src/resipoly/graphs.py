@@ -76,6 +76,32 @@ def _union(table, mask):
     return out
 
 
+def _flood(neighbours, mask):
+    """The components of the vertex mask under the per-vertex neighbour
+    masks, by flood fill from each lowest vertex left."""
+    components = []
+    while mask:
+        component = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours[low.bit_length() - 1] & mask & ~component
+            component |= new
+            frontier |= new
+        components.append(component)
+        mask &= ~component
+    return tuple(components)
+
+
+def _tabled(table, fill, per_vertex, mask):
+    """``fill(per_vertex, mask)``, computed on the first call for `mask` and
+    read from `table` after it."""
+    value = table.get(mask)
+    if value is None:
+        value = table[mask] = fill(per_vertex, mask)
+    return value
+
+
 class Multigraph:
     """Finite multigraph over named vertices.
 
@@ -86,6 +112,10 @@ class Multigraph:
     arrow masks of the arrows with that tail and that head.
     ``component_count`` and ``genus`` (first Betti number,
     |E| - |V| + components) are computed on construction.
+
+    A graph is never changed after construction, so what a vertex mask
+    determines (its components, neighbours and arrows out and in) is
+    computed once per mask and kept in a per-graph table keyed by the mask.
     """
 
     __slots__ = (
@@ -98,6 +128,10 @@ class Multigraph:
         "in_arrows",
         "component_count",
         "genus",
+        "_components",
+        "_reach",
+        "_out",
+        "_in",
     )
 
     def __init__(self, vertices, edges):
@@ -143,6 +177,10 @@ class Multigraph:
         self.neighbours = tuple(neighbours)
         self.out_arrows = tuple(out_arrows)
         self.in_arrows = tuple(in_arrows)
+        self._components = {}
+        self._reach = {}
+        self._out = {}
+        self._in = {}
         self.component_count = len(self.mask_components((1 << len(vertices)) - 1))
         self.genus = len(self.edges) - len(vertices) + self.component_count
 
@@ -163,32 +201,20 @@ class Multigraph:
 
     def neighbour_mask(self, mask):
         """The vertices adjacent to some vertex of `mask`."""
-        return _union(self.neighbours, mask)
+        return _tabled(self._reach, _union, self.neighbours, mask)
 
     def arrows_from(self, mask):
         """The arrows with tail in the vertex mask, as an arrow mask."""
-        return _union(self.out_arrows, mask)
+        return _tabled(self._out, _union, self.out_arrows, mask)
 
     def arrows_into(self, mask):
         """The arrows with head in the vertex mask, as an arrow mask."""
-        return _union(self.in_arrows, mask)
+        return _tabled(self._in, _union, self.in_arrows, mask)
 
     def mask_components(self, mask):
         """Connected components of the subgraph induced on a vertex bitmask,
-        as bitmasks ordered by their lowest vertex."""
-        neighbours = self.neighbours
-        components = []
-        while mask:
-            component = frontier = mask & -mask
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = neighbours[low.bit_length() - 1] & mask & ~component
-                component |= new
-                frontier |= new
-            components.append(component)
-            mask &= ~component
-        return components
+        as a tuple of bitmasks ordered by their lowest vertex."""
+        return _tabled(self._components, _flood, self.neighbours, mask)
 
     def genus_of(self, mask):
         """First Betti number of the subgraph induced on a vertex bitmask.

@@ -9,10 +9,12 @@ All elimination runs on plain integers.  Each input row has its
 denominators cleared once (a row of ints is taken as it is), and then goes
 into an integer row echelon with content reduction: that echelon alone
 gives ranks, containment and kernels of projections, and back-substitution
-on it gives canonical bases and kernels.  Determinants use fraction-free
-(Bareiss) elimination.  Fractions appear only at input (``"p/q"`` strings
-and Fraction entries), in a determinant, and in :attr:`Subspace.basis`, the
-printed reduced basis.
+on it gives canonical bases and kernels.  Sparse integer rows, such as the
+0/1 residue conditions, have an echelon of their own, :func:`_sparse_insert`,
+on dict rows pivoted at their lowest column.  Determinants use
+fraction-free (Bareiss) elimination.  Fractions appear only at input
+(``"p/q"`` strings and Fraction entries), in a determinant, and in
+:attr:`Subspace.basis`, the printed reduced basis.
 """
 
 from __future__ import annotations
@@ -116,6 +118,38 @@ def _echelon_insert(echelon, row):
         row = [-a for a in row]
     echelon.append((lead, row))
     return True
+
+
+def _sparse_insert(echelon, row):
+    """Reduce a sparse integer row against a sparse echelon, keep it if nonzero.
+
+    A row is a dict ``{column: nonzero entry}``.  ``echelon`` maps each pivot
+    column to its row, the one whose lowest column it is, held as ``(entry
+    at the pivot, the rest of the row)``.  While the row's lowest column
+    holds a pivot, that column is cleared by cross-multiplication with the
+    pivot's row, which moves the lowest column up.  A row left nonzero is
+    divided by its content and becomes the pivot at its lowest column.
+    """
+    while row:
+        lead = min(row)
+        x = row.pop(lead)
+        pivot = echelon.get(lead)
+        if pivot is None:
+            g = gcd(x, *row.values())
+            if g > 1:
+                x //= g
+                row = {c: a // g for c, a in row.items()}
+            echelon[lead] = (x, row)
+            return True
+        y, rest = pivot
+        row = {c: a * y for c, a in row.items()}
+        for c, b in rest.items():
+            a = row.get(c, 0) - x * b
+            if a:
+                row[c] = a
+            else:
+                del row[c]
+    return False
 
 
 def _rref_rows(mat):

@@ -28,15 +28,18 @@ among them (those meeting the neighbours of level n), the components of
 each prefix V<=n, the summits, the counts and the four condition families.
 Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`, read
 from :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name
-tuples only where they are reported.  Every condition is a 0/1 row, so it
-is built once as the int bitmask of the arrow indices where it is 1, like
-every other arrow set.  Indexes built with the rows let each component
-find its own rows without scanning the others.  The flag, the
-per-component blocks and the relatedness predicates all read those masks;
-full-width 0/1 vectors are made from them only where a kernel or a rank
-needs them.  What a row belongs to is derived from its lowest arrow
-(:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
-where a report names the row.
+tuples only where they are reported; what the graph derives from one
+vertex mask (components, neighbours, arrows) it keeps in per-graph tables.
+Every condition is a 0/1 row, so it is built once as the int bitmask of
+the arrow indices where it is 1, like every other arrow set.  The local
+and rosenlicht rows are grouped by level component in one pass; the
+relatedness predicates read those groups, and a per-component block
+reuses one whenever its level-n vertices form a single level component.
+Ranks come from a sparse integer echelon run on the masks themselves,
+each row pivoted at its lowest arrow; full-width 0/1 vectors are made
+from the masks only where a kernel needs them.  What a row belongs to is
+derived from its lowest arrow (:meth:`LevelGraph.owner`), and named
+(:meth:`LevelGraph.label`), only where a report names the row.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import bits, check_same_vertices, classify_arrows
-from .linalg import _echelon_insert, _mask, kernel, support_checks
+from .linalg import _mask, _sparse_insert, kernel, support_checks
 
 __all__ = [
     "FAMILIES",
@@ -108,13 +111,15 @@ def _dense(support, width):
     return tuple([support >> c & 1 for c in range(width)])
 
 
-def _cumulative_ranks(groups, width):
-    """Rank of the rows of the first k groups of supports, for each k."""
-    echelon = []
+def _cumulative_ranks(groups):
+    """Rank of the rows of the first k groups of arrow-mask rows, for each
+    k, by one sparse integer echelon of every row (each a 0/1 row, entry 1
+    at the set bits of its mask)."""
+    echelon = {}
     ranks = []
-    for supports in groups:
-        for support in supports:
-            _echelon_insert(echelon, _dense(support, width))
+    for rows in groups:
+        for row in rows:
+            _sparse_insert(echelon, dict.fromkeys(bits(row), 1))
         ranks.append(len(echelon))
     return ranks
 
@@ -137,10 +142,10 @@ class LevelMasks(NamedTuple):
     the components of V<=n."""
 
     mask: int
-    components: list
-    below: list
-    special: list
-    upto: list
+    components: tuple
+    below: tuple
+    special: tuple
+    upto: tuple
 
 
 class LevelGraph:
@@ -172,15 +177,14 @@ class LevelGraph:
         """Level n -> its :class:`LevelMasks`, each computed once."""
         graph = self.graph
         out = {}
-        below = []
+        below = ()
         prefix = 0
         for n, mask in enumerate(self.levels.masks, start=1):
             prefix |= mask
             reach = graph.neighbour_mask(mask)
             upto = graph.mask_components(prefix)
-            out[n] = LevelMasks(
-                mask, graph.mask_components(mask), below, [c for c in below if c & reach], upto
-            )
+            special = tuple([c for c in below if c & reach])
+            out[n] = LevelMasks(mask, graph.mask_components(mask), below, special, upto)
             below = upto
         return out
 
@@ -230,40 +234,32 @@ class LevelGraph:
         every special component, even when linearly dependent on the other
         families.
         """
-        return self._indexed_rows[0]
+        cls = self.classification
+        return {
+            "downward": tuple(1 << a for a in cls.downward),
+            "local": tuple(row for row in self._local_at if row),
+            "rosenlicht": tuple(3 << 2 * e for e in cls.horizontal_edges),
+            "global": tuple(self._global_at.values()),
+        }
 
     @cached_property
-    def _indexed_rows(self):
-        """The rows by family, and the indexes each component reads its rows
-        through: local rows by vertex index (0 for a vertex without one),
-        rosenlicht rows by the index of their edge's first vertex, global
-        rows by (level, component mask)."""
-        graph, cls = self.graph, self.classification
-        downward = tuple(1 << a for a in cls.downward)
-        keep = ~_mask(cls.downward)
-        local_at = [arrows & keep for arrows in graph.out_arrows]
-        rosenlicht = []
-        ros_at = [()] * len(graph.vertices)
-        for e in cls.horizontal_edges:
-            row = 3 << 2 * e
-            rosenlicht.append(row)
-            ros_at[graph.index[graph.edges[e][0]]] += (row,)
-        glob = []
-        glob_at = {}
+    def _local_at(self):
+        """The local row of each vertex, by vertex index (0 for none)."""
+        keep = ~_mask(self.classification.downward)
+        return tuple(arrows & keep for arrows in self.graph.out_arrows)
+
+    @cached_property
+    def _global_at(self):
+        """(level, special component mask) -> its global row, by level and
+        then by the component's lowest vertex."""
+        graph = self.graph
+        out = {}
         for n, at in self.masks.items():
-            if not at.special:
-                continue
-            out = graph.arrows_from(at.mask)
-            for comp in at.special:
-                glob_at[n, comp] = row = out & graph.arrows_into(comp)
-                glob.append(row)
-        families = {
-            "downward": downward,
-            "local": tuple(row for row in local_at if row),
-            "rosenlicht": tuple(rosenlicht),
-            "global": tuple(glob),
-        }
-        return families, (local_at, ros_at, glob_at)
+            if at.special:
+                arrows = graph.arrows_from(at.mask)
+                for comp in at.special:
+                    out[n, comp] = arrows & graph.arrows_into(comp)
+        return out
 
     def owner(self, family, row):
         """What a condition row of `family` belongs to, by position, read off
@@ -303,21 +299,30 @@ class LevelGraph:
 
     def _rows_within(self, mask):
         """The local rows of the vertices of `mask` and the rosenlicht rows of
-        the horizontal edges with both ends in it, in owner order.
+        the edges with both ends in it, in owner order.
 
-        `mask` must hold both ends of every horizontal edge with one end in
-        it, as the level-n vertices of any component of V<=n do.
+        `mask` must be a union of components of one level, so that every
+        edge inside it is horizontal and every horizontal edge meeting it
+        lies inside it.
         """
-        _, (local_at, ros_at, _) = self._indexed_rows
+        graph, local_at = self.graph, self._local_at
         local = []
-        ros = []
         for i in bits(mask):
             if local_at[i]:
                 local.append(local_at[i])
-            ros += ros_at[i]
-        if len(ros) > 1:
-            ros.sort()  # 3 << 2e grows with the edge e: mask order is owner order
-        return tuple(local), tuple(ros)
+        inside = graph.arrows_from(mask) & graph.arrows_into(mask)
+        # edge e has the arrows 2e and 2e + 1: every other bit is one edge
+        return tuple(local), tuple([3 << a for a in bits(inside)[::2]])
+
+    @cached_property
+    def _groups(self):
+        """Level component mask -> its local and rosenlicht rows, for the
+        components of every level, and the empty mask, which has no rows."""
+        groups = {0: ((), ())}
+        for at in self.masks.values():
+            for comp in at.components:
+                groups[comp] = self._rows_within(comp)
+        return groups
 
     @cached_property
     def blocks(self):
@@ -325,15 +330,19 @@ class LevelGraph:
         component of V<=n they lie in, for every level n.
 
         Each group's rows live in the coordinates of the non-downward arrows
-        with tail in the component's level-n vertices.
+        with tail in the component's level-n vertices.  When those vertices
+        form one level component, its group is reused.
         """
-        _, (_, _, glob_at) = self._indexed_rows
+        groups, glob_at = self._groups, self._global_at
         blocks = []
         for n, at in self.masks.items():
             for comp in at.upto:
                 here = comp & at.mask
+                group = groups.get(here)
+                if group is None:
+                    group = self._rows_within(here)
                 glob = tuple(glob_at[n, c] for c in at.special if c & comp)
-                blocks.append(_Block(n, comp, here, *self._rows_within(here), glob))
+                blocks.append(_Block(n, comp, here, *group, glob))
         return tuple(blocks)
 
     def flag(self):
@@ -349,7 +358,7 @@ class LevelGraph:
     def flag_dims(self):
         """The counts and the four flag dimensions, by integer rank only."""
         width = self.graph.num_arrows
-        ranks = _cumulative_ranks((self.rows[f] for f in FAMILIES), width)
+        ranks = _cumulative_ranks(self.rows[f] for f in FAMILIES)
         return self.counts, tuple(width - r for r in ranks)
 
     def residue_space(self):
@@ -358,11 +367,10 @@ class LevelGraph:
         rows = [_dense(row, width) for f in FAMILIES for row in self.rows[f]]
         return kernel(rows, num_cols=width)
 
-    def component_report(self):
+    def component_report(self, dims):
         """Blockwise collections, cardinalities and codimensions, with totals
-        checked against the flag dimensions."""
-        _, dims = self.flag_dims()
-        width = self.graph.num_arrows
+        checked against `dims`, the four flag dimensions computed on the
+        whole arrow space."""
         names = self.graph.names
         blocks = []
         for b in self.blocks:
@@ -373,7 +381,7 @@ class LevelGraph:
             ]
             # local rows are disjoint (one vertex each): the sum is the union
             block_dim = sum(b.local).bit_count()
-            codims = _cumulative_ranks(groups, width)
+            codims = _cumulative_ranks(groups)
             blocks.append(
                 ComponentBlock(
                     b.level, names(b.component), names(b.level_vertices), *labels, block_dim, *codims
@@ -419,8 +427,7 @@ class LevelGraph:
         reducible = set(self._summit_masks[1])
         for n, at in self.masks.items():
             for comp in at.components:
-                local, ros = self._rows_within(comp)
-                report = support_checks(local, ros)
+                report = support_checks(*self._groups[comp])
                 if not report.properly_unrelated:
                     failures.append(f"level {n} component {names(comp)}: not properly unrelated")
                 if report.related != (comp in reducible):
@@ -590,8 +597,9 @@ class ComponentReport:
 
 def per_component_report(graph, levels):
     """Blockwise collections, cardinalities and codimensions, with totals
-    checked against the globally computed flag dimensions."""
-    return LevelGraph(graph, levels).component_report()
+    checked against the flag dimensions by integer rank."""
+    model = LevelGraph(graph, levels)
+    return model.component_report(model.flag_dims()[1])
 
 
 def check_component_relations(graph, levels):

@@ -109,12 +109,13 @@ def _is_list_of(value, check, length=None):
     )
 
 
-def _check_expect(expect, graph):
+def _check_expect(expect, graph, levels):
     """Reject an ``expect`` block with an unknown key, a JSON type that
-    :func:`_expect_failures` cannot compare, an empty component, a component
-    name that is not a vertex of `graph` or an arrow name that is not an
-    arrow label of `graph`, so that a malformed block is an input error,
-    never a failed check and never a silent pass."""
+    :func:`_expect_failures` cannot compare, a level outside 1..r of
+    `levels`, an empty component, a component name that is not a vertex of
+    `graph` or an arrow name that is not an arrow label of `graph`, so that
+    a malformed block is an input error, never a failed check and never a
+    silent pass."""
     if not isinstance(expect, dict):
         raise GraphDocumentError("expect must be an object")
     unknown = sorted(set(expect) - _EXPECT_KEYS)
@@ -126,12 +127,14 @@ def _check_expect(expect, graph):
     for key, length in _EXPECT_INT_LISTS.items():
         if key in expect and not _is_list_of(expect[key], _is_int, length):
             raise GraphDocumentError(f"expect {key} must be a list of {length} integers")
-    levels = expect.get("levels", {})
-    if not isinstance(levels, dict):
+    by_level = expect.get("levels", {})
+    if not isinstance(by_level, dict):
         raise GraphDocumentError("expect levels must be an object")
-    for level, want in levels.items():
+    for level, want in by_level.items():
         if not (level.isascii() and level.isdecimal()):
             raise GraphDocumentError(f"expect level {level!r} is not a decimal number")
+        if not 1 <= int(level) <= levels.r:
+            raise GraphDocumentError(f"expect level {level} out of range 1..{levels.r}")
         if not (
             isinstance(want, dict)
             and set(want) <= _LEVEL_FIELDS
@@ -155,6 +158,10 @@ def _check_expect(expect, graph):
             raise GraphDocumentError(
                 "each expect global condition must hold exactly an integer level "
                 "and string lists component and arrows"
+            )
+        if not 1 <= item["level"] <= levels.r:
+            raise GraphDocumentError(
+                f"expect global condition level {item['level']} out of range 1..{levels.r}"
             )
         if not item["component"]:
             raise GraphDocumentError("empty component in expect global condition")
@@ -192,11 +199,7 @@ def _expect_failures(model, flag, report, expect, reference=None):
         by_level = {s.level: s for s in report.levels}
         for key in sorted(expect["levels"], key=int):
             want = expect["levels"][key]
-            summary = by_level.get(int(key))
-            if summary is None:
-                failures.append(f"level {key}: missing from the computed report")
-                continue
-            got = summary.as_dict()
+            got = by_level[int(key)].as_dict()
             for field_name, want_value in want.items():
                 check(f"level {key} {field_name}", got.get(field_name), want_value)
     if "global_conditions" in expect:
@@ -262,13 +265,13 @@ def verify_document(name, document):
     """All applicable checks for one graph document; returns a JSON-ready dict."""
     graph, levels = load_level_graph(document)
     expect = document.get("expect", {})
-    _check_expect(expect, graph)
+    _check_expect(expect, graph, levels)
 
     model = LevelGraph(graph, levels)
     flag = model.flag()
     identities = flag.identities()
     inclusions = flag.inclusions()
-    report = model.component_report()
+    report = model.component_report(flag.dims)
     relation_failures = model.relation_failures()
     identity_failures = _component_set_identity_failures(model)
     faces = None

@@ -508,12 +508,20 @@ class TestVerify:
                 {"level": 2, "component": ["u5"], "arrows": ["bogus"]},
                 "unknown arrow 'bogus' in expect global condition",
             ),
+            (
+                {"level": 9, "component": ["u5"], "arrows": ["e2:u2>u5"]},
+                "expect global condition level 9 out of range 1..2",
+            ),
+            (
+                {"level": 0, "component": ["u5"], "arrows": ["e2:u2>u5"]},
+                "expect global condition level 0 out of range 1..2",
+            ),
         ],
-        ids=["empty-component", "arrow-not-a-label"],
+        ids=["empty-component", "arrow-not-a-label", "level-above-r", "level-zero"],
     )
     def test_malformed_global_condition_exits_2(self, tmp_path, capsys, condition, message):
-        # before, the first read as "row not generated" and the second as a
-        # mismatch, both exit 1
+        # before, the empty component and the levels out of range read as
+        # "row not generated" and the bogus arrow as a mismatch, all exit 1
         def expect(doc):
             doc["expect"]["global_conditions"] = [condition]
 
@@ -523,6 +531,19 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("level", ["9", "3", "0"])
+    def test_expect_level_out_of_range_exits_2(self, tmp_path, capsys, level):
+        # fig1 has two levels; before, such a key read as "missing from the
+        # computed report", exit 1
+        def expect(doc):
+            doc["expect"]["levels"] = {level: {"lrc": 1}}
+
+        path = write_fixture(tmp_path, "fig1", expect)
+        code, out, err = run_cli(capsys, "verify", "--input", path, "--skip-random")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: expect level {level} out of range 1..2\n"
 
     def test_global_condition_component_in_any_order(self, tmp_path, capsys):
         # a component is a vertex set, so the reordered ones find their rows;

@@ -26,6 +26,7 @@ from conftest import (
     induced_edges,
     level_components,
     prefix,
+    reference_adjacency,
     reverse,
     summit_names,
 )
@@ -285,6 +286,32 @@ class TestVertexMasks:
             for mask in range(full + 1):
                 assert graph.genus_of(mask) == genus_of_induced(graph, graph.names(mask))
             assert graph.genus_of(full) == graph.genus
+
+    def test_tables_against_fresh_computation(self):
+        # components, neighbours and arrows of a vertex mask are kept in
+        # per-graph tables: each subset is asked for twice, the second time
+        # from the table, and checked against a fresh flood fill and unions
+        for graph in graphs_with_loops_parallels_and_isolated_vertices():
+            adjacency = reference_adjacency(graph)
+            ends = [
+                (2 * e + d, graph.index[tail], graph.index[head])
+                for e, (u, v) in enumerate(graph.edges)
+                for d, (tail, head) in enumerate(((u, v), (v, u)))
+            ]
+            for mask in range(1 << len(graph.vertices)):
+                subset = graph.names(mask)
+                chosen = {graph.index[v] for v in subset}
+                components = [graph.mask_of(c) for c in induced_components(graph, subset)]
+                neighbours = sum({1 << j for i in chosen for _, j in adjacency[i]})
+                out = sum(1 << a for a, tail, _ in ends if tail in chosen)
+                into = sum(1 << a for a, _, head in ends if head in chosen)
+                for _ in range(2):
+                    got = graph.mask_components(mask)
+                    assert type(got) is tuple
+                    assert list(got) == components
+                    assert graph.neighbour_mask(mask) == neighbours
+                    assert graph.arrows_from(mask) == out
+                    assert graph.arrows_into(mask) == into
 
     def test_level_masks_name_the_parts(self):
         for graph in graphs_with_loops_parallels_and_isolated_vertices():

@@ -18,6 +18,7 @@ from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import (
     FAMILIES,
     LevelGraph,
+    _cumulative_ranks,
     build_constraints,
     build_flag,
     check_component_relations,
@@ -25,6 +26,7 @@ from resipoly.residues import (
     per_component_report,
     residue_space,
 )
+from resipoly.verify import verify_document
 
 from conftest import (
     ReferenceLevelGraph,
@@ -38,13 +40,14 @@ from conftest import (
 )
 
 
+def dense_rows(masks, width):
+    """The 0/1 rows of `width` entries that the masks stand for."""
+    return [[mask >> c & 1 for c in range(width)] for mask in masks]
+
+
 def stacked_rows(graph, levels, families=FAMILIES):
     rows = build_constraints(graph, levels)
-    return [
-        [row >> a & 1 for a in range(graph.num_arrows)]
-        for family in families
-        for row in rows[family]
-    ]
+    return dense_rows((row for family in families for row in rows[family]), graph.num_arrows)
 
 
 def arrow_labels(graph, support):
@@ -334,6 +337,68 @@ def _reference_rows(rows):
     return [(row.label, row.support, row.owner) for row in rows]
 
 
+def random_mask_groups(rng, tally):
+    """Groups of 0/1 rows as masks over at most 10 columns, with zero rows,
+    repeats of earlier rows and sums of disjoint earlier rows mixed in;
+    `tally` counts each kind."""
+    width = rng.randint(1, 10)
+    earlier = []
+    groups = []
+    for _ in range(rng.randint(1, 4)):
+        group = []
+        for _ in range(rng.randint(0, 7)):
+            kind = rng.choice(("random", "random", "random", "zero", "repeat", "sum"))
+            # a stand-in pair that overlaps, so no sum, while fewer than two rows came before
+            pair = rng.sample(earlier, 2) if len(earlier) > 1 else (1, 1)
+            if kind == "zero":
+                row = 0
+            elif kind == "repeat" and earlier:
+                row = rng.choice(earlier)
+            elif kind == "sum" and not pair[0] & pair[1]:
+                row = pair[0] | pair[1]
+            else:
+                kind, row = "random", rng.getrandbits(width)
+            tally[kind] += 1
+            group.append(row)
+            earlier.append(row)
+        groups.append(tuple(group))
+    return groups, width
+
+
+class TestSparseEchelon:
+    def test_cumulative_ranks_against_reference_rank(self):
+        # the sparse echelon of arrow-mask rows against dense rational
+        # elimination of the same rows, one prefix of groups at a time
+        rng = random.Random(47)
+        tally = dict.fromkeys(("random", "zero", "repeat", "sum"), 0)
+        for _ in range(400):
+            groups, width = random_mask_groups(rng, tally)
+            stacked = []
+            ranks = []
+            for group in groups:
+                stacked += dense_rows(group, width)
+                ranks.append(reference_rank(stacked))
+            assert _cumulative_ranks(groups) == ranks
+        assert min(tally.values()) >= 100, tally
+
+    def test_one_flag_dims_echelon_fewer_per_document(self, monkeypatch):
+        # verify_document checks the block totals against the flag's own
+        # dimensions, so the only cumulative echelons it runs are the
+        # blocks' codimensions
+        calls = []
+        real = residues._cumulative_ranks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(residues, "_cumulative_ranks", counted)
+        section = verify_document("fig2", fixtures.document("fig2"))
+        assert section["ok"] and section["component_totals_ok"]
+        graph, levels, _ = fixtures.load("fig2")
+        assert len(calls) == len(LevelGraph(graph, levels).blocks)
+
+
 class TestMaskModelAgainstReference:
     def test_every_partition_of_random_graphs(self):
         # the bitmask model against the frozenset model it replaced, on every
@@ -385,6 +450,12 @@ class TestMaskModelAgainstReference:
                         *[tuple(row.support for row in rows) for _, rows in pairs]
                     )
                 assert model.relation_failures() == reference.relation_failures()
+                stacked = []
+                ranks = []
+                for family in FAMILIES:
+                    stacked += dense_rows(model.rows[family], graph.num_arrows)
+                    ranks.append(reference_rank(stacked))
+                assert _cumulative_ranks(model.rows[f] for f in FAMILIES) == ranks
         assert partitions >= 4 * 541  # at least four five-vertex graphs
 
 
@@ -478,7 +549,7 @@ class TestFaultInjection:
             return block
 
         monkeypatch.setattr(residues, "ComponentBlock", wrong_block)
-        assert not LevelGraph(fig1[0], fig1[1]).component_report().totals_consistent
+        assert not per_component_report(fig1[0], fig1[1]).totals_consistent
         code, payload = run_fig1(tmp_path, capsys, "dims")
         assert code == 1
         assert payload["ok"] is False

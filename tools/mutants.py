@@ -62,6 +62,7 @@ POLY = "src/resipoly/polytopes.py"
 RES = "src/resipoly/residues.py"
 VER = "src/resipoly/verify.py"
 GRAPHS = "src/resipoly/graphs.py"
+LIN = "src/resipoly/linalg.py"
 
 CATALOGUE = (
     # -- every InvariantViolation site, switched off
@@ -365,6 +366,62 @@ CATALOGUE = (
         "if label not in arrow_labels:",
         "if False:",
         "_check_expect: unknown arrow label accepted",
+    ),
+    Mutant(
+        VER,
+        "if not 1 <= int(level) <= levels.r:",
+        "if False:",
+        "_check_expect: expect level key outside 1..r accepted",
+    ),
+    # -- each identity of flag_identities, one side off by one
+    Mutant(
+        RES,
+        "2 * counts.edges - counts.vertical_edges,",
+        "2 * counts.edges - counts.vertical_edges + 1,",
+        "flag_identities: downward dimension off by one",
+    ),
+    Mutant(
+        RES,
+        "counts.vertices - counts.summits_irreducible,",
+        "counts.vertices - counts.summits_irreducible + 1,",
+        "flag_identities: local codimension off by one",
+    ),
+    Mutant(
+        RES,
+        "counts.horizontal_edges - counts.summits_reducible,",
+        "counts.horizontal_edges - counts.summits_reducible + 1,",
+        "flag_identities: rosenlicht codimension off by one",
+    ),
+    Mutant(
+        RES,
+        "counts.summits - counts.components)",
+        "counts.summits - counts.components + 1)",
+        "flag_identities: global codimension off by one",
+    ),
+    Mutant(
+        RES,
+        "counts.edges - counts.vertices + counts.components,",
+        "counts.edges - counts.vertices + counts.components + 1,",
+        "flag_identities: residue dimension off by one",
+    ),
+    # -- vertex-mask tables, level-component groups and the sparse echelon
+    Mutant(
+        LIN,
+        "row = {c: a * y for c, a in row.items()}",
+        "row = dict(row)",
+        "_sparse_insert: the row is not multiplied by the pivot's entry",
+    ),
+    Mutant(
+        GRAPHS,
+        "value = table.get(mask)",
+        "value = table.get(mask & -mask)",
+        "_tabled: vertex-mask tables read at the mask's lowest bit",
+    ),
+    Mutant(
+        RES,
+        "group = self._rows_within(here)",
+        "group = groups[next(c for c in at.components if c & here)]",
+        "blocks: a block over several level components reuses the first one's group",
     ),
 )
 
