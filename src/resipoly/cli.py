@@ -29,9 +29,6 @@ from .degeneration import check_degeneration
 from .graphs import GraphDocumentError, LevelStructure, is_coarsening, load_level_graph
 from .linalg import format_fraction
 from .polytopes import (
-    FACE_SWEEP_BOUND,
-    POLYTOPE_BOUND,
-    TABLE_BOUND,
     InvariantViolation,
     base_polytope,
     check_polytope_faces,
@@ -61,12 +58,11 @@ def _load_input(path):
     return load_level_graph(_read_document(path))
 
 
-def _emit(report, fmt, out=None):
-    out = out or sys.stdout
+def _emit(report, fmt):
     if fmt == "json":
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        _emit_text(report, out)
+        _emit_text(report, sys.stdout)
 
 
 def _emit_text(value, out, indent=0):
@@ -177,18 +173,15 @@ def _table_report(table):
 
 def cmd_gamma(args):
     graph, levels = _load_input(args.input)
-    table = residue_projection_table(
-        graph, levels, max_vertices=min(args.max_vertices, TABLE_BOUND)
-    )
+    table = residue_projection_table(graph, levels)
     _emit(_table_report(table), args.format)
     return EXIT_OK
 
 
 def cmd_polytope(args):
     graph, levels = _load_input(args.input)
-    bound = min(args.max_vertices, POLYTOPE_BOUND)
-    table = residue_projection_table(graph, levels, max_vertices=bound)
-    poly = base_polytope(table, max_vertices=bound)
+    table = residue_projection_table(graph, levels)
+    poly = base_polytope(table)
     payload = {
         "ground": list(poly.ground),
         "vertices": [[format_fraction(x) for x in q] for q in poly.vertices],
@@ -207,9 +200,7 @@ def cmd_polytope(args):
 
 def cmd_faces(args):
     graph, _ = _load_input(args.input)
-    report = check_polytope_faces(
-        graph, max_vertices=min(args.max_vertices, FACE_SWEEP_BOUND)
-    )
+    report = check_polytope_faces(graph)
     probe = "lower" if report.orientation in ("lower", "both") else "upper"
     faces = [
         {
@@ -274,7 +265,6 @@ def cmd_verify(args):
     config = VerifyConfig(
         seed=args.seed,
         cases=args.random_cases,
-        max_vertices=min(args.max_vertices, 5),
         include_random=not args.skip_random,
     )
     if args.input:
@@ -297,19 +287,11 @@ def _positive_int(text):
     return value
 
 
-def _add_common(parser, input_required=True, bounded=False):
+def _add_common(parser, input_required=True):
     parser.add_argument("--input", required=input_required, help="graph document (JSON)")
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
-    if bounded:
-        parser.add_argument(
-            "--max-vertices",
-            type=_positive_int,
-            default=12,
-            metavar="N",
-            help="size bound for table and enumeration commands",
-        )
 
 
 def build_parser():
@@ -319,16 +301,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, bounded, blurb in (
-        ("info", cmd_info, False, "counts and per-level components"),
-        ("dims", cmd_dims, False, "flag dimensions and identity checks"),
-        ("basis", cmd_basis, False, "canonical basis of the residue space"),
-        ("gamma", cmd_gamma, True, "projected-dimension subset table"),
-        ("polytope", cmd_polytope, True, "base polytope vertices and inequalities"),
-        ("faces", cmd_faces, True, "face correspondence sweep"),
+    for name, fn, blurb in (
+        ("info", cmd_info, "counts and per-level components"),
+        ("dims", cmd_dims, "flag dimensions and identity checks"),
+        ("basis", cmd_basis, "canonical basis of the residue space"),
+        ("gamma", cmd_gamma, "projected-dimension subset table"),
+        ("polytope", cmd_polytope, "base polytope vertices and inequalities"),
+        ("faces", cmd_faces, "face correspondence sweep"),
     ):
         p = sub.add_parser(name, help=blurb)
-        _add_common(p, bounded=bounded)
+        _add_common(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("degenerate", help="limit checks against a finer partition")
@@ -337,7 +319,7 @@ def build_parser():
     p.set_defaults(func=cmd_degenerate)
 
     p = sub.add_parser("verify", help="full verification suite")
-    _add_common(p, input_required=False, bounded=True)
+    _add_common(p, input_required=False)
     p.add_argument("--seed", type=int, default=0, help="random suite seed")
     p.add_argument(
         "--random-cases",

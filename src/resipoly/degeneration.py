@@ -24,13 +24,7 @@ from math import comb
 
 from .graphs import bits, check_same_vertices, is_coarsening
 from .linalg import Subspace, _echelon_insert, det, embed, kernel_of_projection, project_image
-from .polytopes import (
-    TABLE_BOUND,
-    InvariantViolation,
-    _check_table_bound,
-    _tail_table,
-    splitting,
-)
+from .polytopes import InvariantViolation, _check_table_bound, _tail_table, splitting
 from .residues import residue_space
 
 __all__ = [
@@ -235,7 +229,7 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     """
     if not is_coarsening(fine, coarse):
         raise ValueError("second structure is not a coarsening of the first")
-    _check_table_bound(graph, TABLE_BOUND)
+    _check_table_bound(graph)
     coarse_space = residue_space(graph, coarse)
     fine_space = residue_space(graph, fine)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 from importlib import resources
 
@@ -10,21 +9,17 @@ from .graphs import load_level_graph
 
 NAMES = ("fig1", "fig2", "k4", "c3", "loop1")
 
-_CACHE = {}
-
 
 def document(name):
     """The named graph document as a fresh dict (expect block included)."""
     if name not in NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(NAMES)}")
-    if name not in _CACHE:
-        text = (
-            resources.files("resipoly")
-            .joinpath("data", f"{name}.json")
-            .read_text(encoding="utf-8")
-        )
-        _CACHE[name] = json.loads(text)
-    return copy.deepcopy(_CACHE[name])
+    text = (
+        resources.files("resipoly")
+        .joinpath("data", f"{name}.json")
+        .read_text(encoding="utf-8")
+    )
+    return json.loads(text)
 
 
 def load(name):

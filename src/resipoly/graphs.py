@@ -28,7 +28,7 @@ from typing import NamedTuple
 __all__ = [
     "Arrow",
     "ArrowClassification",
-    "DEFAULT_ENUMERATION_BOUND",
+    "ENUMERATION_BOUND",
     "GraphDocumentError",
     "LevelStructure",
     "Multigraph",
@@ -40,7 +40,7 @@ __all__ = [
     "ordered_partitions",
 ]
 
-DEFAULT_ENUMERATION_BOUND = 8
+ENUMERATION_BOUND = 8
 
 
 class GraphDocumentError(ValueError):
@@ -147,14 +147,14 @@ class Multigraph:
             index[v] = len(index)
         edge_list = []
         for e in edges:
-            pair = tuple(e)
-            if len(pair) != 2:
-                raise GraphDocumentError(f"edge {e!r} is not a vertex pair")
-            for w in pair:
+            # a string or an object of two would unpack into two endpoints
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise GraphDocumentError(f"edge {e!r} is not a pair [u, v]")
+            for w in e:
                 # an array or object endpoint is no vertex name, and unhashable
                 if not isinstance(w, str) or w not in index:
                     raise GraphDocumentError(f"unknown vertex {w!r} in edge {e!r}")
-            edge_list.append(pair)
+            edge_list.append(tuple(e))
         self.vertices = vertices
         self.edges = tuple(edge_list)
         self.index = index
@@ -407,16 +407,16 @@ def _raw_ordered_partitions(items):
             yield smaller[:i] + [[last]] + smaller[i:]
 
 
-def ordered_partitions(vertices, max_vertices=DEFAULT_ENUMERATION_BOUND):
+def ordered_partitions(vertices):
     """Every ordered partition of the vertex tuple, exactly once.
 
     The count is the Fubini number of len(vertices).  Each structure is
     built straight from its level tuple.
     """
     vertices = tuple(vertices)
-    if len(vertices) > max_vertices:
+    if len(vertices) > ENUMERATION_BOUND:
         raise GraphDocumentError(
-            f"{len(vertices)} vertices exceed the enumeration bound {max_vertices}"
+            f"{len(vertices)} vertices exceed the enumeration bound {ENUMERATION_BOUND}"
         )
     if len(set(vertices)) != len(vertices):
         raise GraphDocumentError("duplicate vertex name")
@@ -457,9 +457,6 @@ def load_level_graph(document):
         raise GraphDocumentError('"vertices" must be a list of vertex names')
     if not isinstance(edges, (list, tuple)):
         raise GraphDocumentError('"edges" must be a list of vertex pairs')
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise GraphDocumentError(f"edge {e!r} is not a pair [u, v]")
     graph = Multigraph(vertices, edges)
     raw_levels = document.get("levels")
     if raw_levels is None:

@@ -221,10 +221,10 @@ def projection_rank_table(space, ground, blocks):
     return table
 
 
-def _check_table_bound(graph, max_vertices):
-    if len(graph.vertices) > max_vertices:
+def _check_table_bound(graph):
+    if len(graph.vertices) > TABLE_BOUND:
         raise ValueError(
-            f"{len(graph.vertices)} vertices exceed the table bound {max_vertices}"
+            f"{len(graph.vertices)} vertices exceed the table bound {TABLE_BOUND}"
         )
 
 
@@ -235,24 +235,24 @@ def _tail_table(graph, space):
     return projection_rank_table(space, graph.vertices, blocks)
 
 
-def residue_projection_table(graph, levels, max_vertices=TABLE_BOUND):
+def residue_projection_table(graph, levels):
     """Subset table of projected residue-space dimensions.
 
     Entry I is the dimension of the projection of the residue space onto the
     arrows with tail in I.
     """
-    _check_table_bound(graph, max_vertices)
+    _check_table_bound(graph)
     return _tail_table(graph, residue_space(graph, levels))
 
 
-def contraction_table(graph, max_vertices=TABLE_BOUND):
+def contraction_table(graph):
     """Independent combinatorial route to the one-level projection table.
 
     Entry I is the total genus minus the genus of the subgraph induced on
     the complement of I; equivalently the genus of the graph obtained by
     contracting each connected component of that subgraph to a point.
     """
-    _check_table_bound(graph, max_vertices)
+    _check_table_bound(graph)
     full = (1 << len(graph.vertices)) - 1
     values = [graph.genus - graph.genus_of(full & ~mask) for mask in range(full + 1)]
     return SetFunction(graph.vertices, values)
@@ -306,7 +306,7 @@ def _point_value(point, mask):
     return sum(x for i, x in enumerate(point) if mask >> i & 1)
 
 
-def base_polytope(table, max_vertices=POLYTOPE_BOUND):
+def base_polytope(table):
     """Vertices as the greedy points of all maximal chains, deduplicated.
 
     The greedy point gives each element the rise of the table where the
@@ -319,8 +319,8 @@ def base_polytope(table, max_vertices=POLYTOPE_BOUND):
     q(I) off a subset-sum table that doubles once per coordinate.
     """
     n = table.n
-    if n > max_vertices:
-        raise ValueError(f"{n} ground elements exceed the polytope bound {max_vertices}")
+    if n > POLYTOPE_BOUND:
+        raise ValueError(f"{n} ground elements exceed the polytope bound {POLYTOPE_BOUND}")
     if not table.is_submodular():
         raise InvariantViolation("base polytope of a non-submodular table")
     values = table.values
@@ -405,7 +405,7 @@ class FaceReport:
         )
 
 
-def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
+def check_polytope_faces(graph):
     """Sweep every ordered partition and match its polytope against the faces
     of the one-level polytope.
 
@@ -420,16 +420,16 @@ def check_polytope_faces(graph, max_vertices=FACE_SWEEP_BOUND):
     (d) every chain face is realized by some partition (reversal permutes
         the partitions, so both orientations have the same chain faces).
     """
-    if len(graph.vertices) > max_vertices:
+    if len(graph.vertices) > FACE_SWEEP_BOUND:
         raise ValueError(
-            f"{len(graph.vertices)} vertices exceed the face-sweep bound {max_vertices}"
+            f"{len(graph.vertices)} vertices exceed the face-sweep bound {FACE_SWEEP_BOUND}"
         )
     trivial = LevelStructure.trivial(graph.vertices)
     reference = base_polytope(residue_projection_table(graph, trivial))
     locate = reference.vertex_index()
 
     entries = {}
-    for pi in ordered_partitions(graph.vertices, max_vertices):
+    for pi in ordered_partitions(graph.vertices):
         table = residue_projection_table(graph, pi)
         poly = base_polytope(table)
         face = None

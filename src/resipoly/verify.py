@@ -58,12 +58,12 @@ class VerifyConfig:
     `cases`: `cases` random graphs for the identity sweep, an eighth of that
     for faces, a quarter for degenerations, five times as many independence
     pairs.  Random graphs have at most `max_vertices` vertices and
-    `max_edges` edges, a constant rather than a field."""
+    `max_edges` edges, constants rather than fields."""
 
     seed: int = 0
     cases: int = 200
-    max_vertices: int = 5
     include_random: bool = True
+    max_vertices = 5
     max_edges = 8
 
     @property
@@ -383,7 +383,7 @@ def _random_face_sweep(config):
     tally = {}
     for case in range(config.face_cases):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
-        report = check_polytope_faces(graph, max_vertices=config.max_vertices)
+        report = check_polytope_faces(graph)
         tally[report.orientation] = tally.get(report.orientation, 0) + 1
         if not report.ok:
             failures.append(

@@ -143,7 +143,7 @@ def test_criterion_5_face_sweep():
     cases = 25
     for case in range(cases):
         graph = random_multigraph(rng, max_vertices=5, max_edges=8)
-        sweep = check_polytope_faces(graph, max_vertices=5)
+        sweep = check_polytope_faces(graph)
         assert sweep.ok, (case, graph.edges, sweep.failures)
     elapsed = time.monotonic() - start
     assert elapsed < 300

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import resipoly.verify
 from resipoly import fixtures
 from resipoly.cli import main
+from resipoly.residues import IdentityCheck, LevelGraph, ResidueFlag
 
 from conftest import fig1_degenerate_argv
 
@@ -23,6 +26,11 @@ def write_fixture(tmp_path, name, mutate=None):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def edgeless(n):
+    """A graph document of `n` vertices and no edges."""
+    return {"vertices": [f"x{i}" for i in range(n)]}
 
 
 class TestInfo:
@@ -234,44 +242,49 @@ class TestErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: unknown vertex ")
 
-    def test_gamma_max_vertices_is_clamped(self, tmp_path, capsys):
-        # 13 vertices: over the 12-vertex table bound however high
-        # --max-vertices is set
-        names = [f"x{i}" for i in range(13)]
-        path = tmp_path / "path13.json"
-        path.write_text(
-            json.dumps({"vertices": names, "edges": [list(p) for p in zip(names, names[1:])]})
-        )
-        code, out, err = run_cli(
-            capsys, "gamma", "--input", str(path), "--max-vertices", "20"
-        )
-        assert code == 2
-        assert out == ""
-        assert "bound 12" in err
+    @pytest.mark.parametrize(
+        "command,bound,message",
+        [
+            ("gamma", 12, "13 vertices exceed the table bound 12"),
+            ("polytope", 8, "9 ground elements exceed the polytope bound 8"),
+            ("faces", 6, "7 vertices exceed the face-sweep bound 6"),
+        ],
+        ids=["gamma", "polytope", "faces"],
+    )
+    def test_fixed_size_bounds(self, tmp_path, capsys, command, bound, message):
+        # each bound is a constant: a graph at it runs, one vertex more
+        # exits 2 naming the bound.  Edgeless graphs keep the runs cheap
+        # (the 6-vertex face sweep checks 4,683 partitions).
+        for n, expected in ((bound, 0), (bound + 1, 2)):
+            path = tmp_path / f"edgeless{n}.json"
+            path.write_text(json.dumps(edgeless(n)))
+            code, out, err = run_cli(capsys, command, "--input", str(path))
+            assert code == expected, (n, err)
+            if expected == 2:
+                assert out == ""
+                assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--seed", "1", "--random-cases", "-5"],
             ["verify", "--random-cases", "0"],
-            ["verify", "--max-vertices", "0"],
-            ["faces", "--max-vertices", "-1"],
         ],
-        ids=["random-cases-negative", "random-cases-zero", "verify-bound-zero", "faces-bound"],
+        ids=["random-cases-negative", "random-cases-zero"],
     )
     def test_counts_must_be_positive(self, tmp_path, capsys, argv):
-        # a count below 1 would report checks that never ran as passed, or
-        # fail deep inside the sweep
-        if argv[0] != "verify":
-            argv = argv + ["--input", write_fixture(tmp_path, "k4")]
+        # a count below 1 would report checks that never ran as passed
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert "is not a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["info", "dims", "basis", "degenerate"])
+    @pytest.mark.parametrize(
+        "command",
+        ["info", "dims", "basis", "gamma", "polytope", "faces", "degenerate", "verify"],
+    )
     def test_max_vertices_only_where_read(self, tmp_path, capsys, command):
-        # only gamma, polytope, faces and verify have a size bound to set
+        # the size bounds are constants: no command takes --max-vertices
         path = write_fixture(tmp_path, "fig1")
         argv = [command, "--input", path, "--max-vertices", "1"]
         if command == "degenerate":
@@ -311,7 +324,7 @@ class TestInvariantViolations:
         monkeypatch.setattr(
             resipoly.cli,
             "residue_projection_table",
-            lambda graph, levels, max_vertices: SetFunction(graph.vertices, [0] * 15 + [1]),
+            lambda graph, levels: SetFunction(graph.vertices, [0] * 15 + [1]),
         )
         path = write_fixture(tmp_path, "k4")
         code, out, err = run_cli(capsys, "polytope", "--input", path)
@@ -353,7 +366,7 @@ class TestInvariantViolations:
         monkeypatch.setattr(
             resipoly.cli,
             "residue_projection_table",
-            lambda graph, levels, max_vertices: SetFunction(
+            lambda graph, levels: SetFunction(
                 graph.vertices, [m.bit_count() ** 2 for m in range(16)]
             ),
         )
@@ -398,17 +411,12 @@ class TestParser:
 
 class TestVerify:
     def test_config_derives_the_suite_sizes(self):
-        # four settable fields; the report's config block keeps all eight keys
+        # three settable fields; the report's config block keeps all eight keys
         from dataclasses import fields
 
         from resipoly.verify import VerifyConfig
 
-        assert [f.name for f in fields(VerifyConfig)] == [
-            "seed",
-            "cases",
-            "max_vertices",
-            "include_random",
-        ]
+        assert [f.name for f in fields(VerifyConfig)] == ["seed", "cases", "include_random"]
         assert list(VerifyConfig().as_dict().items()) == [
             ("seed", 0),
             ("flag_cases", 200),
@@ -419,14 +427,14 @@ class TestVerify:
             ("max_edges", 8),
             ("include_random", True),
         ]
-        small = VerifyConfig(seed=3, cases=7, max_vertices=4, include_random=False)
+        small = VerifyConfig(seed=3, cases=7, include_random=False)
         assert small.as_dict() == {
             "seed": 3,
             "flag_cases": 7,
             "face_cases": 1,
             "degeneration_cases": 1,
             "collection_cases": 35,
-            "max_vertices": 4,
+            "max_vertices": 5,
             "max_edges": 8,
             "include_random": False,
         }
@@ -589,6 +597,27 @@ class TestVerify:
         assert section["expect_failures"] == []
         assert section["ok"]
 
+    def test_face_sweep_up_to_its_bound(self, monkeypatch):
+        # the sweep itself is stubbed: a real 6-vertex one takes seconds
+        class Swept(Exception):
+            pass
+
+        def sweep(graph):
+            raise Swept
+
+        monkeypatch.setattr(resipoly.verify, "check_polytope_faces", sweep)
+        with pytest.raises(Swept):
+            resipoly.verify.verify_document("six", edgeless(6))
+        assert resipoly.verify.verify_document("seven", edgeless(7))["faces"] is None
+
+    @pytest.mark.parametrize("n,ok", [(8, True), (9, False)])
+    def test_vertex_count_up_to_the_polytope_bound(self, n, ok):
+        document = dict(edgeless(n), expect={"polytope_vertex_count": 1})
+        section = resipoly.verify.verify_document("edgeless", document)
+        assert section["ok"] is ok
+        too_large = ["polytope_vertex_count expected but graph too large"]
+        assert section["expect_failures"] == ([] if ok else too_large)
+
     def test_small_random_suite(self, capsys, tmp_path):
         path = write_fixture(tmp_path, "loop1")
         code, out, _ = run_cli(
@@ -648,3 +677,61 @@ class TestVerify:
         assert first.returncode == 0
         assert second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def _replaced(**changes):
+    """A change to a frozen report: the same report with `changes`."""
+    return lambda report: dataclasses.replace(report, **changes)
+
+
+def _appended(item):
+    return lambda items: [*items, item]
+
+
+# verdict term -> (the owner of the attribute the fault wraps, the
+# attribute, the change made to its result): each makes one term false
+VERDICT_FAULTS = {
+    "identities": (ResidueFlag, "identities", _appended(IdentityCheck("injected", 1, 0))),
+    "inclusions": (ResidueFlag, "inclusions", _appended(("injected", False))),
+    "totals": (LevelGraph, "component_report", _replaced(totals_consistent=False)),
+    "relations": (LevelGraph, "relation_failures", _appended("injected")),
+    "component-identity": (
+        resipoly.verify,
+        "_component_set_identity_failures",
+        _appended("injected"),
+    ),
+    "expect": (resipoly.verify, "_expect_failures", _appended("injected")),
+    "faces": (resipoly.verify, "check_polytope_faces", _replaced(cover_ok=False)),
+    "limit": (resipoly.verify, "check_degeneration", _replaced(limit_matches=False)),
+    "realization": (
+        resipoly.verify,
+        "check_degeneration",
+        _replaced(realization_matches=False),
+    ),
+    "splitting": (resipoly.verify, "check_degeneration", _replaced(splitting_matches=False)),
+    "oracle": (resipoly.verify, "check_degeneration", _replaced(oracle_matches=False)),
+}
+
+
+def inject(monkeypatch, term):
+    owner, attribute, change = VERDICT_FAULTS[term]
+    original = getattr(owner, attribute)
+    monkeypatch.setattr(owner, attribute, lambda *args: change(original(*args)))
+
+
+class TestVerdictTerms:
+    """Each term of an `ok` verdict, made false alone, fails the verdict."""
+
+    @pytest.mark.parametrize("term", sorted(VERDICT_FAULTS))
+    def test_verify_document(self, monkeypatch, term):
+        assert resipoly.verify.verify_document("k4", fixtures.document("k4"))["ok"]
+        inject(monkeypatch, term)
+        assert resipoly.verify.verify_document("k4", fixtures.document("k4"))["ok"] is False
+
+    @pytest.mark.parametrize("term", ["identities", "inclusions", "totals"])
+    def test_dims(self, tmp_path, capsys, monkeypatch, term):
+        path = write_fixture(tmp_path, "fig2")
+        inject(monkeypatch, term)
+        code, out, _ = run_cli(capsys, "dims", "--input", path)
+        assert code == 1
+        assert json.loads(out)["ok"] is False

@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "verify-seed11-cases4.json": (None, ["verify", "--seed", "11", "--random-cases", "4"]),
     "verify-seed11-cases16.json": (None, ["verify", "--seed", "11", "--random-cases", "16"]),
+    "verify-skip-random.json": (None, ["verify", "--skip-random"]),
     "info-fig2.json": ("fig2", ["info", "--format", "json"]),
     "info-fig2.txt": ("fig2", ["info", "--format", "text"]),
     "dims-fig2.json": ("fig2", ["dims", "--format", "json"]),
@@ -64,3 +65,14 @@ def test_output_matches_golden(golden_name, tmp_path):
     code, out = run(command_line(golden_name, tmp_path))
     assert code == 0
     assert out == (GOLDEN / golden_name).read_bytes()
+
+
+def test_fixture_documents_are_fresh():
+    # command_line pops the levels off the document it is given; the next
+    # caller must still see them
+    document = fixtures.document("fig1")
+    document.pop("levels")
+    document["vertices"].clear()
+    again = fixtures.document("fig1")
+    assert "levels" in again
+    assert again["vertices"]

@@ -127,6 +127,12 @@ class TestLoading:
         with pytest.raises(GraphDocumentError, match="unknown vertex"):
             load_level_graph({"vertices": ["a"], "edges": [edge]})
 
+    @pytest.mark.parametrize("edge", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    def test_edge_must_be_a_pair(self, edge):
+        # both unpack into the two endpoints "a" and "b"
+        with pytest.raises(GraphDocumentError, match=r"is not a pair \[u, v\]"):
+            Multigraph(["a", "b"], [edge])
+
     def test_arrow_reversal_is_an_involution(self, fig1):
         graph = fig1[0]
         for i, arrow in enumerate(graph.arrows):
@@ -432,7 +438,8 @@ class TestEnumeration:
             assert len(keys) == len(set(keys)) == fubini(n)
 
     def test_bound_enforced(self):
-        with pytest.raises(GraphDocumentError):
+        assert next(ordered_partitions(tuple(f"x{i}" for i in range(8)))).r == 1
+        with pytest.raises(GraphDocumentError, match="9 vertices exceed the enumeration bound 8"):
             list(ordered_partitions(tuple(f"x{i}" for i in range(9))))
 
     def test_every_partition_is_valid(self):

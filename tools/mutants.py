@@ -63,6 +63,7 @@ RES = "src/resipoly/residues.py"
 VER = "src/resipoly/verify.py"
 GRAPHS = "src/resipoly/graphs.py"
 LIN = "src/resipoly/linalg.py"
+CLI = "src/resipoly/cli.py"
 
 CATALOGUE = (
     # -- every InvariantViolation site, switched off
@@ -422,6 +423,129 @@ CATALOGUE = (
         "group = self._rows_within(here)",
         "group = groups[next(c for c in at.components if c & here)]",
         "blocks: a block over several level components reuses the first one's group",
+    ),
+    # -- the fixed size bounds, each one vertex too strict
+    Mutant(
+        POLY,
+        "if len(graph.vertices) > TABLE_BOUND:",
+        "if len(graph.vertices) >= TABLE_BOUND:",
+        "_check_table_bound: a graph at the table bound rejected",
+    ),
+    Mutant(
+        POLY,
+        "if n > POLYTOPE_BOUND:",
+        "if n >= POLYTOPE_BOUND:",
+        "base_polytope: a table at the polytope bound rejected",
+    ),
+    Mutant(
+        POLY,
+        "if len(graph.vertices) > FACE_SWEEP_BOUND:",
+        "if len(graph.vertices) >= FACE_SWEEP_BOUND:",
+        "check_polytope_faces: a graph at the face-sweep bound rejected",
+    ),
+    Mutant(
+        GRAPHS,
+        "if len(vertices) > ENUMERATION_BOUND:",
+        "if len(vertices) >= ENUMERATION_BOUND:",
+        "ordered_partitions: a vertex tuple at the enumeration bound rejected",
+    ),
+    Mutant(
+        VER,
+        "if len(graph.vertices) <= FACE_SWEEP_BOUND:",
+        "if len(graph.vertices) < FACE_SWEEP_BOUND:",
+        "verify_document: no face sweep for a fixture at the face-sweep bound",
+    ),
+    Mutant(
+        VER,
+        "len(graph.vertices) <= POLYTOPE_BOUND:",
+        "len(graph.vertices) < POLYTOPE_BOUND:",
+        "_expect_failures: no vertex count for a fixture at the polytope bound",
+    ),
+    # -- each term of the `dims` verdict
+    Mutant(
+        CLI,
+        'all(item["ok"] for item in identities)\n        and ',
+        "",
+        "cmd_dims: identities left out of ok",
+    ),
+    Mutant(
+        CLI,
+        '\n        and all(item["ok"] for item in payload["inclusions"])',
+        "",
+        "cmd_dims: inclusions left out of ok",
+    ),
+    Mutant(
+        CLI,
+        "\n        and report.totals_consistent\n    )",
+        "\n    )",
+        "cmd_dims: component totals left out of ok",
+    ),
+    # -- each term of verify_document's verdict
+    Mutant(
+        VER,
+        "all(c.ok for c in identities)\n        and ",
+        "",
+        "verify_document: identities left out of ok",
+    ),
+    Mutant(
+        VER,
+        "\n        and all(x for _, x in inclusions)",
+        "",
+        "verify_document: inclusions left out of ok",
+    ),
+    Mutant(
+        VER,
+        "\n        and report.totals_consistent",
+        "",
+        "verify_document: component totals left out of ok",
+    ),
+    Mutant(
+        VER,
+        "\n        and not relation_failures",
+        "",
+        "verify_document: relation failures left out of ok",
+    ),
+    Mutant(
+        VER,
+        "\n        and not identity_failures",
+        "",
+        "verify_document: component identity failures left out of ok",
+    ),
+    Mutant(
+        VER,
+        "\n        and not expect_failures",
+        "",
+        "verify_document: expect failures left out of ok",
+    ),
+    Mutant(
+        VER,
+        '\n        and (section["faces"] is None or section["faces"]["ok"])',
+        "",
+        "verify_document: the face sweep left out of ok",
+    ),
+    Mutant(
+        VER,
+        'd["limit_ok"] and ',
+        "",
+        "verify_document: degeneration limit left out of ok",
+    ),
+    Mutant(
+        VER,
+        'and d["realization_ok"] ',
+        "",
+        "verify_document: degeneration realization left out of ok",
+    ),
+    Mutant(
+        VER,
+        'and d["splitting_ok"] ',
+        "",
+        "verify_document: degeneration splitting left out of ok",
+    ),
+    Mutant(
+        VER,
+        ' and d["oracle_ok"]',
+        "",
+        "verify_document: degeneration oracle left out of ok",
     ),
 )
 
