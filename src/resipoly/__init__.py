@@ -43,7 +43,6 @@ from .polytopes import (
     BasePolytope,
     InvariantViolation,
     SetFunction,
-    adjoint,
     base_polytope,
     chain_face,
     check_polytope_faces,

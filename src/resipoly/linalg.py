@@ -417,10 +417,13 @@ class VectorCollection:
 
 @dataclass(frozen=True)
 class SetTheoreticReport:
+    """:func:`set_theoretic_checks`'s answer; the two relatedness fields are
+    None unless both collections are set-theoretically independent."""
+
     sti_1: bool
     sti_2: bool
-    related: bool
-    properly_unrelated: bool
+    related: bool | None
+    properly_unrelated: bool | None
 
 
 def _is_set_independent(supports):
@@ -473,28 +476,6 @@ def _closed_components(sup1, sup2):
     return closed
 
 
-def _related_bruteforce(sup1, sup2):
-    related = False
-    properly = True
-    full1 = (1 << len(sup1)) - 1
-    full2 = (1 << len(sup2)) - 1
-    for mask1 in range(1, full1 + 1):
-        u1 = 0
-        for i, s in enumerate(sup1):
-            if mask1 >> i & 1:
-                u1 |= s
-        for mask2 in range(1, full2 + 1):
-            u2 = 0
-            for j, s in enumerate(sup2):
-                if mask2 >> j & 1:
-                    u2 |= s
-            if u1 == u2:
-                related = True
-                if mask1 != full1 or mask2 != full2:
-                    properly = False
-    return related, properly
-
-
 def _mask(support):
     """The int bitmask of an iterable of distinct indices."""
     mask = 0
@@ -509,26 +490,24 @@ def set_theoretic_checks(collection_1, collection_2):
     Each collection is set-theoretically independent when its supports are
     nonempty and pairwise disjoint.  The collections are related when some
     nonempty subcollections cover exactly the same coordinate set; properly
-    unrelated when only the two full collections can do so.
+    unrelated when only the two full collections can do so.  Relatedness is
+    decided for two independent collections only: otherwise ``related`` and
+    ``properly_unrelated`` are None.
     """
     if collection_1.ambient_dim != collection_2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return support_checks(collection_1.supports, collection_2.supports)
+    sup1, sup2 = collection_1.supports, collection_2.supports
+    verdict = support_checks(sup1, sup2) or (None, None)
+    return SetTheoreticReport(_is_set_independent(sup1), _is_set_independent(sup2), *verdict)
 
 
 def support_checks(sup1, sup2):
-    """:func:`set_theoretic_checks` on two tuples of supports, one per
-    vector, each an int bitmask of coordinate indices."""
-    sti_1 = _is_set_independent(sup1)
-    sti_2 = _is_set_independent(sup2)
-    if sti_1 and sti_2:
-        closed = _closed_components(sup1, sup2)
-        related = any(closed)
-        properly = not related or len(closed) == 1
-    else:
-        if len(sup1) + len(sup2) > 22:
-            raise ValueError(
-                "collections too large for the general relatedness search"
-            )
-        related, properly = _related_bruteforce(sup1, sup2)
-    return SetTheoreticReport(sti_1, sti_2, related, properly)
+    """``(related, properly_unrelated)`` of two tuples of supports, one per
+    vector, each an int bitmask of coordinate indices; None when either
+    tuple is not set-theoretically independent.  See
+    :func:`set_theoretic_checks`."""
+    if not (_is_set_independent(sup1) and _is_set_independent(sup2)):
+        return None
+    closed = _closed_components(sup1, sup2)
+    related = any(closed)
+    return related, not related or len(closed) == 1

@@ -43,7 +43,6 @@ __all__ = [
     "FaceReport",
     "InvariantViolation",
     "SetFunction",
-    "adjoint",
     "base_polytope",
     "chain_face",
     "check_polytope_faces",
@@ -165,16 +164,6 @@ class SetFunction:
 
     def __repr__(self):
         return f"SetFunction on {{{', '.join(self.ground)}}}"
-
-
-def adjoint(table):
-    """The adjoint I -> f(V) - f(V \\ I); an involution swapping sub- and
-    supermodularity, with f* <= f for submodular f."""
-    full = table.full_mask
-    top = table.values[full]
-    return SetFunction(
-        table.ground, [top - table.values[full ^ mask] for mask in range(full + 1)]
-    )
 
 
 def projection_rank_table(space, ground, blocks):

@@ -415,10 +415,11 @@ class LevelGraph:
         """Relatedness predicates on the per-component collections.
 
         Within every level component, the local rows versus the rosenlicht
-        rows must be properly unrelated, and related exactly for reducible
-        summits.  Within every component of V_{h<=n} that meets level n, the
-        global and rosenlicht rows together versus the local rows must be
-        properly unrelated, and related whenever the collections are
+        rows must be set-theoretically independent and properly unrelated,
+        and related exactly for reducible summits.  Within every component
+        of V_{h<=n} that meets level n, the global and rosenlicht rows
+        together versus the local rows must be set-theoretically independent
+        and properly unrelated, and related whenever the collections are
         nonempty.  Returns a list of failure descriptions (empty means all
         predicates hold).
         """
@@ -427,29 +428,42 @@ class LevelGraph:
         reducible = set(self._summit_masks[1])
         for n, at in self.masks.items():
             for comp in at.components:
-                report = support_checks(*self._groups[comp])
-                if not report.properly_unrelated:
-                    failures.append(f"level {n} component {names(comp)}: not properly unrelated")
-                if report.related != (comp in reducible):
+                verdict = support_checks(*self._groups[comp])
+                if verdict is None:
                     failures.append(
-                        f"level {n} component {names(comp)}: related={report.related} "
+                        f"level {n} component {names(comp)}: not set-theoretically independent"
+                    )
+                    continue
+                related, properly = verdict
+                if not properly:
+                    failures.append(f"level {n} component {names(comp)}: not properly unrelated")
+                if related != (comp in reducible):
+                    failures.append(
+                        f"level {n} component {names(comp)}: related={related} "
                         f"but reducible-summit={comp in reducible}"
                     )
 
         for b in self.blocks:
             if not b.level_vertices:
                 continue
-            report = support_checks(b.glob + b.rosenlicht, b.local)
-            if not report.properly_unrelated:
+            verdict = support_checks(b.glob + b.rosenlicht, b.local)
+            if verdict is None:
+                failures.append(
+                    f"level {b.level} merged component {names(b.component)}: "
+                    "not set-theoretically independent"
+                )
+                continue
+            related, properly = verdict
+            if not properly:
                 failures.append(
                     f"level {b.level} merged component {names(b.component)}: "
                     "not properly unrelated"
                 )
             nonempty = bool(b.local or b.rosenlicht or b.glob)
-            if report.related != nonempty:
+            if related != nonempty:
                 failures.append(
                     f"level {b.level} merged component {names(b.component)}: "
-                    f"related={report.related} with nonempty={nonempty}"
+                    f"related={related} with nonempty={nonempty}"
                 )
         return failures
 
@@ -506,12 +520,6 @@ class ResidueFlag:
             ok = self.spaces[bigger].contains(self.spaces[smaller])
             out.append((f"{smaller} inside {bigger}", ok))
         return out
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.identities()) and all(
-            ok for _, ok in self.inclusions()
-        )
 
 
 def build_constraints(graph, levels):

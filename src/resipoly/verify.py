@@ -111,11 +111,11 @@ def _is_list_of(value, check, length=None):
 
 def _check_expect(expect, graph, levels):
     """Reject an ``expect`` block with an unknown key, a JSON type that
-    :func:`_expect_failures` cannot compare, a level outside 1..r of
-    `levels`, an empty component, a component name that is not a vertex of
-    `graph` or an arrow name that is not an arrow label of `graph`, so that
-    a malformed block is an input error, never a failed check and never a
-    silent pass."""
+    :func:`_expect_failures` cannot compare, a polytope vertex count for a
+    graph over the polytope bound, a level outside 1..r of `levels`, an
+    empty component, a component name that is not a vertex of `graph` or an
+    arrow name that is not an arrow label of `graph`, so that a malformed
+    block is an input error, never a failed check and never a silent pass."""
     if not isinstance(expect, dict):
         raise GraphDocumentError("expect must be an object")
     unknown = sorted(set(expect) - _EXPECT_KEYS)
@@ -124,6 +124,11 @@ def _check_expect(expect, graph, levels):
     for key in _EXPECT_INTS:
         if key in expect and not _is_int(expect[key]):
             raise GraphDocumentError(f"expect {key} must be an integer")
+    if "polytope_vertex_count" in expect and len(graph.vertices) > POLYTOPE_BOUND:
+        raise GraphDocumentError(
+            f"expect polytope_vertex_count: {len(graph.vertices)} vertices exceed "
+            f"the polytope bound {POLYTOPE_BOUND}"
+        )
     for key, length in _EXPECT_INT_LISTS.items():
         if key in expect and not _is_list_of(expect[key], _is_int, length):
             raise GraphDocumentError(f"expect {key} must be a list of {length} integers")
@@ -214,17 +219,14 @@ def _expect_failures(model, flag, report, expect, reference=None):
             got = sorted(graph.arrows[i].label for i in bits(row))
             check(f"global condition {label}", got, sorted(item["arrows"]))
     if "polytope_vertex_count" in expect:
-        if reference is None and len(graph.vertices) <= POLYTOPE_BOUND:
+        if reference is None:
             trivial = LevelStructure.trivial(graph.vertices)
             reference = base_polytope(residue_projection_table(graph, trivial))
-        if reference is None:
-            failures.append("polytope_vertex_count expected but graph too large")
-        else:
-            check(
-                "one-level polytope vertex count",
-                len(reference.vertices),
-                expect["polytope_vertex_count"],
-            )
+        check(
+            "one-level polytope vertex count",
+            len(reference.vertices),
+            expect["polytope_vertex_count"],
+        )
     return failures
 
 

@@ -11,7 +11,7 @@ import pytest
 from resipoly import fixtures
 from resipoly.graphs import GraphDocumentError, LevelStructure, classify_arrows, coarsened_levels
 from resipoly.linalg import SetTheoreticReport, Subspace, _echelon_insert, det, to_fraction
-from resipoly.polytopes import BasePolytope, InvariantViolation, SetFunction, adjoint
+from resipoly.polytopes import BasePolytope, InvariantViolation, SetFunction
 
 
 @pytest.fixture(scope="session")
@@ -332,6 +332,16 @@ def reference_base_polytope(table):
             if value > table.values[mask] or (mask == full and value != table.values[mask]):
                 raise InvariantViolation("greedy point violates the subset inequalities")
     return BasePolytope(table.ground, vertices, table)
+
+
+def adjoint(table):
+    """The adjoint I -> f(V) - f(V \\ I); an involution swapping sub- and
+    supermodularity, with f* <= f for submodular f."""
+    full = table.full_mask
+    top = table.values[full]
+    return SetFunction(
+        table.ground, [top - table.values[full ^ mask] for mask in range(full + 1)]
+    )
 
 
 def reference_splitting(table, levels, kind):
@@ -864,6 +874,9 @@ class ReferenceLevelGraph:
             for comp in comps:
                 local, ros = self._rows_within(set(comp))
                 report = reference_support_checks(_supports(local), _supports(ros))
+                if not (report.sti_1 and report.sti_2):
+                    failures.append(f"level {n} component {comp}: not set-theoretically independent")
+                    continue
                 if not report.properly_unrelated:
                     failures.append(f"level {n} component {comp}: not properly unrelated")
                 if report.related != (comp in reducible):
@@ -878,6 +891,12 @@ class ReferenceLevelGraph:
             report = reference_support_checks(
                 _supports(b.glob + b.rosenlicht), _supports(b.local)
             )
+            if not (report.sti_1 and report.sti_2):
+                failures.append(
+                    f"level {b.level} merged component {b.component}: "
+                    "not set-theoretically independent"
+                )
+                continue
             if not report.properly_unrelated:
                 failures.append(
                     f"level {b.level} merged component {b.component}: not properly unrelated"

@@ -611,12 +611,22 @@ class TestVerify:
         assert resipoly.verify.verify_document("seven", edgeless(7))["faces"] is None
 
     @pytest.mark.parametrize("n,ok", [(8, True), (9, False)])
-    def test_vertex_count_up_to_the_polytope_bound(self, n, ok):
-        document = dict(edgeless(n), expect={"polytope_vertex_count": 1})
-        section = resipoly.verify.verify_document("edgeless", document)
-        assert section["ok"] is ok
-        too_large = ["polytope_vertex_count expected but graph too large"]
-        assert section["expect_failures"] == ([] if ok else too_large)
+    def test_vertex_count_up_to_the_polytope_bound(self, n, ok, capsys, tmp_path):
+        # a vertex count is checked up to the polytope bound; past it the
+        # expectation cannot be computed, so the document is an input error
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(dict(edgeless(n), expect={"polytope_vertex_count": 1})))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path), "--skip-random")
+        if ok:
+            assert code == 0
+            (section,) = json.loads(out)["fixtures"]
+            assert section["expect_failures"] == []
+        else:
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: expect polytope_vertex_count: 9 vertices exceed the polytope bound 8\n"
+            )
 
     def test_small_random_suite(self, capsys, tmp_path):
         path = write_fixture(tmp_path, "loop1")

@@ -19,7 +19,6 @@ from resipoly.graphs import LevelStructure, load_level_graph
 from resipoly.linalg import Subspace, det
 from resipoly.polytopes import (
     InvariantViolation,
-    adjoint,
     projection_rank_table,
     splitting,
 )
@@ -32,6 +31,7 @@ from resipoly.residues import residue_space
 from resipoly.verify import _fixture_degenerations
 
 from conftest import (
+    adjoint,
     arrows_with_tail,
     fig1_degenerate_argv,
     random_subspace,

@@ -20,7 +20,13 @@ from resipoly.linalg import (
 )
 from resipoly.randomized import random_sti_collection
 
-from conftest import find_arrows, rank_mod_p, reference_rank, reference_rref
+from conftest import (
+    find_arrows,
+    rank_mod_p,
+    reference_rank,
+    reference_rref,
+    reference_support_checks,
+)
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -330,6 +336,8 @@ class TestSetTheoreticChecks:
         report = set_theoretic_checks(c1, c2)
         assert not report.sti_1
         assert report.sti_2
+        assert report.related is None
+        assert report.properly_unrelated is None
 
     def test_fig2_level_two_component_collections(self, fig2):
         # in the merged component {u6, ub, uc} at level two, the global rows
@@ -370,7 +378,7 @@ class TestSetTheoreticChecks:
             assert report.related == related
             assert report.properly_unrelated == properly
         # collections that need not be set-independent: overlapping and
-        # empty supports take the general search instead of the component scan
+        # empty supports leave relatedness undecided
         seen_dependent = 0
         for _ in range(300):
             ambient = rng.randint(1, 6)
@@ -385,10 +393,16 @@ class TestSetTheoreticChecks:
                 for _ in range(2)
             )
             report = set_theoretic_checks(c1, c2)
-            seen_dependent += not (report.sti_1 and report.sti_2)
-            related, properly = brute_force_relatedness(c1.vectors, c2.vectors)
-            assert report.related == related
-            assert report.properly_unrelated == properly
+            want = reference_support_checks(
+                *[[frozenset(j for j, x in enumerate(v) if x) for v in c.vectors] for c in (c1, c2)]
+            )
+            assert (report.sti_1, report.sti_2) == (want.sti_1, want.sti_2)
+            if want.sti_1 and want.sti_2:
+                related, properly = brute_force_relatedness(c1.vectors, c2.vectors)
+                assert (report.related, report.properly_unrelated) == (related, properly)
+            else:
+                seen_dependent += 1
+                assert report.related is None and report.properly_unrelated is None
         assert seen_dependent > 100
 
     def test_unrelated_union_is_linearly_independent(self):

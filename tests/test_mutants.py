@@ -1,6 +1,8 @@
-"""The mutation catalogue in tools/mutants.py follows src/."""
+"""The mutation catalogue in tools/mutants.py follows src/ and the tests."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
@@ -26,3 +28,20 @@ def test_every_mutant_changes_its_file():
         assert m.old != m.new, m.note
         assert m.path.startswith("src/resipoly/"), m.note
     assert len({(m.path, m.old) for m in mutants.CATALOGUE}) == len(mutants.CATALOGUE)
+
+
+def test_every_killer_is_a_collected_test():
+    # the runner tries each entry's killer alone before the whole suite
+    mutants = load_catalogue()
+    killers = {m.killer for m in mutants.CATALOGUE}
+    files = sorted({k.split("::")[0] for k in killers})
+    assert "tests/test_mutants.py" not in files
+    done = subprocess.run(
+        [sys.executable, *mutants.PYTEST, "--collect-only", *files],
+        cwd=mutants.ROOT,
+        env=mutants.env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert sorted(killers - set(done.stdout.splitlines())) == []

@@ -14,7 +14,6 @@ from resipoly.polytopes import (
     BasePolytope,
     InvariantViolation,
     SetFunction,
-    adjoint,
     base_polytope,
     chain_face,
     check_polytope_faces,
@@ -27,6 +26,7 @@ from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import residue_space
 
 from conftest import (
+    adjoint,
     coarsenings,
     is_supermodular,
     random_subspace,

@@ -122,23 +122,28 @@ class TestConstraints:
         assert rank_mod_p(rows, 10007) == 11
 
 
+def flag_holds(flag):
+    """Every dimension identity and every flag inclusion holds."""
+    return all(c.ok for c in flag.identities()) and all(ok for _, ok in flag.inclusions())
+
+
 class TestFlag:
     def test_fig1_dims(self, fig1):
         flag = build_flag(fig1[0], fig1[1])
         assert flag.dims == (9, 6, 4, 3)
-        assert flag.ok
+        assert flag_holds(flag)
 
     def test_fig2_dims(self, fig2):
         flag = build_flag(fig2[0], fig2[1])
         assert flag.dims == (13, 4, 4, 0)
         assert flag.counts.summits_irreducible == 3
         assert flag.counts.summits_reducible == 2
-        assert flag.ok
+        assert flag_holds(flag)
 
     def test_k4_trivial_dims(self, k4):
         flag = build_flag(k4[0], k4[1])
         assert flag.dims == (12, 8, 3, 3)
-        assert flag.ok
+        assert flag_holds(flag)
 
     def test_residue_space_dimensions(self, fig1, fig2):
         assert residue_space(fig1[0], fig1[1]).dim == 3
@@ -446,8 +451,13 @@ class TestMaskModelAgainstReference:
                         (got.glob + got.rosenlicht, want.glob + want.rosenlicht),
                         (got.local, want.local),
                     )
-                    assert support_checks(*[rows for rows, _ in pairs]) == reference_support_checks(
+                    want = reference_support_checks(
                         *[tuple(row.support for row in rows) for _, rows in pairs]
+                    )
+                    assert want.sti_1 and want.sti_2
+                    assert support_checks(*[rows for rows, _ in pairs]) == (
+                        want.related,
+                        want.properly_unrelated,
                     )
                 assert model.relation_failures() == reference.relation_failures()
                 stacked = []
@@ -471,18 +481,18 @@ def run_fig1(tmp_path, capsys, command):
     return code, json.loads(capsys.readouterr().out)
 
 
-def misreport_support_checks(monkeypatch, sup1, sup2, **wrong):
-    """Make the relation checks read a support report with the fields in
-    ``wrong`` changed for the one pair of collections (sup1, sup2); every
-    other pair gets its true report."""
+def misreport_support_checks(monkeypatch, sup1, sup2, wrong):
+    """Make the relation checks read the verdict `wrong` (a ``(related,
+    properly_unrelated)`` pair, or None for collections that are not
+    set-theoretically independent) for the one pair of collections (sup1,
+    sup2); every other pair gets its true verdict."""
     real = residues.support_checks
     target = (list(sup1), list(sup2))
 
     def patched(a, b):
-        report = real(a, b)
         if (list(a), list(b)) == target:
-            return dataclasses.replace(report, **wrong)
-        return report
+            return wrong
+        return real(a, b)
 
     monkeypatch.setattr(residues, "support_checks", patched)
 
@@ -513,28 +523,41 @@ class TestFaultInjection:
         assert section["ok"] is False
         assert section["relation_failures"] == [failure]
 
+    def test_true_verdicts(self, fig1):
+        # each misreport below changes one entry of these, or drops both
+        assert support_checks(*self.level_component_pair(fig1)) == (False, True)
+        assert support_checks(*self.merged_pair(fig1)) == (True, True)
+
     def test_level_component_not_properly_unrelated(self, fig1, tmp_path, capsys, monkeypatch):
-        misreport_support_checks(
-            monkeypatch, *self.level_component_pair(fig1), properly_unrelated=False
-        )
+        misreport_support_checks(monkeypatch, *self.level_component_pair(fig1), (False, False))
         failure = f"{self.U23}: not properly unrelated"
         self.assert_relation_failure(fig1, tmp_path, capsys, failure)
 
     def test_level_component_related_but_no_reducible_summit(
         self, fig1, tmp_path, capsys, monkeypatch
     ):
-        misreport_support_checks(monkeypatch, *self.level_component_pair(fig1), related=True)
+        misreport_support_checks(monkeypatch, *self.level_component_pair(fig1), (True, True))
         failure = f"{self.U23}: related=True but reducible-summit=False"
         self.assert_relation_failure(fig1, tmp_path, capsys, failure)
 
+    def test_level_component_not_independent(self, fig1, tmp_path, capsys, monkeypatch):
+        misreport_support_checks(monkeypatch, *self.level_component_pair(fig1), None)
+        failure = f"{self.U23}: not set-theoretically independent"
+        self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
     def test_merged_component_not_properly_unrelated(self, fig1, tmp_path, capsys, monkeypatch):
-        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), properly_unrelated=False)
+        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), (True, False))
         failure = f"{self.MERGED}: not properly unrelated"
         self.assert_relation_failure(fig1, tmp_path, capsys, failure)
 
     def test_merged_component_unrelated_but_nonempty(self, fig1, tmp_path, capsys, monkeypatch):
-        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), related=False)
+        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), (False, True))
         failure = f"{self.MERGED}: related=False with nonempty=True"
+        self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
+    def test_merged_component_not_independent(self, fig1, tmp_path, capsys, monkeypatch):
+        misreport_support_checks(monkeypatch, *self.merged_pair(fig1), None)
+        failure = f"{self.MERGED}: not set-theoretically independent"
         self.assert_relation_failure(fig1, tmp_path, capsys, failure)
 
     def assert_wrong_total(self, fig1, tmp_path, capsys, monkeypatch, field):
@@ -570,7 +593,7 @@ class TestFaultInjection:
         monkeypatch.setattr(Subspace, "contains", lambda self, other: False)
         flag = LevelGraph(fig1[0], fig1[1]).flag()
         assert [ok for _, ok in flag.inclusions()] == [False] * 3
-        assert not flag.ok
+        assert not flag_holds(flag)
         code, payload = run_fig1(tmp_path, capsys, "dims")
         assert code == 1
         assert payload["ok"] is False

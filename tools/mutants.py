@@ -2,9 +2,10 @@
 
 Each entry of :data:`CATALOGUE` is one mutant: a file relative to the
 repository root, an ``old`` text that occurs exactly once in it, the
-``new`` text that replaces it, and a note on the fault.
-``tests/test_mutants.py`` checks that every ``old`` text still occurs
-exactly once, so the catalogue fails fast when ``src/`` drifts from it.
+``new`` text that replaces it, a note on the fault, and the id of the test
+that killed it last.  ``tests/test_mutants.py`` checks that every ``old``
+text still occurs exactly once and that every killer is a collected test,
+so the catalogue fails fast when ``src/`` or the tests drift from it.
 
 Run from anywhere, standard library only::
 
@@ -14,14 +15,19 @@ Run from anywhere, standard library only::
 
 The runner copies the tree to a temporary directory (under ``TMPDIR``
 when it is set) once and runs the tier-1 suite there unmutated, without
-``tests/test_mutants.py``, which fails on any mutated tree.  Then, one
-mutant at a time and never in parallel, it writes the mutated file, runs
-the suite with ``-x`` and restores the file.  A mutant is killed when the
-suite fails (or runs past the time limit) and survives when it passes; the
-first failing test is reported.  The exit status is 1 when a mutant
-survives.  A full run takes about 25 minutes on 2 vCPUs, most mutants
-dying within 40 s.  The target is no survivors: an equivalent mutant is
-argued in its note, never dropped, and no check is loosened to kill one.
+``tests/test_mutants.py``, which fails on any mutated tree; then it runs
+the chosen entries' killers together, unmutated.  Both must pass.  Then,
+one mutant at a time and never in parallel, it writes the mutated file and
+runs the entry's killer alone.  If the killer fails (or runs past the time
+limit), the mutant is killed: that test passed on the unmutated tree.
+Otherwise, or when the killer was not collected, the runner falls back to
+the whole suite with ``-x``: the mutant is killed when the suite fails,
+its first failing test reported as a new killer, and survives when the
+suite passes.  Then the file is restored.  The exit status is 1 when a
+mutant survives.  A full run takes about 4 minutes on 2 vCPUs: the 45 s
+unmutated suite, then about 2 s per mutant.  The target is no survivors:
+an equivalent mutant is argued in its note, never dropped, and no check
+is loosened to kill one.
 """
 
 from __future__ import annotations
@@ -36,17 +42,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 # tier-1 minus the catalogue's own sync test, which fails on every mutant
-SUITE = [
-    "-m",
-    "pytest",
-    "-q",
-    "-x",
-    "-p",
-    "no:cacheprovider",
-    "--continue-on-collection-errors",
-    "--ignore=tests/test_mutants.py",
-]
+SUITE = [*PYTEST, "-x", "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 TIME_LIMIT_S = 900
 
 
@@ -55,6 +53,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     note: str
+    killer: str  # the test id that killed the mutant last
 
 
 DEG = "src/resipoly/degeneration.py"
@@ -72,54 +71,63 @@ CATALOGUE = (
         'raise InvariantViolation("realization changed the dimension")',
         "pass",
         "flag_and_realization: realization dimension guard off",
+        "tests/test_cli.py::TestInvariantViolations::test_degeneration_invariant_exits_1",
     ),
     Mutant(
         DEG,
         'raise InvariantViolation("basis rows were dependent")',
         "pass",
         "initial_space_limit: dependent-basis guard off",
+        "tests/test_degeneration.py::TestInitialSpaceLimit::test_dependent_basis_rows",
     ),
     Mutant(
         DEG,
         'raise InvariantViolation("limit changed the dimension")',
         "pass",
         "initial_space_limit: limit dimension guard off",
+        "tests/test_cli.py::TestInvariantViolations::test_limit_dimension_guard_exits_1",
     ),
     Mutant(
         DEG,
         'raise InvariantViolation("greedy anchor minor is zero")',
         "pass",
         "plucker_limit_oracle: zero anchor minor guard off",
+        "tests/test_cli.py::TestInvariantViolations::test_zero_anchor_minor_exits_1",
     ),
     Mutant(
         DEG,
         'raise InvariantViolation("decoded limit has the wrong dimension")',
         "pass",
         "plucker_limit_oracle: decoded dimension guard off",
+        "tests/test_degeneration.py::TestPluckerOracle::test_decoded_dimension_guard",
     ),
     Mutant(
         POLY,
         'raise InvariantViolation("projection table violates its invariants")',
         "pass",
         "projection_rank_table: table invariant guard off",
+        "tests/test_cli.py::TestInvariantViolations::test_polytopes_invariant_exits_1",
     ),
     Mutant(
         POLY,
         'raise InvariantViolation("base polytope of a non-submodular table")',
         "pass",
         "base_polytope: submodularity precondition off",
+        "tests/test_cli.py::TestInvariantViolations::test_non_submodular_table_exits_1",
     ),
     Mutant(
         POLY,
         'raise InvariantViolation("greedy point violates the subset inequalities")',
         "pass",
         "base_polytope: greedy point re-check off",
+        "tests/test_cli.py::TestInvariantViolations::test_greedy_point_recheck_exits_1",
     ),
     Mutant(
         POLY,
         "if argmax != tight:",
         "if False:",
         "chain_face: argmax cross-check off (its InvariantViolation site)",
+        "tests/test_polytopes.py::TestFaultInjection::test_chain_face_cross_check",
     ),
     # -- verdict branches of relation_failures and the component checks
     Mutant(
@@ -127,60 +135,70 @@ CATALOGUE = (
         'failures.append(f"level {n} component {names(comp)}: not properly unrelated")',
         "pass",
         "relation_failures: level component 'not properly unrelated' branch off",
+        "tests/test_residues.py::TestFaultInjection::test_level_component_not_properly_unrelated",
     ),
     Mutant(
         RES,
-        "if report.related != (comp in reducible):",
+        "if related != (comp in reducible):",
         "if False:",
         "relation_failures: level component relatedness-vs-reducible branch off",
+        "tests/test_residues.py::TestFaultInjection::test_level_component_related_but_no_reducible_summit",
     ),
     Mutant(
         RES,
-        "\n            if not report.properly_unrelated:",
+        "\n            if not properly:",
         "\n            if False:",
         "relation_failures: merged component 'not properly unrelated' branch off",
+        "tests/test_residues.py::TestFaultInjection::test_merged_component_not_properly_unrelated",
     ),
     Mutant(
         RES,
-        "if report.related != nonempty:",
+        "if related != nonempty:",
         "if False:",
         "relation_failures: merged component relatedness-vs-nonempty branch off",
+        "tests/test_residues.py::TestFaultInjection::test_merged_component_unrelated_but_nonempty",
     ),
     Mutant(
         RES,
         "\n            and sum(b.codim_global for b in blocks) == up - res",
         "",
         "component_report: codim_global total left out of the consistency check",
+        "tests/test_residues.py::TestFaultInjection::test_wrong_global_codimension",
     ),
     Mutant(
         RES,
         "sum(b.block_dim for b in blocks) == up\n            and ",
         "",
         "component_report: block_dim total left out of the consistency check",
+        "tests/test_residues.py::TestFaultInjection::test_wrong_block_total[block_dim]",
     ),
     Mutant(
         RES,
         "\n            and sum(b.codim_local for b in blocks) == up - local",
         "",
         "component_report: codim_local total left out of the consistency check",
+        "tests/test_residues.py::TestFaultInjection::test_wrong_block_total[codim_local]",
     ),
     Mutant(
         RES,
         "\n            and sum(b.codim_rosenlicht for b in blocks) == up - ros",
         "",
         "component_report: codim_rosenlicht total left out of the consistency check",
+        "tests/test_residues.py::TestFaultInjection::test_wrong_block_total[codim_rosenlicht]",
     ),
     Mutant(
         RES,
         "ok = self.spaces[bigger].contains(self.spaces[smaller])",
         "ok = True",
         "ResidueFlag.inclusions: flag containment off",
+        "tests/test_residues.py::TestFaultInjection::test_flag_step_outside_the_previous",
     ),
     Mutant(
         VER,
         "if lhs != rhs:",
         "if False:",
         "verify: component-set identity off",
+        "tests/test_residues.py::TestFaultInjection::test_wrong_special_components",
     ),
     # -- owners derived from a row's lowest arrow
     Mutant(
@@ -188,12 +206,14 @@ CATALOGUE = (
         "return n, next(c for c in self.masks[n].special if c & head)",
         "return n, self.masks[n].special[0]",
         "LevelGraph.owner: a global row gets its level's first special component",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     Mutant(
         RES,
         "            return tail\n",
         "            return graph.index[arrow.head]\n",
         "LevelGraph.owner: a local row is owned by its lowest arrow's head",
+        "tests/test_golden.py::test_output_matches_golden[dims-fig2.json]",
     ),
     # -- verdict branches of check_polytope_faces
     Mutant(
@@ -201,42 +221,49 @@ CATALOGUE = (
         "containment_ok = False",
         "pass",
         "check_polytope_faces: one-level containment off",
+        "tests/test_polytopes.py::TestFaultInjection::test_vertex_outside_the_one_level_polytope",
     ),
     Mutant(
         POLY,
         "if not feasible:",
         "if False:",
         "check_polytope_faces: per-partition chain match off",
+        "tests/test_polytopes.py::TestFaultInjection::test_partition_matches_no_chain_face",
     ),
     Mutant(
         POLY,
         '        orientation = "none"\n        chain_match_ok = False\n',
         '        orientation = "none"\n',
         "check_polytope_faces: no consistent orientation no longer fails the chain match",
+        "tests/test_polytopes.py::TestFaultInjection::test_no_consistent_orientation",
     ),
     Mutant(
         POLY,
         "if not set(face) <= set(coarser_face):",
         "if False:",
         "check_polytope_faces: coarsening vertex containment off",
+        "tests/test_polytopes.py::TestFaultInjection::test_vertex_set_not_contained_in_a_coarsening",
     ),
     Mutant(
         POLY,
         "if any(map(gt, table.values, coarser_table.values)):",
         "if False:",
         "check_polytope_faces: coarsening table domination off",
+        "tests/test_polytopes.py::TestFaultInjection::test_table_not_dominated_by_a_coarsening",
     ),
     Mutant(
         POLY,
         "cover_ok = {upper for _, _, _, upper in entries.values()} == realized",
         "cover_ok = True",
         "check_polytope_faces: cover check off",
+        "tests/test_polytopes.py::TestFaultInjection::test_unrealized_chain_face",
     ),
     Mutant(
         POLY,
         '"lower": entries[reversed_levels][3]',
         '"lower": upper',
         "check_polytope_faces: lower face read from the partition itself, not its reversal",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
     ),
     # -- verdict branches of check_degeneration
     Mutant(
@@ -244,30 +271,35 @@ CATALOGUE = (
         "limit_matches=limit == fine_space,",
         "limit_matches=True,",
         "check_degeneration: leading-form limit verdict always true",
+        "tests/test_degeneration.py::TestFaultInjection::test_wrong_route_fails_its_check[limit]",
     ),
     Mutant(
         DEG,
         "realization_matches=realization == fine_space,",
         "realization_matches=True,",
         "check_degeneration: realization verdict always true",
+        "tests/test_degeneration.py::TestFaultInjection::test_wrong_route_fails_its_check[realization]",
     ),
     Mutant(
         DEG,
         "splitting_matches=split == fine_table,",
         "splitting_matches=True,",
         "check_degeneration: splitting verdict always true",
+        "tests/test_degeneration.py::TestFaultInjection::test_wrong_route_fails_its_check[splitting]",
     ),
     Mutant(
         DEG,
         "oracle_matches = plucker_limit_oracle(laurent) == limit",
         "oracle_matches = True",
         "check_degeneration: oracle verdict always true",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[documents]",
     ),
     Mutant(
         DEG,
         "\n            and self.oracle_matches is not False",
         "",
         "DegenerationReport.ok: a failed oracle no longer fails the report",
+        "tests/test_degeneration.py::TestFaultInjection::test_wrong_route_fails_its_check[oracle]",
     ),
     # -- leading-form limit as one weight-ordered echelon
     Mutant(
@@ -275,18 +307,21 @@ CATALOGUE = (
         "order = sorted(range(width), key=lambda j: (-weights[j], j))",
         "order = sorted(range(width), key=lambda j: (weights[j], j))",
         "initial_space_limit: coordinates sorted by weight ascending",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
     ),
     Mutant(
         DEG,
         "if weights[j] == top:",
         "if True:",
         "initial_space_limit: leading form keeps every coordinate (weight filter dropped)",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
     ),
     Mutant(
         DEG,
         "top = weights[order[pivot]]",
         "top = weights[pivot]",
         "initial_space_limit: pivot weight read at the unpermuted index",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
     ),
     # -- polytope-layer kernels and checks
     Mutant(
@@ -294,60 +329,70 @@ CATALOGUE = (
         "any(map(gt, sums, values))",
         "any(s > v + 1 for s, v in zip(sums, values))",
         "base_polytope: greedy re-check relaxed by 1",
+        "tests/test_cli.py::TestInvariantViolations::test_greedy_point_recheck_exits_1",
     ),
     Mutant(
         POLY,
         " or sums[full] != values[full]",
         "",
         "base_polytope: greedy re-check without the ground-set equality",
+        "tests/test_polytopes.py::TestFaultInjection::test_vertex_recheck_catches_a_missed_ground_equality",
     ),
     Mutant(
         POLY,
         "for t in range(i, n - 1):",
         "for t in range(i + 1, n - 1):",
         "is_submodular: the nearest higher element skipped",
+        "tests/test_polytopes.py::TestBasePolytope::test_non_submodular_rejected",
     ),
     Mutant(
         POLY,
         "if not all(map(ge, lower, upper)):",
         "if not all(map(ge, upper, lower)):",
         "is_submodular: marginal comparison reversed",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
     ),
     Mutant(
         POLY,
         "for i in range(self.n)\n",
         "for i in range(self.n - 1)\n",
         "is_nondecreasing: the last element skipped",
+        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
     ),
     Mutant(
         POLY,
         "out[r::step] = map(",
         "out[r * len(out) // step : (r + 1) * len(out) // step] = map(",
         "_marginals: strided marginals stored in blocks, not interleaved at stride step",
+        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
     ),
     Mutant(
         POLY,
         "child = list(echelon)",
         "child = echelon",
         "projection_rank_table: children share their parent's echelon",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
     ),
     Mutant(
         POLY,
         "values[mask :: 1 << start] = [dim] * (1 << (n - start))",
         "values[mask] = dim",
         "projection_rank_table: full-rank subtree fill dropped",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
     ),
     Mutant(
         POLY,
         "if state not in seen:",
         "if all(m != state[0] for m, _ in seen):",
         "base_polytope: prefix walk pruned by prefix mask alone",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
     ),
     Mutant(
         POLY,
         "itertools.accumulate(top_down, or_, initial=0)",
         "itertools.accumulate(top_down, or_)",
         "splitting: U_n includes level n",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
     ),
     # -- input contract
     Mutant(
@@ -355,24 +400,28 @@ CATALOGUE = (
         "if not isinstance(w, str) or w not in index:",
         "if w not in index:",
         "Multigraph: edge endpoint type test dropped",
+        "tests/test_cli.py::TestErrors::test_non_string_endpoint_exits_2[array-tail]",
     ),
     Mutant(
         VER,
         'if not item["component"]:',
         "if False:",
         "_check_expect: empty global-condition component accepted",
+        "tests/test_cli.py::TestVerify::test_malformed_global_condition_exits_2[empty-component]",
     ),
     Mutant(
         VER,
         "if label not in arrow_labels:",
         "if False:",
         "_check_expect: unknown arrow label accepted",
+        "tests/test_cli.py::TestVerify::test_malformed_global_condition_exits_2[arrow-not-a-label]",
     ),
     Mutant(
         VER,
         "if not 1 <= int(level) <= levels.r:",
         "if False:",
         "_check_expect: expect level key outside 1..r accepted",
+        "tests/test_cli.py::TestVerify::test_expect_level_out_of_range_exits_2[9]",
     ),
     # -- each identity of flag_identities, one side off by one
     Mutant(
@@ -380,30 +429,35 @@ CATALOGUE = (
         "2 * counts.edges - counts.vertical_edges,",
         "2 * counts.edges - counts.vertical_edges + 1,",
         "flag_identities: downward dimension off by one",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     Mutant(
         RES,
         "counts.vertices - counts.summits_irreducible,",
         "counts.vertices - counts.summits_irreducible + 1,",
         "flag_identities: local codimension off by one",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     Mutant(
         RES,
         "counts.horizontal_edges - counts.summits_reducible,",
         "counts.horizontal_edges - counts.summits_reducible + 1,",
         "flag_identities: rosenlicht codimension off by one",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     Mutant(
         RES,
         "counts.summits - counts.components)",
         "counts.summits - counts.components + 1)",
         "flag_identities: global codimension off by one",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     Mutant(
         RES,
         "counts.edges - counts.vertices + counts.components,",
         "counts.edges - counts.vertices + counts.components + 1,",
         "flag_identities: residue dimension off by one",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     # -- vertex-mask tables, level-component groups and the sparse echelon
     Mutant(
@@ -411,18 +465,21 @@ CATALOGUE = (
         "row = {c: a * y for c, a in row.items()}",
         "row = dict(row)",
         "_sparse_insert: the row is not multiplied by the pivot's entry",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     Mutant(
         GRAPHS,
         "value = table.get(mask)",
         "value = table.get(mask & -mask)",
         "_tabled: vertex-mask tables read at the mask's lowest bit",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     Mutant(
         RES,
         "group = self._rows_within(here)",
         "group = groups[next(c for c in at.components if c & here)]",
         "blocks: a block over several level components reuses the first one's group",
+        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     # -- the fixed size bounds, each one vertex too strict
     Mutant(
@@ -430,36 +487,42 @@ CATALOGUE = (
         "if len(graph.vertices) > TABLE_BOUND:",
         "if len(graph.vertices) >= TABLE_BOUND:",
         "_check_table_bound: a graph at the table bound rejected",
+        "tests/test_acceptance.py::test_criterion_6_degenerations",
     ),
     Mutant(
         POLY,
         "if n > POLYTOPE_BOUND:",
         "if n >= POLYTOPE_BOUND:",
         "base_polytope: a table at the polytope bound rejected",
+        "tests/test_cli.py::TestErrors::test_fixed_size_bounds[polytope]",
     ),
     Mutant(
         POLY,
         "if len(graph.vertices) > FACE_SWEEP_BOUND:",
         "if len(graph.vertices) >= FACE_SWEEP_BOUND:",
         "check_polytope_faces: a graph at the face-sweep bound rejected",
+        "tests/test_cli.py::TestErrors::test_fixed_size_bounds[faces]",
     ),
     Mutant(
         GRAPHS,
         "if len(vertices) > ENUMERATION_BOUND:",
         "if len(vertices) >= ENUMERATION_BOUND:",
         "ordered_partitions: a vertex tuple at the enumeration bound rejected",
+        "tests/test_graphs.py::TestEnumeration::test_bound_enforced",
     ),
     Mutant(
         VER,
         "if len(graph.vertices) <= FACE_SWEEP_BOUND:",
         "if len(graph.vertices) < FACE_SWEEP_BOUND:",
         "verify_document: no face sweep for a fixture at the face-sweep bound",
+        "tests/test_cli.py::TestVerify::test_face_sweep_up_to_its_bound",
     ),
     Mutant(
         VER,
-        "len(graph.vertices) <= POLYTOPE_BOUND:",
-        "len(graph.vertices) < POLYTOPE_BOUND:",
-        "_expect_failures: no vertex count for a fixture at the polytope bound",
+        "len(graph.vertices) > POLYTOPE_BOUND:",
+        "len(graph.vertices) >= POLYTOPE_BOUND:",
+        "_check_expect: a vertex count expected at the polytope bound rejected",
+        "tests/test_cli.py::TestVerify::test_vertex_count_up_to_the_polytope_bound[8-True]",
     ),
     # -- each term of the `dims` verdict
     Mutant(
@@ -467,18 +530,21 @@ CATALOGUE = (
         'all(item["ok"] for item in identities)\n        and ',
         "",
         "cmd_dims: identities left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_dims[identities]",
     ),
     Mutant(
         CLI,
         '\n        and all(item["ok"] for item in payload["inclusions"])',
         "",
         "cmd_dims: inclusions left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_dims[inclusions]",
     ),
     Mutant(
         CLI,
         "\n        and report.totals_consistent\n    )",
         "\n    )",
         "cmd_dims: component totals left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_dims[totals]",
     ),
     # -- each term of verify_document's verdict
     Mutant(
@@ -486,66 +552,138 @@ CATALOGUE = (
         "all(c.ok for c in identities)\n        and ",
         "",
         "verify_document: identities left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[identities]",
     ),
     Mutant(
         VER,
         "\n        and all(x for _, x in inclusions)",
         "",
         "verify_document: inclusions left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[inclusions]",
     ),
     Mutant(
         VER,
         "\n        and report.totals_consistent",
         "",
         "verify_document: component totals left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[totals]",
     ),
     Mutant(
         VER,
         "\n        and not relation_failures",
         "",
         "verify_document: relation failures left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[relations]",
     ),
     Mutant(
         VER,
         "\n        and not identity_failures",
         "",
         "verify_document: component identity failures left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[component-identity]",
     ),
     Mutant(
         VER,
         "\n        and not expect_failures",
         "",
         "verify_document: expect failures left out of ok",
+        "tests/test_cli.py::TestVerify::test_corrupted_expectation_fails",
     ),
     Mutant(
         VER,
         '\n        and (section["faces"] is None or section["faces"]["ok"])',
         "",
         "verify_document: the face sweep left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[faces]",
     ),
     Mutant(
         VER,
         'd["limit_ok"] and ',
         "",
         "verify_document: degeneration limit left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[limit]",
     ),
     Mutant(
         VER,
         'and d["realization_ok"] ',
         "",
         "verify_document: degeneration realization left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[realization]",
     ),
     Mutant(
         VER,
         'and d["splitting_ok"] ',
         "",
         "verify_document: degeneration splitting left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[splitting]",
     ),
     Mutant(
         VER,
         ' and d["oracle_ok"]',
         "",
         "verify_document: degeneration oracle left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[oracle]",
+    ),
+    # -- relatedness answered for set-independent collections only
+    Mutant(
+        RES,
+        'failures.append(\n                        f"level {n} component {names(comp)}: '
+        'not set-theoretically independent"\n                    )',
+        "pass",
+        "relation_failures: a level component of dependent collections not reported",
+        "tests/test_residues.py::TestFaultInjection::test_level_component_not_independent",
+    ),
+    Mutant(
+        RES,
+        'failures.append(\n                    f"level {b.level} merged component {names(b.component)}: "'
+        '\n                    "not set-theoretically independent"\n                )',
+        "pass",
+        "relation_failures: a merged component of dependent collections not reported",
+        "tests/test_residues.py::TestFaultInjection::test_merged_component_not_independent",
+    ),
+    Mutant(
+        LIN,
+        "    if not (_is_set_independent(sup1) and _is_set_independent(sup2)):"
+        "\n        return None",
+        "    if False:\n        return None",
+        "support_checks: relatedness answered for dependent collections",
+        "tests/test_linalg.py::TestSetTheoreticChecks::test_overlapping_supports_are_not_independent",
+    ),
+    Mutant(
+        LIN,
+        "if not s or s & seen:",
+        "if not s:",
+        "_is_set_independent: overlapping supports pass as independent",
+        "tests/test_linalg.py::TestSetTheoreticChecks::test_overlapping_supports_are_not_independent",
+    ),
+    Mutant(
+        LIN,
+        "closed.append(union1 == union2)",
+        "closed.append(bool(union1 and union2))",
+        "_closed_components: a component meeting both collections counts as closed",
+        "tests/test_linalg.py::TestSetTheoreticChecks::test_matches_brute_force_on_random_collections",
+    ),
+    Mutant(
+        LIN,
+        "return related, not related or len(closed) == 1",
+        "return related, not related or all(closed)",
+        "support_checks: properly unrelated when every component is closed",
+        "tests/test_linalg.py::TestVectorCollection::test_random_collections_make_no_fractions",
+    ),
+    # -- is_coarsening and Subspace.contains
+    Mutant(
+        GRAPHS,
+        "return all(a <= b for a, b in zip(images, images[1:]))",
+        "return True",
+        "is_coarsening: the level order test dropped",
+        "tests/test_graphs.py::TestCoarsening::test_order_reversal_is_not_a_coarsening",
+    ),
+    Mutant(
+        LIN,
+        "for row in other.rows)",
+        "for row in other.rows[:1])",
+        "Subspace.contains: only the first basis row of the other space checked",
+        "tests/test_linalg.py::TestSubspace::test_contains_matches_rank",
     ),
 )
 
@@ -556,22 +694,28 @@ def occurs_once(mutant):
 
 
 def _first_failure(output):
+    """The id of the first failing or erroring test in pytest's summary."""
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" - ")[0]
+            return line.split(" ", 1)[1].split(" - ")[0]
     return ""
 
 
-def _suite(tree):
-    """Run the tier-1 suite in `tree`: (passed, seconds, first failure)."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+def env():
+    """The environment the suite runs in: ``src`` first on the path."""
+    out = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", out.get("PYTHONPATH")]))
+    return out
+
+
+def _pytest(tree, args):
+    """Run pytest with `args` in `tree`: (passed, seconds, first failure)."""
     start = time.monotonic()
     try:
         done = subprocess.run(
-            [sys.executable, *SUITE],
+            [sys.executable, *args],
             cwd=tree,
-            env=env,
+            env=env(),
             capture_output=True,
             text=True,
             timeout=TIME_LIMIT_S,
@@ -579,6 +723,17 @@ def _suite(tree):
     except subprocess.TimeoutExpired:
         return False, time.monotonic() - start, f"timeout after {TIME_LIMIT_S} s"
     return done.returncode == 0, time.monotonic() - start, _first_failure(done.stdout)
+
+
+def _verdict(tree, mutant):
+    """(killed, seconds, failing test) of the mutated `tree`: the named
+    killer alone first, the whole suite only when it passes or names no
+    failing test (when it was not collected, say)."""
+    _, seconds, failure = _pytest(tree, [*PYTEST, mutant.killer])
+    if failure:
+        return True, seconds, failure
+    passed, more, failure = _pytest(tree, SUITE)
+    return not passed, seconds + more, failure
 
 
 def main(argv):
@@ -591,6 +746,7 @@ def main(argv):
     if stale:
         print(f"stale entries {stale}: old text not found exactly once", file=sys.stderr)
         return 2
+    start = time.monotonic()
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(
@@ -600,11 +756,17 @@ def main(argv):
                 ".git", "__pycache__", ".pytest_cache", ".perfbench", "*.egg-info"
             ),
         )
-        passed, seconds, failure = _suite(tree)
+        passed, seconds, failure = _pytest(tree, SUITE)
         if not passed:
             print(f"the unmutated suite fails ({failure}); no mutant run", file=sys.stderr)
             return 2
         print(f"unmutated suite passes in {seconds:.0f} s", flush=True)
+        killers = sorted({CATALOGUE[n].killer for n in chosen})
+        passed, seconds, failure = _pytest(tree, [*PYTEST, *killers])
+        if not passed:
+            print(f"a killer fails unmutated ({failure}); no mutant run", file=sys.stderr)
+            return 2
+        print(f"the {len(killers)} killers pass unmutated in {seconds:.0f} s", flush=True)
         survivors = 0
         for number in chosen:
             mutant = CATALOGUE[number]
@@ -612,13 +774,18 @@ def main(argv):
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
             try:
-                passed, seconds, failure = _suite(tree)
+                killed, seconds, failure = _verdict(tree, mutant)
             finally:
                 path.write_text(original)
-            verdict = "SURVIVED" if passed else "killed"
-            survivors += passed
+            verdict = "killed" if killed else "SURVIVED"
+            survivors += not killed
+            if killed and failure != mutant.killer:
+                failure += "  (new killer)"
             print(f"{number:3d}  {verdict:8s} {seconds:5.0f} s  {mutant.note}  {failure}", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} killed")
+    print(
+        f"{len(chosen) - survivors} of {len(chosen)} killed "
+        f"in {time.monotonic() - start:.0f} s"
+    )
     return 1 if survivors else 0
 
 
