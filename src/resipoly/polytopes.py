@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge, gt, or_, sub
+from operator import ge, gt, mul, or_, sub
 
 from .graphs import LevelStructure, bits, coarsened_levels, ordered_partitions
 from .linalg import _echelon_insert
-from .residues import residue_space
+from .residues import LevelGraph, residue_space
 
 __all__ = [
     "BasePolytope",
@@ -291,10 +291,6 @@ class BasePolytope:
         return f"BasePolytope({len(self.vertices)} vertices in R^{len(self.ground)})"
 
 
-def _point_value(point, mask):
-    return sum(x for i, x in enumerate(point) if mask >> i & 1)
-
-
 def base_polytope(table):
     """Vertices as the greedy points of all maximal chains, deduplicated.
 
@@ -351,20 +347,23 @@ def chain_face(polytope, levels):
     if tuple(levels.vertices) != polytope.ground:
         raise ValueError("level structure does not match the polytope ground set")
     values = polytope.table.values
-    prefix_masks = list(itertools.accumulate(levels.masks, or_))
-    tight = tuple(
-        i
-        for i, q in enumerate(polytope.vertices)
-        if all(_point_value(q, pm) == values[pm] for pm in prefix_masks)
-    )
+    bounds = [values[pm] for pm in itertools.accumulate(levels.masks, or_)]
+    tight = []
+    for i, q in enumerate(polytope.vertices):
+        # q summed per level in one pass (index 0 unused), then along the chain
+        sums = [0] * (levels.r + 1)
+        for n, x in zip(levels.levels, q):
+            sums[n] += x
+        if list(itertools.accumulate(sums[1:])) == bounds:
+            tight.append(i)
 
     weight = [levels.r - n for n in levels.levels]
-    scores = [sum(w * x for w, x in zip(weight, q)) for q in polytope.vertices]
+    scores = [sum(map(mul, weight, q)) for q in polytope.vertices]
     best = max(scores)
-    argmax = tuple(i for i, s in enumerate(scores) if s == best)
+    argmax = [i for i, s in enumerate(scores) if s == best]
     if argmax != tight:
         raise InvariantViolation("chain-tight vertices differ from the weight argmax")
-    return tight
+    return tuple(tight)
 
 
 @dataclass(frozen=True)
@@ -394,14 +393,51 @@ class FaceReport:
         )
 
 
+def _located(points, index):
+    """The indices of ``points`` in ``index`` (vertex -> reference index),
+    sorted, or None when one of them is not a reference vertex."""
+    if all(v in index for v in points):
+        return tuple(sorted(index[v] for v in points))
+    return None
+
+
+def _sweep_table(graph, levels, tables):
+    """The tail table of the residue space of (graph, levels), built once per
+    distinct set of condition rows: ``tables`` maps each set met so far to
+    its table.  The residue space is the kernel of the rows, whatever their
+    family or order, so one set always gives the same table."""
+    model = LevelGraph(graph, levels)
+    rows = frozenset(itertools.chain.from_iterable(model.rows.values()))
+    table = tables.get(rows)
+    if table is None:
+        table = tables[rows] = _tail_table(graph, model.residue_space())
+    return table
+
+
+def _table_and_face(graph, levels, tables, faces, index):
+    """A partition's tail table and its face: the vertices of the table's
+    base polytope located by `_located` in ``index``.  ``faces`` maps the
+    values of each table met so far to its face, so the polytope is built
+    and located once per distinct table."""
+    table = _sweep_table(graph, levels, tables)
+    key = table.values
+    if key not in faces:
+        faces[key] = _located(base_polytope(table).vertices, index)
+    return table, faces[key]
+
+
 def check_polytope_faces(graph):
     """Sweep every ordered partition and match its polytope against the faces
     of the one-level polytope.
 
-    One chain face is computed per partition.  The ``upper`` face of a
-    partition is its own chain face, the ``lower`` one (tightness against
-    the adjoint) that of the reversed partition, level n going to
-    r + 1 - n.  Checks, for a single orientation shared by all partitions:
+    One residue space is built per distinct set of condition rows, one base
+    polytope per distinct table (the one-level polytope once more, as the
+    reference), and each memo lives for one call; every check below still
+    runs per partition.  One chain face is computed per partition.  The
+    ``upper`` face of a partition is its own chain face, the ``lower`` one
+    (tightness against the adjoint) that of the reversed partition, level n
+    going to r + 1 - n.  Checks, for a single orientation shared by all
+    partitions:
     (a) each partition's vertex set sits inside the one-level vertex set;
     (b) it equals the chain face of the one-level polytope at its partition;
     (c) coarsening a partition only enlarges both the vertex set and the
@@ -413,17 +449,15 @@ def check_polytope_faces(graph):
         raise ValueError(
             f"{len(graph.vertices)} vertices exceed the face-sweep bound {FACE_SWEEP_BOUND}"
         )
+    tables = {}  # condition-row set -> tail table of its residue space
+    faces = {}  # table values -> face of its polytope, or None
     trivial = LevelStructure.trivial(graph.vertices)
-    reference = base_polytope(residue_projection_table(graph, trivial))
-    locate = reference.vertex_index()
+    reference = base_polytope(_sweep_table(graph, trivial, tables))
+    index = reference.vertex_index()
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table = residue_projection_table(graph, pi)
-        poly = base_polytope(table)
-        face = None
-        if all(v in locate for v in poly.vertices):
-            face = tuple(sorted(locate[v] for v in poly.vertices))
+        table, face = _table_and_face(graph, pi, tables, faces, index)
         entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
 
     failures = []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -9,9 +10,22 @@ from typing import NamedTuple
 import pytest
 
 from resipoly import fixtures
-from resipoly.graphs import GraphDocumentError, LevelStructure, classify_arrows, coarsened_levels
+from resipoly.graphs import (
+    GraphDocumentError,
+    LevelStructure,
+    classify_arrows,
+    coarsened_levels,
+    ordered_partitions,
+)
 from resipoly.linalg import SetTheoreticReport, Subspace, _echelon_insert, det, to_fraction
-from resipoly.polytopes import BasePolytope, InvariantViolation, SetFunction
+from resipoly.polytopes import (
+    BasePolytope,
+    FaceReport,
+    InvariantViolation,
+    SetFunction,
+    base_polytope,
+    residue_projection_table,
+)
 
 
 @pytest.fixture(scope="session")
@@ -392,6 +406,90 @@ def reference_chain_face(polytope, levels, orientation):
     if argmax != tight:
         raise InvariantViolation("chain-tight vertices differ from the weight argmax")
     return tight
+
+
+def reference_check_polytope_faces(graph):
+    """The face sweep with a fresh table and polytope per partition and no
+    memo: the previous body of `check_polytope_faces`."""
+    trivial = LevelStructure.trivial(graph.vertices)
+    reference = base_polytope(residue_projection_table(graph, trivial))
+    locate = reference.vertex_index()
+
+    entries = {}
+    for pi in ordered_partitions(graph.vertices):
+        table = residue_projection_table(graph, pi)
+        poly = base_polytope(table)
+        face = None
+        if all(v in locate for v in poly.vertices):
+            face = tuple(sorted(locate[v] for v in poly.vertices))
+        entries[pi.levels] = (pi, face, table, reference_chain_face(reference, pi, "upper"))
+
+    failures = []
+    containment_ok = True
+    chain_match_ok = True
+    candidates = {"upper", "lower"}
+    chain_faces = []
+    for pi, face, _, upper in entries.values():
+        if face is None:
+            containment_ok = False
+            failures.append(f"{pi!r}: vertex outside the one-level polytope")
+        reversed_levels = tuple(pi.r + 1 - n for n in pi.levels)
+        chains = {"upper": upper, "lower": entries[reversed_levels][3]}
+        feasible = {o for o, cf in chains.items() if face is not None and cf == face}
+        if not feasible:
+            chain_match_ok = False
+            failures.append(f"{pi!r}: no chain-face orientation matches")
+        else:
+            candidates &= feasible
+        chain_faces.append((pi, chains))
+    if len(candidates) == 2:
+        orientation = "both"
+    elif candidates:
+        orientation = next(iter(candidates))
+    else:
+        orientation = "none"
+        chain_match_ok = False
+        failures.append("no globally consistent chain-face orientation")
+
+    coarsening_ok = True
+    for pi, face, table, _ in entries.values():
+        for key in coarsened_levels(pi):
+            coarser, coarser_face, coarser_table, _ = entries[key]
+            if face is None or coarser_face is None:
+                continue
+            if not set(face) <= set(coarser_face):
+                coarsening_ok = False
+                failures.append(f"{pi!r} -> {coarser!r}: vertex set not contained")
+            if any(a > b for a, b in zip(table.values, coarser_table.values)):
+                coarsening_ok = False
+                failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
+
+    realized = {face for _, face, _, _ in entries.values() if face is not None}
+    cover_ok = {upper for _, _, _, upper in entries.values()} == realized
+    if not cover_ok:
+        failures.append("chain faces and realized faces differ")
+
+    return FaceReport(
+        orientation=orientation,
+        partitions_checked=len(entries),
+        distinct_faces=len(realized),
+        containment_ok=containment_ok,
+        chain_match_ok=chain_match_ok,
+        coarsening_ok=coarsening_ok,
+        cover_ok=cover_ok,
+        failures=tuple(failures),
+        reference=reference,
+        chain_faces=tuple(chain_faces),
+    )
+
+
+def face_report_fields(report):
+    """Every field of a `FaceReport`, comparable with ``==``: the reference
+    polytope (which compares by identity) as its ground, vertices and table."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    poly = report.reference
+    fields["reference"] = (poly.ground, poly.vertices, poly.table)
+    return fields
 
 
 # Helpers that only the tests use.

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from resipoly import fixtures, polytopes
+from resipoly import fixtures, polytopes, residues
 from resipoly.cli import main
 from resipoly.graphs import LevelStructure, bits, load_level_graph, ordered_partitions
 from resipoly.linalg import Subspace
@@ -23,16 +24,18 @@ from resipoly.polytopes import (
     splitting,
 )
 from resipoly.randomized import random_level_structure, random_multigraph
-from resipoly.residues import residue_space
+from resipoly.residues import LevelGraph, residue_space
 
 from conftest import (
     adjoint,
     coarsenings,
+    face_report_fields,
     is_supermodular,
     random_subspace,
     range_value,
     reference_base_polytope,
     reference_chain_face,
+    reference_check_polytope_faces,
     reference_is_nondecreasing,
     reference_is_submodular,
     reference_projection_rank_table,
@@ -328,6 +331,71 @@ class TestFaceSweep:
         with pytest.raises(ValueError):
             check_polytope_faces(graph)
 
+    def test_memo_matches_a_fresh_sweep(self, k4, fig1):
+        # every field, chain faces and failures included, against the sweep
+        # that builds a table and a polytope per partition
+        rng = random.Random(47)
+        graphs = [k4[0], fig1[0]] + [
+            random_multigraph(rng, max_vertices=5, max_edges=8) for _ in range(30)
+        ]
+        assert sum(len(g.vertices) == 5 for g in graphs) >= 5
+        for graph in graphs:
+            assert face_report_fields(check_polytope_faces(graph)) == face_report_fields(
+                reference_check_polytope_faces(graph)
+            )
+
+    def test_one_kernel_per_row_set_one_polytope_per_table(self, k4, monkeypatch):
+        graph = k4[0]
+        partitions = list(ordered_partitions(graph.vertices))
+        row_sets = {
+            frozenset(itertools.chain.from_iterable(LevelGraph(graph, pi).rows.values()))
+            for pi in partitions
+        }
+        tables = {residue_projection_table(graph, pi).values for pi in partitions}
+        real_kernel = residues.kernel
+        real_polytope = polytopes.base_polytope
+        kernels = []
+        polytope_calls = []
+
+        def counting_kernel(rows, *args, **kwargs):
+            kernels.append(frozenset(sum(x << c for c, x in enumerate(row)) for row in rows))
+            return real_kernel(rows, *args, **kwargs)
+
+        def counting_polytope(table):
+            polytope_calls.append(table.values)
+            return real_polytope(table)
+
+        monkeypatch.setattr(residues, "kernel", counting_kernel)
+        monkeypatch.setattr(polytopes, "base_polytope", counting_polytope)
+        report = check_polytope_faces(graph)
+        assert report.ok and report.partitions_checked == len(partitions) == 75
+        assert len(kernels) == len(set(kernels)) == len(row_sets) < len(partitions)
+        assert set(kernels) == row_sets
+        assert len(polytope_calls) == len(tables) + 1 < len(partitions)
+        assert set(polytope_calls) == tables
+
+    def test_six_vertex_sweep(self, tmp_path, capsys):
+        # the first 6-vertex graph with at least 7 edges of seed 7: 4,683
+        # partitions, 15 distinct faces, and the `faces` bytes of the sweep
+        # without memos (1.47 MB, pinned by digest)
+        rng = random.Random(7)
+        graph = random_multigraph(rng, 6, 8)
+        while len(graph.vertices) < 6 or len(graph.edges) < 7:
+            graph = random_multigraph(rng, 6, 8)
+        path = tmp_path / "six.json"
+        path.write_text(
+            json.dumps({"vertices": list(graph.vertices), "edges": [list(e) for e in graph.edges]})
+        )
+        assert main(["faces", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["partitions"] == 4683
+        assert payload["distinct_faces"] == 15
+        assert payload["ok"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f50a903f0f3e2a116cf9cf38bc296a2e119d6131e0a2faeae33571557166d0f1"
+        )
+
 
 class TestProjectionRankTable:
     def test_blocks_must_partition(self):
@@ -561,30 +629,22 @@ def k4_faces_payload(tmp_path, capsys):
 def misreport_partition(monkeypatch, graph, parts, table=None, vertices=None):
     """Make the face sweep read a wrong table (``table(true table)``) or a
     wrong vertex set (``vertices(true vertices)``) for the ordered partition
-    with these parts; every other partition, and the vertex set of the
-    wrong table, are computed as usual.  Returns that partition."""
+    with these parts, at the step that hands the sweep each partition's
+    table and face; every other partition, including those that share the
+    target's table, is read as usual, and a wrong table keeps the face of
+    the true one.  Returns that partition."""
     target = LevelStructure.from_parts(graph.vertices, parts)
-    real_table = polytopes.residue_projection_table
-    real_polytope = polytopes.base_polytope
-    true_tables = {}  # id of the table handed to the sweep -> (it, true table)
+    real_step = polytopes._table_and_face
 
-    def wrong_table(g, levels, *args, **kwargs):
-        true = real_table(g, levels, *args, **kwargs)
+    def wrong_step(g, levels, tables, faces, index):
+        true, face = real_step(g, levels, tables, faces, index)
         if levels.levels != target.levels:
-            return true
-        handed = table(true) if table else true
-        true_tables[id(handed)] = (handed, true)
-        return handed
+            return true, face
+        if vertices:
+            face = polytopes._located(vertices(base_polytope(true).vertices), index)
+        return (table(true) if table else true), face
 
-    def wrong_polytope(t, *args, **kwargs):
-        if id(t) not in true_tables:
-            return real_polytope(t, *args, **kwargs)
-        poly = real_polytope(true_tables[id(t)][1], *args, **kwargs)
-        points = vertices(poly.vertices) if vertices else poly.vertices
-        return BasePolytope(poly.ground, points, t)
-
-    monkeypatch.setattr(polytopes, "residue_projection_table", wrong_table)
-    monkeypatch.setattr(polytopes, "base_polytope", wrong_polytope)
+    monkeypatch.setattr(polytopes, "_table_and_face", wrong_step)
     return target
 
 

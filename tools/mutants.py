@@ -685,6 +685,21 @@ CATALOGUE = (
         "Subspace.contains: only the first basis row of the other space checked",
         "tests/test_linalg.py::TestSubspace::test_contains_matches_rank",
     ),
+    # -- the face sweep's memo keys
+    Mutant(
+        POLY,
+        "rows = frozenset(itertools.chain.from_iterable(model.rows.values()))",
+        'rows = frozenset(model.rows["local"])',
+        "_sweep_table: tables memoised by the local rows alone",
+        "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
+    ),
+    Mutant(
+        POLY,
+        "key = table.values\n",
+        "key = table.values[: len(table.values) // 2]\n",
+        "_table_and_face: faces memoised by the values at the subsets without the last vertex",
+        "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
+    ),
 )
 
 
