@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .graphs import load_level_graph
-
 NAMES = ("fig1", "fig2", "k4", "c3", "loop1")
 
 
@@ -20,13 +18,6 @@ def document(name):
         .read_text(encoding="utf-8")
     )
     return json.loads(text)
-
-
-def load(name):
-    """(Multigraph, LevelStructure, expect-dict) for a named fixture."""
-    doc = document(name)
-    graph, levels = load_level_graph(doc)
-    return graph, levels, doc.get("expect", {})
 
 
 def all_documents():

@@ -307,21 +307,22 @@ def verify_document(name, document):
     else:
         section["faces"] = None
 
-    degenerations = []
-    for fine, coarse in _fixture_degenerations(graph, levels):
-        result = check_degeneration(graph, fine, coarse)
-        degenerations.append(
-            {
-                "fine": [list(p) for p in fine.parts],
-                "coarse": [list(p) for p in coarse.parts],
-                "residue_dim": result.residue_dim,
-                "limit_ok": result.limit_matches,
-                "realization_ok": result.realization_matches,
-                "splitting_ok": result.splitting_matches,
-                "oracle_ok": result.oracle_matches,
-            }
-        )
-    section["degenerations"] = degenerations
+    results = [
+        check_degeneration(graph, fine, coarse)
+        for fine, coarse in _fixture_degenerations(graph, levels)
+    ]
+    section["degenerations"] = [
+        {
+            "fine": [list(p) for p in result.fine_parts],
+            "coarse": [list(p) for p in result.coarse_parts],
+            "residue_dim": result.residue_dim,
+            "limit_ok": result.limit_matches,
+            "realization_ok": result.realization_matches,
+            "splitting_ok": result.splitting_matches,
+            "oracle_ok": result.oracle_matches,
+        }
+        for result in results
+    ]
 
     ok = (
         all(c.ok for c in identities)
@@ -331,133 +332,112 @@ def verify_document(name, document):
         and not identity_failures
         and not expect_failures
         and (section["faces"] is None or section["faces"]["ok"])
-        and all(
-            d["limit_ok"] and d["realization_ok"] and d["splitting_ok"] and d["oracle_ok"]
-            for d in degenerations
-        )
+        and all(result.ok for result in results)
     )
     section["ok"] = ok
     return section
 
 
-def _listed(failures):
-    """The first 20 failures of a random section, plus their total when
-    the list was cut."""
-    if len(failures) > 20:
-        return {"failures": failures[:20], "failures_total": len(failures)}
-    return {"failures": failures}
-
-
-def _random_flag_sweep(config):
-    rng = random.Random(config.seed)
-    failures = []
-    partitions = 0
+def _flag_cases(config, rng, counts):
+    """Flag identities, relations and component identity of every partition."""
+    counts.update(graphs=config.flag_cases, partitions=0)
     for case in range(config.flag_cases):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
         for pi in ordered_partitions(graph.vertices):
-            partitions += 1
+            counts["partitions"] += 1
             model = LevelGraph(graph, pi)
-            counts, dims = model.flag_dims()
-            checks = flag_identities(counts, dims)
-            bad = [c for c in checks if not c.ok]
+            bad = [c for c in flag_identities(*model.flag_dims()) if not c.ok]
             if bad:
-                failures.append(
-                    f"case {case}: {graph.edges} / {pi!r}: "
-                    + "; ".join(f"{c.name} {c.lhs}!={c.rhs}" for c in bad)
+                yield f"case {case}: {graph.edges} / {pi!r}: " + "; ".join(
+                    f"{c.name} {c.lhs}!={c.rhs}" for c in bad
                 )
             relations = model.relation_failures()
             if relations:
-                failures.append(f"case {case}: {pi!r}: " + "; ".join(relations))
+                yield f"case {case}: {pi!r}: " + "; ".join(relations)
             ident = _component_set_identity_failures(model)
             if ident:
-                failures.append(f"case {case}: {pi!r}: " + "; ".join(ident))
-    return {
-        "graphs": config.flag_cases,
-        "partitions": partitions,
-        "ok": not failures,
-        **_listed(failures),
-    }
+                yield f"case {case}: {pi!r}: " + "; ".join(ident)
 
 
-def _random_face_sweep(config):
-    rng = random.Random(config.seed + 1)
-    failures = []
-    tally = {}
+def _face_cases(config, rng, counts):
+    """The face sweep of each graph, tallied by orientation."""
+    counts.update(graphs=config.face_cases, orientations={})
+    tally = counts["orientations"]
     for case in range(config.face_cases):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
         report = check_polytope_faces(graph)
         tally[report.orientation] = tally.get(report.orientation, 0) + 1
         if not report.ok:
-            failures.append(
-                f"case {case}: {graph.edges}: " + "; ".join(report.failures)
-            )
-    return {
-        "graphs": config.face_cases,
-        "ok": not failures,
-        "orientations": {k: tally[k] for k in sorted(tally)},
-        **_listed(failures),
-    }
+            yield f"case {case}: {graph.edges}: " + "; ".join(report.failures)
 
 
-def _random_degenerations(config):
-    rng = random.Random(config.seed + 2)
-    failures = []
-    oracle_cases = 0
+def _degeneration_cases(config, rng, counts):
+    """Limit, realization, splitting and oracle of (graph, fine, coarse) triples."""
+    counts.update(cases=config.degeneration_cases, oracle_cases=0)
     for case in range(config.degeneration_cases):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
         fine = random_level_structure(rng, graph)
         coarse = random_coarsening(rng, fine)
-        result = check_degeneration(graph, fine, coarse, with_oracle=True)
-        oracle_cases += 1
+        result = check_degeneration(graph, fine, coarse)
+        counts["oracle_cases"] += 1
         if not result.ok:
-            failures.append(
+            yield (
                 f"case {case}: {graph.edges} fine={fine!r} coarse={coarse!r}: "
                 f"limit={result.limit_matches} realization={result.realization_matches} "
                 f"splitting={result.splitting_matches} oracle={result.oracle_matches}"
             )
-    return {
-        "cases": config.degeneration_cases,
-        "oracle_cases": oracle_cases,
-        "ok": not failures,
-        **_listed(failures),
-    }
 
 
-def _random_collections(config):
-    rng = random.Random(config.seed + 3)
-    failures = []
-    unrelated_cases = 0
-    properly_unrelated_cases = 0
+def _collection_cases(config, rng, counts):
+    """Pairs of independent collections: an unrelated pair's union is
+    independent, and so is a properly unrelated pair's less any first vector."""
+    counts.update(
+        cases=config.collection_cases, unrelated_cases=0, properly_unrelated_cases=0
+    )
     for case in range(config.collection_cases):
         ambient = rng.randint(2, 10)
         first = random_sti_collection(rng, ambient)
         second = random_sti_collection(rng, ambient)
         report = set_theoretic_checks(first, second)
         if not (report.sti_1 and report.sti_2):
-            failures.append(f"case {case}: generator produced a non-independent collection")
+            yield f"case {case}: generator produced a non-independent collection"
             continue
-        union = list(first.vectors) + list(second.vectors)
+        union = first.vectors + second.vectors
         if not report.related:
-            unrelated_cases += 1
+            counts["unrelated_cases"] += 1
             if rank(union) != len(union):
-                failures.append(f"case {case}: unrelated union is linearly dependent")
+                yield f"case {case}: unrelated union is linearly dependent"
         if report.properly_unrelated:
-            properly_unrelated_cases += 1
+            counts["properly_unrelated_cases"] += 1
             for i in range(len(first.vectors)):
-                dropped = [v for j, v in enumerate(first.vectors) if j != i] + list(
-                    second.vectors
-                )
+                dropped = first.vectors[:i] + first.vectors[i + 1 :] + second.vectors
                 if rank(dropped) != len(dropped):
-                    failures.append(
-                        f"case {case}: dropping vector {i} leaves a dependent union"
-                    )
-    return {
-        "cases": config.collection_cases,
-        "unrelated_cases": unrelated_cases,
-        "properly_unrelated_cases": properly_unrelated_cases,
-        "ok": not failures,
-        **_listed(failures),
-    }
+                    yield f"case {case}: dropping vector {i} leaves a dependent union"
+
+
+# random section -> (its seed offset, its case generator), in report order
+_RANDOM_SECTIONS = {
+    "flag_sweep": (0, _flag_cases),
+    "face_sweep": (1, _face_cases),
+    "degenerations": (2, _degeneration_cases),
+    "collections": (3, _collection_cases),
+}
+
+
+def _random_section(name, config):
+    """The named section's report: its counters, `ok` (no failures), its
+    tallies (the dict counters, sorted), its first 20 failures and, when
+    the list was cut, their total.  Its generator yields one text per
+    failed check on an RNG seeded with `config.seed` plus its offset."""
+    offset, cases = _RANDOM_SECTIONS[name]
+    counts = {}
+    failures = list(cases(config, random.Random(config.seed + offset), counts))
+    scalars = {k: v for k, v in counts.items() if not isinstance(v, dict)}
+    tallies = {k: dict(sorted(v.items())) for k, v in counts.items() if isinstance(v, dict)}
+    section = {**scalars, "ok": not failures, **tallies, "failures": failures[:20]}
+    if len(failures) > 20:
+        section["failures_total"] = len(failures)
+    return section
 
 
 def full_verification(config=None, documents=None):
@@ -472,19 +452,7 @@ def full_verification(config=None, documents=None):
         report["fixtures"].append(section)
         ok = ok and section["ok"]
     if config.include_random:
-        flag_sweep = _random_flag_sweep(config)
-        face_sweep = _random_face_sweep(config)
-        degenerations = _random_degenerations(config)
-        collections = _random_collections(config)
-        report["random"] = {
-            "flag_sweep": flag_sweep,
-            "face_sweep": face_sweep,
-            "degenerations": degenerations,
-            "collections": collections,
-        }
-        ok = ok and all(
-            section["ok"]
-            for section in (flag_sweep, face_sweep, degenerations, collections)
-        )
+        report["random"] = {name: _random_section(name, config) for name in _RANDOM_SECTIONS}
+        ok = ok and all(section["ok"] for section in report["random"].values())
     report["ok"] = ok
     return report, ok

@@ -15,6 +15,7 @@ from resipoly.graphs import (
     LevelStructure,
     classify_arrows,
     coarsened_levels,
+    load_level_graph,
     ordered_partitions,
 )
 from resipoly.linalg import SetTheoreticReport, Subspace, _echelon_insert, det, to_fraction
@@ -28,29 +29,36 @@ from resipoly.polytopes import (
 )
 
 
+def load_fixture(name):
+    """(Multigraph, LevelStructure, expect-dict) for a named shipped fixture."""
+    doc = fixtures.document(name)
+    graph, levels = load_level_graph(doc)
+    return graph, levels, doc.get("expect", {})
+
+
 @pytest.fixture(scope="session")
 def fig1():
-    return fixtures.load("fig1")
+    return load_fixture("fig1")
 
 
 @pytest.fixture(scope="session")
 def fig2():
-    return fixtures.load("fig2")
+    return load_fixture("fig2")
 
 
 @pytest.fixture(scope="session")
 def k4():
-    return fixtures.load("k4")
+    return load_fixture("k4")
 
 
 @pytest.fixture(scope="session")
 def c3():
-    return fixtures.load("c3")
+    return load_fixture("c3")
 
 
 @pytest.fixture(scope="session")
 def loop1():
-    return fixtures.load("loop1")
+    return load_fixture("loop1")
 
 
 def fig1_degenerate_argv(tmp_path):

@@ -38,7 +38,7 @@ from resipoly.residues import (
     per_component_report,
 )
 
-from conftest import find_arrows
+from conftest import find_arrows, load_fixture
 
 SEED = 0
 
@@ -49,7 +49,7 @@ def report(number, description, elapsed, budget):
 
 def test_criterion_1_figure_one():
     start = time.monotonic()
-    graph, levels, _ = fixtures.load("fig1")
+    graph, levels, _ = load_fixture("fig1")
     model = LevelGraph(graph, levels)
     flag = model.flag()
     assert flag.dims == (9, 6, 4, 3)
@@ -70,7 +70,7 @@ def test_criterion_1_figure_one():
 
 def test_criterion_2_worked_example():
     start = time.monotonic()
-    graph, levels, _ = fixtures.load("fig2")
+    graph, levels, _ = load_fixture("fig2")
     flag = build_flag(graph, levels)
     assert flag.dims[1:] == (4, 4, 0)
     assert flag.counts.summits == 5
@@ -118,7 +118,7 @@ def test_criterion_3_identity_sweep():
 
 def test_criterion_4_k4_polytope():
     start = time.monotonic()
-    graph, levels, _ = fixtures.load("k4")
+    graph, levels, _ = load_fixture("k4")
     table = residue_projection_table(graph, levels)
     assert table == contraction_table(graph)
 
@@ -153,7 +153,7 @@ def test_criterion_5_face_sweep():
 def test_criterion_6_degenerations():
     start = time.monotonic()
     for name in fixtures.NAMES:
-        graph, levels, _ = fixtures.load(name)
+        graph, levels, _ = load_fixture(name)
         trivial = LevelStructure.trivial(graph.vertices)
         for fine, coarse in ((levels, trivial), (levels, levels)):
             result = check_degeneration(graph, fine, coarse, with_oracle=True)
@@ -203,7 +203,7 @@ def test_criterion_7_independence_predicates():
     assert unrelated > 100 and properly > 100
 
     for name in fixtures.NAMES:
-        graph, levels, _ = fixtures.load(name)
+        graph, levels, _ = load_fixture(name)
         assert check_component_relations(graph, levels) == []
 
     rng = random.Random(SEED)  # the criterion-3 population

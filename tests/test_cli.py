@@ -723,8 +723,73 @@ VERDICT_FAULTS = {
 }
 
 
-def inject(monkeypatch, term):
-    owner, attribute, change = VERDICT_FAULTS[term]
+# failure source of a random section -> (the section, the faults that make
+# the source fail, the text each failure the section lists ends with)
+RANDOM_FAULTS = {
+    "flag-identities": (
+        "flag_sweep",
+        [(resipoly.verify, "flag_identities", _appended(IdentityCheck("injected", 1, 0)))],
+        ": injected 1!=0",
+    ),
+    "flag-relations": (
+        "flag_sweep",
+        [(LevelGraph, "relation_failures", _appended("injected relation"))],
+        ": injected relation",
+    ),
+    "flag-component-identity": (
+        "flag_sweep",
+        [(resipoly.verify, "_component_set_identity_failures", _appended("injected identity"))],
+        ": injected identity",
+    ),
+    "faces": (
+        "face_sweep",
+        [
+            (
+                resipoly.verify,
+                "check_polytope_faces",
+                _replaced(cover_ok=False, failures=("injected",)),
+            )
+        ],
+        ": injected",
+    ),
+    "degenerations": (
+        "degenerations",
+        [(resipoly.verify, "check_degeneration", _replaced(limit_matches=False))],
+        ": limit=False realization=True splitting=True oracle=True",
+    ),
+    "collections-independence": (
+        "collections",
+        [(resipoly.verify, "set_theoretic_checks", _replaced(sti_1=False))],
+        ": generator produced a non-independent collection",
+    ),
+    "collections-unrelated": (
+        "collections",
+        [
+            (
+                resipoly.verify,
+                "set_theoretic_checks",
+                _replaced(related=False, properly_unrelated=False),
+            ),
+            (resipoly.verify, "rank", lambda r: r - 1),
+        ],
+        ": unrelated union is linearly dependent",
+    ),
+    "collections-properly-unrelated": (
+        "collections",
+        [
+            (
+                resipoly.verify,
+                "set_theoretic_checks",
+                _replaced(related=True, properly_unrelated=True),
+            ),
+            (resipoly.verify, "rank", lambda r: r - 1),
+        ],
+        " leaves a dependent union",
+    ),
+}
+
+
+def inject(monkeypatch, owner, attribute, change):
     original = getattr(owner, attribute)
     monkeypatch.setattr(owner, attribute, lambda *args: change(original(*args)))
 
@@ -735,13 +800,31 @@ class TestVerdictTerms:
     @pytest.mark.parametrize("term", sorted(VERDICT_FAULTS))
     def test_verify_document(self, monkeypatch, term):
         assert resipoly.verify.verify_document("k4", fixtures.document("k4"))["ok"]
-        inject(monkeypatch, term)
+        inject(monkeypatch, *VERDICT_FAULTS[term])
         assert resipoly.verify.verify_document("k4", fixtures.document("k4"))["ok"] is False
 
     @pytest.mark.parametrize("term", ["identities", "inclusions", "totals"])
     def test_dims(self, tmp_path, capsys, monkeypatch, term):
         path = write_fixture(tmp_path, "fig2")
-        inject(monkeypatch, term)
+        inject(monkeypatch, *VERDICT_FAULTS[term])
         code, out, _ = run_cli(capsys, "dims", "--input", path)
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("source", sorted(RANDOM_FAULTS))
+    def test_random_section(self, tmp_path, capsys, monkeypatch, source):
+        # verify exits 1, only the faulted source's section fails, and each
+        # failure the section lists comes from that source
+        section, faults, tail = RANDOM_FAULTS[source]
+        for fault in faults:
+            inject(monkeypatch, *fault)
+        path = write_fixture(tmp_path, "loop1")
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", path, "--seed", "7", "--random-cases", "8"
+        )
+        assert code == 1
+        random_sections = json.loads(out)["random"]
+        assert [name for name, s in random_sections.items() if not s["ok"]] == [section]
+        failures = random_sections[section]["failures"]
+        assert failures
+        assert all(failure.endswith(tail) for failure in failures)

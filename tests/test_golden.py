@@ -21,6 +21,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # golden file -> (fixture written to --input or None, the other arguments)
 CASES = {
     "verify-seed11-cases4.json": (None, ["verify", "--seed", "11", "--random-cases", "4"]),
+    "verify-seed11-cases4.txt": (
+        None,
+        ["verify", "--seed", "11", "--random-cases", "4", "--format", "text"],
+    ),
     "verify-seed11-cases16.json": (None, ["verify", "--seed", "11", "--random-cases", "16"]),
     "verify-skip-random.json": (None, ["verify", "--skip-random"]),
     "info-fig2.json": ("fig2", ["info", "--format", "json"]),

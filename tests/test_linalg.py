@@ -294,7 +294,7 @@ class TestVectorCollection:
         # the generator draws int entries, so neither the collections nor
         # the ranks of their unions convert a single entry
         import resipoly.linalg
-        from resipoly.verify import VerifyConfig, _random_collections
+        from resipoly.verify import VerifyConfig, _random_section
 
         calls = []
         real = resipoly.linalg.to_fraction
@@ -304,7 +304,7 @@ class TestVectorCollection:
             return real(value)
 
         monkeypatch.setattr(resipoly.linalg, "to_fraction", counting)
-        report = _random_collections(VerifyConfig(seed=11, cases=20))
+        report = _random_section("collections", VerifyConfig(seed=11, cases=20))
         assert report["ok"]
         assert calls == []
 

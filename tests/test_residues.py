@@ -33,6 +33,7 @@ from conftest import (
     arrow_tags,
     arrows_with_tail,
     induced_edges,
+    load_fixture,
     rank_mod_p,
     reference_rank,
     reference_support_checks,
@@ -400,7 +401,7 @@ class TestSparseEchelon:
         monkeypatch.setattr(residues, "_cumulative_ranks", counted)
         section = verify_document("fig2", fixtures.document("fig2"))
         assert section["ok"] and section["component_totals_ok"]
-        graph, levels, _ = fixtures.load("fig2")
+        graph, levels, _ = load_fixture("fig2")
         assert len(calls) == len(LevelGraph(graph, levels).blocks)
 
 

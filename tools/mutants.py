@@ -301,6 +301,27 @@ CATALOGUE = (
         "DegenerationReport.ok: a failed oracle no longer fails the report",
         "tests/test_degeneration.py::TestFaultInjection::test_wrong_route_fails_its_check[oracle]",
     ),
+    Mutant(
+        DEG,
+        "            self.limit_matches\n            and ",
+        "            ",
+        "DegenerationReport.ok: a failed limit no longer fails the report",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[limit]",
+    ),
+    Mutant(
+        DEG,
+        "\n            and self.realization_matches",
+        "",
+        "DegenerationReport.ok: a failed realization no longer fails the report",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[realization]",
+    ),
+    Mutant(
+        DEG,
+        "\n            and self.splitting_matches",
+        "",
+        "DegenerationReport.ok: a failed splitting no longer fails the report",
+        "tests/test_cli.py::TestVerdictTerms::test_verify_document[splitting]",
+    ),
     # -- leading-form limit as one weight-ordered echelon
     Mutant(
         DEG,
@@ -598,31 +619,95 @@ CATALOGUE = (
     ),
     Mutant(
         VER,
-        'd["limit_ok"] and ',
+        "\n        and all(result.ok for result in results)",
         "",
-        "verify_document: degeneration limit left out of ok",
+        "verify_document: the degeneration reports left out of ok",
         "tests/test_cli.py::TestVerdictTerms::test_verify_document[limit]",
     ),
+    # -- each failure source of each random section, and the one runner
     Mutant(
         VER,
-        'and d["realization_ok"] ',
-        "",
-        "verify_document: degeneration realization left out of ok",
-        "tests/test_cli.py::TestVerdictTerms::test_verify_document[realization]",
+        "if bad:",
+        "if False:",
+        "random flag sweep: failed dimension identities not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[flag-identities]",
     ),
     Mutant(
         VER,
-        'and d["splitting_ok"] ',
-        "",
-        "verify_document: degeneration splitting left out of ok",
-        "tests/test_cli.py::TestVerdictTerms::test_verify_document[splitting]",
+        "if relations:",
+        "if False:",
+        "random flag sweep: relation failures not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[flag-relations]",
     ),
     Mutant(
         VER,
-        ' and d["oracle_ok"]',
-        "",
-        "verify_document: degeneration oracle left out of ok",
-        "tests/test_cli.py::TestVerdictTerms::test_verify_document[oracle]",
+        "if ident:",
+        "if False:",
+        "random flag sweep: component identity failures not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[flag-component-identity]",
+    ),
+    Mutant(
+        VER,
+        "if not report.ok:",
+        "if False:",
+        "random face sweep: a failed face report not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[faces]",
+    ),
+    Mutant(
+        VER,
+        "if not result.ok:",
+        "if False:",
+        "random degenerations: a failed degeneration report not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[degenerations]",
+    ),
+    Mutant(
+        VER,
+        "if not (report.sti_1 and report.sti_2):",
+        "if False:",
+        "random collections: a non-independent generated collection not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[collections-independence]",
+    ),
+    Mutant(
+        VER,
+        "if rank(union) != len(union):",
+        "if False:",
+        "random collections: a dependent unrelated union not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[collections-unrelated]",
+    ),
+    Mutant(
+        VER,
+        "if rank(dropped) != len(dropped):",
+        "if False:",
+        "random collections: a dependent union after dropping a vector not reported",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[collections-properly-unrelated]",
+    ),
+    Mutant(
+        VER,
+        '"ok": not failures',
+        '"ok": True',
+        "_random_section: ok regardless of failures",
+        "tests/test_cli.py::TestVerify::test_failure_total_when_the_list_is_cut",
+    ),
+    Mutant(
+        VER,
+        "failures[:20]",
+        "failures",
+        "_random_section: the failure list not cut at 20",
+        "tests/test_cli.py::TestVerify::test_failure_total_when_the_list_is_cut",
+    ),
+    Mutant(
+        VER,
+        "if len(failures) > 20:",
+        "if False:",
+        "_random_section: no failure total when the list was cut",
+        "tests/test_cli.py::TestVerify::test_failure_total_when_the_list_is_cut",
+    ),
+    Mutant(
+        VER,
+        'ok = ok and all(section["ok"] for section in report["random"].values())',
+        "pass",
+        "full_verification: the random sections left out of ok",
+        "tests/test_cli.py::TestVerdictTerms::test_random_section[flag-identities]",
     ),
     # -- relatedness answered for set-independent collections only
     Mutant(
