@@ -208,12 +208,13 @@ class DegenerationReport:
 
     @property
     def ok(self):
-        """All checks that ran passed."""
+        """All four checks ran and passed: an oracle that did not run is
+        not a pass."""
         return (
             self.limit_matches
             and self.realization_matches
             and self.splitting_matches
-            and self.oracle_matches is not False
+            and self.oracle_matches is True
         )
 
 
@@ -225,7 +226,7 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     realization, and the submodular splitting of the projection table.  With
     ``with_oracle`` the exterior-coordinate oracle re-derives the limit, and
     raises ValueError past its minor bound; without it ``oracle_matches`` is
-    None.
+    None and the report is not ``ok``.
     """
     if not is_coarsening(fine, coarse):
         raise ValueError("second structure is not a coarsening of the first")

@@ -22,7 +22,6 @@ matters.  With the drawing convention that level 1 sits on top, an arrow is
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "LevelStructure",
     "Multigraph",
     "classify_arrows",
-    "coarsened_levels",
     "components_below",
     "is_coarsening",
     "load_level_graph",
@@ -426,17 +424,6 @@ def ordered_partitions(vertices):
             for i in part:
                 levels[i] = n
         yield LevelStructure(vertices, levels)
-
-
-def coarsened_levels(levels):
-    """The level tuples of all coarsenings of an ordered partition (merges
-    of consecutive parts), the structure itself and the trivial one
-    included."""
-    for gaps in itertools.product((False, True), repeat=levels.r - 1):
-        relabel = [0, 1]  # old level n -> its level in the coarsening
-        for cut in gaps:
-            relabel.append(relabel[-1] + cut)
-        yield tuple(relabel[n] for n in levels.levels)
 
 
 def load_level_graph(document):

@@ -14,7 +14,6 @@ from resipoly.graphs import (
     GraphDocumentError,
     LevelStructure,
     classify_arrows,
-    coarsened_levels,
     load_level_graph,
     ordered_partitions,
 )
@@ -617,6 +616,17 @@ def arrow_tags(graph, classification):
             tags[a] = tag
     assert sorted(tags) == list(range(graph.num_arrows))
     return tuple(tags[a] for a in range(graph.num_arrows))
+
+
+def coarsened_levels(levels):
+    """The level tuples of all coarsenings of an ordered partition (merges
+    of consecutive parts), the structure itself and the trivial one
+    included."""
+    for gaps in itertools.product((False, True), repeat=levels.r - 1):
+        relabel = [0, 1]  # old level n -> its level in the coarsening
+        for cut in gaps:
+            relabel.append(relabel[-1] + cut)
+        yield tuple(relabel[n] for n in levels.levels)
 
 
 def coarsenings(levels):

@@ -409,6 +409,32 @@ class TestParser:
         assert len(built) == 1
 
 
+# expect key -> (the fixture that carries it, the path to the entry put off
+# by one: an integer raised by one, an arrow list without its last arrow,
+# the only failure `verify` must then list)
+EXPECT_FAULTS = {
+    "genus": ("fig1", ("genus",), "genus: computed 3, fixture expects 4"),
+    "components": ("fig1", ("components",), "components: computed 1, fixture expects 2"),
+    "flag_dims": (
+        "fig1",
+        ("flag_dims", 3),
+        "flag dims: computed [9, 6, 4, 3], fixture expects [9, 6, 4, 4]",
+    ),
+    "summits": ("fig1", ("summits", 1), "summit counts: computed [2, 0], fixture expects [2, 1]"),
+    "levels": ("fig1", ("levels", "2", "lrc"), "level 2 lrc: computed 3, fixture expects 4"),
+    "global_conditions": (
+        "fig1",
+        ("global_conditions", 0, "arrows"),
+        "global condition 2:u4: computed ['e0:u1>u4', 'e1:u2>u4'], fixture expects ['e0:u1>u4']",
+    ),
+    "polytope_vertex_count": (
+        "k4",
+        ("polytope_vertex_count",),
+        "one-level polytope vertex count: computed 12, fixture expects 13",
+    ),
+}
+
+
 class TestVerify:
     def test_config_derives_the_suite_sizes(self):
         # three settable fields; the report's config block keeps all eight keys
@@ -460,6 +486,27 @@ class TestVerify:
         report = json.loads(out)
         assert not report["ok"]
         assert report["fixtures"][0]["expect_failures"]
+
+    @pytest.mark.parametrize("key", sorted(EXPECT_FAULTS))
+    def test_expect_key_fails_alone(self, tmp_path, capsys, key):
+        # one expectation off by one: verify exits 1 and lists that key's
+        # failure and nothing else
+        name, path_in_expect, failure = EXPECT_FAULTS[key]
+
+        def corrupt(doc):
+            *outer, last = path_in_expect
+            holder = doc["expect"]
+            for step in outer:
+                holder = holder[step]
+            value = holder[last]
+            holder[last] = value + 1 if isinstance(value, int) else value[:-1]
+
+        path = write_fixture(tmp_path, name, corrupt)
+        code, out, _ = run_cli(capsys, "verify", "--input", path, "--skip-random")
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["fixtures"][0]["expect_failures"] == [failure]
 
     @pytest.mark.parametrize(
         "expect",

@@ -432,7 +432,7 @@ class TestCheckDegeneration:
         assert report.oracle_matches is None
         assert report.limit_matches and report.realization_matches
         assert report.splitting_matches
-        assert report.ok
+        assert not report.ok
 
     def test_one_residue_space_per_side(self, fig1, monkeypatch):
         import resipoly.degeneration

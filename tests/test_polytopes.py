@@ -28,6 +28,7 @@ from resipoly.residues import LevelGraph, residue_space
 
 from conftest import (
     adjoint,
+    coarsened_levels,
     coarsenings,
     face_report_fields,
     is_supermodular,
@@ -343,6 +344,82 @@ class TestFaceSweep:
             assert face_report_fields(check_polytope_faces(graph)) == face_report_fields(
                 reference_check_polytope_faces(graph)
             )
+
+    def test_coarsenings_compared_along_single_merges(self, k4, monkeypatch):
+        # the domination check reads the tables of each compared pair once:
+        # a partition of r levels meets its r - 1 merges of two adjacent
+        # levels, 158 pairs over k4's 75 partitions, where all of its
+        # coarsenings (itself included) would make 365
+        graph = k4[0]
+        reads = []
+
+        class Read(tuple):
+            def __iter__(self):
+                reads.append(self.levels)
+                return super().__iter__()
+
+        real_step = polytopes._table_and_face
+
+        def reading_step(g, levels, tables, faces, index):
+            table, face = real_step(g, levels, tables, faces, index)
+            values = Read(table.values)
+            values.levels = levels.levels
+            read = SetFunction(table.ground, table.values)
+            read.values = values
+            return read, face
+
+        monkeypatch.setattr(polytopes, "_table_and_face", reading_step)
+        assert check_polytope_faces(graph).ok
+        merges = [
+            (pi.levels, coarse)
+            for pi in ordered_partitions(graph.vertices)
+            for coarse in coarsened_levels(pi)
+            if max(coarse) == pi.r - 1
+        ]
+        assert len(reads) == 2 * len(merges) == 2 * 158
+        assert sorted(zip(reads[::2], reads[1::2])) == sorted(merges)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {
+                "table": lambda t: SetFunction(
+                    t.ground, [v + (m > 0) for m, v in enumerate(t.values)]
+                )
+            },
+            {"table": lambda t: SetFunction(t.ground, [max(v - 1, 0) for v in t.values])},
+            {"vertices": lambda points: points[:1]},
+        ],
+        ids=["raised-table", "lowered-table", "one-vertex"],
+    )
+    def test_single_merges_give_the_all_pairs_verdict(self, k4, monkeypatch, fault):
+        # each of k4's partitions in turn is read wrong; the verdict over the
+        # single merges equals the one over every coarsening of the same reads
+        graph = k4[0]
+        verdicts = set()
+        for target in ordered_partitions(graph.vertices):
+            reads = {}
+            with monkeypatch.context() as patch:
+                misreport_partition(patch, graph, target.parts, **fault)
+                wrong_step = polytopes._table_and_face
+
+                def reading_step(g, levels, *args):
+                    table, face = wrong_step(g, levels, *args)
+                    reads[levels.levels] = (levels, table, face)
+                    return table, face
+
+                patch.setattr(polytopes, "_table_and_face", reading_step)
+                report = check_polytope_faces(graph)
+            assert report.containment_ok
+            all_pairs_ok = all(
+                not set(face) - set(coarse_face)
+                and all(a <= b for a, b in zip(table.values, coarse_table.values))
+                for pi, table, face in reads.values()
+                for _, coarse_table, coarse_face in map(reads.get, coarsened_levels(pi))
+            )
+            assert report.coarsening_ok == all_pairs_ok, target
+            verdicts.add(all_pairs_ok)
+        assert verdicts == {True, False}
 
     def test_one_kernel_per_row_set_one_polytope_per_table(self, k4, monkeypatch):
         graph = k4[0]

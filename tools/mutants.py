@@ -296,7 +296,7 @@ CATALOGUE = (
     ),
     Mutant(
         DEG,
-        "\n            and self.oracle_matches is not False",
+        "\n            and self.oracle_matches is True",
         "",
         "DegenerationReport.ok: a failed oracle no longer fails the report",
         "tests/test_degeneration.py::TestFaultInjection::test_wrong_route_fails_its_check[oracle]",
@@ -784,6 +784,79 @@ CATALOGUE = (
         "key = table.values[: len(table.values) // 2]\n",
         "_table_and_face: faces memoised by the values at the subsets without the last vertex",
         "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
+    ),
+    # -- the coarsening check along single merges of adjacent levels
+    Mutant(
+        POLY,
+        "for k in range(1, pi.r):",
+        "for k in range(1, pi.r - 1):",
+        "check_polytope_faces: the merge of the last two levels never compared",
+        "tests/test_polytopes.py::TestFaceSweep::test_coarsenings_compared_along_single_merges",
+    ),
+    Mutant(
+        POLY,
+        "merged = tuple(n - (n > k) for n in pi.levels)",
+        "merged = tuple(n - (n > k + 1) for n in pi.levels)",
+        "check_polytope_faces: levels k + 1 and k + 2 merged, not k and k + 1",
+        "tests/test_polytopes.py::TestFaceSweep::test_coarsenings_compared_along_single_merges",
+    ),
+    Mutant(
+        DEG,
+        "self.oracle_matches is True",
+        "self.oracle_matches is not False",
+        "DegenerationReport.ok: an oracle that did not run counts as passed",
+        "tests/test_degeneration.py::TestCheckDegeneration::"
+        "test_oracle_not_run_is_not_reported_as_passed",
+    ),
+    # -- each key of _expect_failures, left unchecked
+    Mutant(
+        VER,
+        'check("genus", flag.counts.genus, expect["genus"])',
+        "pass",
+        "_expect_failures: genus unchecked",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[genus]",
+    ),
+    Mutant(
+        VER,
+        'check("components", flag.counts.components, expect["components"])',
+        "pass",
+        "_expect_failures: components unchecked",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[components]",
+    ),
+    Mutant(
+        VER,
+        'check("flag dims", list(flag.dims), list(expect["flag_dims"]))',
+        "pass",
+        "_expect_failures: flag dims unchecked",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[flag_dims]",
+    ),
+    Mutant(
+        VER,
+        'check("summit counts", got, list(expect["summits"]))',
+        "pass",
+        "_expect_failures: summit counts unchecked",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[summits]",
+    ),
+    Mutant(
+        VER,
+        'check(f"level {key} {field_name}", got.get(field_name), want_value)',
+        "pass",
+        "_expect_failures: per-level fields unchecked",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[levels]",
+    ),
+    Mutant(
+        VER,
+        'check(f"global condition {label}", got, sorted(item["arrows"]))',
+        "pass",
+        "_expect_failures: the arrows of a generated global row unchecked",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[global_conditions]",
+    ),
+    Mutant(
+        VER,
+        '"one-level polytope vertex count",\n            len(reference.vertices),',
+        '"one-level polytope vertex count",\n            expect["polytope_vertex_count"],',
+        "_expect_failures: the vertex count compared with itself",
+        "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[polytope_vertex_count]",
     ),
 )
 
