@@ -27,7 +27,6 @@ import sys
 from . import fixtures
 from .degeneration import check_degeneration
 from .graphs import GraphDocumentError, LevelStructure, is_coarsening, load_level_graph
-from .linalg import format_fraction
 from .polytopes import (
     InvariantViolation,
     base_polytope,
@@ -153,7 +152,7 @@ def cmd_basis(args):
     payload = {
         "arrows": [a.label for a in graph.arrows],
         "dim": space.dim,
-        "basis": [[format_fraction(x) for x in row] for row in space.basis],
+        "basis": [[str(x) for x in row] for row in space.basis],
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -165,7 +164,7 @@ def _table_report(table):
         entries.append(
             {
                 "subset": list(table.subset_names(mask)),
-                "value": format_fraction(table.values[mask]),
+                "value": str(table.values[mask]),
             }
         )
     return {"ground": list(table.ground), "entries": entries}
@@ -184,11 +183,11 @@ def cmd_polytope(args):
     poly = base_polytope(table)
     payload = {
         "ground": list(poly.ground),
-        "vertices": [[format_fraction(x) for x in q] for q in poly.vertices],
+        "vertices": [[str(x) for x in q] for q in poly.vertices],
         "inequalities": [
             {
                 "subset": list(table.subset_names(mask)),
-                "bound": format_fraction(table.values[mask]),
+                "bound": str(table.values[mask]),
             }
             for mask in range(1, 1 << table.n)
         ],
@@ -201,14 +200,13 @@ def cmd_polytope(args):
 def cmd_faces(args):
     graph, _ = _load_input(args.input)
     report = check_polytope_faces(graph)
-    probe = "lower" if report.orientation in ("lower", "both") else "upper"
     faces = [
         {
             "ordered_partition": [list(p) for p in pi.parts],
-            "vertex_indices": list(chains[probe]),
-            "orientation": probe,
+            "vertex_indices": list(lower),
+            "orientation": "lower",
         }
-        for pi, chains in report.chain_faces
+        for pi, lower in report.chain_faces
     ]
     payload = {
         "orientation": report.orientation,
@@ -220,7 +218,7 @@ def cmd_faces(args):
         "cover_ok": report.cover_ok,
         "ok": report.ok,
         "failures": list(report.failures),
-        "vertices": [[format_fraction(x) for x in q] for q in report.reference.vertices],
+        "vertices": [[str(x) for x in q] for q in report.reference.vertices],
         "faces": faces,
     }
     _emit(payload, args.format)
@@ -250,12 +248,8 @@ def cmd_degenerate(args):
         },
         "ok": result.ok,
         "arrows": [a.label for a in graph.arrows],
-        "coarse_basis": [
-            [format_fraction(x) for x in row] for row in result.coarse_space.basis
-        ],
-        "fine_basis": [
-            [format_fraction(x) for x in row] for row in result.fine_space.basis
-        ],
+        "coarse_basis": [[str(x) for x in row] for row in result.coarse_space.basis],
+        "fine_basis": [[str(x) for x in row] for row in result.fine_space.basis],
     }
     _emit(payload, args.format)
     return EXIT_OK if result.ok else EXIT_CHECK_FAILED

@@ -29,7 +29,6 @@ __all__ = [
     "SetTheoreticReport",
     "det",
     "embed",
-    "format_fraction",
     "kernel",
     "kernel_of_projection",
     "project_image",
@@ -51,14 +50,6 @@ def to_fraction(value):
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def format_fraction(value):
-    """Serialize a rational as ``"n"`` (denominator one) or ``"p/q"``."""
-    q = to_fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _cleared(row):

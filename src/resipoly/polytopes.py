@@ -24,8 +24,13 @@ unions of its levels up to each n.  Tightness against the adjoint
 f*(X) = f(V) - f(V \\ X) on that chain is tightness against f on the
 prefix chain of the reversed partition, because every vertex q has
 q(V) = f(V) (the dual f# of Fujishige, *Submodular Functions and
-Optimization*, 2nd ed., 2005).  So one chain face per partition serves
-both orientations, and the splitting needs no conjugation by the adjoint.
+Optimization*, 2nd ed., 2005).  So one chain face per partition gives both
+its upper face (tight against f) and its lower face (tight against f*),
+and the splitting needs no conjugation by the adjoint.  The polytope of a
+partition is its lower face, never the upper one: `splitting` subtracts
+f(U_n) over the unions U_n of the levels numbered above n, and the base
+polytope of a split is the face of the unsplit polytope tight on exactly
+that chain (Fujishige, same book).
 """
 
 from __future__ import annotations
@@ -55,8 +60,6 @@ __all__ = [
 TABLE_BOUND = 12
 POLYTOPE_BOUND = 8
 FACE_SWEEP_BOUND = 6
-
-ORIENTATIONS = ("upper", "lower")
 
 
 class InvariantViolation(AssertionError):
@@ -251,9 +254,10 @@ def splitting(table, levels):
     """Split a set function along an ordered partition.
 
     The split is the sum over levels of ``I -> f((I n L_n) u U_n) - f(U_n)``,
-    where L_n is level n and U_n collects the levels above it (U_r is
-    empty).  This is the submodular split: for any f it equals the adjoint
-    of the supermodular split of the adjoint along the prefix chain.
+    where L_n is level n and U_n collects the levels numbered above n,
+    drawn below it (U_r is empty).  This is the submodular split: for any
+    f it equals the adjoint of the supermodular split of the adjoint along
+    the prefix chain.
     Splitting the projection table of a coarse residue space along a finer
     partition gives the finer partition's table, which `check_degeneration`
     checks.  Splitting along the trivial partition subtracts f(empty), and
@@ -263,7 +267,7 @@ def splitting(table, levels):
         raise ValueError("ground set does not match the level structure")
     values = table.values
     top_down = levels.masks[::-1]
-    # (level n, the union of the levels above it), top level first
+    # (level n, the union of the levels numbered above it), level r first
     steps = list(zip(top_down, itertools.accumulate(top_down, or_, initial=0)))
     return SetFunction(
         table.ground,
@@ -370,7 +374,9 @@ def chain_face(polytope, levels):
 class FaceReport:
     """Verdicts of the face sweep, plus what they were read from: the
     one-level polytope and, per ordered partition in enumeration order, its
-    chain face under each orientation."""
+    lower chain face.  ``orientation`` is ``"both"`` when every partition's
+    upper chain face equals its lower one, so the sweep could not tell them
+    apart, and ``"lower"`` otherwise."""
 
     orientation: str
     partitions_checked: int
@@ -381,7 +387,7 @@ class FaceReport:
     cover_ok: bool
     failures: tuple
     reference: BasePolytope
-    chain_faces: tuple  # ((LevelStructure, {orientation: vertex indices}), ...)
+    chain_faces: tuple  # ((LevelStructure, lower face vertex indices), ...)
 
     @property
     def ok(self):
@@ -436,17 +442,19 @@ def check_polytope_faces(graph):
     runs per partition.  One chain face is computed per partition.  The
     ``upper`` face of a partition is its own chain face, the ``lower`` one
     (tightness against the adjoint) that of the reversed partition, level n
-    going to r + 1 - n.  Checks, for a single orientation shared by all
-    partitions:
+    going to r + 1 - n.  Each partition is checked against its lower face
+    alone: its table is the splitting of the one-level table along it, whose
+    polytope is that face (see the module notes).  Checks:
     (a) each partition's vertex set sits inside the one-level vertex set;
-    (b) it equals the chain face of the one-level polytope at its partition;
+    (b) it equals the lower chain face of the one-level polytope at its
+        partition;
     (c) merging two adjacent levels of a partition only enlarges both the
         vertex set and the subset table.  Both relations are transitive and
         every coarsening is a chain of such merges, so whenever every vertex
         set was located (``containment_ok``) this is the verdict over all
         coarsenings;
     (d) every chain face is realized by some partition (reversal permutes
-        the partitions, so both orientations have the same chain faces).
+        the partitions, so the upper faces are the lower faces).
     """
     if len(graph.vertices) > FACE_SWEEP_BOUND:
         raise ValueError(
@@ -466,29 +474,18 @@ def check_polytope_faces(graph):
     failures = []
     containment_ok = True
     chain_match_ok = True
-    candidates = set(ORIENTATIONS)
+    symmetric = True  # every upper face so far is its partition's lower face
     chain_faces = []
     for pi, face, _, upper in entries.values():
         if face is None:
             containment_ok = False
             failures.append(f"{pi!r}: vertex outside the one-level polytope")
-        reversed_levels = tuple(pi.r + 1 - n for n in pi.levels)
-        chains = {"upper": upper, "lower": entries[reversed_levels][3]}
-        feasible = {o for o, cf in chains.items() if face is not None and cf == face}
-        if not feasible:
+        lower = entries[tuple(pi.r + 1 - n for n in pi.levels)][3]
+        if face != lower:
             chain_match_ok = False
-            failures.append(f"{pi!r}: no chain-face orientation matches")
-        else:
-            candidates &= feasible
-        chain_faces.append((pi, chains))
-    if candidates == set(ORIENTATIONS):
-        orientation = "both"
-    elif candidates:
-        orientation = next(iter(candidates))
-    else:
-        orientation = "none"
-        chain_match_ok = False
-        failures.append("no globally consistent chain-face orientation")
+            failures.append(f"{pi!r}: not its lower chain face")
+        symmetric = symmetric and upper == lower
+        chain_faces.append((pi, lower))
 
     coarsening_ok = True
     for pi, face, table, _ in entries.values():
@@ -510,7 +507,7 @@ def check_polytope_faces(graph):
         failures.append("chain faces and realized faces differ")
 
     return FaceReport(
-        orientation=orientation,
+        orientation="both" if symmetric else "lower",
         partitions_checked=len(entries),
         distinct_faces=len(realized),
         containment_ok=containment_ok,

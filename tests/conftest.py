@@ -13,7 +13,6 @@ from resipoly import fixtures
 from resipoly.graphs import (
     GraphDocumentError,
     LevelStructure,
-    classify_arrows,
     load_level_graph,
     ordered_partitions,
 )
@@ -416,8 +415,9 @@ def reference_chain_face(polytope, levels, orientation):
 
 
 def reference_check_polytope_faces(graph):
-    """The face sweep with a fresh table and polytope per partition and no
-    memo: the previous body of `check_polytope_faces`."""
+    """The face sweep with a fresh table and polytope per partition, no memo,
+    every coarsening compared, and each lower face read as tightness against
+    the adjoint rather than as the reversed partition's face."""
     trivial = LevelStructure.trivial(graph.vertices)
     reference = base_polytope(residue_projection_table(graph, trivial))
     locate = reference.vertex_index()
@@ -429,39 +429,28 @@ def reference_check_polytope_faces(graph):
         face = None
         if all(v in locate for v in poly.vertices):
             face = tuple(sorted(locate[v] for v in poly.vertices))
-        entries[pi.levels] = (pi, face, table, reference_chain_face(reference, pi, "upper"))
+        upper = reference_chain_face(reference, pi, "upper")
+        lower = reference_chain_face(reference, pi, "lower")
+        entries[pi.levels] = (pi, face, table, upper, lower)
 
     failures = []
     containment_ok = True
     chain_match_ok = True
-    candidates = {"upper", "lower"}
     chain_faces = []
-    for pi, face, _, upper in entries.values():
+    for pi, face, _, _, lower in entries.values():
         if face is None:
             containment_ok = False
             failures.append(f"{pi!r}: vertex outside the one-level polytope")
-        reversed_levels = tuple(pi.r + 1 - n for n in pi.levels)
-        chains = {"upper": upper, "lower": entries[reversed_levels][3]}
-        feasible = {o for o, cf in chains.items() if face is not None and cf == face}
-        if not feasible:
+        if face != lower:
             chain_match_ok = False
-            failures.append(f"{pi!r}: no chain-face orientation matches")
-        else:
-            candidates &= feasible
-        chain_faces.append((pi, chains))
-    if len(candidates) == 2:
-        orientation = "both"
-    elif candidates:
-        orientation = next(iter(candidates))
-    else:
-        orientation = "none"
-        chain_match_ok = False
-        failures.append("no globally consistent chain-face orientation")
+            failures.append(f"{pi!r}: not its lower chain face")
+        chain_faces.append((pi, lower))
+    symmetric = all(upper == lower for _, _, _, upper, lower in entries.values())
 
     coarsening_ok = True
-    for pi, face, table, _ in entries.values():
+    for pi, face, table, _, _ in entries.values():
         for key in coarsened_levels(pi):
-            coarser, coarser_face, coarser_table, _ = entries[key]
+            coarser, coarser_face, coarser_table, _, _ = entries[key]
             if face is None or coarser_face is None:
                 continue
             if not set(face) <= set(coarser_face):
@@ -471,13 +460,13 @@ def reference_check_polytope_faces(graph):
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
 
-    realized = {face for _, face, _, _ in entries.values() if face is not None}
-    cover_ok = {upper for _, _, _, upper in entries.values()} == realized
+    realized = {face for _, face, _, _, _ in entries.values() if face is not None}
+    cover_ok = {upper for _, _, _, upper, _ in entries.values()} == realized
     if not cover_ok:
         failures.append("chain faces and realized faces differ")
 
     return FaceReport(
-        orientation=orientation,
+        orientation="both" if symmetric else "lower",
         partitions_checked=len(entries),
         distinct_faces=len(realized),
         containment_ok=containment_ok,
@@ -724,6 +713,29 @@ def level_components(graph, levels, n):
     return induced_components(graph, levels.part(n))
 
 
+class ReferenceClassification(NamedTuple):
+    upward: tuple
+    downward: tuple
+    vertical_edges: tuple
+    horizontal_edges: tuple
+
+
+def reference_classify_arrows(graph, levels):
+    """The arrow classification read arrow by arrow off the levels of the
+    arrow's own tail and head: upward when the tail's level number is the
+    larger (level 1 is drawn on top), downward when it is the smaller; an
+    edge is horizontal when its two ends share a level."""
+    level = dict(zip(levels.vertices, levels.levels))
+    rise = [level[a.tail] - level[a.head] for a in graph.arrows]
+    same = [level[u] == level[v] for u, v in graph.edges]
+    return ReferenceClassification(
+        upward=tuple(a for a, d in enumerate(rise) if d > 0),
+        downward=tuple(a for a, d in enumerate(rise) if d < 0),
+        vertical_edges=tuple(e for e, flat in enumerate(same) if not flat),
+        horizontal_edges=tuple(e for e, flat in enumerate(same) if flat),
+    )
+
+
 def split_summits(graph, classification, components):
     """The summits among the given level components, as (irreducible,
     reducible) lists in the order given."""
@@ -896,7 +908,7 @@ class ReferenceLevelGraph:
     def __init__(self, graph, levels):
         self.graph = graph
         self.levels = levels
-        self.classification = classify_arrows(graph, levels)
+        self.classification = reference_classify_arrows(graph, levels)
 
     @property
     def level_numbers(self):

@@ -27,6 +27,7 @@ from conftest import (
     level_components,
     prefix,
     reference_adjacency,
+    reference_classify_arrows,
     reverse,
     summit_names,
 )
@@ -174,6 +175,19 @@ class TestClassification:
         assert len(cls.vertical_edges) == 9
         horizontal = {graph.edges[e] for e in cls.horizontal_edges}
         assert horizontal == {("u9", "ua"), ("u7", "u8")}
+
+    def test_agrees_with_the_endpoint_levels(self, fig1):
+        graph = fig1[0]
+        partitions = 0
+        for pi in ordered_partitions(graph.vertices):
+            assert classify_arrows(graph, pi) == reference_classify_arrows(graph, pi)
+            partitions += 1
+        assert partitions == 541
+        rng = random.Random(24)
+        for _ in range(50):
+            graph = random_multigraph(rng)
+            levels = random_level_structure(rng, graph)
+            assert classify_arrows(graph, levels) == reference_classify_arrows(graph, levels)
 
     def test_reversal_swaps_up_and_down(self):
         rng = random.Random(23)

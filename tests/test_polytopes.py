@@ -304,9 +304,8 @@ class TestFaceSweep:
 
     def test_lower_face_is_the_reversed_partitions_face(self, fig1):
         report = check_polytope_faces(fig1[0])
-        faces = {pi.levels: chains for pi, chains in report.chain_faces}
-        for pi, chains in report.chain_faces:
-            assert chains["lower"] == faces[reversed_partition(pi).levels]["upper"]
+        for pi, lower in report.chain_faces:
+            assert lower == chain_face(report.reference, reversed_partition(pi))
 
     def test_c3_full_sweep(self, c3):
         report = check_polytope_faces(c3[0])
@@ -835,7 +834,7 @@ class TestFaultInjection:
         pi = misreport_partition(
             monkeypatch, graph, [["v4"], ["v1", "v2", "v3"]], vertices=lambda points: only_zero
         )
-        failure = f"{pi!r}: no chain-face orientation matches"
+        failure = f"{pi!r}: not its lower chain face"
         report = check_polytope_faces(graph)
         assert report.containment_ok
         assert not report.chain_match_ok
@@ -848,27 +847,60 @@ class TestFaultInjection:
         assert payload["chain_match_ok"] is False
         assert failure in payload["failures"]
 
-    def test_no_consistent_orientation(self, k4, tmp_path, capsys, monkeypatch):
+    def test_one_partition_reporting_its_upper_face_fails_alone(
+        self, k4, tmp_path, capsys, monkeypatch
+    ):
         # the same partition reports its upper face; every other partition
-        # matches the lower orientation, so no orientation fits them all
+        # matches its lower face, so this is the one chain-match failure,
+        # with no verdict on the sweep as a whole (its merges' faces are no
+        # longer inside its own, and its lower face is no longer realized)
         graph = k4[0]
         upper = self.one_level_vertices(graph, [0, 2, 6])
-        misreport_partition(
+        pi = misreport_partition(
             monkeypatch, graph, [["v4"], ["v1", "v2", "v3"]], vertices=lambda points: upper
         )
-        failure = "no globally consistent chain-face orientation"
+        failure = f"{pi!r}: not its lower chain face"
         report = check_polytope_faces(graph)
         assert report.containment_ok
-        assert report.orientation == "none"
+        assert report.orientation == "lower"
         assert not report.chain_match_ok
         assert not report.ok
-        assert failure in report.failures
-        assert not any("no chain-face orientation matches" in f for f in report.failures)
+        assert [f for f in report.failures if f.endswith("lower chain face")] == [failure]
         code, payload = k4_faces_payload(tmp_path, capsys)
         assert code == 1
         assert payload["ok"] is False
         assert payload["chain_match_ok"] is False
-        assert failure in payload["failures"]
+        assert [f for f in payload["failures"] if f.endswith("lower chain face")] == [failure]
+
+    def test_every_partition_reporting_its_upper_face_fails(
+        self, k4, tmp_path, capsys, monkeypatch
+    ):
+        # every partition reports the face of the opposite convention, its
+        # upper chain face: those faces are nested along merges and cover
+        # the chain faces, so a search over both conventions would accept
+        # them; all but the trivial partition, whose two faces agree, fail
+        graph = k4[0]
+        trivial = LevelStructure.trivial(graph.vertices)
+        reference = base_polytope(residue_projection_table(graph, trivial))
+        real_step = polytopes._table_and_face
+
+        def upper_step(g, levels, tables, faces, index):
+            table, _ = real_step(g, levels, tables, faces, index)
+            return table, chain_face(reference, levels)
+
+        monkeypatch.setattr(polytopes, "_table_and_face", upper_step)
+        report = check_polytope_faces(graph)
+        assert report.containment_ok and report.coarsening_ok and report.cover_ok
+        assert not report.chain_match_ok
+        assert not report.ok
+        mismatched = [pi for pi, _ in report.chain_faces if pi.r > 1]
+        assert report.failures == tuple(f"{pi!r}: not its lower chain face" for pi in mismatched)
+        assert len(report.failures) == 74
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["chain_match_ok"] is False
+        assert len(payload["failures"]) == 74
 
     def test_vertex_set_not_contained_in_a_coarsening(self, k4, tmp_path, capsys, monkeypatch):
         # the coarse partition keeps only its first vertex, (0, 0, 1, 2); the

@@ -225,17 +225,17 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "if not feasible:",
-        "if False:",
-        "check_polytope_faces: per-partition chain match off",
-        "tests/test_polytopes.py::TestFaultInjection::test_partition_matches_no_chain_face",
+        "if face != lower:",
+        "if face != upper:",
+        "check_polytope_faces: the chain match reads the partition's own (upper) face",
+        "tests/test_polytopes.py::TestFaultInjection::test_every_partition_reporting_its_upper_face_fails",
     ),
     Mutant(
         POLY,
-        '        orientation = "none"\n        chain_match_ok = False\n',
-        '        orientation = "none"\n',
-        "check_polytope_faces: no consistent orientation no longer fails the chain match",
-        "tests/test_polytopes.py::TestFaultInjection::test_no_consistent_orientation",
+        '            chain_match_ok = False\n            failures.append(f"{pi!r}: not its lower chain face")',
+        '            failures.append(f"{pi!r}: not its lower chain face")',
+        "check_polytope_faces: a chain-match failure no longer clears chain_match_ok",
+        "tests/test_polytopes.py::TestFaultInjection::test_partition_matches_no_chain_face",
     ),
     Mutant(
         POLY,
@@ -260,10 +260,10 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        '"lower": entries[reversed_levels][3]',
-        '"lower": upper',
-        "check_polytope_faces: lower face read from the partition itself, not its reversal",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
+        "symmetric = symmetric and upper == lower",
+        "symmetric = symmetric and face == lower",
+        "check_polytope_faces: orientation both computed regardless of the upper faces",
+        "tests/test_polytopes.py::TestFaceSweep::test_k4_full_sweep",
     ),
     # -- verdict branches of check_degeneration
     Mutant(
@@ -857,6 +857,14 @@ CATALOGUE = (
         '"one-level polytope vertex count",\n            expect["polytope_vertex_count"],',
         "_expect_failures: the vertex count compared with itself",
         "tests/test_cli.py::TestVerify::test_expect_key_fails_alone[polytope_vertex_count]",
+    ),
+    # -- arrow classification, against the endpoint-level reference
+    Mutant(
+        GRAPHS,
+        "lu, lv = level[index[u]], level[index[v]]",
+        "lu, lv = level[index[v]], level[index[u]]",
+        "classify_arrows: upward and downward swapped",
+        "tests/test_graphs.py::TestClassification::test_agrees_with_the_endpoint_levels",
     ),
 )
 
