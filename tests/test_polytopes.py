@@ -45,6 +45,16 @@ from conftest import (
 )
 
 
+PRISM = {
+    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6"],
+    "edges": [
+        ["v1", "v2"], ["v2", "v3"], ["v1", "v3"],
+        ["v4", "v5"], ["v5", "v6"], ["v4", "v6"],
+        ["v1", "v4"], ["v2", "v5"], ["v3", "v6"],
+    ],
+}
+
+
 def modular_from_point(ground, point):
     values = []
     for mask in range(1 << len(ground)):
@@ -470,6 +480,23 @@ class TestFaceSweep:
         assert payload["ok"] is True
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f50a903f0f3e2a116cf9cf38bc296a2e119d6131e0a2faeae33571557166d0f1"
+        )
+
+    def test_prism_sweep(self, tmp_path, capsys):
+        # the triangular prism: its one-level polytope has 54 vertices and
+        # 477 faces, where the graph above has 4 and 15, so this sweep
+        # exercises the chain faces; its `faces` bytes are pinned by digest
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps(PRISM))
+        assert main(["faces", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["partitions"] == 4683
+        assert len(payload["vertices"]) == 54
+        assert payload["distinct_faces"] == 477
+        assert payload["ok"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8db1e24ee095ae4441cd3a41f3a0cbfda321b9cfdb9f3346ab850d1b9be1ba8d"
         )
 
 
