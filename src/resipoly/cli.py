@@ -26,7 +26,7 @@ import sys
 
 from . import fixtures
 from .degeneration import check_degeneration
-from .graphs import GraphDocumentError, LevelStructure, is_coarsening, load_level_graph
+from .graphs import GraphDocumentError, LevelStructure, bits, is_coarsening, load_level_graph
 from .polytopes import (
     InvariantViolation,
     base_polytope,
@@ -203,7 +203,7 @@ def cmd_faces(args):
     faces = [
         {
             "ordered_partition": [list(p) for p in pi.parts],
-            "vertex_indices": list(lower),
+            "vertex_indices": bits(lower),
             "orientation": "lower",
         }
         for pi, lower in report.chain_faces

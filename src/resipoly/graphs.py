@@ -244,8 +244,7 @@ class LevelStructure:
         if not vertices:
             raise GraphDocumentError("empty vertex list")
         r = max(levels)
-        present = set(levels)
-        if min(levels) != 1 or present != set(range(1, r + 1)):
+        if set(levels) != set(range(1, r + 1)):
             raise GraphDocumentError("levels must cover 1..r with no gaps")
         self.vertices = vertices
         self.levels = levels

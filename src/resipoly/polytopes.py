@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge, gt, mul, or_, sub
+from operator import eq, ge, gt, mul, or_, sub
 
 from .graphs import LevelStructure, bits, ordered_partitions
 from .linalg import _echelon_insert
@@ -279,17 +279,31 @@ def splitting(table, levels):
 
 
 class BasePolytope:
-    """Exact vertex set of the base polytope of a submodular table."""
+    """Exact vertex set of the base polytope of a submodular table.
 
-    __slots__ = ("ground", "vertices", "table")
+    A face is a vertex bitmask, bit i standing for ``vertices[i]``.  Its one
+    source is ``tight[I]``, the face of the vertices q with q(I) = f(I), read
+    off each vertex's subset sums in the pass that verifies q(I) <= f(I) for
+    every subset mask I, with equality at the ground set.
+    """
+
+    __slots__ = ("ground", "vertices", "table", "tight")
 
     def __init__(self, ground, vertices, table):
         self.ground = tuple(ground)
         self.vertices = tuple(vertices)
         self.table = table
-
-    def vertex_index(self):
-        return {v: i for i, v in enumerate(self.vertices)}
+        values = table.values
+        tight = [0] * len(values)
+        for i, q in enumerate(self.vertices):
+            sums = [0]
+            for x in q:
+                sums += [s + x for s in sums]
+            if any(map(gt, sums, values)) or sums[-1] != values[-1]:  # [-1]: ground set
+                raise InvariantViolation("greedy point violates the subset inequalities")
+            for mask in itertools.compress(range(len(sums)), map(eq, sums, values)):
+                tight[mask] |= 1 << i
+        self.tight = tuple(tight)
 
     def __repr__(self):
         return f"BasePolytope({len(self.vertices)} vertices in R^{len(self.ground)})"
@@ -301,11 +315,8 @@ def base_polytope(table):
     The greedy point gives each element the rise of the table where the
     chain adds it.  It is built one prefix at a time in a depth-first walk
     over prefix masks, and a (prefix mask, partial point) state is expanded
-    once however many orderings reach it.
-
-    Every returned point is verified against the full inequality table:
-    q(I) <= f(I) for all subsets with equality at the ground set, reading
-    q(I) off a subset-sum table that doubles once per coordinate.
+    once however many orderings reach it.  `BasePolytope` verifies every
+    point against the full inequality table.
     """
     n = table.n
     if n > POLYTOPE_BOUND:
@@ -330,18 +341,13 @@ def base_polytope(table):
                 seen.add(state)
                 stack.append(state)
     vertices = sorted(point for mask, point in seen if mask == full)
-    for q in vertices:
-        sums = [0]
-        for x in q:
-            sums += [s + x for s in sums]
-        if any(map(gt, sums, values)) or sums[full] != values[full]:
-            raise InvariantViolation("greedy point violates the subset inequalities")
     return BasePolytope(table.ground, vertices, table)
 
 
 def chain_face(polytope, levels):
-    """Vertices tight on the prefix chain of an ordered partition: q(F_n) =
-    f(F_n) for every union F_n of the levels up to n.
+    """The face tight on the prefix chain of an ordered partition: q(F_n) =
+    f(F_n) for every union F_n of the levels up to n, the AND of
+    ``polytope.tight`` over the F_n.
 
     The adjoint's face on the same chain is this face of the reversed
     partition (see the module notes).  The result is double-checked to be
@@ -350,33 +356,26 @@ def chain_face(polytope, levels):
     """
     if tuple(levels.vertices) != polytope.ground:
         raise ValueError("level structure does not match the polytope ground set")
-    values = polytope.table.values
-    bounds = [values[pm] for pm in itertools.accumulate(levels.masks, or_)]
-    tight = []
-    for i, q in enumerate(polytope.vertices):
-        # q summed per level in one pass (index 0 unused), then along the chain
-        sums = [0] * (levels.r + 1)
-        for n, x in zip(levels.levels, q):
-            sums[n] += x
-        if list(itertools.accumulate(sums[1:])) == bounds:
-            tight.append(i)
+    face = (1 << len(polytope.vertices)) - 1
+    for prefix in itertools.accumulate(levels.masks, or_):
+        face &= polytope.tight[prefix]
 
     weight = [levels.r - n for n in levels.levels]
     scores = [sum(map(mul, weight, q)) for q in polytope.vertices]
     best = max(scores)
-    argmax = [i for i, s in enumerate(scores) if s == best]
-    if argmax != tight:
+    argmax = sum(1 << i for i, s in enumerate(scores) if s == best)
+    if argmax != face:
         raise InvariantViolation("chain-tight vertices differ from the weight argmax")
-    return tuple(tight)
+    return face
 
 
 @dataclass(frozen=True)
 class FaceReport:
     """Verdicts of the face sweep, plus what they were read from: the
     one-level polytope and, per ordered partition in enumeration order, its
-    lower chain face.  ``orientation`` is ``"both"`` when every partition's
-    upper chain face equals its lower one, so the sweep could not tell them
-    apart, and ``"lower"`` otherwise."""
+    lower chain face as a mask of that polytope's vertices.  ``orientation``
+    is ``"both"`` when every partition's upper chain face equals its lower
+    one, so the sweep could not tell them apart, and ``"lower"`` otherwise."""
 
     orientation: str
     partitions_checked: int
@@ -387,7 +386,7 @@ class FaceReport:
     cover_ok: bool
     failures: tuple
     reference: BasePolytope
-    chain_faces: tuple  # ((LevelStructure, lower face vertex indices), ...)
+    chain_faces: tuple  # ((LevelStructure, lower face vertex mask), ...)
 
     @property
     def ok(self):
@@ -399,11 +398,12 @@ class FaceReport:
         )
 
 
-def _located(points, index):
-    """The indices of ``points`` in ``index`` (vertex -> reference index),
-    sorted, or None when one of them is not a reference vertex."""
-    if all(v in index for v in points):
-        return tuple(sorted(index[v] for v in points))
+def _located(points, vertex_bit):
+    """The face of the distinct ``points``, the sum of their bits in
+    ``vertex_bit`` (reference vertex -> its bit), or None when one of them
+    is not a reference vertex."""
+    if all(v in vertex_bit for v in points):
+        return sum(map(vertex_bit.__getitem__, points))
     return None
 
 
@@ -420,15 +420,15 @@ def _sweep_table(graph, levels, tables):
     return table
 
 
-def _table_and_face(graph, levels, tables, faces, index):
+def _table_and_face(graph, levels, tables, faces, vertex_bit):
     """A partition's tail table and its face: the vertices of the table's
-    base polytope located by `_located` in ``index``.  ``faces`` maps the
+    base polytope located by `_located` in ``vertex_bit``.  ``faces`` maps the
     values of each table met so far to its face, so the polytope is built
     and located once per distinct table."""
     table = _sweep_table(graph, levels, tables)
     key = table.values
     if key not in faces:
-        faces[key] = _located(base_polytope(table).vertices, index)
+        faces[key] = _located(base_polytope(table).vertices, vertex_bit)
     return table, faces[key]
 
 
@@ -464,11 +464,11 @@ def check_polytope_faces(graph):
     faces = {}  # table values -> face of its polytope, or None
     trivial = LevelStructure.trivial(graph.vertices)
     reference = base_polytope(_sweep_table(graph, trivial, tables))
-    index = reference.vertex_index()
+    vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table, face = _table_and_face(graph, pi, tables, faces, index)
+        table, face = _table_and_face(graph, pi, tables, faces, vertex_bit)
         entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
 
     failures = []
@@ -494,7 +494,7 @@ def check_polytope_faces(graph):
             coarser, coarser_face, coarser_table, _ = entries[merged]
             if face is None or coarser_face is None:
                 continue
-            if not set(face) <= set(coarser_face):
+            if face & ~coarser_face:
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: vertex set not contained")
             if any(map(gt, table.values, coarser_table.values)):

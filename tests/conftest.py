@@ -354,6 +354,15 @@ def reference_base_polytope(table):
     return BasePolytope(table.ground, vertices, table)
 
 
+def reference_tight(polytope):
+    """Each subset's tight set as a vertex mask, read one subset and one
+    vertex at a time."""
+    return tuple(
+        sum(1 << i for i, q in enumerate(polytope.vertices) if _point_value(q, mask) == value)
+        for mask, value in enumerate(polytope.table.values)
+    )
+
+
 def adjoint(table):
     """The adjoint I -> f(V) - f(V \\ I); an involution swapping sub- and
     supermodularity, with f* <= f for submodular f."""
@@ -388,7 +397,7 @@ def reference_splitting(table, levels, kind):
 def reference_chain_face(polytope, levels, orientation):
     """Tightness on the prefix chain against the table (``upper``) or its
     adjoint (``lower``), cross-checked by each orientation's weight argmax:
-    the previous body of `chain_face`."""
+    the previous body of `chain_face`, with the face as a vertex mask."""
     if orientation not in ("upper", "lower"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if tuple(levels.vertices) != polytope.ground:
@@ -396,8 +405,8 @@ def reference_chain_face(polytope, levels, orientation):
     table = polytope.table
     bounds = table if orientation == "upper" else adjoint(table)
     prefix_masks = list(itertools.accumulate(levels.masks, or_))
-    tight = tuple(
-        i
+    tight = sum(
+        1 << i
         for i, q in enumerate(polytope.vertices)
         if all(_point_value(q, pm) == bounds.values[pm] for pm in prefix_masks)
     )
@@ -408,7 +417,7 @@ def reference_chain_face(polytope, levels, orientation):
         weight = levels.levels
     scores = [sum(w * x for w, x in zip(weight, q)) for q in polytope.vertices]
     best = max(scores)
-    argmax = tuple(i for i, s in enumerate(scores) if s == best)
+    argmax = sum(1 << i for i, s in enumerate(scores) if s == best)
     if argmax != tight:
         raise InvariantViolation("chain-tight vertices differ from the weight argmax")
     return tight
@@ -420,7 +429,7 @@ def reference_check_polytope_faces(graph):
     the adjoint rather than as the reversed partition's face."""
     trivial = LevelStructure.trivial(graph.vertices)
     reference = base_polytope(residue_projection_table(graph, trivial))
-    locate = reference.vertex_index()
+    locate = {v: 1 << i for i, v in enumerate(reference.vertices)}
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
@@ -428,7 +437,7 @@ def reference_check_polytope_faces(graph):
         poly = base_polytope(table)
         face = None
         if all(v in locate for v in poly.vertices):
-            face = tuple(sorted(locate[v] for v in poly.vertices))
+            face = sum(locate[v] for v in poly.vertices)
         upper = reference_chain_face(reference, pi, "upper")
         lower = reference_chain_face(reference, pi, "lower")
         entries[pi.levels] = (pi, face, table, upper, lower)
@@ -453,7 +462,7 @@ def reference_check_polytope_faces(graph):
             coarser, coarser_face, coarser_table, _, _ = entries[key]
             if face is None or coarser_face is None:
                 continue
-            if not set(face) <= set(coarser_face):
+            if face & ~coarser_face:
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: vertex set not contained")
             if any(a > b for a, b in zip(table.values, coarser_table.values)):

@@ -519,6 +519,7 @@ class TestVerify:
             {"genuss": 1},
             [],
             {"global_conditions": [{"level": 1, "component": ["zz"], "arrows": []}]},
+            {"levels": {"\u0661": {"lrc": 0}}},
         ],
         ids=[
             "condition-without-component",
@@ -529,6 +530,7 @@ class TestVerify:
             "unknown-key",
             "expect-list",
             "component-not-a-vertex",
+            "level-key-non-ascii-digit",
         ],
     )
     def test_malformed_expect_exits_2(self, tmp_path, capsys, expect):
@@ -600,6 +602,21 @@ class TestVerify:
         assert out == ""
         assert err == f"error: expect level {level} out of range 1..2\n"
 
+    def test_global_condition_at_level_one_is_checked(self, tmp_path, capsys):
+        # level 1 is in range, so the condition is compared, not rejected;
+        # nothing lies above level 1, so it generates no global row
+        def expect(doc):
+            doc["expect"]["global_conditions"] = [
+                {"level": 1, "component": ["u4"], "arrows": ["e0:u1>u4"]}
+            ]
+
+        path = write_fixture(tmp_path, "fig1", expect)
+        code, out, _ = run_cli(capsys, "verify", "--input", path, "--skip-random")
+        assert code == 1
+        assert json.loads(out)["fixtures"][0]["expect_failures"] == [
+            "global condition 1:u4: row not generated"
+        ]
+
     def test_global_condition_component_in_any_order(self, tmp_path, capsys):
         # a component is a vertex set, so the reordered ones find their rows;
         # a real mismatch reads as it did
@@ -656,6 +673,18 @@ class TestVerify:
         with pytest.raises(Swept):
             resipoly.verify.verify_document("six", edgeless(6))
         assert resipoly.verify.verify_document("seven", edgeless(7))["faces"] is None
+
+    def test_two_vertex_one_level_document_is_split(self):
+        # a one-level document of two vertices or more also degenerates from
+        # its first vertex split off above the rest
+        section = resipoly.verify.verify_document(
+            "two", {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+        )
+        assert [(d["fine"], d["coarse"]) for d in section["degenerations"]] == [
+            ([["a", "b"]], [["a", "b"]]),
+            ([["a"], ["b"]], [["a", "b"]]),
+        ]
+        assert section["ok"]
 
     @pytest.mark.parametrize("n,ok", [(8, True), (9, False)])
     def test_vertex_count_up_to_the_polytope_bound(self, n, ok, capsys, tmp_path):
@@ -716,6 +745,20 @@ class TestVerify:
         for name in ("face_sweep", "degenerations", "collections"):
             assert random_sections[name]["ok"]
             assert "failures_total" not in random_sections[name]
+
+    @pytest.mark.parametrize("failed,total", [(19, None), (20, None), (21, 21)])
+    def test_failure_list_cut_past_20(self, monkeypatch, failed, total):
+        # the list keeps at most 20 failures, and only a cut list has a total
+        from resipoly.verify import VerifyConfig, _random_section
+
+        def cases(config, rng, counts):
+            yield from (f"failure {i}" for i in range(failed))
+
+        monkeypatch.setitem(resipoly.verify._RANDOM_SECTIONS, "flag_sweep", (0, cases))
+        section = _random_section("flag_sweep", VerifyConfig())
+        assert section["ok"] is False
+        assert section["failures"] == [f"failure {i}" for i in range(min(failed, 20))]
+        assert section.get("failures_total") == total
 
     def test_determinism_across_processes(self, tmp_path):
         # separate processes get different hash seeds; output must not care

@@ -478,3 +478,9 @@ class TestEnumeration:
     def test_empty_part_rejected(self):
         with pytest.raises(GraphDocumentError):
             LevelStructure.from_parts(("a", "b"), [["a"], [], ["b"]])
+
+    @pytest.mark.parametrize("levels", [(1, 3), (0, 1), (2, 2)])
+    def test_levels_must_be_one_to_r(self, levels):
+        # a gap, a level below 1 and a missing level 1 are all gaps in 1..r
+        with pytest.raises(GraphDocumentError, match="levels must cover 1..r with no gaps"):
+            LevelStructure(("a", "b"), levels)

@@ -41,6 +41,7 @@ from conftest import (
     reference_is_submodular,
     reference_projection_rank_table,
     reference_splitting,
+    reference_tight,
     value_of,
 )
 
@@ -272,7 +273,7 @@ class TestChainFace:
     def test_trivial_chain_is_everything(self, k4):
         graph, levels, _ = k4
         poly = base_polytope(residue_projection_table(graph, levels))
-        assert chain_face(poly, levels) == tuple(range(12))
+        assert chain_face(poly, levels) == (1 << 12) - 1
         assert reversed_partition(levels) == levels
 
     def test_k4_split_faces(self, k4):
@@ -280,9 +281,9 @@ class TestChainFace:
         poly = base_polytope(residue_projection_table(graph, levels))
         pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
         upper = chain_face(poly, pi)
-        assert [poly.vertices[i][0] for i in upper] == [Fraction(2)] * 3
+        assert [poly.vertices[i][0] for i in bits(upper)] == [Fraction(2)] * 3
         lower = chain_face(poly, reversed_partition(pi))
-        assert [poly.vertices[i][0] for i in lower] == [Fraction(0)] * 6
+        assert [poly.vertices[i][0] for i in bits(lower)] == [Fraction(0)] * 6
 
     def test_level_structure_must_match(self, k4, c3):
         poly = base_polytope(residue_projection_table(k4[0], k4[1]))
@@ -369,8 +370,8 @@ class TestFaceSweep:
 
         real_step = polytopes._table_and_face
 
-        def reading_step(g, levels, tables, faces, index):
-            table, face = real_step(g, levels, tables, faces, index)
+        def reading_step(g, levels, tables, faces, vertex_bit):
+            table, face = real_step(g, levels, tables, faces, vertex_bit)
             values = Read(table.values)
             values.levels = levels.levels
             read = SetFunction(table.ground, table.values)
@@ -421,7 +422,7 @@ class TestFaceSweep:
                 report = check_polytope_faces(graph)
             assert report.containment_ok
             all_pairs_ok = all(
-                not set(face) - set(coarse_face)
+                not face & ~coarse_face
                 and all(a <= b for a, b in zip(table.values, coarse_table.values))
                 for pi, table, face in reads.values()
                 for _, coarse_table, coarse_face in map(reads.get, coarsened_levels(pi))
@@ -651,11 +652,14 @@ class TestAgainstReferences:
             checked += 1
 
     def test_base_polytopes_of_level_graph_tables(self):
+        # the vertices, and the tight set of every subset inequality
         rng = random.Random(75)
         for _ in range(60):
             graph = random_multigraph(rng, max_vertices=6, max_edges=9)
             table = residue_projection_table(graph, random_level_structure(rng, graph))
-            assert base_polytope(table).vertices == reference_base_polytope(table).vertices
+            poly = base_polytope(table)
+            assert poly.vertices == reference_base_polytope(table).vertices
+            assert poly.tight == reference_tight(poly)
 
     def test_modular_table_has_one_vertex(self):
         point = (3, -1, 0, 2, 5)
@@ -729,6 +733,15 @@ def k4_faces_payload(tmp_path, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
+def with_tight_vertex(poly, mask, vertex):
+    """``poly`` with ``vertex`` added to its tight set at subset ``mask``."""
+    wrong = BasePolytope(poly.ground, poly.vertices, poly.table)
+    tight = list(wrong.tight)
+    tight[mask] |= 1 << poly.vertices.index(vertex)
+    wrong.tight = tuple(tight)
+    return wrong
+
+
 def misreport_partition(monkeypatch, graph, parts, table=None, vertices=None):
     """Make the face sweep read a wrong table (``table(true table)``) or a
     wrong vertex set (``vertices(true vertices)``) for the ordered partition
@@ -739,12 +752,12 @@ def misreport_partition(monkeypatch, graph, parts, table=None, vertices=None):
     target = LevelStructure.from_parts(graph.vertices, parts)
     real_step = polytopes._table_and_face
 
-    def wrong_step(g, levels, tables, faces, index):
-        true, face = real_step(g, levels, tables, faces, index)
+    def wrong_step(g, levels, tables, faces, vertex_bit):
+        true, face = real_step(g, levels, tables, faces, vertex_bit)
         if levels.levels != target.levels:
             return true, face
         if vertices:
-            face = polytopes._located(vertices(base_polytope(true).vertices), index)
+            face = polytopes._located(vertices(base_polytope(true).vertices), vertex_bit)
         return (table(true) if table else true), face
 
     monkeypatch.setattr(polytopes, "_table_and_face", wrong_step)
@@ -772,12 +785,12 @@ class TestFaultInjection:
         assert str(err.value) == "greedy point violates the subset inequalities"
 
     def test_chain_face_cross_check(self, k4):
-        # (3, 0, 0, 0) is not tight on the prefix {v1}, where f = 2, but it
-        # has the highest weight r - level; on the reversed partition it is
-        # neither tight nor of the highest weight
+        # (1, 2, 0, 0) is read as tight on the prefix {v1}, where f = 2, so
+        # it joins the chain face, but it lacks the highest weight r - level;
+        # the reversed partition's chain does not pass through {v1}
         graph, levels, _ = k4
         poly = base_polytope(residue_projection_table(graph, levels))
-        wrong = BasePolytope(poly.ground, poly.vertices + ((3, 0, 0, 0),), poly.table)
+        wrong = with_tight_vertex(poly, 0b0001, (1, 2, 0, 0))
         pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
         flipped = reversed_partition(pi)
         assert chain_face(wrong, flipped) == chain_face(poly, flipped)
@@ -789,15 +802,15 @@ class TestFaultInjection:
         real = polytopes.base_polytope
         built = []
 
-        def with_extra_point(table, *args, **kwargs):
+        def with_a_wrong_tight_set(table, *args, **kwargs):
             poly = real(table, *args, **kwargs)
             built.append(poly)
             if len(built) > 1:
                 return poly
             # the one-level polytope, which the chain faces are read from
-            return BasePolytope(poly.ground, poly.vertices + ((3, 0, 0, 0),), table)
+            return with_tight_vertex(poly, 0b0001, (1, 2, 0, 0))
 
-        monkeypatch.setattr(polytopes, "base_polytope", with_extra_point)
+        monkeypatch.setattr(polytopes, "base_polytope", with_a_wrong_tight_set)
         path = tmp_path / "k4.json"
         path.write_text(json.dumps(fixtures.document("k4")))
         assert main(["faces", "--input", str(path)]) == 1
@@ -911,8 +924,8 @@ class TestFaultInjection:
         reference = base_polytope(residue_projection_table(graph, trivial))
         real_step = polytopes._table_and_face
 
-        def upper_step(g, levels, tables, faces, index):
-            table, _ = real_step(g, levels, tables, faces, index)
+        def upper_step(g, levels, tables, faces, vertex_bit):
+            table, _ = real_step(g, levels, tables, faces, vertex_bit)
             return table, chain_face(reference, levels)
 
         monkeypatch.setattr(polytopes, "_table_and_face", upper_step)

@@ -119,12 +119,12 @@ CATALOGUE = (
         POLY,
         'raise InvariantViolation("greedy point violates the subset inequalities")',
         "pass",
-        "base_polytope: greedy point re-check off",
+        "BasePolytope: vertex re-check off",
         "tests/test_cli.py::TestInvariantViolations::test_greedy_point_recheck_exits_1",
     ),
     Mutant(
         POLY,
-        "if argmax != tight:",
+        "if argmax != face:",
         "if False:",
         "chain_face: argmax cross-check off (its InvariantViolation site)",
         "tests/test_polytopes.py::TestFaultInjection::test_chain_face_cross_check",
@@ -239,7 +239,7 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "if not set(face) <= set(coarser_face):",
+        "if face & ~coarser_face:",
         "if False:",
         "check_polytope_faces: coarsening vertex containment off",
         "tests/test_polytopes.py::TestFaultInjection::test_vertex_set_not_contained_in_a_coarsening",
@@ -349,14 +349,14 @@ CATALOGUE = (
         POLY,
         "any(map(gt, sums, values))",
         "any(s > v + 1 for s, v in zip(sums, values))",
-        "base_polytope: greedy re-check relaxed by 1",
+        "BasePolytope: vertex re-check relaxed by 1",
         "tests/test_cli.py::TestInvariantViolations::test_greedy_point_recheck_exits_1",
     ),
     Mutant(
         POLY,
-        " or sums[full] != values[full]",
+        " or sums[-1] != values[-1]",
         "",
-        "base_polytope: greedy re-check without the ground-set equality",
+        "BasePolytope: vertex re-check without the ground-set equality",
         "tests/test_polytopes.py::TestFaultInjection::test_vertex_recheck_catches_a_missed_ground_equality",
     ),
     Mutant(
@@ -410,6 +410,20 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
+        "for prefix in itertools.accumulate(levels.masks, or_):",
+        "for prefix in itertools.islice(itertools.accumulate(levels.masks, or_), 1, None):",
+        "chain_face: the AND of tight sets skips the first prefix",
+        "tests/test_polytopes.py::TestChainFace::test_k4_split_faces",
+    ),
+    Mutant(
+        POLY,
+        "map(eq, sums, values)",
+        "map(eq, sums, itertools.repeat(0))",
+        "BasePolytope: tight sets read where the subset sum is zero, not f(I)",
+        "tests/test_polytopes.py::TestChainFace::test_trivial_chain_is_everything",
+    ),
+    Mutant(
+        POLY,
         "itertools.accumulate(top_down, or_, initial=0)",
         "itertools.accumulate(top_down, or_)",
         "splitting: U_n includes level n",
@@ -443,6 +457,34 @@ CATALOGUE = (
         "if False:",
         "_check_expect: expect level key outside 1..r accepted",
         "tests/test_cli.py::TestVerify::test_expect_level_out_of_range_exits_2[9]",
+    ),
+    Mutant(
+        VER,
+        "level.isascii() and level.isdecimal()",
+        "level.isascii() or level.isdecimal()",
+        "_check_expect: an expect level key of non-ASCII digits accepted",
+        "tests/test_cli.py::TestVerify::test_malformed_expect_exits_2[level-key-non-ascii-digit]",
+    ),
+    Mutant(
+        VER,
+        '1 <= item["level"]',
+        '1 < item["level"]',
+        "_check_expect: an expect global condition at level 1 rejected",
+        "tests/test_cli.py::TestVerify::test_global_condition_at_level_one_is_checked",
+    ),
+    Mutant(
+        GRAPHS,
+        "if set(levels) != set(range(1, r + 1)):",
+        "if min(levels) != 1:",
+        "LevelStructure: gapped levels accepted, only level 1 required",
+        "tests/test_graphs.py::TestEnumeration::test_levels_must_be_one_to_r[levels0]",
+    ),
+    Mutant(
+        VER,
+        "elif len(graph.vertices) >= 2:",
+        "elif len(graph.vertices) > 2:",
+        "_fixture_degenerations: no split pair for a two-vertex one-level document",
+        "tests/test_cli.py::TestVerify::test_two_vertex_one_level_document_is_split",
     ),
     # -- each identity of flag_identities, one side off by one
     Mutant(
@@ -701,6 +743,13 @@ CATALOGUE = (
         "if False:",
         "_random_section: no failure total when the list was cut",
         "tests/test_cli.py::TestVerify::test_failure_total_when_the_list_is_cut",
+    ),
+    Mutant(
+        VER,
+        "len(failures) > 20:",
+        "len(failures) >= 20:",
+        "_random_section: a failure total for a list of exactly 20",
+        "tests/test_cli.py::TestVerify::test_failure_list_cut_past_20[20-None]",
     ),
     Mutant(
         VER,
