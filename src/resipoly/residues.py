@@ -22,34 +22,39 @@ identities are recomputed from scratch for every input and reported; a
 mismatch signals an implementation bug, never data to be corrected.
 
 :class:`LevelGraph` is the one model of a graph with an ordered partition.
-Each of its parts is computed once, on first use: the arrow classification,
-the components of every level, the components of V<n and the special ones
-among them (those meeting the neighbours of level n), the components of
-each prefix V<=n, the summits, the counts and the four condition families.
-Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`, read
-from :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name
-tuples only where they are reported; what the graph derives from one
-vertex mask (components, neighbours, arrows) it keeps in per-graph tables.
-Every condition is a 0/1 row, so it is built once as the int bitmask of
-the arrow indices where it is 1, like every other arrow set.  The local
-and rosenlicht rows are grouped by level component in one pass; the
-relatedness predicates read those groups, and a per-component block
-reuses one whenever its level-n vertices form a single level component.
-Ranks come from a sparse integer echelon run on the masks themselves,
-each row pivoted at its lowest arrow; full-width 0/1 vectors are made
-from the masks only where a kernel needs them.  What a row belongs to is
-derived from its lowest arrow (:meth:`LevelGraph.owner`), and named
-(:meth:`LevelGraph.label`), only where a report names the row.
+Its constructor makes one walk over the levels, top to bottom.  At level n
+it reads the level mask L and the prefix mask V<=n against the graph's
+per-mask tables (components, neighbours, arrows out and in) and sets, as
+plain attributes: the components of L, of V<n and of V<=n and the special
+components of V<n (those meeting the neighbours of L); the local row of
+each vertex of L; the global rows of level n; the summits; and the
+downward and horizontal arrows, as the masks of the arrows out of L with
+head outside V<=n and inside L.  From those it sets the counts and the
+four condition families.  Vertex sets are the positional bitmasks of
+:mod:`resipoly.graphs`, read from
+:attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name tuples
+only where they are reported.  Every condition is a 0/1 row, so it is
+built once as the int bitmask of the arrow indices where it is 1, like
+every other arrow set.  The relatedness predicates walk the levels again,
+grouping the local and rosenlicht rows by level component and reusing a
+group for every component of V<=n whose level-n vertices form that one
+level component; the per-component blocks of the component report are
+built the same way, on first use.  Ranks come from a sparse integer
+echelon run on the masks themselves, each row pivoted at its lowest arrow;
+full-width 0/1 vectors are made from the masks only where a kernel needs
+them.  What a row belongs to is derived from its lowest arrow
+(:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
+where a report names the row.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graphs import bits, check_same_vertices, classify_arrows
-from .linalg import _mask, _sparse_insert, kernel, support_checks
+from .graphs import bits, check_same_vertices
+from .linalg import _sparse_insert, kernel, support_checks
 
 __all__ = [
     "FAMILIES",
@@ -73,8 +78,7 @@ __all__ = [
 FAMILIES = ("downward", "local", "rosenlicht", "global")
 
 
-@dataclass(frozen=True)
-class LevelCounts:
+class LevelCounts(NamedTuple):
     vertices: int
     edges: int
     components: int
@@ -90,11 +94,10 @@ class LevelCounts:
         return self.summits_irreducible + self.summits_reducible
 
     def as_dict(self):
-        return {**asdict(self), "summits": self.summits}
+        return {**self._asdict(), "summits": self.summits}
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     lhs: int
     rhs: int
@@ -152,9 +155,24 @@ class LevelGraph:
     """A multigraph with an ordered partition of its vertices, and the facts
     derived from the pair.
 
-    Every part is computed on first use and kept, so each is built once per
-    model however many checks read it.  The parts are facts about the level
-    graph, never the verdict of a check.  Vertex sets are bitmasks (see
+    The constructor makes one walk over the levels and sets every part the
+    checks read as a plain attribute:
+
+    * ``masks`` -- level n -> its :class:`LevelMasks`;
+    * ``counts`` -- the :class:`LevelCounts`.  A summit is a level
+      component with no arrow into V<n, that is the tail of no upward
+      arrow; it is irreducible when it is one vertex without a loop;
+    * ``rows`` -- family -> its condition rows as arrow masks, ordered by
+      owner (global rows by level, then by the lowest vertex of their
+      component).  The local row of a vertex is the support of its
+      non-downward arrows; vertices where that support is empty
+      (irreducible summits and isolated vertices) contribute no row.
+      Global rows are generated for every special component, even when
+      linearly dependent on the other families.
+
+    Only ``blocks``, which the component report alone reads, is built on
+    first use.  The parts are facts about the level graph, never the
+    verdict of a check.  Vertex sets are bitmasks (see
     :class:`~resipoly.graphs.Multigraph`) until they are reported, so the
     level structure must list the graph's vertices in the graph's order.
     """
@@ -163,103 +181,70 @@ class LevelGraph:
         check_same_vertices(graph, levels)
         self.graph = graph
         self.levels = levels
-
-    @cached_property
-    def classification(self):
-        return classify_arrows(self.graph, self.levels)
+        arrows_from, arrows_into = graph.arrows_from, graph.arrows_into
+        components, neighbours = graph.mask_components, graph.neighbours
+        out_arrows = graph.out_arrows
+        local_at = [0] * len(graph.vertices)
+        masks = {}
+        global_at = {}
+        irreducible = []
+        reducible = []
+        downward = horizontal = 0
+        below = ()
+        prefix = 0
+        for n, mask in enumerate(levels.masks, start=1):
+            # an arrow out of level n is upward into V<n, downward out of V<=n
+            into_below = arrows_into(prefix)
+            prefix |= mask
+            into_prefix = arrows_into(prefix)
+            out = arrows_from(mask)
+            for i in bits(mask):
+                local_at[i] = out_arrows[i] & into_prefix
+            downward |= out & ~into_prefix
+            horizontal |= out & arrows_into(mask)
+            level = components(mask)
+            for comp in level:
+                if arrows_from(comp) & into_below:
+                    continue
+                if comp & (comp - 1) or neighbours[comp.bit_length() - 1] & comp:
+                    reducible.append(comp)
+                else:
+                    irreducible.append(comp)
+            reach = graph.neighbour_mask(mask)
+            special = tuple([c for c in below if c & reach])
+            for comp in special:
+                global_at[n, comp] = out & arrows_into(comp)
+            upto = components(prefix)
+            masks[n] = LevelMasks(mask, level, below, special, upto)
+            below = upto
+        self.masks = masks
+        self._local_at = local_at
+        self._global_at = global_at
+        self._summit_masks = (irreducible, reducible)
+        # a vertical edge has one downward arrow, a horizontal edge two
+        # horizontal ones
+        self.counts = LevelCounts(
+            len(graph.vertices),
+            len(graph.edges),
+            graph.component_count,
+            graph.genus,
+            levels.r,
+            downward.bit_count(),
+            horizontal.bit_count() // 2,
+            len(irreducible),
+            len(reducible),
+        )
+        self.rows = {
+            "downward": tuple([1 << a for a in bits(downward)]),
+            "local": tuple([row for row in local_at if row]),
+            # edge e has the arrows 2e and 2e + 1: every other bit is one edge
+            "rosenlicht": tuple([3 << a for a in bits(horizontal)[::2]]),
+            "global": tuple(global_at.values()),
+        }
 
     @property
     def level_numbers(self):
         return range(1, self.levels.r + 1)
-
-    @cached_property
-    def masks(self):
-        """Level n -> its :class:`LevelMasks`, each computed once."""
-        graph = self.graph
-        out = {}
-        below = ()
-        prefix = 0
-        for n, mask in enumerate(self.levels.masks, start=1):
-            prefix |= mask
-            reach = graph.neighbour_mask(mask)
-            upto = graph.mask_components(prefix)
-            special = tuple([c for c in below if c & reach])
-            out[n] = LevelMasks(mask, graph.mask_components(mask), below, special, upto)
-            below = upto
-        return out
-
-    @cached_property
-    def _summit_masks(self):
-        """(irreducible, reducible) summits among the level components, as
-        vertex masks.  A summit is a level component that is the tail of no
-        upward arrow; it is irreducible when it is one vertex without a loop."""
-        graph = self.graph
-        upward = _mask(self.classification.upward)
-        irreducible = []
-        reducible = []
-        for at in self.masks.values():
-            for comp in at.components:
-                if graph.arrows_from(comp) & upward:
-                    continue
-                if comp & (comp - 1) or graph.neighbours[comp.bit_length() - 1] & comp:
-                    reducible.append(comp)
-                else:
-                    irreducible.append(comp)
-        return irreducible, reducible
-
-    @cached_property
-    def counts(self):
-        graph, cls = self.graph, self.classification
-        irreducible, reducible = self._summit_masks
-        return LevelCounts(
-            vertices=len(graph.vertices),
-            edges=len(graph.edges),
-            components=graph.component_count,
-            genus=graph.genus,
-            levels=self.levels.r,
-            vertical_edges=len(cls.vertical_edges),
-            horizontal_edges=len(cls.horizontal_edges),
-            summits_irreducible=len(irreducible),
-            summits_reducible=len(reducible),
-        )
-
-    @cached_property
-    def rows(self):
-        """Family -> its condition rows as arrow masks, ordered by owner
-        (global rows by level, then by the lowest vertex of their component).
-
-        The local row of a vertex is the support of its non-downward arrows;
-        vertices where that support is empty (irreducible summits and
-        isolated vertices) contribute no row.  Global rows are generated for
-        every special component, even when linearly dependent on the other
-        families.
-        """
-        cls = self.classification
-        return {
-            "downward": tuple(1 << a for a in cls.downward),
-            "local": tuple(row for row in self._local_at if row),
-            "rosenlicht": tuple(3 << 2 * e for e in cls.horizontal_edges),
-            "global": tuple(self._global_at.values()),
-        }
-
-    @cached_property
-    def _local_at(self):
-        """The local row of each vertex, by vertex index (0 for none)."""
-        keep = ~_mask(self.classification.downward)
-        return tuple(arrows & keep for arrows in self.graph.out_arrows)
-
-    @cached_property
-    def _global_at(self):
-        """(level, special component mask) -> its global row, by level and
-        then by the component's lowest vertex."""
-        graph = self.graph
-        out = {}
-        for n, at in self.masks.items():
-            if at.special:
-                arrows = graph.arrows_from(at.mask)
-                for comp in at.special:
-                    out[n, comp] = arrows & graph.arrows_into(comp)
-        return out
 
     def owner(self, family, row):
         """What a condition row of `family` belongs to, by position, read off
@@ -314,15 +299,20 @@ class LevelGraph:
         # edge e has the arrows 2e and 2e + 1: every other bit is one edge
         return tuple(local), tuple([3 << a for a in bits(inside)[::2]])
 
-    @cached_property
-    def _groups(self):
-        """Level component mask -> its local and rosenlicht rows, for the
-        components of every level, and the empty mask, which has no rows."""
-        groups = {0: ((), ())}
-        for at in self.masks.values():
-            for comp in at.components:
-                groups[comp] = self._rows_within(comp)
-        return groups
+    def _block_rows(self, n, at, comp, groups):
+        """The level-n vertices of `comp`, a component of V<=n, and the local,
+        rosenlicht and global rows of level n that lie in it.
+
+        `at` is ``masks[n]`` and `groups` maps level-n components to their
+        :meth:`_rows_within`; the group of a component whose level-n
+        vertices form one level component is read from it.
+        """
+        here = comp & at.mask
+        group = groups.get(here)
+        if group is None:
+            group = self._rows_within(here)
+        glob = tuple([self._global_at[n, c] for c in at.special if c & comp])
+        return here, *group, glob
 
     @cached_property
     def blocks(self):
@@ -330,19 +320,13 @@ class LevelGraph:
         component of V<=n they lie in, for every level n.
 
         Each group's rows live in the coordinates of the non-downward arrows
-        with tail in the component's level-n vertices.  When those vertices
-        form one level component, its group is reused.
+        with tail in the component's level-n vertices.
         """
-        groups, glob_at = self._groups, self._global_at
         blocks = []
         for n, at in self.masks.items():
+            groups = {comp: self._rows_within(comp) for comp in at.components}
             for comp in at.upto:
-                here = comp & at.mask
-                group = groups.get(here)
-                if group is None:
-                    group = self._rows_within(here)
-                glob = tuple(glob_at[n, c] for c in at.special if c & comp)
-                blocks.append(_Block(n, comp, here, *group, glob))
+                blocks.append(_Block(n, comp, *self._block_rows(n, at, comp, groups)))
         return tuple(blocks)
 
     def flag(self):
@@ -420,15 +404,20 @@ class LevelGraph:
         of V_{h<=n} that meets level n, the global and rosenlicht rows
         together versus the local rows must be set-theoretically independent
         and properly unrelated, and related whenever the collections are
-        nonempty.  Returns a list of failure descriptions (empty means all
-        predicates hold).
+        nonempty.  One walk over the levels checks both kinds; the
+        components of V_{h<=n} that miss level n are skipped unread.
+        Returns a list of failure descriptions, every level component's
+        before every merged component's (empty means all predicates hold).
         """
         failures = []
+        merged = []
         names = self.graph.names
-        reducible = set(self._summit_masks[1])
+        reducible = self._summit_masks[1]
         for n, at in self.masks.items():
+            groups = {}
             for comp in at.components:
-                verdict = support_checks(*self._groups[comp])
+                groups[comp] = group = self._rows_within(comp)
+                verdict = support_checks(*group)
                 if verdict is None:
                     failures.append(
                         f"level {n} component {names(comp)}: not set-theoretically independent"
@@ -443,29 +432,29 @@ class LevelGraph:
                         f"but reducible-summit={comp in reducible}"
                     )
 
-        for b in self.blocks:
-            if not b.level_vertices:
-                continue
-            verdict = support_checks(b.glob + b.rosenlicht, b.local)
-            if verdict is None:
-                failures.append(
-                    f"level {b.level} merged component {names(b.component)}: "
-                    "not set-theoretically independent"
-                )
-                continue
-            related, properly = verdict
-            if not properly:
-                failures.append(
-                    f"level {b.level} merged component {names(b.component)}: "
-                    "not properly unrelated"
-                )
-            nonempty = bool(b.local or b.rosenlicht or b.glob)
-            if related != nonempty:
-                failures.append(
-                    f"level {b.level} merged component {names(b.component)}: "
-                    f"related={related} with nonempty={nonempty}"
-                )
-        return failures
+            for comp in at.upto:
+                if not comp & at.mask:
+                    continue
+                _, local, rosenlicht, glob = self._block_rows(n, at, comp, groups)
+                verdict = support_checks(glob + rosenlicht, local)
+                if verdict is None:
+                    merged.append(
+                        f"level {n} merged component {names(comp)}: "
+                        "not set-theoretically independent"
+                    )
+                    continue
+                related, properly = verdict
+                if not properly:
+                    merged.append(
+                        f"level {n} merged component {names(comp)}: not properly unrelated"
+                    )
+                nonempty = bool(local or rosenlicht or glob)
+                if related != nonempty:
+                    merged.append(
+                        f"level {n} merged component {names(comp)}: "
+                        f"related={related} with nonempty={nonempty}"
+                    )
+        return failures + merged
 
 
 def flag_identities(counts, dims):

@@ -35,6 +35,7 @@ from conftest import (
     induced_edges,
     load_fixture,
     rank_mod_p,
+    reference_classify_arrows,
     reference_rank,
     reference_support_checks,
     summit_names,
@@ -221,7 +222,7 @@ class TestFlag:
             graph = random_multigraph(rng)
             levels = random_level_structure(rng, graph)
             model = LevelGraph(graph, levels)
-            cls = model.classification
+            cls = reference_classify_arrows(graph, levels)
             local_rows = labelled(model, "local")
             _, reducible = summit_names(model)
             for comp in reducible:
@@ -433,6 +434,12 @@ class TestMaskModelAgainstReference:
                     assert [names(c) for c in level] == reference.level_components[n]
                     assert components_below(graph, pi, n) == reference.components_below[n]
                 assert summit_names(model) == reference.summits
+                # the counts read the edges off arrow masks, the reference
+                # off each edge's endpoint levels
+                assert model.counts.vertical_edges == len(reference.classification.vertical_edges)
+                assert model.counts.horizontal_edges == len(
+                    reference.classification.horizontal_edges
+                )
                 for family in FAMILIES:
                     assert _as_sets(model, family, model.rows[family]) == _reference_rows(
                         reference.rows[family]
@@ -468,6 +475,28 @@ class TestMaskModelAgainstReference:
                     ranks.append(reference_rank(stacked))
                 assert _cumulative_ranks(model.rows[f] for f in FAMILIES) == ranks
         assert partitions >= 4 * 541  # at least four five-vertex graphs
+
+    def test_one_relation_check_per_level_and_meeting_component(self, monkeypatch):
+        # relation_failures checks each level component once and each
+        # component of V<=n that meets level n once, and no other component
+        calls = []
+        real = residues.support_checks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(residues, "support_checks", counted)
+        rng = random.Random(44)
+        for _ in range(12):
+            graph = random_multigraph(rng, 5, 8)
+            for pi in ordered_partitions(graph.vertices):
+                reference = ReferenceLevelGraph(graph, pi)
+                level_components = sum(map(len, reference.level_components.values()))
+                meeting = sum(1 for b in reference.blocks if b.level_vertices)
+                calls.clear()
+                assert LevelGraph(graph, pi).relation_failures() == []
+                assert len(calls) == level_components + meeting
 
 
 def run_fig1(tmp_path, capsys, command):
@@ -606,15 +635,19 @@ class TestFaultInjection:
         # from the special list, and it reads as surviving one level up.
         # Models of other partitions, built by the face sweep and the
         # degenerations, are left alone.
-        real = LevelGraph.masks.func
+        real = LevelGraph.__init__
 
-        def wrong_masks(self):
-            masks = dict(real(self))
-            if self.levels == fig1[1]:
-                masks[2] = masks[2]._replace(special=masks[2].special[:1])
-            return masks
+        def wrong_init(self, graph, levels):
+            real(self, graph, levels)
+            if levels == fig1[1]:
+                # the dropped component's global row goes with it, as when
+                # the rows are built from the wrong special list
+                at = self.masks[2]
+                self.masks[2] = at._replace(special=at.special[:1])
+                del self._global_at[2, at.special[1]]
+                self.rows["global"] = tuple(self._global_at.values())
 
-        monkeypatch.setattr(LevelGraph, "masks", property(wrong_masks))
+        monkeypatch.setattr(LevelGraph, "__init__", wrong_init)
         code, report = run_fig1(tmp_path, capsys, "verify")
         assert code == 1
         assert report["ok"] is False

@@ -146,8 +146,8 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        "\n            if not properly:",
-        "\n            if False:",
+        "if not properly:\n                    merged.append(",
+        "if False:\n                    merged.append(",
         "relation_failures: merged component 'not properly unrelated' branch off",
         "tests/test_residues.py::TestFaultInjection::test_merged_component_not_properly_unrelated",
     ),
@@ -541,7 +541,7 @@ CATALOGUE = (
         RES,
         "group = self._rows_within(here)",
         "group = groups[next(c for c in at.components if c & here)]",
-        "blocks: a block over several level components reuses the first one's group",
+        "_block_rows: a block over several level components reuses the first one's group",
         "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
     ),
     # -- the fixed size bounds, each one vertex too strict
@@ -769,8 +769,8 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        'failures.append(\n                    f"level {b.level} merged component {names(b.component)}: "'
-        '\n                    "not set-theoretically independent"\n                )',
+        'merged.append(\n                        f"level {n} merged component {names(comp)}: "'
+        '\n                        "not set-theoretically independent"\n                    )',
         "pass",
         "relation_failures: a merged component of dependent collections not reported",
         "tests/test_residues.py::TestFaultInjection::test_merged_component_not_independent",
@@ -914,6 +914,37 @@ CATALOGUE = (
         "lu, lv = level[index[v]], level[index[u]]",
         "classify_arrows: upward and downward swapped",
         "tests/test_graphs.py::TestClassification::test_agrees_with_the_endpoint_levels",
+    ),
+    # -- the one walk of LevelGraph over the levels, read off arrow masks
+    Mutant(
+        RES,
+        "downward |= out & ~into_prefix",
+        "downward |= out & ~into_below",
+        "LevelGraph: horizontal arrows counted and imposed as downward",
+        "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
+    ),
+    Mutant(
+        RES,
+        "horizontal.bit_count() // 2,",
+        "horizontal.bit_count(),",
+        "LevelGraph: each horizontal edge counted once per arrow",
+        "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
+    ),
+    Mutant(
+        RES,
+        "if arrows_from(comp) & into_below:",
+        "if arrows_from(comp) & into_prefix:",
+        "LevelGraph: a level component with an edge inside it is no summit",
+        "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
+    ),
+    Mutant(
+        RES,
+        "if not comp & at.mask:\n                    continue",
+        "if False:\n                    continue",
+        "relation_failures: components of V<=n that miss level n checked too (equivalent"
+        " in verdict: their collections are empty, so only the call count shows it)",
+        "tests/test_residues.py::TestMaskModelAgainstReference::"
+        "test_one_relation_check_per_level_and_meeting_component",
     ),
 )
 
