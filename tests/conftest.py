@@ -27,6 +27,17 @@ from resipoly.polytopes import (
 )
 
 
+# the triangular prism: two triangles v1v2v3 and v4v5v6 joined by three edges
+PRISM = {
+    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6"],
+    "edges": [
+        ["v1", "v2"], ["v2", "v3"], ["v1", "v3"],
+        ["v4", "v5"], ["v5", "v6"], ["v4", "v6"],
+        ["v1", "v4"], ["v2", "v5"], ["v3", "v6"],
+    ],
+}
+
+
 def load_fixture(name):
     """(Multigraph, LevelStructure, expect-dict) for a named shipped fixture."""
     doc = fixtures.document(name)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from resipoly import fixtures
 from resipoly.cli import main
 from resipoly.residues import IdentityCheck, LevelGraph, ResidueFlag
 
-from conftest import fig1_degenerate_argv
+from conftest import PRISM, fig1_degenerate_argv
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,38 @@ class TestDegenerate:
         )
         assert code == 2
         assert "coarsening" in err
+
+
+class TestPrismDigests:
+    """The printed bases of the triangular prism at levels v1,v2 | v3,v4 |
+    v5,v6, and of its degeneration toward v1 | ... | v6, pinned by digest:
+    fig1's are the only other printed bases under test."""
+
+    def prism(self, tmp_path):
+        levels = {f"v{i}": (i + 1) // 2 for i in range(1, 7)}
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps({**PRISM, "levels": levels}))
+        return str(path)
+
+    def test_basis(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "basis", "--input", self.prism(tmp_path))
+        assert code == 0
+        assert json.loads(out)["dim"] == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f188db14ec619bd09d27c736a3c1fe3433e7d67adfde4ae2e72cc1aeb535545b"
+        )
+
+    def test_degenerate(self, tmp_path, capsys):
+        fine = tmp_path / "fine.json"
+        fine.write_text(json.dumps({"levels": {f"v{i}": i for i in range(1, 7)}}))
+        code, out, _ = run_cli(
+            capsys, "degenerate", "--input", self.prism(tmp_path), "--fine", str(fine)
+        )
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1025a22f246f66249096a77857e0fe2ec68bdc87771d887ead99fad78d4be98b"
+        )
 
 
 class TestErrors:

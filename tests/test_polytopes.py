@@ -27,6 +27,7 @@ from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import LevelGraph, residue_space
 
 from conftest import (
+    PRISM,
     adjoint,
     coarsened_levels,
     coarsenings,
@@ -44,16 +45,6 @@ from conftest import (
     reference_tight,
     value_of,
 )
-
-
-PRISM = {
-    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6"],
-    "edges": [
-        ["v1", "v2"], ["v2", "v3"], ["v1", "v3"],
-        ["v4", "v5"], ["v5", "v6"], ["v4", "v6"],
-        ["v1", "v4"], ["v2", "v5"], ["v3", "v6"],
-    ],
-}
 
 
 def modular_from_point(ground, point):
