@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import bits, check_same_vertices, is_coarsening
-from .linalg import Subspace, _echelon_insert, det, embed, kernel_of_projection, project_image
+from .linalg import Subspace, _sparse_insert, _span, det, embed, kernel_of_projection, project_image
 from .polytopes import InvariantViolation, _check_table_bound, _tail_table, splitting
 from .residues import residue_space
 
@@ -57,11 +57,9 @@ class LaurentSubspace:
         """Each arrow coordinate weighs the level of its tail, the block of
         :func:`residue_blocks` it lies in.  Any weights strictly increasing
         with the level induce the same limit."""
-        weights = [0] * graph.num_arrows
-        for n, block in residue_blocks(graph, levels).items():
-            for a in block:
-                weights[a] = n
-        return cls(space, weights)
+        check_same_vertices(graph, levels)
+        level, index = levels.levels, graph.index
+        return cls(space, [level[index[arrow.tail]] for arrow in graph.arrows])
 
 
 def residue_blocks(graph, levels):
@@ -106,9 +104,9 @@ def initial_space_limit(laurent):
     after dividing by the dominant power the surviving part is its leading
     form: the restriction to the maximal-weight coordinates of its support.
     The basis rows go into one integer echelon with the coordinates taken
-    by weight descending, index ascending.  Each echelon row's pivot is then
-    its highest-weight coordinate, and every later row vanishes at the
-    earlier pivots.  So leading forms of equal weight form a staircase, and
+    by weight descending, index ascending, each keyed by its place in that
+    order.  Each echelon row's pivot is then its highest-weight coordinate,
+    and it vanishes at every earlier coordinate.  So leading forms of equal weight form a staircase, and
     leading forms of different weights have disjoint supports: the echelon
     gives as many independent leading forms as the input dimension, and
     their span is the limit.
@@ -117,19 +115,17 @@ def initial_space_limit(laurent):
     weights = laurent.coordinate_weights
     width = space.ambient_dim
     order = sorted(range(width), key=lambda j: (-weights[j], j))
-    echelon = []
+    echelon = {}
     for row in space.rows:
-        if not _echelon_insert(echelon, [row[j] for j in order]):
+        if not _sparse_insert(echelon, {k: row[j] for k, j in enumerate(order) if row[j]}):
             raise InvariantViolation("basis rows were dependent")
-    leads = []
-    for pivot, row in echelon:
+    leads = {}
+    for pivot, (x, rest) in echelon.items():
         top = weights[order[pivot]]
-        lead = [0] * width
-        for j, x in zip(order, row):
-            if weights[j] == top:
-                lead[j] = x
-        leads.append(lead)
-    limit = Subspace(width, leads)
+        lead = {order[k]: a for k, a in rest.items() if weights[order[k]] == top}
+        lead[order[pivot]] = x
+        _sparse_insert(leads, lead)
+    limit = _span(width, leads)
     if limit.dim != space.dim:
         raise InvariantViolation("limit changed the dimension")
     return limit
@@ -167,10 +163,10 @@ def plucker_limit_oracle(laurent):
     def minor(cols):
         return det([[row[c] for c in cols] for row in basis]).numerator
 
-    echelon = []
+    echelon = {}
     anchor = []
     for j in sorted(range(ambient), key=lambda j: (-weights[j], j)):
-        if _echelon_insert(echelon, [row[j] for row in basis]):
+        if _sparse_insert(echelon, {k: row[j] for k, row in enumerate(basis) if row[j]}):
             anchor.append(j)
             if len(anchor) == m:
                 break
@@ -178,17 +174,17 @@ def plucker_limit_oracle(laurent):
     anchor_value = minor(anchor)
     if not anchor_value:
         raise InvariantViolation("greedy anchor minor is zero")
-    rows = []
+    decoded = {}
     for k, s in enumerate(anchor):
-        row = [0] * ambient
-        row[s] = anchor_value
+        row = {s: anchor_value}
         for j in range(ambient):
             if weights[j] == weights[s] and j not in anchor:
                 cols = sorted([c for c in anchor if c != s] + [j])
-                sign = -1 if (k + cols.index(j)) % 2 else 1
-                row[j] = sign * minor(cols)
-        rows.append(row)
-    limit = Subspace(ambient, rows)
+                value = minor(cols)
+                if value:
+                    row[j] = -value if (k + cols.index(j)) % 2 else value
+        _sparse_insert(decoded, row)
+    limit = _span(ambient, decoded)
     if limit.dim != m:
         raise InvariantViolation("decoded limit has the wrong dimension")
     return limit
@@ -237,9 +233,7 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     laurent = LaurentSubspace.for_residues(coarse_space, graph, fine)
     limit = initial_space_limit(laurent)
 
-    _, realization = flag_and_realization(
-        coarse_space, fine, residue_blocks(graph, fine)
-    )
+    _, realization = flag_and_realization(coarse_space, fine, residue_blocks(graph, fine))
 
     split = splitting(_tail_table(graph, coarse_space), fine)
     fine_table = _tail_table(graph, fine_space)

@@ -5,14 +5,16 @@ integer basis: the reduced row-echelon basis with each row scaled to a
 primitive integer row with a positive pivot entry.  That form is unique, so
 equality of subspaces is literal equality of integer rows.
 
-All elimination runs on plain integers.  Each input row has its
-denominators cleared once (a row of ints is taken as it is), and then goes
-into an integer row echelon with content reduction: that echelon alone
-gives ranks, containment and kernels of projections, and back-substitution
-on it gives canonical bases and kernels.  Sparse integer rows, such as the
-0/1 residue conditions, have an echelon of their own, :func:`_sparse_insert`,
-on dict rows pivoted at their lowest column.  Determinants use
-fraction-free (Bareiss) elimination.  Fractions appear only at input
+Every row reduction runs on plain integers, in one routine,
+:func:`_sparse_insert`: an integer row echelon of dict rows, each row
+pivoted at its lowest column and divided by its content.  A dense input
+row has its denominators cleared once (a row of ints is taken as it is)
+and its nonzero entries taken as a dict; the 0/1 residue conditions go in
+straight from their masks.  The echelon alone gives ranks, containment and
+the greedy column bases; a caller that wants its columns in another order
+remaps their keys.  Back-substitution on it (:func:`_reduced`) gives
+canonical bases and kernels, stored as dense integer rows.  Determinants
+use fraction-free (Bareiss) elimination.  Fractions appear only at input
 (``"p/q"`` strings and Fraction entries), in a determinant, and in
 :attr:`Subspace.basis`, the printed reduced basis.
 """
@@ -69,57 +71,17 @@ def _cleared(row):
     return mult, [x.numerator * (mult // x.denominator) for x in row]
 
 
-def _primitive(row):
-    """An integer row divided by the gcd of its entries (its content)."""
-    g = gcd(*row)
-    if g > 1:
-        return [a // g for a in row]
-    return row
-
-
-def _echelon_insert(echelon, row):
-    """Reduce an integer row against an echelon list, append if nonzero.
-
-    ``echelon`` holds ``(pivot_column, row)`` pairs; rows stay integral via
-    cross-multiplication followed by content reduction.  The appended row is
-    primitive, has a positive lead entry, and is zero at the pivot columns
-    of every row before it.
-    """
-    for pivot_col, pivot_row in echelon:
-        x = row[pivot_col]
-        if x:
-            y = pivot_row[pivot_col]
-            row = [a * y - x * b for a, b in zip(row, pivot_row)]
-    lead = None
-    for j, a in enumerate(row):
-        if a:
-            lead = j
-            break
-    if lead is None:
-        return False
-    g = 0
-    for a in row:
-        if a:
-            g = gcd(g, abs(a))
-            if g == 1:
-                break
-    if g > 1:
-        row = [a // g for a in row]
-    if row[lead] < 0:
-        row = [-a for a in row]
-    echelon.append((lead, row))
-    return True
-
-
 def _sparse_insert(echelon, row):
     """Reduce a sparse integer row against a sparse echelon, keep it if nonzero.
 
-    A row is a dict ``{column: nonzero entry}``.  ``echelon`` maps each pivot
-    column to its row, the one whose lowest column it is, held as ``(entry
-    at the pivot, the rest of the row)``.  While the row's lowest column
-    holds a pivot, that column is cleared by cross-multiplication with the
-    pivot's row, which moves the lowest column up.  A row left nonzero is
-    divided by its content and becomes the pivot at its lowest column.
+    A row is a dict ``{column: nonzero entry}``; it is consumed.  Columns
+    may be any keys that sort, so a caller can take the columns in an order
+    of its own by remapping them.  ``echelon`` maps each pivot column to its
+    row, the one whose lowest column it is, held as ``(entry at the pivot,
+    the rest of the row)``.  While the row's lowest column holds a pivot,
+    that column is cleared by cross-multiplication with the pivot's row,
+    which moves the lowest column up.  A row left nonzero is divided by its
+    content and becomes the pivot at its lowest column.
     """
     while row:
         lead = min(row)
@@ -133,7 +95,8 @@ def _sparse_insert(echelon, row):
             echelon[lead] = (x, row)
             return True
         y, rest = pivot
-        row = {c: a * y for c, a in row.items()}
+        if y != 1:
+            row = {c: a * y for c, a in row.items()}
         for c, b in rest.items():
             a = row.get(c, 0) - x * b
             if a:
@@ -143,51 +106,110 @@ def _sparse_insert(echelon, row):
     return False
 
 
-def _rref_rows(mat):
-    """Reduced row echelon form of a list of int rows: the echelon of
-    :func:`_echelon_insert`, then back-substitution.
+def _reduced(echelon):
+    """Back-substitution on a sparse echelon: ``[(pivot, row)]`` by pivot
+    ascending, each row a dict that holds its pivot entry too.
 
-    Returns ``(rows, pivots)`` with zero rows dropped, pivots ascending.
-    Each returned row is a list of ints: primitive, zero on every other
-    row's pivot column, with a positive pivot entry ``p``.  Dividing it by
-    ``p`` gives the row of the unique RREF of the row space; that division
-    is the only place a Fraction is made.  A row of the echelon is zero left
-    of its pivot, so back-substitution only clears it at the later pivots,
-    as ``row * p - x * other`` over gcd(p, x), bottom row first.  No input
-    row is modified.
+    Each returned row is primitive, zero on every other row's pivot column,
+    with a positive pivot entry ``p``.  Dividing it by ``p`` gives the row
+    of the unique RREF of the row space; that division is the only place a
+    Fraction is made.  A row of the echelon is zero left of its pivot, so it
+    is cleared only at the later pivots, as ``row * p - x * other`` over
+    gcd(p, x), bottom row first.  The echelon is not modified.
     """
-    echelon = []
-    for row in mat:
-        _echelon_insert(echelon, row)
-    echelon.sort()  # pivots are distinct
-    pivots = [c for c, _ in echelon]
-    rows = [row for _, row in echelon]
-    for k in range(len(rows) - 2, -1, -1):
-        row = rows[k]
-        for j in range(k + 1, len(rows)):
-            x = row[pivots[j]]
-            if x:
-                other = rows[j]
-                p = other[pivots[j]]
-                g = gcd(p, x)
-                pg, xg = p // g, x // g
-                row = _primitive([a * pg - xg * b for a, b in zip(row, other)])
-        rows[k] = row
-    return rows, pivots
+    done = {}
+    for pivot in sorted(echelon, reverse=True):
+        x, rest = echelon[pivot]
+        row = {pivot: x, **rest}
+        # `other` is zero at every pivot but its own, so clearing one later
+        # pivot only scales the entries at the others: `later` is listed once
+        later = [c for c in rest if c in done]
+        for c in later:
+            other = done[c]
+            p, y = other[c], row[c]
+            g = gcd(p, y)
+            p, y = p // g, y // g
+            if p != 1:
+                row = {k: a * p for k, a in row.items()}
+            for k, b in other.items():
+                a = row.get(k, 0) - y * b
+                if a:
+                    row[k] = a
+                else:
+                    del row[k]
+        g = gcd(*row.values()) if later else 1
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = {k: a // g for k, a in row.items()}
+        done[pivot] = row
+    return sorted(done.items())
+
+
+def _canonical(echelon, width):
+    """``(pivots, rows)`` of the canonical basis of the span of a sparse
+    echelon on the columns ``0 .. width - 1``: the rows of :func:`_reduced`,
+    made dense."""
+    pivots, rows = [], []
+    for pivot, row in _reduced(echelon):
+        dense = [0] * width
+        for c, a in row.items():
+            dense[c] = a
+        pivots.append(pivot)
+        rows.append(tuple(dense))
+    return tuple(pivots), tuple(rows)
+
+
+def _span(width, echelon):
+    """The :class:`Subspace` of Q^width spanned by the rows of a sparse echelon."""
+    space = Subspace.__new__(Subspace)
+    space.ambient_dim = width
+    space.pivots, space.rows = _canonical(echelon, width)
+    return space
+
+
+def _kernel(echelon, width):
+    """Right kernel of the rows of a sparse echelon, as a canonical
+    :class:`Subspace` of Q^width.
+
+    Reduced row k reads ``p_k * x[pivot_k] + (free columns) = 0``, and a
+    reduced row is nonzero only at its pivot and at free columns.  Setting
+    one free coordinate to the lcm of the pivot entries keeps the solution
+    integral.
+    """
+    reduced = _reduced(echelon)
+    scale = lcm(*(row[pivot] for pivot, row in reduced))
+    vectors = {f: {f: scale} for f in range(width) if f not in echelon}
+    for pivot, row in reduced:
+        m = scale // row[pivot]
+        for c, a in row.items():
+            if c != pivot:
+                vectors[c][pivot] = -a * m
+    spanned = {}
+    for v in vectors.values():
+        _sparse_insert(spanned, v)
+    return _span(width, spanned)
+
+
+def _echelon(matrix):
+    """``(width, echelon)`` of a matrix given as an iterable of dense rows,
+    which must all have the same length: the sparse echelon of its rows,
+    each cleared of its denominators.  The width of no rows is None."""
+    echelon = {}
+    width = None
+    for row in matrix:
+        row = _cleared(row)[1]
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("ragged rows")
+        _sparse_insert(echelon, {c: a for c, a in enumerate(row) if a})
+    return width, echelon
 
 
 def rank(rows):
     """Rank of a matrix given as an iterable of rows (exact, integer path)."""
-    echelon = []
-    width = None
-    for row in rows:
-        ints = _cleared(row)[1]
-        if width is None:
-            width = len(ints)
-        elif len(ints) != width:
-            raise ValueError("ragged rows")
-        _echelon_insert(echelon, ints)
-    return len(echelon)
+    return len(_echelon(rows)[1])
 
 
 def det(rows):
@@ -227,7 +249,8 @@ def det(rows):
 class Subspace:
     """A linear subspace of Q^n, held by its canonical integer basis.
 
-    ``rows`` are the rows of :func:`_rref_rows`: row k is the k-th row of the
+    ``rows`` come from one sparse echelon of the input vectors and its
+    back-substitution (:func:`_reduced`): row k is the k-th row of the
     reduced row-echelon basis times its pivot entry ``rows[k][pivots[k]]``,
     which is positive and makes the row primitive.
     """
@@ -237,13 +260,11 @@ class Subspace:
     def __init__(self, ambient_dim, vectors=()):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        rows = [_cleared(v)[1] for v in vectors]
-        if any(len(row) != ambient_dim for row in rows):
+        width, echelon = _echelon(vectors)
+        if width not in (None, ambient_dim):
             raise ValueError("vector length does not match ambient dimension")
-        reduced, pivots = _rref_rows(rows)
         self.ambient_dim = ambient_dim
-        self.rows = tuple(map(tuple, reduced))
-        self.pivots = tuple(pivots)
+        self.pivots, self.rows = _canonical(echelon, ambient_dim)
 
     @property
     def dim(self):
@@ -268,12 +289,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains(self, other):
-        """Subspace containment: no row of `other` survives integer
-        elimination against this basis."""
+        """Subspace containment: the echelon of this basis and the rows of
+        `other` together has this space's dimension."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        echelon = list(zip(self.pivots, self.rows))
-        return not any(_echelon_insert(echelon, row) for row in other.rows)
+        return len(_echelon(self.rows + other.rows)[1]) == self.dim
 
 
 def kernel(matrix, num_cols=None):
@@ -282,30 +302,12 @@ def kernel(matrix, num_cols=None):
     ``num_cols`` gives the width of an empty matrix; otherwise the width is
     that of the rows, which must all have the same length.
     """
-    rows = [_cleared(row)[1] for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
-    elif num_cols is not None:
+    width, echelon = _echelon(matrix)
+    if width is None:
+        if num_cols is None:
+            raise ValueError("column count required for an empty matrix")
         width = num_cols
-    else:
-        raise ValueError("column count required for an empty matrix")
-    reduced, pivots = _rref_rows(rows)
-    pivot_set = set(pivots)
-    # Row k reads row_k[p_k] * x[p_k] + (free columns) = 0.  Setting one free
-    # coordinate to the lcm of the pivot entries keeps the solution integral.
-    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
-    vectors = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        v = [0] * width
-        v[f] = scale
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f] * (scale // row[p])
-        vectors.append(v)
-    return Subspace(width, vectors)
+    return _kernel(echelon, width)
 
 
 def _canonical_coords(coords, ambient_dim):
@@ -322,8 +324,10 @@ def project_image(space, coords):
     Q^len(coords).
     """
     coords = _canonical_coords(coords, space.ambient_dim)
-    rows = [[row[c] for c in coords] for row in space.rows]
-    return Subspace(len(coords), rows)
+    echelon = {}
+    for row in space.rows:
+        _sparse_insert(echelon, {i: row[c] for i, c in enumerate(coords) if row[c]})
+    return _span(len(coords), echelon)
 
 
 def kernel_of_projection(space, coords):
@@ -331,26 +335,26 @@ def kernel_of_projection(space, coords):
 
     This is the kernel of :func:`project_image` onto `coords`; rank plus
     nullity always equals ``space.dim``.  The basis rows go into one echelon
-    with the `coords` columns taken first; the rows whose lead falls after
-    them vanish on `coords`, and there are exactly nullity many.
+    with the `coords` columns taken first, each other column c keyed
+    ``c + ambient_dim``.  The rows whose lowest key falls past the `coords`
+    vanish on them, and there are exactly nullity many.  Their lowest
+    columns are distinct, so they are an echelon in the plain columns.
     """
-    coords = _canonical_coords(coords, space.ambient_dim)
+    width = space.ambient_dim
+    coords = _canonical_coords(coords, width)
     if space.dim == 0 or not coords:
         return space
     taken = set(coords)
-    rest = [c for c in range(space.ambient_dim) if c not in taken]
-    order = coords + rest
-    echelon = []
+    key = [c if c in taken else c + width for c in range(width)]
+    echelon = {}
     for row in space.rows:
-        _echelon_insert(echelon, [row[c] for c in order])
-    vectors = []
-    for lead, row in echelon:
-        if lead >= len(coords):
-            v = [0] * space.ambient_dim
-            for c, x in zip(rest, row[len(coords) :]):
-                v[c] = x
-            vectors.append(v)
-    return Subspace(space.ambient_dim, vectors)
+        _sparse_insert(echelon, {key[c]: a for c, a in enumerate(row) if a})
+    vanishing = {
+        lead - width: (x, {c - width: a for c, a in rest.items()})
+        for lead, (x, rest) in echelon.items()
+        if lead >= width
+    }
+    return _span(width, vanishing)
 
 
 def embed(space, ambient_dim, coords):
@@ -360,13 +364,10 @@ def embed(space, ambient_dim, coords):
         raise ValueError("coordinate count does not match the subspace ambient")
     if coords and coords[-1] >= ambient_dim:
         raise IndexError("coordinate index out of range")
-    rows = []
+    echelon = {}
     for row in space.rows:
-        v = [0] * ambient_dim
-        for c, x in zip(coords, row):
-            v[c] = x
-        rows.append(v)
-    return Subspace(ambient_dim, rows)
+        _sparse_insert(echelon, {coords[i]: a for i, a in enumerate(row) if a})
+    return _span(ambient_dim, echelon)
 
 
 def _exact(value):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import eq, ge, gt, mul, or_, sub
 
 from .graphs import LevelStructure, bits, ordered_partitions
-from .linalg import _echelon_insert
+from .linalg import _sparse_insert
 from .residues import LevelGraph, residue_space
 
 __all__ = [
@@ -189,7 +189,7 @@ def projection_rank_table(space, ground, blocks):
     if len(flat) != len(set(flat)):
         raise ValueError("coordinate blocks overlap")
     dim = space.dim
-    columns = list(zip(*space.rows))
+    columns = [{k: x for k, x in enumerate(column) if x} for column in zip(*space.rows)]
     n = len(ground)
     values = [0] * (1 << n)
 
@@ -200,13 +200,14 @@ def projection_rank_table(space, ground, blocks):
             return
         values[mask] = len(echelon)
         for j in range(start, n):
-            child = list(echelon)
+            child = dict(echelon)
             for c in blocks[j]:
-                if _echelon_insert(child, columns[c]) and len(child) == dim:
+                # a copy: the echelon consumes the rows it is given
+                if _sparse_insert(child, dict(columns[c])) and len(child) == dim:
                     break
             walk(mask | 1 << j, j + 1, child)
 
-    walk(0, 0, [])
+    walk(0, 0, {})
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
         raise InvariantViolation("projection table violates its invariants")

@@ -39,12 +39,13 @@ every other arrow set.  The relatedness predicates walk the levels again,
 grouping the local and rosenlicht rows by level component and reusing a
 group for every component of V<=n whose level-n vertices form that one
 level component; the per-component blocks of the component report are
-built the same way, on first use.  Ranks come from a sparse integer
-echelon run on the masks themselves, each row pivoted at its lowest arrow;
-full-width 0/1 vectors are made from the masks only where a kernel needs
-them.  What a row belongs to is derived from its lowest arrow
-(:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
-where a report names the row.
+built the same way, on first use.  Ranks and kernels come from the one
+sparse integer echelon of :mod:`resipoly.linalg`, run on the masks
+themselves, each row pivoted at its lowest arrow: a rank is the echelon's
+size, and a kernel is read off its back-substitution.  No full-width row
+is made from a mask.  What a row belongs to is derived from its lowest
+arrow (:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`),
+only where a report names the row.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import bits, check_same_vertices
-from .linalg import _sparse_insert, kernel, support_checks
+from .linalg import _kernel, _sparse_insert, support_checks
 
 __all__ = [
     "FAMILIES",
@@ -110,21 +111,19 @@ class IdentityCheck(NamedTuple):
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
-def _dense(support, width):
-    return tuple([support >> c & 1 for c in range(width)])
+def _insert_masks(echelon, rows):
+    """Insert arrow-mask rows into a sparse integer echelon, each as the 0/1
+    row with entry 1 at the set bits of its mask; returns the echelon."""
+    for row in rows:
+        _sparse_insert(echelon, dict.fromkeys(bits(row), 1))
+    return echelon
 
 
 def _cumulative_ranks(groups):
     """Rank of the rows of the first k groups of arrow-mask rows, for each
-    k, by one sparse integer echelon of every row (each a 0/1 row, entry 1
-    at the set bits of its mask)."""
+    k, by one sparse integer echelon of every row."""
     echelon = {}
-    ranks = []
-    for rows in groups:
-        for row in rows:
-            _sparse_insert(echelon, dict.fromkeys(bits(row), 1))
-        ranks.append(len(echelon))
-    return ranks
+    return [len(_insert_masks(echelon, rows)) for rows in groups]
 
 
 class _Block(NamedTuple):
@@ -330,13 +329,11 @@ class LevelGraph:
         return tuple(blocks)
 
     def flag(self):
-        """Impose the four families cumulatively and keep every kernel."""
+        """Impose the four families cumulatively and keep every kernel, each
+        taken off one sparse echelon of the masks."""
         width = self.graph.num_arrows
-        stacked = []
-        spaces = {}
-        for family in FAMILIES:
-            stacked.extend(_dense(row, width) for row in self.rows[family])
-            spaces[family] = kernel(stacked, num_cols=width)
+        echelon = {}
+        spaces = {f: _kernel(_insert_masks(echelon, self.rows[f]), width) for f in FAMILIES}
         return ResidueFlag(self.counts, spaces)
 
     def flag_dims(self):
@@ -346,10 +343,10 @@ class LevelGraph:
         return self.counts, tuple(width - r for r in ranks)
 
     def residue_space(self):
-        """The subspace cut out by all four condition families."""
-        width = self.graph.num_arrows
-        rows = [_dense(row, width) for f in FAMILIES for row in self.rows[f]]
-        return kernel(rows, num_cols=width)
+        """The subspace cut out by all four condition families: the kernel
+        of one sparse echelon of the masks."""
+        rows = [row for f in FAMILIES for row in self.rows[f]]
+        return _kernel(_insert_masks({}, rows), self.graph.num_arrows)
 
     def component_report(self, dims):
         """Blockwise collections, cardinalities and codimensions, with totals

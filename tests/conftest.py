@@ -16,7 +16,7 @@ from resipoly.graphs import (
     load_level_graph,
     ordered_partitions,
 )
-from resipoly.linalg import SetTheoreticReport, Subspace, _echelon_insert, det, to_fraction
+from resipoly.linalg import SetTheoreticReport, Subspace, det, to_fraction
 from resipoly.polytopes import (
     BasePolytope,
     FaceReport,
@@ -306,8 +306,8 @@ def reference_is_nondecreasing(table):
 
 
 def reference_projection_rank_table(space, ground, blocks):
-    """One fresh row echelon per subset, of the basis rows sliced to the
-    subset's columns: the previous body of `projection_rank_table`."""
+    """The rank of the basis rows sliced to each subset's columns, by
+    `reference_rank`'s rational Gauss elimination, one subset at a time."""
     ground = tuple(ground)
     blocks = [tuple(b) for b in blocks]
     if len(blocks) != len(ground):
@@ -319,10 +319,7 @@ def reference_projection_rank_table(space, ground, blocks):
     values = []
     for mask in range((1 << len(ground))):
         cols = [c for i in range(len(ground)) if mask >> i & 1 for c in blocks[i]]
-        echelon = []
-        for row in basis:
-            _echelon_insert(echelon, [row[c] for c in cols])
-        values.append(len(echelon))
+        values.append(reference_rank([[row[c] for c in cols] for row in basis]))
     table = SetFunction(ground, values)
     if not (
         reference_is_submodular(table)

@@ -380,12 +380,14 @@ class TestInvariantViolations:
 
     def test_limit_dimension_guard_exits_1(self, tmp_path, capsys, monkeypatch):
         import resipoly.degeneration
-        from resipoly.linalg import Subspace
+        from resipoly.linalg import _span
 
-        # the limit is the first subspace the degeneration builds; drop its
-        # last row, and it loses a dimension
+        # the limit is the first subspace the degeneration spans off an
+        # echelon; drop the echelon's last row, and it loses a dimension
         monkeypatch.setattr(
-            resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
+            resipoly.degeneration,
+            "_span",
+            lambda width, echelon: _span(width, dict(list(echelon.items())[:-1])),
         )
         code, out, err = run_cli(capsys, *fig1_degenerate_argv(tmp_path))
         self.assert_exit_1(code, out, err)

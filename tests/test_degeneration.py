@@ -147,9 +147,12 @@ class TestInitialSpaceLimit:
     def test_dimension_guard(self, fig1, monkeypatch):
         # a limit that loses a row must not pass as the limit
         import resipoly.degeneration
+        from resipoly.linalg import _span
 
         monkeypatch.setattr(
-            resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
+            resipoly.degeneration,
+            "_span",
+            lambda width, echelon: _span(width, dict(list(echelon.items())[:-1])),
         )
         graph, levels, _ = fig1
         space = residue_space(graph, LevelStructure.trivial(graph.vertices))
@@ -328,14 +331,17 @@ class TestPluckerOracle:
     def test_decoded_dimension_guard(self, fig1, monkeypatch):
         """A decoded limit that loses a row must not pass as the limit.
 
-        Only a broken `Subspace` reaches this guard: row k of the decoded
-        basis holds the anchor minor, which is nonzero, at its own anchor
-        column and 0 at the other anchor columns, so the decoded rows always
-        have rank m."""
+        Only a broken span reaches this guard: row k of the decoded basis
+        holds the anchor minor, which is nonzero, at its own anchor column
+        and 0 at the other anchor columns, so the decoded rows always have
+        rank m."""
         import resipoly.degeneration
+        from resipoly.linalg import _span
 
         monkeypatch.setattr(
-            resipoly.degeneration, "Subspace", lambda width, rows: Subspace(width, rows[:-1])
+            resipoly.degeneration,
+            "_span",
+            lambda width, echelon: _span(width, dict(list(echelon.items())[:-1])),
         )
         graph, levels, _ = fig1
         space = residue_space(graph, LevelStructure.trivial(graph.vertices))
@@ -450,6 +456,21 @@ class TestCheckDegeneration:
         trivial = LevelStructure.trivial(graph.vertices)
         assert check_degeneration(graph, levels, trivial).ok
         assert len(calls) == 2
+
+    def test_one_set_of_residue_blocks(self, fig1, monkeypatch):
+        import resipoly.degeneration
+
+        calls = []
+
+        def counted(graph, levels):
+            calls.append(levels)
+            return residue_blocks(graph, levels)
+
+        monkeypatch.setattr(resipoly.degeneration, "residue_blocks", counted)
+        graph, levels, _ = fig1
+        trivial = LevelStructure.trivial(graph.vertices)
+        assert check_degeneration(graph, levels, trivial).ok
+        assert calls == [levels]
 
     def test_fig2_intermediate_coarsening(self, fig2):
         graph, levels, _ = fig2

@@ -21,6 +21,7 @@ from resipoly.randomized import random_sti_collection
 
 from conftest import (
     find_arrows,
+    random_subspace,
     rank_mod_p,
     reference_rank,
     reference_rref,
@@ -34,6 +35,26 @@ def random_matrix(rng, rows, cols, bound=4):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def reference_kernel_of_projection(basis, coords, ambient):
+    """RREF ``(rows, pivots)`` of the vectors of the span of `basis` that
+    vanish on `coords`, by rational Gauss-Jordan alone: each coordinate in
+    `coords` is one equation on the combination of the basis rows."""
+    m = len(basis)
+    equations = [[Fraction(row[c]) for row in basis] for c in coords]
+    reduced, pivots = reference_rref(equations, m)
+    vectors = []
+    for f in range(m):
+        if f in pivots:
+            continue
+        combination = [Fraction(int(k == f)) for k in range(m)]
+        for row, p in zip(reduced, pivots):
+            combination[p] = -row[f]
+        vectors.append(
+            [sum(x * row[j] for x, row in zip(combination, basis)) for j in range(ambient)]
+        )
+    return reference_rref(vectors, ambient)
 
 
 def rref_cases():
@@ -193,6 +214,24 @@ class TestSubspace:
             ker = kernel_of_projection(w, coords)
             assert image.dim + ker.dim == w.dim
             assert w.contains(ker)
+
+    def test_kernel_of_projection_matches_rational_route(self):
+        # the whole subspace, against the combinations of the basis rows that
+        # vanish on `coords`, solved and reduced by rational Gauss-Jordan
+        rng = random.Random(18)
+        proper = 0
+        for case in range(200):
+            ambient = rng.randint(2, 9)
+            w = random_subspace(rng, ambient, max_dim=6, entry_bound=1 + case % 3)
+            coords = rng.sample(range(ambient), rng.randint(0, ambient // 2 + 1))
+            expected_rows, expected_pivots = reference_kernel_of_projection(
+                w.rows, coords, ambient
+            )
+            ker = kernel_of_projection(w, coords)
+            assert ker.basis == tuple(tuple(row) for row in expected_rows)
+            assert ker.pivots == tuple(expected_pivots)
+            proper += 0 < ker.dim < w.dim
+        assert proper > 50  # most cases keep some rows and drop others
 
     def test_rows_are_scaled_rref_rows(self):
         for width, rows in rref_cases():

@@ -430,23 +430,33 @@ class TestFaceSweep:
             for pi in partitions
         }
         tables = {residue_projection_table(graph, pi).values for pi in partitions}
-        real_kernel = residues.kernel
+        real_residue_space = LevelGraph.residue_space
+        real_kernel = residues._kernel
         real_polytope = polytopes.base_polytope
         kernels = []
+        kernel_calls = []
         polytope_calls = []
 
-        def counting_kernel(rows, *args, **kwargs):
-            kernels.append(frozenset(sum(x << c for c, x in enumerate(row)) for row in rows))
-            return real_kernel(rows, *args, **kwargs)
+        # a kernel is taken off the echelon of a model's rows: record the
+        # row set at the model, and count the kernels taken
+        def counting_residue_space(model):
+            kernels.append(frozenset(itertools.chain.from_iterable(model.rows.values())))
+            return real_residue_space(model)
+
+        def counting_kernel(echelon, width):
+            kernel_calls.append(width)
+            return real_kernel(echelon, width)
 
         def counting_polytope(table):
             polytope_calls.append(table.values)
             return real_polytope(table)
 
-        monkeypatch.setattr(residues, "kernel", counting_kernel)
+        monkeypatch.setattr(LevelGraph, "residue_space", counting_residue_space)
+        monkeypatch.setattr(residues, "_kernel", counting_kernel)
         monkeypatch.setattr(polytopes, "base_polytope", counting_polytope)
         report = check_polytope_faces(graph)
         assert report.ok and report.partitions_checked == len(partitions) == 75
+        assert len(kernel_calls) == len(kernels)
         assert len(kernels) == len(set(kernels)) == len(row_sets) < len(partitions)
         assert set(kernels) == row_sets
         assert len(polytope_calls) == len(tables) + 1 < len(partitions)

@@ -332,8 +332,8 @@ CATALOGUE = (
     ),
     Mutant(
         DEG,
-        "if weights[j] == top:",
-        "if True:",
+        "if weights[order[k]] == top}",
+        "}",
         "initial_space_limit: leading form keeps every coordinate (weight filter dropped)",
         "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
     ),
@@ -389,7 +389,7 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "child = list(echelon)",
+        "child = dict(echelon)",
         "child = echelon",
         "projection_rank_table: children share their parent's echelon",
         "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
@@ -814,8 +814,8 @@ CATALOGUE = (
     ),
     Mutant(
         LIN,
-        "for row in other.rows)",
-        "for row in other.rows[:1])",
+        "self.rows + other.rows",
+        "self.rows + other.rows[:1]",
         "Subspace.contains: only the first basis row of the other space checked",
         "tests/test_linalg.py::TestSubspace::test_contains_matches_rank",
     ),
@@ -945,6 +945,49 @@ CATALOGUE = (
         " in verdict: their collections are empty, so only the call count shows it)",
         "tests/test_residues.py::TestMaskModelAgainstReference::"
         "test_one_relation_check_per_level_and_meeting_component",
+    ),
+    # -- back-substitution on the one sparse echelon, and what is read off it
+    Mutant(
+        LIN,
+        "if row[pivot] < 0:",
+        "if False:",
+        "_reduced: a row with a negative pivot entry left unflipped",
+        "tests/test_linalg.py::TestSubspace::test_rows_are_scaled_rref_rows",
+    ),
+    Mutant(
+        LIN,
+        "later = [c for c in rest if c in done]",
+        "later = [c for c in rest if c in done][1:]",
+        "_reduced: the first later pivot of a row left uncleared",
+        "tests/test_linalg.py::TestRref::test_matches_reference_rref",
+    ),
+    Mutant(
+        LIN,
+        "row = {k: a * p for k, a in row.items()}",
+        "row = dict(row)",
+        "_reduced: the row is not multiplied by the later pivot's entry",
+        "tests/test_linalg.py::TestRref::test_matches_reference_rref",
+    ),
+    Mutant(
+        LIN,
+        "g = gcd(*row.values()) if later else 1",
+        "g = 1",
+        "_reduced: a cleared row is not divided by its content",
+        "tests/test_linalg.py::TestSubspace::test_rows_are_scaled_rref_rows",
+    ),
+    Mutant(
+        LIN,
+        "vectors[c][pivot] = -a * m",
+        "vectors[c][pivot] = a * m",
+        "_kernel: the pivot coordinate of each kernel vector has the wrong sign",
+        "tests/test_linalg.py::TestKernel::test_kernel_vectors_annihilate",
+    ),
+    Mutant(
+        LIN,
+        "if lead >= width",
+        "if lead > width",
+        "kernel_of_projection: a vanishing row whose lowest column is 0 dropped",
+        "tests/test_linalg.py::TestSubspace::test_kernel_of_projection_matches_rational_route",
     ),
 )
 
