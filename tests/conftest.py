@@ -624,6 +624,22 @@ def arrow_tags(graph, classification):
     return tuple(tags[a] for a in range(graph.num_arrows))
 
 
+def reference_ordered_partitions(items):
+    """Every ordered partition of the list `items`, as a list of parts, in
+    the order :func:`ordered_partitions` yields them: the partitions of
+    ``items[:-1]`` first; for each, the last item joins each part in turn,
+    then stands alone at each place in turn."""
+    if not items:
+        yield []
+        return
+    rest, last = items[:-1], items[-1]
+    for smaller in reference_ordered_partitions(rest):
+        for i in range(len(smaller)):
+            yield smaller[:i] + [smaller[i] + [last]] + smaller[i + 1 :]
+        for i in range(len(smaller) + 1):
+            yield smaller[:i] + [[last]] + smaller[i:]
+
+
 def coarsened_levels(levels):
     """The level tuples of all coarsenings of an ordered partition (merges
     of consecutive parts), the structure itself and the trivial one

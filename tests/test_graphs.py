@@ -28,6 +28,7 @@ from conftest import (
     prefix,
     reference_adjacency,
     reference_classify_arrows,
+    reference_ordered_partitions,
     reverse,
     summit_names,
 )
@@ -450,6 +451,18 @@ class TestEnumeration:
             vertices = tuple(f"x{i}" for i in range(n))
             keys = [p.levels for p in ordered_partitions(vertices)]
             assert len(keys) == len(set(keys)) == fubini(n)
+
+    def test_order_matches_reference(self):
+        for n in range(1, 8):
+            vertices = tuple(f"x{i}" for i in range(n))
+            expected = []
+            for parts in reference_ordered_partitions(list(range(n))):
+                levels = [0] * n
+                for level, part in enumerate(parts, start=1):
+                    for i in part:
+                        levels[i] = level
+                expected.append(tuple(levels))
+            assert [p.levels for p in ordered_partitions(vertices)] == expected
 
     def test_bound_enforced(self):
         assert next(ordered_partitions(tuple(f"x{i}" for i in range(8)))).r == 1
