@@ -16,7 +16,6 @@ from .degeneration import (
     flag_and_realization,
     initial_space_limit,
     plucker_limit_oracle,
-    residue_blocks,
 )
 from .graphs import (
     Arrow,

@@ -1,12 +1,16 @@
 """One-parameter limits of subspaces under coordinate scaling.
 
-A weight d on the ground elements scales the coordinates of block v by
-t^(-d_v).  As t approaches 0 the scaled subspace converges in the
-Grassmannian; after normalizing, the blocks with the largest weight
-dominate.  The limit is computed three independent ways:
+A :class:`LaurentSubspace` pairs a subspace with one integer weight per
+coordinate; scaling coordinate j by t^(-w_j), as t approaches 0 the scaled
+subspace converges in the Grassmannian, and after normalizing the
+coordinates of largest weight dominate.  For a residue space degenerated
+toward a finer level structure, each arrow weighs the fine level of its
+tail.  The limit is computed three independent ways, all from that one
+weighting:
 
-* ``flag_and_realization`` -- kernels along the prefix flag of the induced
-  ordered partition, blockwise projections summed back up;
+* ``flag_and_realization`` -- kernels along the prefix flag of the weight
+  blocks (the coordinates of each distinct weight), each step's rows
+  restricted to its own block and summed back up;
 * ``initial_space_limit``  -- leading forms (the restriction of a vector to
   the highest-weight coordinates in its support) of one integer echelon of
   the basis rows, with the coordinates taken by weight descending;
@@ -22,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import bits, check_same_vertices, is_coarsening
-from .linalg import Subspace, _sparse_insert, _span, det, embed, kernel_of_projection, project_image
+from .graphs import check_same_vertices, is_coarsening
+from .linalg import Subspace, _sparse_insert, _span, det, kernel_of_projection
 from .polytopes import InvariantViolation, _check_table_bound, _tail_table, splitting
 from .residues import residue_space
 
@@ -34,7 +38,6 @@ __all__ = [
     "flag_and_realization",
     "initial_space_limit",
     "plucker_limit_oracle",
-    "residue_blocks",
 ]
 
 PLUCKER_MINOR_BOUND = 100_000
@@ -54,47 +57,45 @@ class LaurentSubspace:
 
     @classmethod
     def for_residues(cls, space, graph, levels):
-        """Each arrow coordinate weighs the level of its tail, the block of
-        :func:`residue_blocks` it lies in.  Any weights strictly increasing
-        with the level induce the same limit."""
+        """Each arrow coordinate weighs the level of its tail, so the
+        coordinates of one weight are the arrows leaving one level.  Any
+        weights strictly increasing with the level induce the same limit."""
         check_same_vertices(graph, levels)
         level, index = levels.levels, graph.index
         return cls(space, [level[index[arrow.tail]] for arrow in graph.arrows])
 
 
-def residue_blocks(graph, levels):
-    """Coordinate blocks of the arrow space by level: block n holds the
-    arrows whose tail has level n, in ascending order."""
-    check_same_vertices(graph, levels)
-    return {n: tuple(bits(graph.arrows_from(mask))) for n, mask in enumerate(levels.masks, 1)}
-
-
-def flag_and_realization(space, levels, coordinate_blocks):
+def flag_and_realization(laurent):
     """Prefix-flag kernels and the blockwise realization of a subspace.
 
-    ``coordinate_blocks[n]`` lists the coordinates of part n; together they
-    must partition the ambient coordinates.  Step n of the flag consists of
-    the vectors vanishing on all blocks above n; the realization is the sum
-    of the blockwise projections of the flag steps, re-embedded with zeros
-    outside their block.  Its dimension always equals the input dimension.
+    Block w holds the coordinates of weight w.  The flag has one step per
+    distinct weight, by ascending weight: step w consists of the vectors
+    vanishing on every block of larger weight.  It runs down from the whole
+    space, each step holding the vectors of the step above that vanish on
+    the block above.  The realization is the sum of the steps' rows, each
+    restricted to the step's own block, taken in one echelon; its dimension
+    always equals the input dimension.  Under residue weights a level that
+    no arrow leaves gets no step; :func:`check_degeneration` reads only the
+    realization, so none of its outputs depends on that.
     """
-    ambient = space.ambient_dim
-    blocks = {n: tuple(coordinate_blocks[n]) for n in range(1, levels.r + 1)}
-    flat = sorted(c for b in blocks.values() for c in b)
-    if flat != list(range(ambient)):
-        raise ValueError("coordinate blocks do not partition the ambient space")
-    flag = []
-    realization_rows = []
-    for n in range(1, levels.r + 1):
-        above = [c for m in range(n + 1, levels.r + 1) for c in blocks[m]]
-        step = kernel_of_projection(space, above)
+    space = laurent.space
+    weights = laurent.coordinate_weights
+    width = space.ambient_dim
+    blocks = {}
+    for c, w in enumerate(weights):
+        blocks.setdefault(w, []).append(c)
+    step, flag, echelon = space, [], {}
+    for w in sorted(blocks, reverse=True):
+        if flag:
+            step = kernel_of_projection(step, block)
+        block = blocks[w]
         flag.append(step)
-        image = project_image(step, blocks[n])
-        realization_rows.extend(embed(image, ambient, blocks[n]).rows)
-    realization = Subspace(ambient, realization_rows)
+        for row in step.rows:
+            _sparse_insert(echelon, {c: row[c] for c in block if row[c]})
+    realization = _span(width, echelon)
     if realization.dim != space.dim:
         raise InvariantViolation("realization changed the dimension")
-    return tuple(flag), realization
+    return tuple(reversed(flag)), realization
 
 
 def initial_space_limit(laurent):
@@ -219,7 +220,9 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     compare, exactly, against the fine residue space.
 
     Three equalities are checked: the leading-form limit, the flag
-    realization, and the submodular splitting of the projection table.  With
+    realization, and the submodular splitting of the projection table.  The
+    limit routes all read one :class:`LaurentSubspace`, the coarse space
+    weighted by the fine level of each arrow's tail.  With
     ``with_oracle`` the exterior-coordinate oracle re-derives the limit, and
     raises ValueError past its minor bound; without it ``oracle_matches`` is
     None and the report is not ``ok``.
@@ -233,7 +236,7 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
     laurent = LaurentSubspace.for_residues(coarse_space, graph, fine)
     limit = initial_space_limit(laurent)
 
-    _, realization = flag_and_realization(coarse_space, fine, residue_blocks(graph, fine))
+    _, realization = flag_and_realization(laurent)
 
     split = splitting(_tail_table(graph, coarse_space), fine)
     fine_table = _tail_table(graph, fine_space)

@@ -392,16 +392,20 @@ def is_coarsening(fine, coarse):
     return all(a <= b for a, b in zip(images, images[1:]))
 
 
-def _raw_ordered_partitions(items):
-    if not items:
-        yield []
+def _level_tuples(k):
+    """The level tuples of every ordered partition of ``range(k)``.  Those of
+    ``range(k - 1)`` come first; for each, with r levels, k - 1 joins level
+    n = 1..r in turn, then becomes a new level n = 1..r + 1, which moves
+    every level from n on up by one."""
+    if not k:
+        yield ()
         return
-    rest, last = items[:-1], items[-1]
-    for smaller in _raw_ordered_partitions(rest):
-        for i in range(len(smaller)):
-            yield smaller[:i] + [smaller[i] + [last]] + smaller[i + 1 :]
-        for i in range(len(smaller) + 1):
-            yield smaller[:i] + [[last]] + smaller[i:]
+    for smaller in _level_tuples(k - 1):
+        r = max(smaller, default=0)
+        for n in range(1, r + 1):
+            yield smaller + (n,)
+        for n in range(1, r + 2):
+            yield tuple(m + 1 if m >= n else m for m in smaller) + (n,)
 
 
 def ordered_partitions(vertices):
@@ -417,11 +421,7 @@ def ordered_partitions(vertices):
         )
     if len(set(vertices)) != len(vertices):
         raise GraphDocumentError("duplicate vertex name")
-    for parts in _raw_ordered_partitions(list(range(len(vertices)))):
-        levels = [0] * len(vertices)
-        for n, part in enumerate(parts, start=1):
-            for i in part:
-                levels[i] = n
+    for levels in _level_tuples(len(vertices)):
         yield LevelStructure(vertices, levels)
 
 

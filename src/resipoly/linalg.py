@@ -30,7 +30,6 @@ __all__ = [
     "VectorCollection",
     "SetTheoreticReport",
     "det",
-    "embed",
     "kernel",
     "kernel_of_projection",
     "project_image",
@@ -357,19 +356,6 @@ def kernel_of_projection(space, coords):
     return _span(width, vanishing)
 
 
-def embed(space, ambient_dim, coords):
-    """Place a subspace of Q^len(coords) into Q^ambient at the given coordinates."""
-    coords = sorted(set(coords))
-    if len(coords) != space.ambient_dim:
-        raise ValueError("coordinate count does not match the subspace ambient")
-    if coords and coords[-1] >= ambient_dim:
-        raise IndexError("coordinate index out of range")
-    echelon = {}
-    for row in space.rows:
-        _sparse_insert(echelon, {coords[i]: a for i, a in enumerate(row) if a})
-    return _span(ambient_dim, echelon)
-
-
 def _exact(value):
     """An exact entry as an int when it is integral, else as a Fraction;
     floats and booleans are rejected by :func:`to_fraction`."""
@@ -434,38 +420,26 @@ def _closed_components(sup1, sup2):
 
     Under set-theoretic independence a pair of subcollections covers the
     same coordinate set iff it is a union of closed components, so
-    relatedness reduces to a finite component scan.  Each component is
-    found by a coordinate-closure sweep: starting from one support, take in
-    every support meeting the covered coordinates until none is left.
+    relatedness reduces to a finite component scan.  The components come
+    out of one merge pass: each first-collection support starts a group
+    ``(union1, 0)``, and each second-collection support merges every group
+    whose ``union1`` it meets into one, adding itself to that group's
+    ``union2``.  It can meet no group's ``union2``, which is made of
+    second-collection supports disjoint from it.
     """
-    rest1, rest2 = list(sup1), list(sup2)
-    closed = []
-    while rest1 or rest2:
-        if rest1:
-            union1, union2 = rest1.pop(), 0
-        else:
-            union1, union2 = 0, rest2.pop()
-        grown = True
-        while grown:
-            cover = union1 | union2
-            grown = False
-            keep1 = []
-            for s in rest1:
-                if s & cover:
-                    union1 |= s
-                    grown = True
-                else:
-                    keep1.append(s)
-            keep2 = []
-            for s in rest2:
-                if s & cover:
-                    union2 |= s
-                    grown = True
-                else:
-                    keep2.append(s)
-            rest1, rest2 = keep1, keep2
-        closed.append(union1 == union2)
-    return closed
+    groups = [(s, 0) for s in sup1]
+    for t in sup2:
+        union1, union2 = 0, t
+        apart = []
+        for group in groups:
+            if group[0] & t:
+                union1 |= group[0]
+                union2 |= group[1]
+            else:
+                apart.append(group)
+        apart.append((union1, union2))
+        groups = apart
+    return [union1 == union2 for union1, union2 in groups]
 
 
 def _mask(support):

@@ -366,12 +366,11 @@ class TestInvariantViolations:
 
     def test_degeneration_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
         import resipoly.degeneration
-        from resipoly.linalg import Subspace
 
-        # every blockwise image re-embeds as zero, so the realization loses
-        # dimension
+        # the flag never descends: every step is the whole space, whose rows
+        # restricted to the lower block add to the realization's dimension
         monkeypatch.setattr(
-            resipoly.degeneration, "embed", lambda space, ambient, coords: Subspace(ambient)
+            resipoly.degeneration, "kernel_of_projection", lambda space, coords: space
         )
         code, out, err = run_cli(capsys, *fig1_degenerate_argv(tmp_path))
         self.assert_exit_1(code, out, err)

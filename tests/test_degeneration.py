@@ -13,10 +13,9 @@ from resipoly.degeneration import (
     flag_and_realization,
     initial_space_limit,
     plucker_limit_oracle,
-    residue_blocks,
 )
 from resipoly.graphs import LevelStructure, load_level_graph
-from resipoly.linalg import Subspace, det
+from resipoly.linalg import Subspace, det, kernel_of_projection
 from resipoly.polytopes import (
     InvariantViolation,
     projection_rank_table,
@@ -89,30 +88,22 @@ class TestLaurentSubspace:
 class TestFlagAndRealization:
     def test_trivial_partition_identity(self):
         w = Subspace(3, [[1, 2, 3], [0, 1, 1]])
-        levels = LevelStructure(("a",), (1,))
-        flag, realization = flag_and_realization(w, levels, {1: (0, 1, 2)})
+        flag, realization = flag_and_realization(laurent_for(w, (1, 1, 1)))
         assert flag == (w,)
         assert realization == w
 
     def test_two_block_example(self):
         w = Subspace(2, [[1, 1]])
-        levels = LevelStructure(("a", "b"), (1, 2))
-        flag, realization = flag_and_realization(w, levels, {1: (0,), 2: (1,)})
+        flag, realization = flag_and_realization(laurent_for(w, (1, 2)))
         assert flag[0].dim == 0
         assert realization == Subspace(2, [[0, 1]])
-
-    def test_blocks_must_partition(self):
-        w = Subspace(2, [[1, 1]])
-        levels = LevelStructure(("a", "b"), (1, 2))
-        with pytest.raises(ValueError):
-            flag_and_realization(w, levels, {1: (0,), 2: (0,)})
 
     def test_k4_realization_equals_level_residues(self, k4):
         graph, trivial, _ = k4
         pi = LevelStructure.from_parts(graph.vertices, [["v1"], ["v2", "v3", "v4"]])
         cycle_space = residue_space(graph, trivial)
         _, realization = flag_and_realization(
-            cycle_space, pi, residue_blocks(graph, pi)
+            LaurentSubspace.for_residues(cycle_space, graph, pi)
         )
         assert realization == residue_space(graph, pi)
 
@@ -121,11 +112,39 @@ class TestFlagAndRealization:
         for _ in range(20):
             graph = random_multigraph(rng, max_vertices=4, max_edges=6)
             fine = random_level_structure(rng, graph)
-            blocks = residue_blocks(graph, fine)
             space = residue_space(graph, LevelStructure.trivial(graph.vertices))
-            _, once = flag_and_realization(space, fine, blocks)
-            _, twice = flag_and_realization(once, fine, blocks)
+            laurent = LaurentSubspace.for_residues(space, graph, fine)
+            _, once = flag_and_realization(laurent)
+            _, twice = flag_and_realization(LaurentSubspace(once, laurent.coordinate_weights))
             assert once == twice
+
+    def test_flag_steps_match_kernels_of_the_whole_space(self):
+        # weights tied, gapped or negative: each flag step, by ascending
+        # weight, is the kernel of the whole space's projection onto the
+        # coordinates of larger weight, and any strictly increasing change
+        # of the weights leaves the realization as it is
+        rng = random.Random(60)
+        tied = gapped = negative = 0
+        for _ in range(200):
+            ambient = rng.randint(1, 8)
+            w = random_subspace(rng, ambient)
+            values = sorted(rng.sample(range(-6, 7), rng.randint(1, 4)))
+            weights = tuple(rng.choice(values) for _ in range(ambient))
+            distinct = sorted(set(weights))
+            tied += len(distinct) < ambient
+            gapped += any(b - a > 1 for a, b in zip(distinct, distinct[1:]))
+            negative += distinct[0] < 0
+            flag, realization = flag_and_realization(laurent_for(w, weights))
+            assert len(flag) == len(distinct)
+            for step, top in zip(flag, distinct):
+                above = [c for c in range(ambient) if weights[c] > top]
+                assert step == kernel_of_projection(w, above)
+            assert flag[-1] == w
+            assert realization.dim == w.dim
+            for rise in (lambda x: 3 * x + 1, lambda x: x**3 - 40, lambda x: 2 ** (x + 6)):
+                _, again = flag_and_realization(laurent_for(w, [rise(x) for x in weights]))
+                assert again == realization
+        assert min(tied, gapped, negative) > 50
 
 
 class TestInitialSpaceLimit:
@@ -189,25 +208,18 @@ class TestInitialSpaceLimit:
                 assert initial_space_limit(laurent) == residue_space(graph, fine)
 
     def test_limit_equals_realization_on_arbitrary_subspaces(self):
-        # whenever the coordinate blocks follow the weight level sets, the
-        # leading-form limit and the flag realization agree
+        # the leading-form limit and the flag realization of one weighting
+        # agree
         rng = random.Random(57)
         for _ in range(40):
             parts = rng.randint(1, 4)
             sizes = [rng.randint(1, 3) for _ in range(parts)]
             ambient = sum(sizes)
             w = random_subspace(rng, ambient)
-            block_map = {}
-            weights = []
-            start = 0
-            for n, size in enumerate(sizes, start=1):
-                block_map[n] = tuple(range(start, start + size))
-                weights.extend([n] * size)
-                start += size
-            names = tuple(f"p{n}" for n in range(1, parts + 1))
-            levels = LevelStructure(names, tuple(range(1, parts + 1)))
-            _, realization = flag_and_realization(w, levels, block_map)
-            limit = initial_space_limit(LaurentSubspace(w, weights))
+            weights = [n for n, size in enumerate(sizes, start=1) for _ in range(size)]
+            laurent = LaurentSubspace(w, weights)
+            _, realization = flag_and_realization(laurent)
+            limit = initial_space_limit(laurent)
             assert limit == realization
 
     def test_matches_reference(self):
@@ -407,10 +419,11 @@ class TestRealizationTables:
                 part_lists.append(shuffled[begin:cut])
                 begin = cut
             levels = LevelStructure.from_parts(ground, part_lists)
-            block_map = {n: [] for n in range(1, levels.r + 1)}
+            weights = [0] * ambient
             for i, n in enumerate(levels.levels):
-                block_map[n].extend(blocks[i])
-            _, realization = flag_and_realization(w, levels, block_map)
+                for c in blocks[i]:
+                    weights[c] = n
+            _, realization = flag_and_realization(laurent_for(w, weights))
             table = projection_rank_table(w, ground, blocks)
             realized_table = projection_rank_table(realization, ground, blocks)
             assert splitting(table, levels) == realized_table
@@ -458,15 +471,15 @@ class TestCheckDegeneration:
         assert len(calls) == 2
 
     def test_one_set_of_residue_blocks(self, fig1, monkeypatch):
-        import resipoly.degeneration
-
+        # one weighting, built once, serves all three limit routes
         calls = []
+        original = LaurentSubspace.for_residues.__func__
 
-        def counted(graph, levels):
+        def counted(cls, space, graph, levels):
             calls.append(levels)
-            return residue_blocks(graph, levels)
+            return original(cls, space, graph, levels)
 
-        monkeypatch.setattr(resipoly.degeneration, "residue_blocks", counted)
+        monkeypatch.setattr(LaurentSubspace, "for_residues", classmethod(counted))
         graph, levels, _ = fig1
         trivial = LevelStructure.trivial(graph.vertices)
         assert check_degeneration(graph, levels, trivial).ok
@@ -509,7 +522,7 @@ class TestFaultInjection:
         "target,wrong,failed",
         [
             ("initial_space_limit", lambda laurent: laurent.space, {"limit", "oracle"}),
-            ("flag_and_realization", lambda space, levels, blocks: ((), space), {"realization"}),
+            ("flag_and_realization", lambda laurent: ((), laurent.space), {"realization"}),
             ("splitting", lambda table, levels: table, {"splitting"}),
             ("plucker_limit_oracle", lambda laurent: laurent.space, {"oracle"}),
         ],

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from resipoly.degeneration import residue_blocks
+from resipoly.degeneration import LaurentSubspace
 from resipoly.graphs import (
     GraphDocumentError,
     LevelStructure,
@@ -15,6 +15,7 @@ from resipoly.graphs import (
     load_level_graph,
     ordered_partitions,
 )
+from resipoly.linalg import Subspace
 from resipoly.randomized import random_level_structure, random_multigraph
 from resipoly.residues import LevelGraph
 
@@ -353,7 +354,7 @@ class TestVertexMasks:
         with pytest.raises(GraphDocumentError):
             components_below(graph, reordered, 1)
         with pytest.raises(GraphDocumentError):
-            residue_blocks(graph, reordered)
+            LaurentSubspace.for_residues(Subspace(graph.num_arrows), graph, reordered)
 
 
 class TestSummits:

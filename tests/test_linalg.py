@@ -9,7 +9,6 @@ from resipoly.linalg import (
     Subspace,
     VectorCollection,
     det,
-    embed,
     kernel,
     kernel_of_projection,
     project_image,
@@ -265,13 +264,6 @@ class TestSubspace:
             assert a.contains(b) == expected
             held += expected
         assert 40 < held < 160  # both verdicts occur often
-
-    def test_embed_round_trip(self):
-        w = Subspace(2, [[1, 2]])
-        placed = embed(w, 5, (1, 3))
-        assert placed.ambient_dim == 5
-        assert project_image(placed, (1, 3)) == w
-        assert project_image(placed, (0, 2, 4)).dim == 0
 
 
 class TestDet:

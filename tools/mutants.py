@@ -792,8 +792,8 @@ CATALOGUE = (
     ),
     Mutant(
         LIN,
-        "closed.append(union1 == union2)",
-        "closed.append(bool(union1 and union2))",
+        "return [union1 == union2 for union1, union2 in groups]",
+        "return [bool(union1 and union2) for union1, union2 in groups]",
         "_closed_components: a component meeting both collections counts as closed",
         "tests/test_linalg.py::TestSetTheoreticChecks::test_matches_brute_force_on_random_collections",
     ),
@@ -988,6 +988,44 @@ CATALOGUE = (
         "if lead > width",
         "kernel_of_projection: a vanishing row whose lowest column is 0 dropped",
         "tests/test_linalg.py::TestSubspace::test_kernel_of_projection_matches_rational_route",
+    ),
+    # -- the flag realization walked from one weighting
+    Mutant(
+        DEG,
+        "step = kernel_of_projection(step, block)",
+        "step = step",
+        "flag_and_realization: the descending kernel step skipped, every step the whole space",
+        "tests/test_degeneration.py::TestFlagAndRealization::"
+        "test_flag_steps_match_kernels_of_the_whole_space",
+    ),
+    Mutant(
+        DEG,
+        "{c: row[c] for c in block if row[c]}",
+        "{c: a for c, a in enumerate(row) if a}",
+        "flag_and_realization: a step's row restricted to every coordinate, not to its block",
+        "tests/test_degeneration.py::TestFlagAndRealization::test_two_block_example",
+    ),
+    Mutant(
+        DEG,
+        "for w in sorted(blocks, reverse=True):",
+        "for w in sorted(blocks):",
+        "flag_and_realization: the weights walked ascending",
+        "tests/test_degeneration.py::TestFlagAndRealization::"
+        "test_flag_steps_match_kernels_of_the_whole_space",
+    ),
+    Mutant(
+        GRAPHS,
+        "m + 1 if m >= n else m",
+        "m + 1 if m > n else m",
+        "_level_tuples: a new level n leaves the old level n where it was",
+        "tests/test_graphs.py::TestEnumeration::test_order_matches_reference",
+    ),
+    Mutant(
+        LIN,
+        "                union2 |= group[1]\n",
+        "",
+        "_closed_components: a merged group drops its earlier second-collection supports",
+        "tests/test_linalg.py::TestSetTheoreticChecks::test_matches_brute_force_on_random_collections",
     ),
 )
 
