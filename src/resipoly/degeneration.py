@@ -1,8 +1,8 @@
 """One-parameter limits of subspaces under coordinate scaling.
 
 A :class:`LaurentSubspace` pairs a subspace with one integer weight per
-coordinate; scaling coordinate j by t^(-w_j), as t approaches 0 the scaled
-subspace converges in the Grassmannian, and after normalizing the
+coordinate, and coordinate j is scaled by t^(-w_j).  As t approaches 0 the
+scaled subspace converges in the Grassmannian; after normalizing, the
 coordinates of largest weight dominate.  For a residue space degenerated
 toward a finer level structure, each arrow weighs the fine level of its
 tail.  The limit is computed three independent ways, all from that one
