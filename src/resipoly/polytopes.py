@@ -41,7 +41,7 @@ from operator import eq, ge, gt, mul, or_, sub
 
 from .graphs import LevelStructure, bits, ordered_partitions
 from .linalg import _sparse_insert
-from .residues import LevelGraph, residue_space
+from .residues import _row_kernel, level_rows, residue_space
 
 __all__ = [
     "BasePolytope",
@@ -408,25 +408,41 @@ def _located(points, vertex_bit):
     return None
 
 
-def _sweep_table(graph, levels, tables):
+def _sweep_rows(graph, levels, level_sets):
+    """The set of condition rows of (graph, levels): the union of
+    `level_rows` over its levels, each read from ``level_sets``, which maps
+    every (level mask, prefix mask) pair met so far to its row set."""
+    sets = []
+    prefix = 0
+    for mask in levels.masks:
+        key = mask, prefix
+        rows = level_sets.get(key)
+        if rows is None:
+            rows = level_sets[key] = level_rows(graph, mask, prefix)
+        sets.append(rows)
+        prefix |= mask
+    return frozenset().union(*sets)
+
+
+def _sweep_table(graph, levels, level_sets, tables):
     """The tail table of the residue space of (graph, levels), built once per
     distinct set of condition rows: ``tables`` maps each set met so far to
     its table.  The residue space is the kernel of the rows, whatever their
-    family or order, so one set always gives the same table."""
-    model = LevelGraph(graph, levels)
-    rows = frozenset(itertools.chain.from_iterable(model.rows.values()))
+    family or order, so one set always gives the same table.  The set comes
+    from `_sweep_rows`, so no `LevelGraph` is built."""
+    rows = _sweep_rows(graph, levels, level_sets)
     table = tables.get(rows)
     if table is None:
-        table = tables[rows] = _tail_table(graph, model.residue_space())
+        table = tables[rows] = _tail_table(graph, _row_kernel(rows, graph.num_arrows))
     return table
 
 
-def _table_and_face(graph, levels, tables, faces, vertex_bit):
+def _table_and_face(graph, levels, level_sets, tables, faces, vertex_bit):
     """A partition's tail table and its face: the vertices of the table's
     base polytope located by `_located` in ``vertex_bit``.  ``faces`` maps the
     values of each table met so far to its face, so the polytope is built
     and located once per distinct table."""
-    table = _sweep_table(graph, levels, tables)
+    table = _sweep_table(graph, levels, level_sets, tables)
     key = table.values
     if key not in faces:
         faces[key] = _located(base_polytope(table).vertices, vertex_bit)
@@ -437,15 +453,18 @@ def check_polytope_faces(graph):
     """Sweep every ordered partition and match its polytope against the faces
     of the one-level polytope.
 
-    One residue space is built per distinct set of condition rows, one base
-    polytope per distinct table (the one-level polytope once more, as the
-    reference), and each memo lives for one call; every check below still
-    runs per partition.  One chain face is computed per partition.  The
-    ``upper`` face of a partition is its own chain face, the ``lower`` one
-    (tightness against the adjoint) that of the reversed partition, level n
-    going to r + 1 - n.  Each partition is checked against its lower face
-    alone: its table is the splitting of the one-level table along it, whose
-    polytope is that face (see the module notes).  Checks:
+    A partition's set of condition rows is the union of its levels' sets,
+    and `level_rows` builds each (level mask, prefix mask) pair's set once;
+    no `LevelGraph` is built.  One residue space is built per distinct set
+    of condition rows, one base polytope per distinct table (the one-level
+    polytope once more, as the reference), and each of the three memos
+    lives for one call; every check below still runs per partition.  One
+    chain face is computed per partition.  The ``upper`` face of a partition
+    is its own chain face, the ``lower`` one (tightness against the adjoint)
+    that of the reversed partition, level n going to r + 1 - n.  Each
+    partition is checked against its lower face alone: its table is the
+    splitting of the one-level table along it, whose polytope is that face
+    (see the module notes).  Checks:
     (a) each partition's vertex set sits inside the one-level vertex set;
     (b) it equals the lower chain face of the one-level polytope at its
         partition;
@@ -461,15 +480,16 @@ def check_polytope_faces(graph):
         raise ValueError(
             f"{len(graph.vertices)} vertices exceed the face-sweep bound {FACE_SWEEP_BOUND}"
         )
+    level_sets = {}  # (level mask, prefix mask) -> the level's condition rows
     tables = {}  # condition-row set -> tail table of its residue space
     faces = {}  # table values -> face of its polytope, or None
     trivial = LevelStructure.trivial(graph.vertices)
-    reference = base_polytope(_sweep_table(graph, trivial, tables))
+    reference = base_polytope(_sweep_table(graph, trivial, level_sets, tables))
     vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table, face = _table_and_face(graph, pi, tables, faces, vertex_bit)
+        table, face = _table_and_face(graph, pi, level_sets, tables, faces, vertex_bit)
         entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
 
     failures = []

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -361,8 +362,8 @@ class TestFaceSweep:
 
         real_step = polytopes._table_and_face
 
-        def reading_step(g, levels, tables, faces, vertex_bit):
-            table, face = real_step(g, levels, tables, faces, vertex_bit)
+        def reading_step(g, levels, *memos):
+            table, face = real_step(g, levels, *memos)
             values = Read(table.values)
             values.levels = levels.levels
             read = SetFunction(table.ground, table.values)
@@ -422,6 +423,27 @@ class TestFaceSweep:
             verdicts.add(all_pairs_ok)
         assert verdicts == {True, False}
 
+    def test_level_row_sets_match_the_model(self, fig1, k4, c3, loop1):
+        # the sweep's key, one `level_rows` set per (level mask, prefix mask)
+        # read through one memo per graph, against the rows of each
+        # partition's `LevelGraph`: a level set that read anything besides
+        # its two masks would be stale for a later partition sharing them
+        rng = random.Random(48)
+        graphs = [fix[0] for fix in (fig1, k4, c3, loop1)] + [
+            random_multigraph(rng, max_vertices=5, max_edges=8) for _ in range(40)
+        ]
+        assert sum(len(g.vertices) == 5 for g in graphs) >= 5
+        for graph in graphs:
+            level_sets = {}
+            for pi in ordered_partitions(graph.vertices):
+                rows = frozenset(itertools.chain.from_iterable(LevelGraph(graph, pi).rows.values()))
+                assert polytopes._sweep_rows(graph, pi, level_sets) == rows, pi
+                # each level owns exactly the rows on the arrows out of it
+                prefixes = itertools.accumulate(pi.masks, operator.or_, initial=0)
+                for mask, prefix in zip(pi.masks, prefixes):
+                    out = graph.arrows_from(mask)
+                    assert level_sets[mask, prefix] == {row for row in rows if row & out}, pi
+
     def test_one_kernel_per_row_set_one_polytope_per_table(self, k4, monkeypatch):
         graph = k4[0]
         partitions = list(ordered_partitions(graph.vertices))
@@ -429,30 +451,42 @@ class TestFaceSweep:
             frozenset(itertools.chain.from_iterable(LevelGraph(graph, pi).rows.values()))
             for pi in partitions
         }
+        level_pairs = {
+            pair
+            for pi in partitions
+            for pair in zip(pi.masks, itertools.accumulate(pi.masks, operator.or_, initial=0))
+        }
         tables = {residue_projection_table(graph, pi).values for pi in partitions}
-        real_residue_space = LevelGraph.residue_space
+        real_row_kernel = polytopes._row_kernel
         real_kernel = residues._kernel
+        real_level_rows = polytopes.level_rows
         real_polytope = polytopes.base_polytope
         kernels = []
         kernel_calls = []
+        level_calls = []
         polytope_calls = []
 
-        # a kernel is taken off the echelon of a model's rows: record the
-        # row set at the model, and count the kernels taken
-        def counting_residue_space(model):
-            kernels.append(frozenset(itertools.chain.from_iterable(model.rows.values())))
-            return real_residue_space(model)
+        # the sweep takes a kernel through the shared row-set helper: record
+        # the row set there, and count the kernels taken
+        def counting_row_kernel(rows, width):
+            kernels.append(frozenset(rows))
+            return real_row_kernel(rows, width)
 
         def counting_kernel(echelon, width):
             kernel_calls.append(width)
             return real_kernel(echelon, width)
 
+        def counting_level_rows(g, mask, prefix):
+            level_calls.append((mask, prefix))
+            return real_level_rows(g, mask, prefix)
+
         def counting_polytope(table):
             polytope_calls.append(table.values)
             return real_polytope(table)
 
-        monkeypatch.setattr(LevelGraph, "residue_space", counting_residue_space)
+        monkeypatch.setattr(polytopes, "_row_kernel", counting_row_kernel)
         monkeypatch.setattr(residues, "_kernel", counting_kernel)
+        monkeypatch.setattr(polytopes, "level_rows", counting_level_rows)
         monkeypatch.setattr(polytopes, "base_polytope", counting_polytope)
         report = check_polytope_faces(graph)
         assert report.ok and report.partitions_checked == len(partitions) == 75
@@ -461,6 +495,14 @@ class TestFaceSweep:
         assert set(kernels) == row_sets
         assert len(polytope_calls) == len(tables) + 1 < len(partitions)
         assert set(polytope_calls) == tables
+        # one rows-only step per (level mask, prefix mask) pair, for one call:
+        # a second sweep of the same graph object takes every step again
+        assert len(level_calls) == len(set(level_calls)) == len(level_pairs)
+        assert set(level_calls) == level_pairs
+        assert len(level_pairs) < sum(pi.r for pi in partitions)
+        assert check_polytope_faces(graph).ok
+        assert len(level_calls) == 2 * len(level_pairs)
+        assert set(level_calls[len(level_pairs) :]) == level_pairs
 
     def test_six_vertex_sweep(self, tmp_path, capsys):
         # the first 6-vertex graph with at least 7 edges of seed 7: 4,683
@@ -753,8 +795,8 @@ def misreport_partition(monkeypatch, graph, parts, table=None, vertices=None):
     target = LevelStructure.from_parts(graph.vertices, parts)
     real_step = polytopes._table_and_face
 
-    def wrong_step(g, levels, tables, faces, vertex_bit):
-        true, face = real_step(g, levels, tables, faces, vertex_bit)
+    def wrong_step(g, levels, level_sets, tables, faces, vertex_bit):
+        true, face = real_step(g, levels, level_sets, tables, faces, vertex_bit)
         if levels.levels != target.levels:
             return true, face
         if vertices:
@@ -925,8 +967,8 @@ class TestFaultInjection:
         reference = base_polytope(residue_projection_table(graph, trivial))
         real_step = polytopes._table_and_face
 
-        def upper_step(g, levels, tables, faces, vertex_bit):
-            table, _ = real_step(g, levels, tables, faces, vertex_bit)
+        def upper_step(g, levels, *memos):
+            table, _ = real_step(g, levels, *memos)
             return table, chain_face(reference, levels)
 
         monkeypatch.setattr(polytopes, "_table_and_face", upper_step)

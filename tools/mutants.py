@@ -822,9 +822,11 @@ CATALOGUE = (
     # -- the face sweep's memo keys
     Mutant(
         POLY,
-        "rows = frozenset(itertools.chain.from_iterable(model.rows.values()))",
-        'rows = frozenset(model.rows["local"])',
-        "_sweep_table: tables memoised by the local rows alone",
+        "    table = tables.get(rows)\n    if table is None:\n        table = tables[rows] =",
+        "    key = frozenset(row for row in rows if row & (row - 1))\n"
+        "    table = tables.get(key)\n    if table is None:\n        table = tables[key] =",
+        "_sweep_table: tables memoised by the rows of two or more arrows alone, the downward"
+        " unit rows left out of the key",
         "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
     ),
     Mutant(
@@ -1026,6 +1028,35 @@ CATALOGUE = (
         "",
         "_closed_components: a merged group drops its earlier second-collection supports",
         "tests/test_linalg.py::TestSetTheoreticChecks::test_matches_brute_force_on_random_collections",
+    ),
+    # -- the face sweep's rows-only key, one level at a time
+    Mutant(
+        RES,
+        "row = out_arrows[i] & into_upto",
+        "row = out_arrows[i] & arrows_into(prefix)",
+        "level_rows: local rows read against V<n, not V<=n",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
+    ),
+    Mutant(
+        RES,
+        "for c in graph.mask_components(prefix) if c & reach]",
+        "for c in graph.mask_components(prefix | mask) if c & reach]",
+        "level_rows: global rows over the components of V<=n, not V<n",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
+    ),
+    Mutant(
+        POLY,
+        "key = mask, prefix",
+        "key = mask, 0",
+        "_sweep_rows: level row sets memoised by the level mask alone",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
+    ),
+    Mutant(
+        RES,
+        "rows = [1 << a for a in bits(out & ~into_upto)]",
+        "rows = [1 << a for a in bits(out & ~arrows_into(prefix))]",
+        "level_rows: downward rows read against V<n, not V<=n",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
     ),
 )
 
