@@ -22,6 +22,7 @@ matters.  With the drawing convention that level 1 sits on top, an arrow is
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 __all__ = [
@@ -91,13 +92,19 @@ def _flood(neighbours, mask):
     return tuple(components)
 
 
-def _tabled(table, fill, per_vertex, mask):
-    """``fill(per_vertex, mask)``, computed on the first call for `mask` and
-    read from `table` after it."""
-    value = table.get(mask)
-    if value is None:
-        value = table[mask] = fill(per_vertex, mask)
-    return value
+class Memo(dict):
+    """A dict that fills each missing key with ``fill(key)`` on its first
+    lookup and keeps the value: ``fill`` runs once per distinct key."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        # the dict starts empty, so dict.__init__ has nothing to do
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class Multigraph:
@@ -112,8 +119,16 @@ class Multigraph:
     |E| - |V| + components) are computed on construction.
 
     A graph is never changed after construction, so what a vertex mask
-    determines (its components, neighbours and arrows out and in) is
-    computed once per mask and kept in a per-graph table keyed by the mask.
+    determines is computed once per mask and kept in a per-graph
+    :class:`Memo` keyed by the mask.  Each of these four is the lookup of
+    its memo, called with a vertex mask:
+
+    * ``neighbour_mask`` -- the vertices adjacent to some vertex of it;
+    * ``arrows_from`` -- the arrows with tail in it, as an arrow mask;
+    * ``arrows_into`` -- the arrows with head in it, as an arrow mask;
+    * ``mask_components`` -- the connected components of the subgraph
+      induced on it, as a tuple of vertex masks ordered by their lowest
+      vertex.
     """
 
     __slots__ = (
@@ -126,10 +141,10 @@ class Multigraph:
         "in_arrows",
         "component_count",
         "genus",
-        "_components",
-        "_reach",
-        "_out",
-        "_in",
+        "neighbour_mask",
+        "arrows_from",
+        "arrows_into",
+        "mask_components",
     )
 
     def __init__(self, vertices, edges):
@@ -175,10 +190,10 @@ class Multigraph:
         self.neighbours = tuple(neighbours)
         self.out_arrows = tuple(out_arrows)
         self.in_arrows = tuple(in_arrows)
-        self._components = {}
-        self._reach = {}
-        self._out = {}
-        self._in = {}
+        self.neighbour_mask = Memo(partial(_union, self.neighbours)).__getitem__
+        self.arrows_from = Memo(partial(_union, self.out_arrows)).__getitem__
+        self.arrows_into = Memo(partial(_union, self.in_arrows)).__getitem__
+        self.mask_components = Memo(partial(_flood, self.neighbours)).__getitem__
         self.component_count = len(self.mask_components((1 << len(vertices)) - 1))
         self.genus = len(self.edges) - len(vertices) + self.component_count
 
@@ -197,23 +212,6 @@ class Multigraph:
         """The vertices of a vertex bitmask, in input order."""
         return tuple(self.vertices[i] for i in bits(mask))
 
-    def neighbour_mask(self, mask):
-        """The vertices adjacent to some vertex of `mask`."""
-        return _tabled(self._reach, _union, self.neighbours, mask)
-
-    def arrows_from(self, mask):
-        """The arrows with tail in the vertex mask, as an arrow mask."""
-        return _tabled(self._out, _union, self.out_arrows, mask)
-
-    def arrows_into(self, mask):
-        """The arrows with head in the vertex mask, as an arrow mask."""
-        return _tabled(self._in, _union, self.in_arrows, mask)
-
-    def mask_components(self, mask):
-        """Connected components of the subgraph induced on a vertex bitmask,
-        as a tuple of bitmasks ordered by their lowest vertex."""
-        return _tabled(self._components, _flood, self.neighbours, mask)
-
     def genus_of(self, mask):
         """First Betti number of the subgraph induced on a vertex bitmask.
 
@@ -229,12 +227,12 @@ class LevelStructure:
 
     ``masks[n-1]`` is the vertex mask of level n, bit i standing for
     ``vertices[i]``; every layer reads the levels, and their prefixes, from
-    it.  ``parts[n-1]`` names the same vertices, in input order, for
+    it.  :attr:`parts` names the same vertices, in input order, for
     reports.  The trivial structure has r = 1 with a single part covering
     everything.
     """
 
-    __slots__ = ("vertices", "levels", "r", "parts", "masks")
+    __slots__ = ("vertices", "levels", "r", "masks")
 
     def __init__(self, vertices, levels):
         vertices = tuple(vertices)
@@ -243,19 +241,23 @@ class LevelStructure:
             raise GraphDocumentError("level list does not match the vertex list")
         if not vertices:
             raise GraphDocumentError("empty vertex list")
-        r = max(levels)
-        if set(levels) != set(range(1, r + 1)):
+        masks = [0] * max(levels)
+        valid = min(levels) >= 1  # a level below 1 would index the masks from the end
+        if valid:
+            for i, n in enumerate(levels):
+                masks[n - 1] |= 1 << i
+        if not (valid and all(masks)):
             raise GraphDocumentError("levels must cover 1..r with no gaps")
         self.vertices = vertices
         self.levels = levels
-        self.r = r
-        parts = [[] for _ in range(r)]
-        masks = [0] * r
-        for i, (v, n) in enumerate(zip(vertices, levels)):
-            parts[n - 1].append(v)
-            masks[n - 1] |= 1 << i
-        self.parts = tuple(tuple(p) for p in parts)
+        self.r = len(masks)
         self.masks = tuple(masks)
+
+    @property
+    def parts(self):
+        """The vertex names of each level, in input order."""
+        vertices = self.vertices
+        return tuple(tuple(vertices[i] for i in bits(mask)) for mask in self.masks)
 
     @classmethod
     def from_map(cls, vertices, mapping):

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from operator import eq, ge, gt, mul, or_, sub
 
-from .graphs import LevelStructure, bits, ordered_partitions
+from .graphs import Memo, bits, ordered_partitions
 from .linalg import _sparse_insert
 from .residues import _row_kernel, level_rows, residue_space
 
@@ -158,9 +158,7 @@ class SetFunction:
     def __eq__(self, other):
         if not isinstance(other, SetFunction):
             return NotImplemented
-        return self.ground == other.ground and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
+        return self.ground == other.ground and self.values == other.values
 
     def __hash__(self):
         return hash((self.ground, self.values))
@@ -408,45 +406,19 @@ def _located(points, vertex_bit):
     return None
 
 
-def _sweep_rows(graph, levels, level_sets):
-    """The set of condition rows of (graph, levels): the union of
-    `level_rows` over its levels, each read from ``level_sets``, which maps
-    every (level mask, prefix mask) pair met so far to its row set."""
+def _table_and_face(levels, level_sets, tables, faces):
+    """A partition's tail table and the face of its polytope, read through
+    the sweep's three memos: its set of condition rows is the union of its
+    levels' sets in ``level_sets`` (keyed by level mask and prefix mask),
+    its table is that set's entry in ``tables`` and its face the table's
+    entry in ``faces``."""
     sets = []
     prefix = 0
     for mask in levels.masks:
-        key = mask, prefix
-        rows = level_sets.get(key)
-        if rows is None:
-            rows = level_sets[key] = level_rows(graph, mask, prefix)
-        sets.append(rows)
+        sets.append(level_sets[mask, prefix])
         prefix |= mask
-    return frozenset().union(*sets)
-
-
-def _sweep_table(graph, levels, level_sets, tables):
-    """The tail table of the residue space of (graph, levels), built once per
-    distinct set of condition rows: ``tables`` maps each set met so far to
-    its table.  The residue space is the kernel of the rows, whatever their
-    family or order, so one set always gives the same table.  The set comes
-    from `_sweep_rows`, so no `LevelGraph` is built."""
-    rows = _sweep_rows(graph, levels, level_sets)
-    table = tables.get(rows)
-    if table is None:
-        table = tables[rows] = _tail_table(graph, _row_kernel(rows, graph.num_arrows))
-    return table
-
-
-def _table_and_face(graph, levels, level_sets, tables, faces, vertex_bit):
-    """A partition's tail table and its face: the vertices of the table's
-    base polytope located by `_located` in ``vertex_bit``.  ``faces`` maps the
-    values of each table met so far to its face, so the polytope is built
-    and located once per distinct table."""
-    table = _sweep_table(graph, levels, level_sets, tables)
-    key = table.values
-    if key not in faces:
-        faces[key] = _located(base_polytope(table).vertices, vertex_bit)
-    return table, faces[key]
+    table = tables[frozenset().union(*sets)]
+    return table, faces[table]
 
 
 def check_polytope_faces(graph):
@@ -480,16 +452,18 @@ def check_polytope_faces(graph):
         raise ValueError(
             f"{len(graph.vertices)} vertices exceed the face-sweep bound {FACE_SWEEP_BOUND}"
         )
-    level_sets = {}  # (level mask, prefix mask) -> the level's condition rows
-    tables = {}  # condition-row set -> tail table of its residue space
-    faces = {}  # table values -> face of its polytope, or None
-    trivial = LevelStructure.trivial(graph.vertices)
-    reference = base_polytope(_sweep_table(graph, trivial, level_sets, tables))
+    level_sets = Memo(lambda pair: level_rows(graph, *pair))
+    # the residue space is the kernel of the rows, whatever their family or
+    # order, so one set of rows always gives the same table
+    tables = Memo(lambda rows: _tail_table(graph, _row_kernel(rows, graph.num_arrows)))
+    # the one-level partition: its one level holds every vertex, with an empty prefix
+    reference = base_polytope(tables[level_sets[(1 << len(graph.vertices)) - 1, 0]])
     vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
+    faces = Memo(lambda table: _located(base_polytope(table).vertices, vertex_bit))
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table, face = _table_and_face(graph, pi, level_sets, tables, faces, vertex_bit)
+        table, face = _table_and_face(pi, level_sets, tables, faces)
         entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
 
     failures = []

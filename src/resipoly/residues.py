@@ -52,11 +52,13 @@ on L and V<n alone.  :func:`level_rows` builds just those rows, as a set,
 for the face sweep, which needs a partition's row set and nothing else of
 the model; a partition's rows are the union of its levels' sets, so a
 sweep builds each (L, V<n) pair's set once.  It shares no code with the
-constructor: a constructor routed through it pays one more call, tuple and
-bit walk per level, which measured about 12% slower on the identities
-benchmark's flag sweeps, so ``test_level_row_sets_match_the_model`` holds
-the two builders to the same rows instead.  The kernel of a set of rows,
-whoever built it, is :func:`_row_kernel`.
+constructor: routing both through one per-level builder costs one more
+call and tuple per level, and measured about 19% slower on the identities
+benchmark's flag sweeps (``wall_s`` 0.89-0.92 s against 1.05-1.09 s, four
+alternating pairs of 10 s runs on 2 vCPUs), so
+``test_level_row_sets_match_the_model`` holds the two builders to the same
+rows instead.  The kernel of a set of rows, whoever built it, is
+:func:`_row_kernel`.
 """
 
 from __future__ import annotations

@@ -640,6 +640,15 @@ def reference_ordered_partitions(items):
             yield smaller[:i] + [[last]] + smaller[i:]
 
 
+def reference_parts(levels):
+    """The vertex names of each level of an ordered partition, in input
+    order, grouped from its level tuple alone."""
+    return tuple(
+        tuple(v for v, m in zip(levels.vertices, levels.levels) if m == n)
+        for n in range(1, max(levels.levels) + 1)
+    )
+
+
 def coarsened_levels(levels):
     """The level tuples of all coarsenings of an ordered partition (merges
     of consecutive parts), the structure itself and the trivial one

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from math import comb
@@ -8,6 +9,7 @@ from resipoly.degeneration import LaurentSubspace
 from resipoly.graphs import (
     GraphDocumentError,
     LevelStructure,
+    Memo,
     Multigraph,
     classify_arrows,
     components_below,
@@ -30,6 +32,7 @@ from conftest import (
     reference_adjacency,
     reference_classify_arrows,
     reference_ordered_partitions,
+    reference_parts,
     reverse,
     summit_names,
 )
@@ -335,6 +338,35 @@ class TestVertexMasks:
                     assert graph.arrows_from(mask) == out
                     assert graph.arrows_into(mask) == into
 
+    def test_each_table_fills_once_per_mask(self, monkeypatch):
+        # a table that forgot to keep its values would answer the same, so
+        # the fills are counted: two lookups of every mask fill each table
+        # once per mask, and a fresh graph on the same edges fills its own
+        # tables again
+        class CountingMemo(Memo):
+            def __init__(self, fill):
+                self.fills = collections.Counter()
+
+                def counted(mask):
+                    self.fills[mask] += 1
+                    return fill(mask)
+
+                super().__init__(counted)
+
+        monkeypatch.setattr("resipoly.graphs.Memo", CountingMemo)
+        names = ("neighbour_mask", "arrows_from", "arrows_into", "mask_components")
+        for source in graphs_with_loops_parallels_and_isolated_vertices():
+            masks = range(1 << len(source.vertices))
+            first, fresh = (Multigraph(source.vertices, source.edges) for _ in range(2))
+            for graph, lookups in ((first, 2), (fresh, 1)):
+                for _ in range(lookups):
+                    for mask in masks:
+                        for name in names:
+                            getattr(graph, name)(mask)
+            for graph in (first, fresh):
+                for name in names:
+                    assert getattr(graph, name).__self__.fills == dict.fromkeys(masks, 1), name
+
     def test_level_masks_name_the_parts(self):
         for graph in graphs_with_loops_parallels_and_isolated_vertices():
             for pi in ordered_partitions(graph.vertices):
@@ -493,8 +525,16 @@ class TestEnumeration:
         with pytest.raises(GraphDocumentError):
             LevelStructure.from_parts(("a", "b"), [["a"], [], ["b"]])
 
-    @pytest.mark.parametrize("levels", [(1, 3), (0, 1), (2, 2)])
+    def test_parts_against_the_level_tuple(self):
+        # names out of alphabetical order, so a part must keep input order
+        for n in range(1, 7):
+            vertices = tuple("qzamkb"[:n])
+            for pi in ordered_partitions(vertices):
+                assert pi.parts == reference_parts(pi), pi.levels
+
+    @pytest.mark.parametrize("levels", [(1, 3), (0, 1), (2, 2), (-1, 1), (1, 1, 3)])
     def test_levels_must_be_one_to_r(self, levels):
-        # a gap, a level below 1 and a missing level 1 are all gaps in 1..r
+        # a gap, a level below 1 and a missing level 1 are all gaps in 1..r;
+        # a level below 0 would index the level masks from the end
         with pytest.raises(GraphDocumentError, match="levels must cover 1..r with no gaps"):
-            LevelStructure(("a", "b"), levels)
+            LevelStructure(tuple("abc"[: len(levels)]), levels)

@@ -10,7 +10,7 @@ import pytest
 
 from resipoly import fixtures, polytopes, residues
 from resipoly.cli import main
-from resipoly.graphs import LevelStructure, bits, load_level_graph, ordered_partitions
+from resipoly.graphs import LevelStructure, Memo, bits, load_level_graph, ordered_partitions
 from resipoly.linalg import Subspace
 from resipoly.polytopes import (
     BasePolytope,
@@ -25,7 +25,7 @@ from resipoly.polytopes import (
     splitting,
 )
 from resipoly.randomized import random_level_structure, random_multigraph
-from resipoly.residues import LevelGraph, residue_space
+from resipoly.residues import LevelGraph, level_rows, residue_space
 
 from conftest import (
     PRISM,
@@ -98,6 +98,16 @@ class TestSetFunction:
     def test_loop_table(self, loop1):
         graph, _, _ = loop1
         assert contraction_table(graph).values == (0, 1)
+
+    def test_equal_tables_share_ground_and_values(self):
+        # the face sweep memoises faces by table, so a table equals another
+        # only on the same ground with the same values
+        table = SetFunction(("a", "b"), (0, 1, 1, 2))
+        same = SetFunction(["a", "b"], [0, 1, 1, 2])
+        assert table == same and hash(table) == hash(same)
+        assert table != SetFunction(("b", "a"), (0, 1, 1, 2))
+        assert table != SetFunction(("a", "c"), (0, 1, 1, 2))
+        assert table != SetFunction(("a", "b"), (0, 1, 1, 1))
 
     def test_range_equals_genus(self):
         rng = random.Random(42)
@@ -362,8 +372,8 @@ class TestFaceSweep:
 
         real_step = polytopes._table_and_face
 
-        def reading_step(g, levels, *memos):
-            table, face = real_step(g, levels, *memos)
+        def reading_step(levels, *memos):
+            table, face = real_step(levels, *memos)
             values = Read(table.values)
             values.levels = levels.levels
             read = SetFunction(table.ground, table.values)
@@ -405,8 +415,8 @@ class TestFaceSweep:
                 misreport_partition(patch, graph, target.parts, **fault)
                 wrong_step = polytopes._table_and_face
 
-                def reading_step(g, levels, *args):
-                    table, face = wrong_step(g, levels, *args)
+                def reading_step(levels, *memos):
+                    table, face = wrong_step(levels, *memos)
                     reads[levels.levels] = (levels, table, face)
                     return table, face
 
@@ -434,10 +444,13 @@ class TestFaceSweep:
         ]
         assert sum(len(g.vertices) == 5 for g in graphs) >= 5
         for graph in graphs:
-            level_sets = {}
+            level_sets = Memo(lambda pair: level_rows(graph, *pair))
+            # memos that hand the row set itself back as the "table" and
+            # locate no face, so the sweep's step returns the union it keys on
+            tables, faces = Memo(lambda rows: rows), Memo(lambda table: None)
             for pi in ordered_partitions(graph.vertices):
                 rows = frozenset(itertools.chain.from_iterable(LevelGraph(graph, pi).rows.values()))
-                assert polytopes._sweep_rows(graph, pi, level_sets) == rows, pi
+                assert polytopes._table_and_face(pi, level_sets, tables, faces) == (rows, None), pi
                 # each level owns exactly the rows on the arrows out of it
                 prefixes = itertools.accumulate(pi.masks, operator.or_, initial=0)
                 for mask, prefix in zip(pi.masks, prefixes):
@@ -794,9 +807,14 @@ def misreport_partition(monkeypatch, graph, parts, table=None, vertices=None):
     the true one.  Returns that partition."""
     target = LevelStructure.from_parts(graph.vertices, parts)
     real_step = polytopes._table_and_face
+    if vertices:
+        # the sweep's bits: each vertex of the one-level polytope, in order
+        trivial = LevelStructure.trivial(graph.vertices)
+        reference = base_polytope(residue_projection_table(graph, trivial))
+        vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
 
-    def wrong_step(g, levels, level_sets, tables, faces, vertex_bit):
-        true, face = real_step(g, levels, level_sets, tables, faces, vertex_bit)
+    def wrong_step(levels, *memos):
+        true, face = real_step(levels, *memos)
         if levels.levels != target.levels:
             return true, face
         if vertices:
@@ -967,8 +985,8 @@ class TestFaultInjection:
         reference = base_polytope(residue_projection_table(graph, trivial))
         real_step = polytopes._table_and_face
 
-        def upper_step(g, levels, *memos):
-            table, _ = real_step(g, levels, *memos)
+        def upper_step(levels, *memos):
+            table, _ = real_step(levels, *memos)
             return table, chain_face(reference, levels)
 
         monkeypatch.setattr(polytopes, "_table_and_face", upper_step)

@@ -474,10 +474,24 @@ CATALOGUE = (
     ),
     Mutant(
         GRAPHS,
-        "if set(levels) != set(range(1, r + 1)):",
-        "if min(levels) != 1:",
+        "if not (valid and all(masks)):",
+        "if not (valid and masks[0]):",
         "LevelStructure: gapped levels accepted, only level 1 required",
         "tests/test_graphs.py::TestEnumeration::test_levels_must_be_one_to_r[levels0]",
+    ),
+    Mutant(
+        GRAPHS,
+        "valid = min(levels) >= 1",
+        "valid = True",
+        "LevelStructure: levels below 1 accepted, level 0 read as level r",
+        "tests/test_graphs.py::TestEnumeration::test_levels_must_be_one_to_r[levels1]",
+    ),
+    Mutant(
+        GRAPHS,
+        "tuple(tuple(vertices[i] for i in bits(mask)) for mask in self.masks)",
+        "tuple(tuple(sorted(vertices[i] for i in bits(mask))) for mask in self.masks)",
+        "LevelStructure.parts: each level's names sorted, not in input order",
+        "tests/test_graphs.py::TestEnumeration::test_parts_against_the_level_tuple",
     ),
     Mutant(
         VER,
@@ -532,10 +546,18 @@ CATALOGUE = (
     ),
     Mutant(
         GRAPHS,
-        "value = table.get(mask)",
-        "value = table.get(mask & -mask)",
-        "_tabled: vertex-mask tables read at the mask's lowest bit",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "self.arrows_into = Memo(partial(_union, self.in_arrows)).__getitem__",
+        "self.arrows_into = lambda mask, memo=Memo(partial(_union, self.in_arrows)):"
+        " memo[mask & -mask]",
+        "Multigraph: the arrows-into table read and filled at the mask's lowest bit",
+        "tests/test_graphs.py::TestVertexMasks::test_tables_against_fresh_computation",
+    ),
+    Mutant(
+        GRAPHS,
+        "value = self[key] = self.fill(key)",
+        "value = self.fill(key)",
+        "Memo: a fill never kept, every lookup fills again (answers unchanged, work repeated)",
+        "tests/test_graphs.py::TestVertexMasks::test_each_table_fills_once_per_mask",
     ),
     Mutant(
         RES,
@@ -822,19 +844,28 @@ CATALOGUE = (
     # -- the face sweep's memo keys
     Mutant(
         POLY,
-        "    table = tables.get(rows)\n    if table is None:\n        table = tables[rows] =",
-        "    key = frozenset(row for row in rows if row & (row - 1))\n"
-        "    table = tables.get(key)\n    if table is None:\n        table = tables[key] =",
-        "_sweep_table: tables memoised by the rows of two or more arrows alone, the downward"
+        "    table = tables[frozenset().union(*sets)]\n",
+        "    rows = frozenset().union(*sets)\n"
+        "    table = tables.setdefault(frozenset(row for row in rows if row & (row - 1)),"
+        " tables.fill(rows))\n",
+        "_table_and_face: tables memoised by the rows of two or more arrows alone, the downward"
         " unit rows left out of the key",
         "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
     ),
     Mutant(
         POLY,
-        "key = table.values\n",
-        "key = table.values[: len(table.values) // 2]\n",
+        "return table, faces[table]",
+        "return table, faces.setdefault(table.values[: len(table.values) // 2],"
+        " faces.fill(table))",
         "_table_and_face: faces memoised by the values at the subsets without the last vertex",
         "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
+    ),
+    Mutant(
+        POLY,
+        "return self.ground == other.ground and self.values == other.values",
+        "return self.values == other.values",
+        "SetFunction.__eq__: tables on different grounds equal when their values are",
+        "tests/test_polytopes.py::TestSetFunction::test_equal_tables_share_ground_and_values",
     ),
     # -- the coarsening check along single merges of adjacent levels
     Mutant(
@@ -1046,9 +1077,9 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "key = mask, prefix",
-        "key = mask, 0",
-        "_sweep_rows: level row sets memoised by the level mask alone",
+        "sets.append(level_sets[mask, prefix])",
+        "sets.append(level_sets.setdefault((mask, 0), level_sets.fill((mask, prefix))))",
+        "_table_and_face: level row sets memoised by the level mask alone",
         "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
     ),
     Mutant(
