@@ -667,6 +667,19 @@ def coarsenings(levels):
         yield LevelStructure(levels.vertices, coarse)
 
 
+def reference_random_coarsening(rng, levels):
+    """The parts-based :func:`~resipoly.randomized.random_coarsening`: one
+    draw per part after the first, which starts a new coarse part below 0.5
+    and joins the part to the one above it otherwise."""
+    merged = [list(levels.parts[0])]
+    for part in levels.parts[1:]:
+        if rng.random() < 0.5:
+            merged.append(list(part))
+        else:
+            merged[-1].extend(part)
+    return LevelStructure.from_parts(levels.vertices, merged)
+
+
 def summit_names(model):
     """A LevelGraph's (irreducible, reducible) summits as vertex-name tuples."""
     return tuple([model.graph.names(c) for c in masks] for masks in model._summit_masks)

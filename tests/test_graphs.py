@@ -18,7 +18,11 @@ from resipoly.graphs import (
     ordered_partitions,
 )
 from resipoly.linalg import Subspace
-from resipoly.randomized import random_level_structure, random_multigraph
+from resipoly.randomized import (
+    random_coarsening,
+    random_level_structure,
+    random_multigraph,
+)
 from resipoly.residues import LevelGraph
 
 from conftest import (
@@ -33,6 +37,7 @@ from conftest import (
     reference_classify_arrows,
     reference_ordered_partitions,
     reference_parts,
+    reference_random_coarsening,
     reverse,
     summit_names,
 )
@@ -469,6 +474,19 @@ class TestCoarsening:
                 c.levels for c in partitions if is_coarsening(fine, c)
             }
             assert generated == direct
+
+    def test_random_coarsening_matches_reference(self):
+        # the same coarsening from the same draws as the parts-based
+        # version, which leaves the generator in the same state
+        rng = random.Random(62)
+        for seed in range(400):
+            graph = random_multigraph(rng, 7, 6)
+            fine = random_level_structure(rng, graph)
+            got, want = random.Random(seed), random.Random(seed)
+            coarse = random_coarsening(got, fine)
+            assert coarse == reference_random_coarsening(want, fine)
+            assert is_coarsening(fine, coarse)
+            assert got.random() == want.random()
 
 
 class TestEnumeration:
