@@ -43,14 +43,13 @@ def random_level_structure(rng, graph):
 
 
 def random_coarsening(rng, levels):
-    """A coarsening obtained by merging random runs of consecutive parts."""
-    merged = [list(levels.parts[0])]
-    for part in levels.parts[1:]:
-        if rng.random() < 0.5:
-            merged.append(list(part))
-        else:
-            merged[-1].extend(part)
-    return LevelStructure.from_parts(levels.vertices, merged)
+    """A coarsening obtained by merging random runs of consecutive levels:
+    one draw per level after the first, which starts a new coarse level
+    below 0.5 and joins the level to the one above it otherwise."""
+    coarse = [1]
+    for _ in range(levels.r - 1):
+        coarse.append(coarse[-1] + (rng.random() < 0.5))
+    return LevelStructure(levels.vertices, [coarse[n - 1] for n in levels.levels])
 
 
 def random_sti_collection(rng, ambient, max_vectors=4, max_support=3):

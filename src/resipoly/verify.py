@@ -250,15 +250,12 @@ def _fixture_degenerations(graph, levels):
     if not levels.is_trivial:
         pairs.append((levels, trivial))
         if levels.r > 2:
-            merged = [list(levels.parts[0]) + list(levels.parts[1])]
-            merged.extend(list(p) for p in levels.parts[2:])
-            pairs.append(
-                (levels, LevelStructure.from_parts(graph.vertices, merged))
-            )
+            # levels 1 and 2 merged
+            merged = LevelStructure(graph.vertices, [n - (n > 1) for n in levels.levels])
+            pairs.append((levels, merged))
     elif len(graph.vertices) >= 2:
-        split = LevelStructure.from_parts(
-            graph.vertices, [[graph.vertices[0]], list(graph.vertices[1:])]
-        )
+        # the first vertex above the rest
+        split = LevelStructure(graph.vertices, [1] + [2] * (len(graph.vertices) - 1))
         pairs.append((split, trivial))
     return pairs
 
