@@ -35,17 +35,17 @@ four condition families.  Vertex sets are the positional bitmasks of
 :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name tuples
 only where they are reported.  Every condition is a 0/1 row, so it is
 built once as the int bitmask of the arrow indices where it is 1, like
-every other arrow set.  The relatedness predicates walk the levels again,
-grouping the local and rosenlicht rows by level component and reusing a
+every other arrow set.  The relatedness predicates and the component
+report read one more walk over the levels (:meth:`LevelGraph.collections`),
+which groups the local and rosenlicht rows by level component and reuses a
 group for every component of V<=n whose level-n vertices form that one
-level component; the per-component blocks of the component report are
-built the same way, on first use.  Ranks and kernels come from the one
-sparse integer echelon of :mod:`resipoly.linalg`, run on the masks
-themselves, each row pivoted at its lowest arrow: a rank is the echelon's
-size, and a kernel is read off its back-substitution.  No full-width row
-is made from a mask.  What a row belongs to is derived from its lowest
-arrow (:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`),
-only where a report names the row.
+level component.  Ranks and kernels come from the one sparse integer
+echelon of :mod:`resipoly.linalg`, run on the masks themselves, each row
+pivoted at its lowest arrow: a rank is the echelon's size, and a kernel is
+read off its back-substitution.  No full-width row is made from a mask.
+What a row belongs to is derived from its lowest arrow
+(:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
+where a report names the row.
 
 Every row has its arrows out of one level, and the rows of level n depend
 on L and V<n alone.  :func:`level_rows` builds just those rows, as a set,
@@ -64,7 +64,6 @@ rows instead.  The kernel of a set of rows, whoever built it, is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import bits, check_same_vertices
@@ -147,18 +146,6 @@ def _row_kernel(rows, width):
     return _kernel(_insert_masks({}, rows), width)
 
 
-class _Block(NamedTuple):
-    """The rows of one component C of V<=n that live at level n; C and its
-    level-n vertices are vertex masks."""
-
-    level: int
-    component: int
-    level_vertices: int
-    local: tuple
-    rosenlicht: tuple
-    glob: tuple
-
-
 class LevelMasks(NamedTuple):
     """Level n of a level graph as vertex masks: the level itself, its
     components, the components of V<n and the special ones among them, and
@@ -190,11 +177,11 @@ class LevelGraph:
       Global rows are generated for every special component, even when
       linearly dependent on the other families.
 
-    Only ``blocks``, which the component report alone reads, is built on
-    first use.  The parts are facts about the level graph, never the
-    verdict of a check.  Vertex sets are bitmasks (see
-    :class:`~resipoly.graphs.Multigraph`) until they are reported, so the
-    level structure must list the graph's vertices in the graph's order.
+    Nothing is built on first use: the per-component collections are walked
+    again by :meth:`collections` on each call.  The parts are facts about
+    the level graph, never the verdict of a check.  Vertex sets are bitmasks
+    (see :class:`~resipoly.graphs.Multigraph`) until they are reported, so
+    the level structure must list the graph's vertices in the graph's order.
     """
 
     def __init__(self, graph, levels):
@@ -262,10 +249,6 @@ class LevelGraph:
             "global": tuple(global_at.values()),
         }
 
-    @property
-    def level_numbers(self):
-        return range(1, self.levels.r + 1)
-
     def owner(self, family, row):
         """What a condition row of `family` belongs to, by position, read off
         its lowest arrow: that arrow for a downward row, its tail vertex for
@@ -319,35 +302,30 @@ class LevelGraph:
         # edge e has the arrows 2e and 2e + 1: every other bit is one edge
         return tuple(local), tuple([3 << a for a in bits(inside)[::2]])
 
-    def _block_rows(self, n, at, comp, groups):
-        """The level-n vertices of `comp`, a component of V<=n, and the local,
-        rosenlicht and global rows of level n that lie in it.
+    def collections(self):
+        """The per-component collections, one level at a time, top to bottom.
 
-        `at` is ``masks[n]`` and `groups` maps level-n components to their
-        :meth:`_rows_within`; the group of a component whose level-n
-        vertices form one level component is read from it.
+        For level n, yields n, a dict from each component of level n to its
+        :meth:`_rows_within`, and a list with, for each component C of V<=n,
+        the tuple (C, C's level-n vertices, local rows, rosenlicht rows,
+        global rows): the rows of level n that lie in C, which live in the
+        coordinates of the non-downward arrows with tail in C's level-n
+        vertices.  The group of a C whose level-n vertices form one level
+        component is read from the dict.  A C that misses level n has empty
+        collections: a special component inside it would join it to level n.
         """
-        here = comp & at.mask
-        group = groups.get(here)
-        if group is None:
-            group = self._rows_within(here)
-        glob = tuple([self._global_at[n, c] for c in at.special if c & comp])
-        return here, *group, glob
-
-    @cached_property
-    def blocks(self):
-        """The local, rosenlicht and global rows of level n grouped by the
-        component of V<=n they lie in, for every level n.
-
-        Each group's rows live in the coordinates of the non-downward arrows
-        with tail in the component's level-n vertices.
-        """
-        blocks = []
         for n, at in self.masks.items():
             groups = {comp: self._rows_within(comp) for comp in at.components}
+            blocks = []
             for comp in at.upto:
-                blocks.append(_Block(n, comp, *self._block_rows(n, at, comp, groups)))
-        return tuple(blocks)
+                here = comp & at.mask
+                if not here:
+                    blocks.append((comp, 0, (), (), ()))
+                    continue
+                local, rosenlicht = groups.get(here) or self._rows_within(here)
+                glob = tuple([self._global_at[n, c] for c in at.special if c & comp])
+                blocks.append((comp, here, local, rosenlicht, glob))
+            yield n, groups, blocks
 
     def flag(self):
         """Impose the four families cumulatively and keep every kernel, each
@@ -375,23 +353,20 @@ class LevelGraph:
         whole arrow space."""
         names = self.graph.names
         blocks = []
-        for b in self.blocks:
-            groups = (b.local, b.rosenlicht, b.glob)
-            labels = [
-                tuple(self.label(family, self.owner(family, row)) for row in group)
-                for family, group in zip(FAMILIES[1:], groups)
-            ]
-            # local rows are disjoint (one vertex each): the sum is the union
-            block_dim = sum(b.local).bit_count()
-            codims = _cumulative_ranks(groups)
-            blocks.append(
-                ComponentBlock(
-                    b.level, names(b.component), names(b.level_vertices), *labels, block_dim, *codims
-                )
-            )
         summaries = []
-        for n in self.level_numbers:
-            at = [b for b in blocks if b.level == n]
+        for n, _, level in self.collections():
+            at = []
+            for comp, here, local, rosenlicht, glob in level:
+                groups = (local, rosenlicht, glob)
+                labels = [
+                    tuple(self.label(family, self.owner(family, row)) for row in group)
+                    for family, group in zip(FAMILIES[1:], groups)
+                ]
+                # local rows are disjoint (one vertex each): the sum is the union
+                block_dim = sum(local).bit_count()
+                codims = _cumulative_ranks(groups)
+                at.append(ComponentBlock(n, names(comp), names(here), *labels, block_dim, *codims))
+            blocks += at
             summaries.append(
                 LevelSummary(
                     level=n,
@@ -422,19 +397,18 @@ class LevelGraph:
         of V_{h<=n} that meets level n, the global and rosenlicht rows
         together versus the local rows must be set-theoretically independent
         and properly unrelated, and related whenever the collections are
-        nonempty.  One walk over the levels checks both kinds; the
-        components of V_{h<=n} that miss level n are skipped unread.
-        Returns a list of failure descriptions, every level component's
-        before every merged component's (empty means all predicates hold).
+        nonempty.  One walk over the levels (:meth:`collections`) checks
+        both kinds; the components of V_{h<=n} that miss level n are
+        skipped.  Returns a list of failure descriptions, every level
+        component's before every merged component's (empty means all
+        predicates hold).
         """
         failures = []
         merged = []
         names = self.graph.names
         reducible = self._summit_masks[1]
-        for n, at in self.masks.items():
-            groups = {}
-            for comp in at.components:
-                groups[comp] = group = self._rows_within(comp)
+        for n, groups, blocks in self.collections():
+            for comp, group in groups.items():
                 verdict = support_checks(*group)
                 if verdict is None:
                     failures.append(
@@ -450,10 +424,9 @@ class LevelGraph:
                         f"but reducible-summit={comp in reducible}"
                     )
 
-            for comp in at.upto:
-                if not comp & at.mask:
+            for comp, here, local, rosenlicht, glob in blocks:
+                if not here:
                     continue
-                _, local, rosenlicht, glob = self._block_rows(n, at, comp, groups)
                 verdict = support_checks(glob + rosenlicht, local)
                 if verdict is None:
                     merged.append(

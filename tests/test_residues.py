@@ -93,15 +93,17 @@ class TestConstraints:
         assert local == ros == 0b11
 
     def test_rows_are_arrow_masks(self, fig1, fig2, k4, c3, loop1):
-        # every condition row, in the families and in the blocks, is a bare
-        # int: the bitmask of the arrows where the row is 1
+        # every condition row, in the families and in the per-component
+        # collections, is a bare int: the bitmask of the arrows where the row
+        # is 1
         for graph, levels, _ in (fig1, fig2, k4, c3, loop1):
             model = LevelGraph(graph, levels)
             for family in FAMILIES:
                 assert all(type(row) is int for row in model.rows[family])
-            for block in model.blocks:
-                for group in (block.local, block.rosenlicht, block.glob):
-                    assert all(type(row) is int for row in group)
+            for _, _, blocks in model.collections():
+                for _, _, *groups in blocks:
+                    for group in groups:
+                        assert all(type(row) is int for row in group)
 
     def test_downward_rows_are_unit_vectors(self, fig2):
         graph, levels = fig2[0], fig2[1]
@@ -403,7 +405,8 @@ class TestSparseEchelon:
         section = verify_document("fig2", fixtures.document("fig2"))
         assert section["ok"] and section["component_totals_ok"]
         graph, levels, _ = load_fixture("fig2")
-        assert len(calls) == len(LevelGraph(graph, levels).blocks)
+        collections = LevelGraph(graph, levels).collections()
+        assert len(calls) == sum(len(blocks) for _, _, blocks in collections)
 
 
 class TestMaskModelAgainstReference:
@@ -444,20 +447,24 @@ class TestMaskModelAgainstReference:
                     assert _as_sets(model, family, model.rows[family]) == _reference_rows(
                         reference.rows[family]
                     )
-                assert len(model.blocks) == len(reference.blocks)
-                for got, want in zip(model.blocks, reference.blocks):
-                    assert (got.level, names(got.component), names(got.level_vertices)) == (
+                blocks = [(n, *b) for n, _, level in model.collections() for b in level]
+                assert len(blocks) == len(reference.blocks)
+                for got, want in zip(blocks, reference.blocks):
+                    n, component, here, local, rosenlicht, glob = got
+                    assert (n, names(component), names(here)) == (
                         want.level,
                         want.component,
                         want.level_vertices,
                     )
-                    for family, group in zip(FAMILIES[1:], ("local", "rosenlicht", "glob")):
-                        assert _as_sets(model, family, getattr(got, group)) == _reference_rows(
-                            getattr(want, group)
+                    for family, group, name in zip(
+                        FAMILIES[1:], (local, rosenlicht, glob), ("local", "rosenlicht", "glob")
+                    ):
+                        assert _as_sets(model, family, group) == _reference_rows(
+                            getattr(want, name)
                         )
                     pairs = (
-                        (got.glob + got.rosenlicht, want.glob + want.rosenlicht),
-                        (got.local, want.local),
+                        (glob + rosenlicht, want.glob + want.rosenlicht),
+                        (local, want.local),
                     )
                     want = reference_support_checks(
                         *[tuple(row.support for row in rows) for _, rows in pairs]
@@ -541,8 +548,10 @@ class TestFaultInjection:
         return model._rows_within(fig1[0].mask_of(["u2", "u3"]))
 
     def merged_pair(self, fig1):
-        (block,) = [b for b in LevelGraph(fig1[0], fig1[1]).blocks if b.level == 2]
-        return block.glob + block.rosenlicht, block.local
+        collections = LevelGraph(fig1[0], fig1[1]).collections()
+        (block,) = [b for n, _, level in collections if n == 2 for b in level]
+        _, _, local, rosenlicht, glob = block
+        return glob + rosenlicht, local
 
     def assert_relation_failure(self, fig1, tmp_path, capsys, failure):
         assert LevelGraph(fig1[0], fig1[1]).relation_failures() == [failure]

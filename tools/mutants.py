@@ -292,7 +292,7 @@ CATALOGUE = (
         "oracle_matches = plucker_limit_oracle(laurent) == limit",
         "oracle_matches = True",
         "check_degeneration: oracle verdict always true",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[documents]",
+        "tests/test_cli.py::TestInvariantViolations::test_zero_anchor_minor_exits_1",
     ),
     Mutant(
         DEG,
@@ -328,21 +328,21 @@ CATALOGUE = (
         "order = sorted(range(width), key=lambda j: (-weights[j], j))",
         "order = sorted(range(width), key=lambda j: (weights[j], j))",
         "initial_space_limit: coordinates sorted by weight ascending",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
+        "tests/test_acceptance.py::test_criterion_6_degenerations",
     ),
     Mutant(
         DEG,
         "if weights[order[k]] == top}",
         "}",
         "initial_space_limit: leading form keeps every coordinate (weight filter dropped)",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
+        "tests/test_acceptance.py::test_criterion_6_degenerations",
     ),
     Mutant(
         DEG,
         "top = weights[order[pivot]]",
         "top = weights[pivot]",
         "initial_space_limit: pivot weight read at the unpermuted index",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
+        "tests/test_acceptance.py::test_criterion_6_degenerations",
     ),
     # -- polytope-layer kernels and checks
     Mutant(
@@ -371,7 +371,7 @@ CATALOGUE = (
         "if not all(map(ge, lower, upper)):",
         "if not all(map(ge, upper, lower)):",
         "is_submodular: marginal comparison reversed",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
+        "tests/test_acceptance.py::test_criterion_4_k4_polytope",
     ),
     Mutant(
         POLY,
@@ -392,21 +392,21 @@ CATALOGUE = (
         "child = dict(echelon)",
         "child = echelon",
         "projection_rank_table: children share their parent's echelon",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
+        "tests/test_acceptance.py::test_criterion_4_k4_polytope",
     ),
     Mutant(
         POLY,
         "values[mask :: 1 << start] = [dim] * (1 << (n - start))",
         "values[mask] = dim",
         "projection_rank_table: full-rank subtree fill dropped",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
+        "tests/test_acceptance.py::test_criterion_4_k4_polytope",
     ),
     Mutant(
         POLY,
         "if state not in seen:",
         "if all(m != state[0] for m, _ in seen):",
         "base_polytope: prefix walk pruned by prefix mask alone",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[faces]",
+        "tests/test_acceptance.py::test_criterion_4_k4_polytope",
     ),
     Mutant(
         POLY,
@@ -427,7 +427,7 @@ CATALOGUE = (
         "itertools.accumulate(top_down, or_, initial=0)",
         "itertools.accumulate(top_down, or_)",
         "splitting: U_n includes level n",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[degenerations]",
+        "tests/test_acceptance.py::test_criterion_6_degenerations",
     ),
     # -- input contract
     Mutant(
@@ -506,35 +506,35 @@ CATALOGUE = (
         "2 * counts.edges - counts.vertical_edges,",
         "2 * counts.edges - counts.vertical_edges + 1,",
         "flag_identities: downward dimension off by one",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     Mutant(
         RES,
         "counts.vertices - counts.summits_irreducible,",
         "counts.vertices - counts.summits_irreducible + 1,",
         "flag_identities: local codimension off by one",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     Mutant(
         RES,
         "counts.horizontal_edges - counts.summits_reducible,",
         "counts.horizontal_edges - counts.summits_reducible + 1,",
         "flag_identities: rosenlicht codimension off by one",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     Mutant(
         RES,
         "counts.summits - counts.components)",
         "counts.summits - counts.components + 1)",
         "flag_identities: global codimension off by one",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     Mutant(
         RES,
         "counts.edges - counts.vertices + counts.components,",
         "counts.edges - counts.vertices + counts.components + 1,",
         "flag_identities: residue dimension off by one",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     # -- vertex-mask tables, level-component groups and the sparse echelon
     Mutant(
@@ -542,7 +542,7 @@ CATALOGUE = (
         "row = {c: a * y for c, a in row.items()}",
         "row = dict(row)",
         "_sparse_insert: the row is not multiplied by the pivot's entry",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "tests/test_acceptance.py::test_criterion_1_figure_one",
     ),
     Mutant(
         GRAPHS,
@@ -561,10 +561,10 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        "group = self._rows_within(here)",
-        "group = groups[next(c for c in at.components if c & here)]",
-        "_block_rows: a block over several level components reuses the first one's group",
-        "perfbench/test_smoke.py::test_end_to_end_metrics[identities]",
+        "groups.get(here) or self._rows_within(here)",
+        "groups[next(c for c in at.components if c & here)]",
+        "collections: a block over several level components reuses the first one's group",
+        "tests/test_acceptance.py::test_criterion_2_worked_example",
     ),
     # -- the fixed size bounds, each one vertex too strict
     Mutant(
@@ -972,7 +972,7 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        "if not comp & at.mask:\n                    continue",
+        "if not here:\n                    continue",
         "if False:\n                    continue",
         "relation_failures: components of V<=n that miss level n checked too (equivalent"
         " in verdict: their collections are empty, so only the call count shows it)",
@@ -1088,6 +1088,15 @@ CATALOGUE = (
         "rows = [1 << a for a in bits(out & ~arrows_into(prefix))]",
         "level_rows: downward rows read against V<n, not V<=n",
         "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
+    ),
+    # -- the per-component collections
+    Mutant(
+        RES,
+        "blocks.append((comp, 0, (), (), ()))",
+        "blocks.append((comp, 0, *self._rows_within(comp), ()))",
+        "collections: a block with no level-n vertex gets the local and rosenlicht rows of its"
+        " own vertices",
+        "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
     ),
 )
 
