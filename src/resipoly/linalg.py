@@ -12,8 +12,10 @@ row has its denominators cleared once (a row of ints is taken as it is)
 and its nonzero entries taken as a dict; the 0/1 residue conditions go in
 straight from their masks.  The echelon alone gives ranks, containment and
 the greedy column bases; a caller that wants its columns in another order
-remaps their keys.  Back-substitution on it (:func:`_reduced`) gives
-canonical bases and kernels, stored as dense integer rows.  Determinants
+remaps their keys.  Back-substitution on it (:func:`_reduced`) gives an
+integral kernel basis (:func:`_kernel_basis`, sparse, one vector per free
+column), which is all a rank of the kernel needs, and canonical bases and
+kernels, stored as dense integer rows.  Determinants
 use fraction-free (Bareiss) elimination.  Fractions appear only at input
 (``"p/q"`` strings and Fraction entries), in a determinant, and in
 :attr:`Subspace.basis`, the printed reduced basis.
@@ -167,25 +169,34 @@ def _span(width, echelon):
     return space
 
 
-def _kernel(echelon, width):
-    """Right kernel of the rows of a sparse echelon, as a canonical
-    :class:`Subspace` of Q^width.
+def _kernel_basis(echelon, columns):
+    """An integral basis of the right kernel of the rows of a sparse echelon,
+    on the given columns, which must hold every column of the rows: one
+    sparse vector per free column (a column that is no pivot), in column
+    order, ``len(columns) - len(echelon)`` of them.
 
     Reduced row k reads ``p_k * x[pivot_k] + (free columns) = 0``, and a
-    reduced row is nonzero only at its pivot and at free columns.  Setting
-    one free coordinate to the lcm of the pivot entries keeps the solution
-    integral.
+    reduced row is nonzero only at its pivot and at free columns.  The
+    vector of free column f is the solution with x[f] the lcm of the pivot
+    entries, which keeps it integral, and every other free coordinate 0.
+    The basis is not canonical; :func:`_kernel` takes its span.
     """
     reduced = _reduced(echelon)
     scale = lcm(*(row[pivot] for pivot, row in reduced))
-    vectors = {f: {f: scale} for f in range(width) if f not in echelon}
+    vectors = {f: {f: scale} for f in columns if f not in echelon}
     for pivot, row in reduced:
         m = scale // row[pivot]
         for c, a in row.items():
             if c != pivot:
                 vectors[c][pivot] = -a * m
+    return list(vectors.values())
+
+
+def _kernel(echelon, width):
+    """Right kernel of the rows of a sparse echelon, as a canonical
+    :class:`Subspace` of Q^width: the span of :func:`_kernel_basis`."""
     spanned = {}
-    for v in vectors.values():
+    for v in _kernel_basis(echelon, range(width)):
         _sparse_insert(spanned, v)
     return _span(width, spanned)
 

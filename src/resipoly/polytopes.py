@@ -17,7 +17,15 @@ coordinates.  A depth-first walk over the subsets extends one column
 echelon by one block per step.  The table is submodular, nonnegative and
 nondecreasing; applied to the residue space of a level graph (blocks =
 arrows grouped by tail vertex) it is the function whose base polytope this
-module studies.
+module studies.  Every condition row of level n lies on the arrows out of
+that level, so the residue space is the direct sum of the levels' kernels
+K_n, and its table is the sum over n of I -> t_n(I n L_n), where t_n is
+the table of K_n on the vertices of level L_n.  The face sweep builds its
+tables that way, one t_n per (level mask, row set) pair, each read off an
+integral kernel basis: a projection's dimension does not depend on the
+basis, so no canonical kernel is made.  This is still the kernel route,
+taken blockwise, not the splitting; `residue_projection_table` stays
+whole-space.
 
 Chains run one way only: the prefix chain of an ordered partition, the
 unions of its levels up to each n.  Tightness against the adjoint
@@ -39,9 +47,9 @@ import itertools
 from dataclasses import dataclass
 from operator import eq, ge, gt, mul, or_, sub
 
-from .graphs import Memo, bits, ordered_partitions
-from .linalg import _sparse_insert
-from .residues import _row_kernel, level_rows, residue_space
+from .graphs import LevelStructure, Memo, bits, ordered_partitions
+from .linalg import _kernel_basis, _sparse_insert
+from .residues import _insert_masks, level_rows, residue_space
 
 __all__ = [
     "BasePolytope",
@@ -186,9 +194,17 @@ def projection_rank_table(space, ground, blocks):
     flat = [c for b in blocks for c in b]
     if len(flat) != len(set(flat)):
         raise ValueError("coordinate blocks overlap")
-    dim = space.dim
     columns = [{k: x for k, x in enumerate(column) if x} for column in zip(*space.rows)]
-    n = len(ground)
+    return _checked_table(ground, _rank_walk(space.dim, columns, blocks))
+
+
+def _rank_walk(dim, columns, blocks):
+    """The rank of the columns of each union of blocks, listed by the mask of
+    the blocks taken: ``columns[c]`` is column c of a basis of a
+    ``dim``-dimensional space, as a dict from basis index to nonzero entry,
+    and ``blocks[i]`` lists the columns of block i (see
+    :func:`projection_rank_table`)."""
+    n = len(blocks)
     values = [0] * (1 << n)
 
     def walk(mask, start, echelon):
@@ -206,6 +222,13 @@ def projection_rank_table(space, ground, blocks):
             walk(mask | 1 << j, j + 1, child)
 
     walk(0, 0, {})
+    return values
+
+
+def _checked_table(ground, values):
+    """The projection table with these values, validated to be submodular,
+    nonnegative and nondecreasing: the one invariant guard of every
+    projection table, whole-space or summed over level pairs."""
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
         raise InvariantViolation("projection table violates its invariants")
@@ -406,18 +429,65 @@ def _located(points, vertex_bit):
     return None
 
 
-def _table_and_face(levels, level_sets, tables, faces):
-    """A partition's tail table and the face of its polytope, read through
-    the sweep's three memos: its set of condition rows is the union of its
-    levels' sets in ``level_sets`` (keyed by level mask and prefix mask),
-    its table is that set's entry in ``tables`` and its face the table's
-    entry in ``faces``."""
-    sets = []
+def _level_table(graph, mask, rows):
+    """The table of one level, spread over the whole ground set: entry I is
+    the dimension of the projection of the level's kernel onto the arrows
+    with tail in I & `mask`.
+
+    The level's kernel is that of its condition `rows` on the arrows out of
+    level `mask`, which hold every arrow of those rows.  Its ranks are read
+    off the integral basis (:func:`~resipoly.linalg._kernel_basis`): the
+    dimension of a projection does not depend on the basis.  The walk runs
+    over the subsets of the level's vertices only.
+    """
+    arrows = bits(graph.arrows_from(mask))
+    basis = _kernel_basis(_insert_masks({}, rows), arrows)
+    columns = {a: {} for a in arrows}
+    for k, vector in enumerate(basis):
+        for a, x in vector.items():
+            columns[a][k] = x
+    level = bits(mask)
+    out_arrows = graph.out_arrows
+    ranks = _rank_walk(len(basis), columns, [bits(out_arrows[i]) for i in level])
+    # the walk lists the level's subsets by their bits in `level`; `at`
+    # holds each at its vertex mask
+    at = [0] * (1 << len(graph.vertices))
+    subsets = [0]
+    for i in level:
+        subsets += [s | 1 << i for s in subsets]
+    for subset, value in zip(subsets, ranks):
+        at[subset] = value
+    return [at[subset & mask] for subset in range(len(at))]
+
+
+def _sweep_table(levels, level_sets, level_tables, tables):
+    """A partition's tail table, read through three of the sweep's memos.
+
+    Its set of condition rows is the union of its levels' sets in
+    ``level_sets`` (keyed by level mask and prefix mask).  The condition
+    matrix is block-diagonal by level, so the residue space is the direct
+    sum of the levels' kernels, and the table is the sum of the levels'
+    spread tables in ``level_tables`` (keyed by level mask and row set).
+    ``tables`` keeps one sum per distinct row set, checked once by the
+    invariant guard.
+    """
+    pairs = []
     prefix = 0
     for mask in levels.masks:
-        sets.append(level_sets[mask, prefix])
+        pairs.append((mask, level_sets[mask, prefix]))
         prefix |= mask
-    table = tables[frozenset().union(*sets)]
+    rows = frozenset().union(*[level_set for _, level_set in pairs])
+    table = tables.get(rows)
+    if table is None:
+        spreads = [level_tables[pair] for pair in pairs]
+        table = tables[rows] = _checked_table(levels.vertices, map(sum, zip(*spreads)))
+    return table
+
+
+def _table_and_face(levels, level_sets, level_tables, tables, faces):
+    """A partition's tail table (:func:`_sweep_table`) and the face of its
+    polytope, the table's entry in ``faces``."""
+    table = _sweep_table(levels, level_sets, level_tables, tables)
     return table, faces[table]
 
 
@@ -427,16 +497,18 @@ def check_polytope_faces(graph):
 
     A partition's set of condition rows is the union of its levels' sets,
     and `level_rows` builds each (level mask, prefix mask) pair's set once;
-    no `LevelGraph` is built.  One residue space is built per distinct set
-    of condition rows, one base polytope per distinct table (the one-level
-    polytope once more, as the reference), and each of the three memos
-    lives for one call; every check below still runs per partition.  One
-    chain face is computed per partition.  The ``upper`` face of a partition
-    is its own chain face, the ``lower`` one (tightness against the adjoint)
-    that of the reversed partition, level n going to r + 1 - n.  Each
-    partition is checked against its lower face alone: its table is the
-    splitting of the one-level table along it, whose polytope is that face
-    (see the module notes).  Checks:
+    no `LevelGraph` is built.  One level table (`_level_table`) is built per
+    distinct (level mask, row set) pair, one table per distinct set of
+    condition rows as the sum of its levels' tables, guarded once, and one
+    base polytope per distinct table (the one-level polytope once more, as
+    the reference).  Each of the four memos lives for one call; every check
+    below still runs per partition.  One chain face is computed per
+    partition.  The ``upper`` face of a partition is its own chain face,
+    the ``lower`` one (tightness against the adjoint) that of the reversed
+    partition, level n going to r + 1 - n.  Each partition is checked
+    against its lower face alone: its table is the splitting of the
+    one-level table along it, whose polytope is that face (see the module
+    notes).  Checks:
     (a) each partition's vertex set sits inside the one-level vertex set;
     (b) it equals the lower chain face of the one-level polytope at its
         partition;
@@ -453,17 +525,20 @@ def check_polytope_faces(graph):
             f"{len(graph.vertices)} vertices exceed the face-sweep bound {FACE_SWEEP_BOUND}"
         )
     level_sets = Memo(lambda pair: level_rows(graph, *pair))
+    # a level's kernel is cut out by its rows on its own arrows, whatever
+    # the prefix, so one (level mask, row set) pair always gives the same table
+    level_tables = Memo(lambda level: _level_table(graph, *level))
     # the residue space is the kernel of the rows, whatever their family or
     # order, so one set of rows always gives the same table
-    tables = Memo(lambda rows: _tail_table(graph, _row_kernel(rows, graph.num_arrows)))
-    # the one-level partition: its one level holds every vertex, with an empty prefix
-    reference = base_polytope(tables[level_sets[(1 << len(graph.vertices)) - 1, 0]])
+    tables = {}
+    trivial = LevelStructure.trivial(graph.vertices)
+    reference = base_polytope(_sweep_table(trivial, level_sets, level_tables, tables))
     vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
     faces = Memo(lambda table: _located(base_polytope(table).vertices, vertex_bit))
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table, face = _table_and_face(pi, level_sets, tables, faces)
+        table, face = _table_and_face(pi, level_sets, level_tables, tables, faces)
         entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
 
     failures = []

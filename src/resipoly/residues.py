@@ -39,10 +39,12 @@ every other arrow set.  The relatedness predicates and the component
 report read one more walk over the levels (:meth:`LevelGraph.collections`),
 which groups the local and rosenlicht rows by level component and reuses a
 group for every component of V<=n whose level-n vertices form that one
-level component.  Ranks and kernels come from the one sparse integer
-echelon of :mod:`resipoly.linalg`, run on the masks themselves, each row
-pivoted at its lowest arrow: a rank is the echelon's size, and a kernel is
-read off its back-substitution.  No full-width row is made from a mask.
+level component; a component of V<=n that lies inside level n reuses that
+level component's relatedness verdict too.  Ranks and kernels come from
+the one sparse integer echelon of :mod:`resipoly.linalg`, run on the masks
+themselves, each row pivoted at its lowest arrow: a rank is the echelon's
+size, and a kernel is read off its back-substitution.  No full-width row
+is made from a mask.
 What a row belongs to is derived from its lowest arrow
 (:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
 where a report names the row.
@@ -57,8 +59,10 @@ call and tuple per level, and measured about 19% slower on the identities
 benchmark's flag sweeps (``wall_s`` 0.89-0.92 s against 1.05-1.09 s, four
 alternating pairs of 10 s runs on 2 vCPUs), so
 ``test_level_row_sets_match_the_model`` holds the two builders to the same
-rows instead.  The kernel of a set of rows, whoever built it, is
-:func:`_row_kernel`.
+rows instead.  The canonical kernel of a set of rows, whoever built it, is
+:func:`_row_kernel`; the face sweep takes each level's kernel off the
+integral basis of the echelon :func:`_insert_masks` builds (see
+:mod:`resipoly.polytopes`).
 """
 
 from __future__ import annotations
@@ -399,17 +403,19 @@ class LevelGraph:
         and properly unrelated, and related whenever the collections are
         nonempty.  One walk over the levels (:meth:`collections`) checks
         both kinds; the components of V_{h<=n} that miss level n are
-        skipped.  Returns a list of failure descriptions, every level
-        component's before every merged component's (empty means all
-        predicates hold).
+        skipped, and one that lies inside level n, a summit with no global
+        row, reads its level component's verdict.  Returns a list of
+        failure descriptions, every level component's before every merged
+        component's (empty means all predicates hold).
         """
         failures = []
         merged = []
         names = self.graph.names
         reducible = self._summit_masks[1]
         for n, groups, blocks in self.collections():
+            verdicts = {}
             for comp, group in groups.items():
-                verdict = support_checks(*group)
+                verdict = verdicts[comp] = support_checks(*group)
                 if verdict is None:
                     failures.append(
                         f"level {n} component {names(comp)}: not set-theoretically independent"
@@ -427,7 +433,13 @@ class LevelGraph:
             for comp, here, local, rosenlicht, glob in blocks:
                 if not here:
                     continue
-                verdict = support_checks(glob + rosenlicht, local)
+                # a C inside level n is a level component with no global
+                # row: its collections are that component's, swapped, and
+                # the verdict is symmetric in the two
+                if comp == here:
+                    verdict = verdicts[comp]
+                else:
+                    verdict = support_checks(glob + rosenlicht, local)
                 if verdict is None:
                     merged.append(
                         f"level {n} merged component {names(comp)}: "

@@ -347,6 +347,17 @@ class TestInvariantViolations:
         self.assert_exit_1(code, out, err)
         assert "projection table violates its invariants" in err
 
+    def test_summed_table_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the face sweep's tables are sums of level tables, guarded once each
+        # by the same check as a whole-space table
+        import resipoly.polytopes
+
+        monkeypatch.setattr(resipoly.polytopes.SetFunction, "is_submodular", lambda self: False)
+        path = write_fixture(tmp_path, "k4")
+        code, out, err = run_cli(capsys, "faces", "--input", path)
+        self.assert_exit_1(code, out, err)
+        assert err == "error: invariant violated: projection table violates its invariants\n"
+
     def test_greedy_point_recheck_exits_1(self, tmp_path, capsys, monkeypatch):
         import resipoly.cli
         from resipoly.polytopes import SetFunction

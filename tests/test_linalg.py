@@ -7,6 +7,9 @@ import pytest
 
 from resipoly.linalg import (
     Subspace,
+    _echelon,
+    _kernel,
+    _kernel_basis,
     VectorCollection,
     det,
     kernel,
@@ -173,6 +176,31 @@ class TestKernel:
             for v in space.basis:
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, v)) == 0
+
+    def test_integral_basis_spans_the_kernel(self):
+        # width - rank sparse integer vectors, one per free column, that
+        # annihilate the rows and span the canonical kernel; the empty
+        # echelon gives the unit vectors, and width 0 gives nothing
+        rng = random.Random(15)
+        cases = [([], width) for width in range(4)] + [([[0, 0, 0]], 3), ([[1, 0], [0, 1]], 2)]
+        cases += [([[Fraction(1, 2), 3, -1]], 3)]
+        for _ in range(60):
+            cols = rng.randint(1, 6)
+            cases.append((random_matrix(rng, rng.randint(1, 5), cols, bound=3), cols))
+        for rows, width in cases:
+            _, echelon = _echelon(rows)
+            basis = _kernel_basis(echelon, range(width))
+            assert len(basis) == width - len(echelon) == width - reference_rank(rows)
+            assert all(type(x) is int and x for v in basis for x in v.values())
+            assert all(0 <= c < width for v in basis for c in v)
+            dense = [[v.get(c, 0) for c in range(width)] for v in basis]
+            assert reference_rank(dense) == len(basis)
+            for v in dense:
+                for row in rows:
+                    assert sum(a * b for a, b in zip(row, v)) == 0
+            assert Subspace(width, dense) == _kernel(echelon, width)
+        assert _kernel_basis({}, range(0)) == []
+        assert _kernel_basis({}, range(3)) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 class TestSubspace:

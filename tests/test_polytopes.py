@@ -293,6 +293,14 @@ class TestChainFace:
             chain_face(poly, c3[1])
 
 
+class RowSets(dict):
+    """A tables memo of the face sweep that hands each row set back as its
+    own table, so that the sweep's step returns the union it keys on."""
+
+    def get(self, rows):
+        return rows
+
+
 class TestFaceSweep:
     def test_k4_full_sweep(self, k4):
         graph, _, _ = k4
@@ -446,18 +454,44 @@ class TestFaceSweep:
         for graph in graphs:
             level_sets = Memo(lambda pair: level_rows(graph, *pair))
             # memos that hand the row set itself back as the "table" and
-            # locate no face, so the sweep's step returns the union it keys on
-            tables, faces = Memo(lambda rows: rows), Memo(lambda table: None)
+            # locate no face, so the sweep's step returns the union it keys
+            # on; no level table is read
+            tables, faces = RowSets(), Memo(lambda table: None)
             for pi in ordered_partitions(graph.vertices):
                 rows = frozenset(itertools.chain.from_iterable(LevelGraph(graph, pi).rows.values()))
-                assert polytopes._table_and_face(pi, level_sets, tables, faces) == (rows, None), pi
+                step = polytopes._table_and_face(pi, level_sets, None, tables, faces)
+                assert step == (rows, None), pi
                 # each level owns exactly the rows on the arrows out of it
                 prefixes = itertools.accumulate(pi.masks, operator.or_, initial=0)
                 for mask, prefix in zip(pi.masks, prefixes):
                     out = graph.arrows_from(mask)
                     assert level_sets[mask, prefix] == {row for row in rows if row & out}, pi
 
-    def test_one_kernel_per_row_set_one_polytope_per_table(self, k4, monkeypatch):
+    def test_summed_tables_match_the_whole_space_tables(self, fig1, k4, c3, loop1, monkeypatch):
+        # the table the sweep reads for each partition, a sum of level
+        # tables, against the whole-space `residue_projection_table`
+        rng = random.Random(49)
+        graphs = [fix[0] for fix in (fig1, k4, c3, loop1)] + [
+            random_multigraph(rng, 5, 8) for _ in range(40)
+        ]
+        assert sum(len(g.vertices) == 5 for g in graphs) >= 5
+        reads = []
+        real_step = polytopes._table_and_face
+
+        def reading_step(levels, *memos):
+            table, face = real_step(levels, *memos)
+            reads.append((levels, table))
+            return table, face
+
+        monkeypatch.setattr(polytopes, "_table_and_face", reading_step)
+        for graph in graphs:
+            reads.clear()
+            assert check_polytope_faces(graph).ok
+            assert len(reads) == len(list(ordered_partitions(graph.vertices)))
+            for pi, table in reads:
+                assert table == residue_projection_table(graph, pi), pi
+
+    def test_one_kernel_per_level_table_one_polytope_per_table(self, k4, monkeypatch):
         graph = k4[0]
         partitions = list(ordered_partitions(graph.vertices))
         row_sets = {
@@ -469,25 +503,40 @@ class TestFaceSweep:
             for pi in partitions
             for pair in zip(pi.masks, itertools.accumulate(pi.masks, operator.or_, initial=0))
         }
+        level_keys = {(mask, level_rows(graph, mask, prefix)) for mask, prefix in level_pairs}
         tables = {residue_projection_table(graph, pi).values for pi in partitions}
-        real_row_kernel = polytopes._row_kernel
+        real_level_table = polytopes._level_table
+        real_kernel_basis = polytopes._kernel_basis
         real_kernel = residues._kernel
+        real_guard = polytopes._checked_table
         real_level_rows = polytopes.level_rows
         real_polytope = polytopes.base_polytope
         kernels = []
         kernel_calls = []
+        whole_kernels = []
+        guarded = []
         level_calls = []
         polytope_calls = []
 
-        # the sweep takes a kernel through the shared row-set helper: record
-        # the row set there, and count the kernels taken
-        def counting_row_kernel(rows, width):
-            kernels.append(frozenset(rows))
-            return real_row_kernel(rows, width)
+        # the sweep takes an integral kernel basis per level table: record
+        # the (level mask, row set) key there, and count the bases taken,
+        # the canonical kernels taken (none) and the tables guarded
+        def counting_level_table(g, mask, rows):
+            kernels.append((mask, rows))
+            return real_level_table(g, mask, rows)
+
+        def counting_kernel_basis(echelon, columns):
+            kernel_calls.append(columns)
+            return real_kernel_basis(echelon, columns)
 
         def counting_kernel(echelon, width):
-            kernel_calls.append(width)
+            whole_kernels.append(width)
             return real_kernel(echelon, width)
+
+        def counting_guard(ground, values):
+            table = real_guard(ground, values)
+            guarded.append(table.values)
+            return table
 
         def counting_level_rows(g, mask, prefix):
             level_calls.append((mask, prefix))
@@ -497,15 +546,21 @@ class TestFaceSweep:
             polytope_calls.append(table.values)
             return real_polytope(table)
 
-        monkeypatch.setattr(polytopes, "_row_kernel", counting_row_kernel)
+        monkeypatch.setattr(polytopes, "_level_table", counting_level_table)
+        monkeypatch.setattr(polytopes, "_kernel_basis", counting_kernel_basis)
         monkeypatch.setattr(residues, "_kernel", counting_kernel)
+        monkeypatch.setattr(polytopes, "_checked_table", counting_guard)
         monkeypatch.setattr(polytopes, "level_rows", counting_level_rows)
         monkeypatch.setattr(polytopes, "base_polytope", counting_polytope)
         report = check_polytope_faces(graph)
         assert report.ok and report.partitions_checked == len(partitions) == 75
         assert len(kernel_calls) == len(kernels)
-        assert len(kernels) == len(set(kernels)) == len(row_sets) < len(partitions)
-        assert set(kernels) == row_sets
+        assert len(kernels) == len(set(kernels)) == len(level_keys) < len(level_pairs)
+        assert set(kernels) == level_keys
+        assert whole_kernels == []
+        # one summed table, and one guard, per distinct row set
+        assert len(guarded) == len(row_sets) < len(partitions)
+        assert set(guarded) == tables
         assert len(polytope_calls) == len(tables) + 1 < len(partitions)
         assert set(polytope_calls) == tables
         # one rows-only step per (level mask, prefix mask) pair, for one call:

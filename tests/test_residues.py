@@ -485,7 +485,9 @@ class TestMaskModelAgainstReference:
 
     def test_one_relation_check_per_level_and_meeting_component(self, monkeypatch):
         # relation_failures checks each level component once and each
-        # component of V<=n that meets level n once, and no other component
+        # component of V<=n that meets level n once, and no other component;
+        # a component of V<=n inside level n reads its level component's
+        # verdict, so it takes no check of its own
         calls = []
         real = residues.support_checks
 
@@ -500,7 +502,11 @@ class TestMaskModelAgainstReference:
             for pi in ordered_partitions(graph.vertices):
                 reference = ReferenceLevelGraph(graph, pi)
                 level_components = sum(map(len, reference.level_components.values()))
-                meeting = sum(1 for b in reference.blocks if b.level_vertices)
+                meeting = sum(
+                    1
+                    for b in reference.blocks
+                    if b.level_vertices and set(b.level_vertices) != set(b.component)
+                )
                 calls.clear()
                 assert LevelGraph(graph, pi).relation_failures() == []
                 assert len(calls) == level_components + meeting
@@ -598,6 +604,46 @@ class TestFaultInjection:
         misreport_support_checks(monkeypatch, *self.merged_pair(fig1), None)
         failure = f"{self.MERGED}: not set-theoretically independent"
         self.assert_relation_failure(fig1, tmp_path, capsys, failure)
+
+    @pytest.mark.parametrize(
+        "wrong, level_texts, merged_texts",
+        [
+            (None, ["not set-theoretically independent"], ["not set-theoretically independent"]),
+            (
+                (False, False),
+                ["not properly unrelated", "related=False but reducible-summit=True"],
+                ["not properly unrelated", "related=False with nonempty=True"],
+            ),
+        ],
+        ids=["not-independent", "unrelated-not-properly"],
+    )
+    def test_summit_component_reads_its_level_verdict(
+        self, fig1, tmp_path, capsys, monkeypatch, wrong, level_texts, merged_texts
+    ):
+        # fig1's graph with u2 and u3 on level 1: their component, held
+        # together by the double edge, is a reducible summit and a component
+        # of V<=1, with no global row.  Its merged check reads the level
+        # component's verdict, so one wrong verdict fails both checks, with
+        # every text of each
+        document = fixtures.document("fig1")
+        document["levels"] = {"u1": 2, "u2": 1, "u3": 1, "u4": 2, "u5": 2}
+        del document["expect"]
+        graph, levels = load_level_graph(document)
+        model = LevelGraph(graph, levels)
+        assert model.relation_failures() == []
+        summit = model._rows_within(graph.mask_of(["u2", "u3"]))
+        misreport_support_checks(monkeypatch, *summit, wrong)
+        failures = [f"level 1 component ('u2', 'u3'): {text}" for text in level_texts] + [
+            f"level 1 merged component ('u2', 'u3'): {text}" for text in merged_texts
+        ]
+        assert LevelGraph(graph, levels).relation_failures() == failures
+        path = tmp_path / "summit.json"
+        path.write_text(json.dumps(document))
+        assert main(["verify", "--input", str(path), "--skip-random"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        (section,) = report["fixtures"]
+        assert section["relation_failures"] == failures
 
     def assert_wrong_total(self, fig1, tmp_path, capsys, monkeypatch, field):
         # one more in `field` of the one level-2 block: the other totals

@@ -21,9 +21,9 @@ one mutant at a time and never in parallel, it writes the mutated file and
 runs the entry's killer alone.  If the killer fails (or runs past the time
 limit), the mutant is killed: that test passed on the unmutated tree.
 Otherwise, or when the killer was not collected, the runner falls back to
-the whole suite with ``-x``: the mutant is killed when the suite fails,
-its first failing test reported as a new killer, and survives when the
-suite passes.  Then the file is restored.  The exit status is 1 when a
+the whole suite with ``-x``, ``tests/`` collected before ``perfbench/``:
+the mutant is killed when the suite fails, its first failing test
+reported as a new killer, and survives when the suite passes.  Then the file is restored.  The exit status is 1 when a
 mutant survives.  A full run takes about 4 minutes on 2 vCPUs: the 45 s
 unmutated suite, then about 2 s per mutant.  The target is no survivors:
 an equivalent mutant is argued in its note, never dropped, and no check
@@ -44,7 +44,16 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 # tier-1 minus the catalogue's own sync test, which fails on every mutant
-SUITE = [*PYTEST, "-x", "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+# `tests` before `perfbench`, so that a fallback run reports a failing test
+# under `tests/` before the benchmark's smoke tests
+SUITE = [
+    *PYTEST,
+    "-x",
+    "--continue-on-collection-errors",
+    "--ignore=tests/test_mutants.py",
+    "tests",
+    "perfbench",
+]
 TIME_LIMIT_S = 900
 
 
@@ -105,7 +114,7 @@ CATALOGUE = (
         POLY,
         'raise InvariantViolation("projection table violates its invariants")',
         "pass",
-        "projection_rank_table: table invariant guard off",
+        "_checked_table: the one table invariant guard off, for whole-space and summed tables",
         "tests/test_cli.py::TestInvariantViolations::test_polytopes_invariant_exits_1",
     ),
     Mutant(
@@ -391,14 +400,14 @@ CATALOGUE = (
         POLY,
         "child = dict(echelon)",
         "child = echelon",
-        "projection_rank_table: children share their parent's echelon",
+        "_rank_walk: children share their parent's echelon",
         "tests/test_acceptance.py::test_criterion_4_k4_polytope",
     ),
     Mutant(
         POLY,
         "values[mask :: 1 << start] = [dim] * (1 << (n - start))",
         "values[mask] = dim",
-        "projection_rank_table: full-rank subtree fill dropped",
+        "_rank_walk: full-rank subtree fill dropped",
         "tests/test_acceptance.py::test_criterion_4_k4_polytope",
     ),
     Mutant(
@@ -844,11 +853,11 @@ CATALOGUE = (
     # -- the face sweep's memo keys
     Mutant(
         POLY,
-        "    table = tables[frozenset().union(*sets)]\n",
-        "    rows = frozenset().union(*sets)\n"
-        "    table = tables.setdefault(frozenset(row for row in rows if row & (row - 1)),"
-        " tables.fill(rows))\n",
-        "_table_and_face: tables memoised by the rows of two or more arrows alone, the downward"
+        "rows = frozenset().union(*[level_set for _, level_set in pairs])",
+        "rows = frozenset(\n"
+        "        row for _, level_set in pairs for row in level_set if row & (row - 1)\n"
+        "    )",
+        "_sweep_table: tables memoised by the rows of two or more arrows alone, the downward"
         " unit rows left out of the key",
         "tests/test_polytopes.py::TestFaceSweep::test_memo_matches_a_fresh_sweep",
     ),
@@ -1012,7 +1021,7 @@ CATALOGUE = (
         LIN,
         "vectors[c][pivot] = -a * m",
         "vectors[c][pivot] = a * m",
-        "_kernel: the pivot coordinate of each kernel vector has the wrong sign",
+        "_kernel_basis: the pivot coordinate of each kernel vector has the wrong sign",
         "tests/test_linalg.py::TestKernel::test_kernel_vectors_annihilate",
     ),
     Mutant(
@@ -1077,9 +1086,9 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "sets.append(level_sets[mask, prefix])",
-        "sets.append(level_sets.setdefault((mask, 0), level_sets.fill((mask, prefix))))",
-        "_table_and_face: level row sets memoised by the level mask alone",
+        "pairs.append((mask, level_sets[mask, prefix]))",
+        "pairs.append((mask, level_sets.setdefault((mask, 0), level_sets.fill((mask, prefix)))))",
+        "_sweep_table: level row sets memoised by the level mask alone",
         "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
     ),
     Mutant(
@@ -1088,6 +1097,40 @@ CATALOGUE = (
         "rows = [1 << a for a in bits(out & ~arrows_into(prefix))]",
         "level_rows: downward rows read against V<n, not V<=n",
         "tests/test_polytopes.py::TestFaceSweep::test_level_row_sets_match_the_model",
+    ),
+    # -- the face sweep's tables summed over level tables
+    Mutant(
+        POLY,
+        "spreads = [level_tables[pair] for pair in pairs]",
+        "spreads = [level_tables.setdefault(pair[0], level_tables.fill(pair)) for pair in pairs]",
+        "_sweep_table: level tables memoised by the level mask alone, not by (mask, row set)",
+        "tests/test_polytopes.py::TestFaceSweep::test_summed_tables_match_the_whole_space_tables",
+    ),
+    Mutant(
+        POLY,
+        "return [at[subset & mask] for subset in range(len(at))]",
+        "return [at[subset] for subset in range(len(at))]",
+        "_level_table: the spread reads the level table at I, not at I & L",
+        "tests/test_polytopes.py::TestFaceSweep::test_summed_tables_match_the_whole_space_tables",
+    ),
+    # -- the merged check of a component inside its level
+    Mutant(
+        RES,
+        "if comp == here:",
+        "if False:",
+        "relation_failures: a component inside level n checked again, not read off its level"
+        " component (equivalent in verdict: the check is symmetric, so only the failure texts"
+        " under a wrong level verdict and the call count show it)",
+        "tests/test_residues.py::TestFaultInjection::"
+        "test_summit_component_reads_its_level_verdict[not-independent]",
+    ),
+    Mutant(
+        RES,
+        "if comp == here:\n                    verdict = verdicts[comp]",
+        "if here in verdicts:\n                    verdict = verdicts[here]",
+        "relation_failures: the level verdict read for every component of V<=n whose level-n"
+        " vertices form one level component, its global rows ignored",
+        "tests/test_acceptance.py::test_criterion_7_independence_predicates",
     ),
     # -- the per-component collections
     Mutant(
