@@ -32,6 +32,8 @@ CASES = {
     "dims-fig2.json": ("fig2", ["dims", "--format", "json"]),
     "dims-fig2.txt": ("fig2", ["dims", "--format", "text"]),
     "basis-fig1.json": ("fig1", ["basis"]),
+    "gamma-fig1.json": ("fig1", ["gamma"]),
+    "polytope-fig1.json": ("fig1", ["polytope"]),
     "gamma-k4.json": ("k4", ["gamma"]),
     "polytope-k4.json": ("k4", ["polytope"]),
     "faces-k4.json": ("k4", ["faces"]),
