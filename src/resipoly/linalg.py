@@ -309,15 +309,18 @@ class Subspace:
 def kernel(matrix, num_cols=None):
     """Right kernel of a matrix, as a canonical :class:`Subspace`.
 
-    ``num_cols`` gives the width of an empty matrix; otherwise the width is
-    that of the rows, which must all have the same length.
+    ``num_cols``, a nonnegative int, gives the width of an empty matrix and
+    must match the rows of any other, which must all have the same length;
+    anything else raises ValueError.
     """
     width, echelon = _echelon(matrix)
-    if width is None:
-        if num_cols is None:
+    if num_cols is None:
+        if width is None:
             raise ValueError("column count required for an empty matrix")
-        width = num_cols
-    return _kernel(echelon, width)
+        num_cols = width
+    elif type(num_cols) is not int or num_cols < 0 or width not in (None, num_cols):
+        raise ValueError(f"column count {num_cols!r} is not a nonnegative int matching the rows")
+    return _kernel(echelon, num_cols)
 
 
 def _canonical_coords(coords, ambient_dim):

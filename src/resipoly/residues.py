@@ -50,19 +50,18 @@ What a row belongs to is derived from its lowest arrow
 where a report names the row.
 
 Every row has its arrows out of one level, and the rows of level n depend
-on L and V<n alone.  :func:`level_rows` builds just those rows, as a set,
-for the face sweep, which needs a partition's row set and nothing else of
-the model; a partition's rows are the union of its levels' sets, so a
-sweep builds each (L, V<n) pair's set once.  It shares no code with the
-constructor: routing both through one per-level builder costs one more
-call and tuple per level, and measured about 19% slower on the identities
-benchmark's flag sweeps (``wall_s`` 0.89-0.92 s against 1.05-1.09 s, four
+on L and V<n alone.  :func:`level_rows` builds just those rows, as a set;
+a partition's rows are the union of its levels' sets.  So the rows have
+two builders, split by one rule: :class:`LevelGraph` serves what needs
+them by family (the flag, the counts and the reports), and
+:func:`level_rows` what needs a partition's row set and nothing else
+(:func:`residue_space` and the face sweep).  The two share no code:
+routing both through one per-level builder costs one more call and tuple
+per level, and measured about 19% slower on the identities benchmark's
+flag sweeps (``wall_s`` 0.89-0.92 s against 1.05-1.09 s, four
 alternating pairs of 10 s runs on 2 vCPUs), so
 ``test_level_row_sets_match_the_model`` holds the two builders to the same
-rows instead.  The canonical kernel of a set of rows, whoever built it, is
-:func:`_row_kernel`; the face sweep takes each level's kernel off the
-integral basis of the echelon :func:`_insert_masks` builds (see
-:mod:`resipoly.polytopes`).
+rows instead.
 """
 
 from __future__ import annotations
@@ -141,13 +140,6 @@ def _cumulative_ranks(groups):
     k, by one sparse integer echelon of every row."""
     echelon = {}
     return [len(_insert_masks(echelon, rows)) for rows in groups]
-
-
-def _row_kernel(rows, width):
-    """The subspace of Q^width cut out by arrow-mask rows: the kernel of one
-    sparse echelon of them.  It is canonical, so it depends on the set of
-    rows only, not on their order."""
-    return _kernel(_insert_masks({}, rows), width)
 
 
 class LevelMasks(NamedTuple):
@@ -345,12 +337,6 @@ class LevelGraph:
         ranks = _cumulative_ranks(self.rows[f] for f in FAMILIES)
         return self.counts, tuple(width - r for r in ranks)
 
-    def residue_space(self):
-        """The subspace cut out by all four condition families (see
-        :func:`_row_kernel`)."""
-        rows = [row for f in FAMILIES for row in self.rows[f]]
-        return _row_kernel(rows, self.graph.num_arrows)
-
     def component_report(self, dims):
         """Blockwise collections, cardinalities and codimensions, with totals
         checked against `dims`, the four flag dimensions computed on the
@@ -470,7 +456,9 @@ def level_rows(graph, mask, prefix):
     of each vertex of L (its arrows with head in V<=n) when nonzero, the
     rosenlicht row of each edge inside L, and the global row of each
     component of V<n meeting the neighbours of L.  The union over the levels
-    of a partition is the set of all its rows.
+    of a partition is the set of all its rows.  Its two readers need that
+    set alone: :func:`residue_space` takes its kernel, and the face sweep
+    of :mod:`resipoly.polytopes` sums tables off its levels' kernel bases.
     """
     arrows_into = graph.arrows_into
     into_upto = arrows_into(prefix | mask)
@@ -561,8 +549,15 @@ def flag_dims(graph, levels):
 
 
 def residue_space(graph, levels):
-    """The subspace cut out by all four condition families."""
-    return LevelGraph(graph, levels).residue_space()
+    """The subspace cut out by all four condition families: the canonical
+    kernel of one sparse echelon of every level's :func:`level_rows`."""
+    check_same_vertices(graph, levels)
+    echelon = {}
+    prefix = 0
+    for mask in levels.masks:
+        _insert_masks(echelon, level_rows(graph, mask, prefix))
+        prefix |= mask
+    return _kernel(echelon, graph.num_arrows)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,20 @@ class TestKernel:
             with pytest.raises(ValueError):
                 kernel(rows)
 
+    def test_negative_column_count_rejected(self):
+        with pytest.raises(ValueError):
+            kernel([], num_cols=-1)
+
+    def test_boolean_column_count_rejected(self):
+        # True == 1, but a flag is no width
+        with pytest.raises(ValueError):
+            kernel([], num_cols=True)
+
+    def test_column_count_must_match_the_rows(self):
+        with pytest.raises(ValueError):
+            kernel([[1, 2]], num_cols=5)
+        assert kernel([[1, 2]], num_cols=2) == kernel([[1, 2]])
+
     def test_full_rank_square_zero_kernel(self):
         space = kernel([[1, 1], [0, 1]])
         assert space.dim == 0

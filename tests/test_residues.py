@@ -185,6 +185,65 @@ class TestFlag:
 
             assert kernel(rows, num_cols=graph.num_arrows) == reference
 
+    def test_residue_space_matches_the_model(self, fig1, k4, c3, loop1):
+        # the space from every level's `level_rows`, against the kernel of
+        # the dense rows of each partition's `LevelGraph`
+        from resipoly.linalg import kernel
+
+        rng = random.Random(35)
+        graphs = [fix[0] for fix in (fig1, k4, c3, loop1)] + [
+            random_multigraph(rng, 5, 8) for _ in range(40)
+        ]
+        assert sum(len(g.vertices) == 5 for g in graphs) >= 5
+        for graph in graphs:
+            for pi in ordered_partitions(graph.vertices):
+                rows = [row for group in LevelGraph(graph, pi).rows.values() for row in group]
+                dense = dense_rows(rows, graph.num_arrows)
+                assert residue_space(graph, pi) == kernel(dense, num_cols=graph.num_arrows), pi
+
+    def test_space_routes_reject_a_reordered_vertex_tuple(self, fig1):
+        # masks are positional: the same levels over the vertices listed in
+        # another order would put each bit on another vertex
+        from resipoly.degeneration import check_degeneration
+        from resipoly.graphs import GraphDocumentError
+        from resipoly.polytopes import residue_projection_table
+
+        graph, levels = fig1[0], fig1[1]
+        level_map = dict(zip(levels.vertices, levels.levels))
+        reordered = LevelStructure.from_map(graph.vertices[::-1], level_map)
+        with pytest.raises(GraphDocumentError):
+            residue_space(graph, reordered)
+        with pytest.raises(GraphDocumentError):
+            residue_projection_table(graph, reordered)
+        with pytest.raises(GraphDocumentError):
+            check_degeneration(graph, reordered, reordered)
+
+    def test_space_routes_build_no_model(self, fig1, tmp_path, capsys, monkeypatch):
+        # the residue space comes from `level_rows`: the degeneration check,
+        # the projection table and `basis` construct no `LevelGraph`
+        from resipoly.degeneration import check_degeneration
+        from resipoly.polytopes import residue_projection_table
+
+        built = []
+        real_init = LevelGraph.__init__
+
+        def counted(self, graph, levels):
+            built.append(levels)
+            real_init(self, graph, levels)
+
+        monkeypatch.setattr(LevelGraph, "__init__", counted)
+        graph, levels = fig1[0], fig1[1]
+        trivial = LevelStructure.trivial(graph.vertices)
+        assert check_degeneration(graph, levels, trivial).ok
+        assert built == []
+        residue_projection_table(graph, levels)
+        assert built == []
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps(fixtures.document("fig1")))
+        assert main(["basis", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 3
+        assert built == []
+
     def test_fast_dims_agree_with_kernels(self):
         rng = random.Random(32)
         for _ in range(25):

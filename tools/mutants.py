@@ -1141,6 +1141,28 @@ CATALOGUE = (
         " own vertices",
         "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
     ),
+    # -- the residue space from level rows, no model built
+    Mutant(
+        RES,
+        "_insert_masks(echelon, level_rows(graph, mask, prefix))",
+        "_insert_masks(echelon, level_rows(graph, mask, 0))",
+        "residue_space: the prefix is never advanced, so every level reads V<n as empty",
+        "tests/test_residues.py::TestFlag::test_residue_space_matches_the_model",
+    ),
+    Mutant(
+        RES,
+        "        _insert_masks(echelon, level_rows(graph, mask, prefix))\n        prefix |= mask\n",
+        "        prefix |= mask\n        _insert_masks(echelon, level_rows(graph, mask, prefix))\n",
+        "residue_space: the prefix is advanced before the level is read, so V<n holds level n",
+        "tests/test_residues.py::TestFlag::test_residue_space_matches_the_model",
+    ),
+    Mutant(
+        RES,
+        "    check_same_vertices(graph, levels)\n    echelon = {}\n",
+        "    echelon = {}\n",
+        "residue_space: a level structure listing the vertices in another order is not rejected",
+        "tests/test_residues.py::TestFlag::test_space_routes_reject_a_reordered_vertex_tuple",
+    ),
 )
 
 
