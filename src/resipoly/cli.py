@@ -191,7 +191,6 @@ def cmd_polytope(args):
             }
             for mask in range(1, 1 << table.n)
         ],
-        "table": _table_report(table),
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -204,7 +203,6 @@ def cmd_faces(args):
         {
             "ordered_partition": [list(p) for p in pi.parts],
             "vertex_indices": bits(lower),
-            "orientation": "lower",
         }
         for pi, lower in report.chain_faces
     ]
@@ -215,7 +213,7 @@ def cmd_faces(args):
         "containment_ok": report.containment_ok,
         "chain_match_ok": report.chain_match_ok,
         "coarsening_ok": report.coarsening_ok,
-        "cover_ok": report.cover_ok,
+        "lattice_ok": report.lattice_ok,
         "ok": report.ok,
         "failures": list(report.failures),
         "vertices": [[str(x) for x in q] for q in report.reference.vertices],

@@ -256,6 +256,13 @@ def det(rows):
     return Fraction(sign * mat[n - 1][n - 1], scale)
 
 
+def _check_ambient(dim):
+    """Reject an ambient dimension that is not a nonnegative int (a bool is
+    none) with ValueError."""
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"ambient dimension {dim!r} is not a nonnegative int")
+
+
 class Subspace:
     """A linear subspace of Q^n, held by its canonical integer basis.
 
@@ -268,8 +275,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
-        if ambient_dim < 0:
-            raise ValueError("negative ambient dimension")
+        _check_ambient(ambient_dim)
         width, echelon = _echelon(vectors)
         if width not in (None, ambient_dim):
             raise ValueError("vector length does not match ambient dimension")
@@ -387,6 +393,7 @@ class VectorCollection:
     __slots__ = ("ambient_dim", "labels", "vectors", "supports")
 
     def __init__(self, ambient_dim, items=()):
+        _check_ambient(ambient_dim)
         labels = []
         vectors = []
         for label, coords in items:

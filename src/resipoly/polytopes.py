@@ -178,9 +178,10 @@ class SetFunction:
 def projection_rank_table(space, ground, blocks):
     """Per-subset dimensions of coordinate projections of a subspace.
 
-    ``blocks[i]`` lists the coordinates belonging to ground element i; the
-    blocks must be disjoint.  Entry I is the rank of the integer basis
-    columns at the coordinates of I's blocks.  The subsets are walked depth
+    ``blocks[i]`` lists the coordinates belonging to ground element i, each
+    an int in ``0 .. space.ambient_dim - 1``; the blocks must be disjoint.
+    Entry I is the rank of the integer basis columns at the coordinates of
+    I's blocks.  The subsets are walked depth
     first, each child adding one element above its parent's highest: the
     child copies its parent's column echelon and inserts only the new
     block's columns.  Once the echelon has ``space.dim`` rows, every subset
@@ -192,6 +193,8 @@ def projection_rank_table(space, ground, blocks):
     if len(blocks) != len(ground):
         raise ValueError("one coordinate block per ground element required")
     flat = [c for b in blocks for c in b]
+    if not all(type(c) is int and 0 <= c < space.ambient_dim for c in flat):
+        raise ValueError(f"a block coordinate is not an int in 0 .. {space.ambient_dim - 1}")
     if len(flat) != len(set(flat)):
         raise ValueError("coordinate blocks overlap")
     columns = [{k: x for k, x in enumerate(column) if x} for column in zip(*space.rows)]
@@ -397,7 +400,10 @@ class FaceReport:
     one-level polytope and, per ordered partition in enumeration order, its
     lower chain face as a mask of that polytope's vertices.  ``orientation``
     is ``"both"`` when every partition's upper chain face equals its lower
-    one, so the sweep could not tell them apart, and ``"lower"`` otherwise."""
+    one, so the sweep could not tell them apart, and ``"lower"`` otherwise.
+    ``lattice_ok`` says that the realized faces are exactly the faces of the
+    one-level polytope, its ``tight`` sets closed under nonempty
+    intersection."""
 
     orientation: str
     partitions_checked: int
@@ -405,7 +411,7 @@ class FaceReport:
     containment_ok: bool
     chain_match_ok: bool
     coarsening_ok: bool
-    cover_ok: bool
+    lattice_ok: bool
     failures: tuple
     reference: BasePolytope
     chain_faces: tuple  # ((LevelStructure, lower face vertex mask), ...)
@@ -416,7 +422,7 @@ class FaceReport:
             self.containment_ok
             and self.chain_match_ok
             and self.coarsening_ok
-            and self.cover_ok
+            and self.lattice_ok
         )
 
 
@@ -427,6 +433,17 @@ def _located(points, vertex_bit):
     if all(v in vertex_bit for v in points):
         return sum(map(vertex_bit.__getitem__, points))
     return None
+
+
+def _face_lattice(tight):
+    """The faces of a polytope as vertex masks: the ``tight`` sets of its
+    inequalities, closed under nonempty intersection."""
+    faces = set()
+    for mask in set(tight):
+        faces |= {mask & face for face in faces}
+        faces.add(mask)
+    faces.discard(0)
+    return faces
 
 
 def _level_table(graph, mask, rows):
@@ -517,8 +534,13 @@ def check_polytope_faces(graph):
         every coarsening is a chain of such merges, so whenever every vertex
         set was located (``containment_ok``) this is the verdict over all
         coarsenings;
-    (d) every chain face is realized by some partition (reversal permutes
-        the partitions, so the upper faces are the lower faces).
+    (d) the realized faces are exactly the faces of the one-level polytope.
+        Its subset inequalities, with q(V) = f(V), are a complete
+        H-description, so its faces are the nonempty intersections of its
+        ``tight`` sets (Fujishige's book, cited in the module notes, on
+        the faces of base polytopes).  That lattice reads no chain, no
+        partition and no argmax, so (d) checks that the partitions'
+        polytopes are *all* the faces, which (b) alone does not.
     """
     if len(graph.vertices) > FACE_SWEEP_BOUND:
         raise ValueError(
@@ -572,9 +594,9 @@ def check_polytope_faces(graph):
                 failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
 
     realized = {face for _, face, _, _ in entries.values() if face is not None}
-    cover_ok = {upper for _, _, _, upper in entries.values()} == realized
-    if not cover_ok:
-        failures.append("chain faces and realized faces differ")
+    lattice_ok = _face_lattice(reference.tight) == realized
+    if not lattice_ok:
+        failures.append("face lattice and realized faces differ")
 
     return FaceReport(
         orientation="both" if symmetric else "lower",
@@ -583,7 +605,7 @@ def check_polytope_faces(graph):
         containment_ok=containment_ok,
         chain_match_ok=chain_match_ok,
         coarsening_ok=coarsening_ok,
-        cover_ok=cover_ok,
+        lattice_ok=lattice_ok,
         failures=tuple(failures),
         reference=reference,
         chain_faces=tuple(chain_faces),

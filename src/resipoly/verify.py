@@ -370,13 +370,12 @@ def _face_cases(config, rng, counts):
 
 def _degeneration_cases(config, rng, counts):
     """Limit, realization, splitting and oracle of (graph, fine, coarse) triples."""
-    counts.update(cases=config.degeneration_cases, oracle_cases=0)
+    counts.update(cases=config.degeneration_cases)
     for case in range(config.degeneration_cases):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
         fine = random_level_structure(rng, graph)
         coarse = random_coarsening(rng, fine)
         result = check_degeneration(graph, fine, coarse)
-        counts["oracle_cases"] += 1
         if not result.ok:
             yield (
                 f"case {case}: {graph.edges} fine={fine!r} coarse={coarse!r}: "

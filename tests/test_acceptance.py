@@ -130,7 +130,7 @@ def test_criterion_4_k4_polytope():
     sweep = check_polytope_faces(graph)
     assert sweep.partitions_checked == 75
     assert sweep.containment_ok and sweep.chain_match_ok
-    assert sweep.coarsening_ok and sweep.cover_ok
+    assert sweep.coarsening_ok and sweep.lattice_ok
     assert sweep.orientation == "lower"
     elapsed = time.monotonic() - start
     assert elapsed < 10

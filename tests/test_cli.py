@@ -846,7 +846,7 @@ VERDICT_FAULTS = {
         _appended("injected"),
     ),
     "expect": (resipoly.verify, "_expect_failures", _appended("injected")),
-    "faces": (resipoly.verify, "check_polytope_faces", _replaced(cover_ok=False)),
+    "faces": (resipoly.verify, "check_polytope_faces", _replaced(lattice_ok=False)),
     "limit": (resipoly.verify, "check_degeneration", _replaced(limit_matches=False)),
     "realization": (
         resipoly.verify,
@@ -882,7 +882,7 @@ RANDOM_FAULTS = {
             (
                 resipoly.verify,
                 "check_polytope_faces",
-                _replaced(cover_ok=False, failures=("injected",)),
+                _replaced(lattice_ok=False, failures=("injected",)),
             )
         ],
         ": injected",

@@ -218,6 +218,19 @@ class TestKernel:
 
 
 class TestSubspace:
+    def test_boolean_ambient_dimension_rejected(self):
+        # True == 1, but a flag is no dimension
+        with pytest.raises(ValueError):
+            Subspace(True, [[1]])
+
+    def test_non_int_ambient_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            Subspace(2.5)
+
+    def test_negative_ambient_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            Subspace(-1)
+
     def test_equality_is_basis_equality(self):
         a = Subspace(3, [[1, 1, 0], [0, 0, 1]])
         b = Subspace(3, [[2, 2, 2], [0, 0, 5]])
@@ -354,6 +367,14 @@ class TestVectorCollection:
         assert [type(x) for x in c.vectors[0]] == [int] * 4
         assert [type(x) for x in c.vectors[1]] == [Fraction, int, int, int]
         assert c.supports == (0b1101, 0b0111)
+
+    def test_negative_ambient_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            VectorCollection(-1)
+
+    def test_boolean_ambient_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            VectorCollection(True, [("a", [1])])
 
     @pytest.mark.parametrize("entry", [1.5, 2.0, True])
     def test_floats_and_booleans_rejected(self, entry):

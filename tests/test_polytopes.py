@@ -575,7 +575,7 @@ class TestFaceSweep:
     def test_six_vertex_sweep(self, tmp_path, capsys):
         # the first 6-vertex graph with at least 7 edges of seed 7: 4,683
         # partitions, 15 distinct faces, and the `faces` bytes of the sweep
-        # without memos (1.47 MB, pinned by digest)
+        # without memos (1.33 MB, pinned by digest)
         rng = random.Random(7)
         graph = random_multigraph(rng, 6, 8)
         while len(graph.vertices) < 6 or len(graph.edges) < 7:
@@ -591,7 +591,7 @@ class TestFaceSweep:
         assert payload["distinct_faces"] == 15
         assert payload["ok"] is True
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f50a903f0f3e2a116cf9cf38bc296a2e119d6131e0a2faeae33571557166d0f1"
+            "ec87c332a51f7864be1568b4bb69af35ff63a8500da69888a4484ebe1e7f12f9"
         )
 
     def test_prism_sweep(self, tmp_path, capsys):
@@ -608,7 +608,7 @@ class TestFaceSweep:
         assert payload["distinct_faces"] == 477
         assert payload["ok"] is True
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "8db1e24ee095ae4441cd3a41f3a0cbfda321b9cfdb9f3346ab850d1b9be1ba8d"
+            "066e4ed647722b2c20cb0754e5adf542339dcff45e8707e1096be92802e68d6b"
         )
 
 
@@ -617,6 +617,16 @@ class TestProjectionRankTable:
         space = Subspace(4, [[1, 1, 0, 0]])
         with pytest.raises(ValueError):
             projection_rank_table(space, ("a", "b"), [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "coordinate", [-1, 3, True, 2.0], ids=["negative", "past-the-end", "boolean", "float"]
+    )
+    def test_coordinates_must_be_ints_in_range(self, coordinate):
+        # -1 would be read as coordinate 2, and True as coordinate 1
+        space = Subspace(3, [[0, 0, 1]])
+        with pytest.raises(ValueError):
+            projection_rank_table(space, ("a",), [[coordinate]])
+        assert projection_rank_table(space, ("a",), [[2]]).values == (0, 1)
 
     def test_single_vertex_no_edges(self):
         graph, levels = load_level_graph({"vertices": ["a"], "edges": []})
@@ -954,8 +964,8 @@ class TestFaultInjection:
         assert failure in payload["failures"]
 
     def test_unrealized_chain_face(self, k4, tmp_path, capsys, monkeypatch):
-        # the partition reports every one-level vertex, so its own chain face
-        # (the six vertices with q(v1) = 0) is realized by no partition
+        # the partition reports every one-level vertex, so its lower chain
+        # face, a face of the one-level polytope, is realized by no partition
         graph = k4[0]
         every_vertex = base_polytope(
             residue_projection_table(graph, LevelStructure.trivial(graph.vertices))
@@ -964,17 +974,43 @@ class TestFaultInjection:
             monkeypatch, graph, [["v1"], ["v2", "v3", "v4"]],
             vertices=lambda points: every_vertex,
         )
-        failure = "chain faces and realized faces differ"
+        failure = "face lattice and realized faces differ"
         report = check_polytope_faces(graph)
         assert report.containment_ok and report.coarsening_ok
-        assert not report.cover_ok
+        assert not report.lattice_ok
         assert not report.ok
         assert failure in report.failures
         code, payload = k4_faces_payload(tmp_path, capsys)
         assert code == 1
         assert payload["ok"] is False
-        assert payload["cover_ok"] is False
+        assert payload["lattice_ok"] is False
         assert failure in payload["failures"]
+
+    def test_tight_set_that_is_no_face_fails_the_lattice_alone(
+        self, k4, tmp_path, capsys, monkeypatch
+    ):
+        # the one-level polytope's tight set at the empty subset misses its
+        # first vertex: no prefix chain reads mask 0, so every partition
+        # still matches its chain face, but that set is no face
+        real = polytopes.base_polytope
+
+        def missing_vertex(table):
+            poly = real(table)
+            poly.tight = (poly.tight[0] & ~1,) + poly.tight[1:]
+            return poly
+
+        monkeypatch.setattr(polytopes, "base_polytope", missing_vertex)
+        failure = "face lattice and realized faces differ"
+        report = check_polytope_faces(k4[0])
+        assert report.containment_ok and report.chain_match_ok and report.coarsening_ok
+        assert not report.lattice_ok
+        assert not report.ok
+        assert report.failures == (failure,)
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["lattice_ok"] is False
+        assert payload["failures"] == [failure]
 
     def one_level_vertices(self, graph, indices):
         every_vertex = base_polytope(
@@ -1046,7 +1082,7 @@ class TestFaultInjection:
 
         monkeypatch.setattr(polytopes, "_table_and_face", upper_step)
         report = check_polytope_faces(graph)
-        assert report.containment_ok and report.coarsening_ok and report.cover_ok
+        assert report.containment_ok and report.coarsening_ok and report.lattice_ok
         assert not report.chain_match_ok
         assert not report.ok
         mismatched = [pi for pi, _ in report.chain_faces if pi.r > 1]
@@ -1091,7 +1127,7 @@ class TestFaultInjection:
         trivial = LevelStructure.trivial(graph.vertices)
         failure = f"{pi!r} -> {trivial!r}: table not dominated"
         report = check_polytope_faces(graph)
-        assert report.containment_ok and report.chain_match_ok and report.cover_ok
+        assert report.containment_ok and report.chain_match_ok and report.lattice_ok
         assert not report.coarsening_ok
         assert not report.ok
         assert report.failures == (failure,)

@@ -262,10 +262,10 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "cover_ok = {upper for _, _, _, upper in entries.values()} == realized",
-        "cover_ok = True",
-        "check_polytope_faces: cover check off",
-        "tests/test_polytopes.py::TestFaultInjection::test_unrealized_chain_face",
+        "lattice_ok = _face_lattice(reference.tight) == realized",
+        "lattice_ok = True",
+        "check_polytope_faces: face-lattice check off",
+        "tests/test_polytopes.py::TestFaultInjection::test_tight_set_that_is_no_face_fails_the_lattice_alone",
     ),
     Mutant(
         POLY,
@@ -1162,6 +1162,34 @@ CATALOGUE = (
         "    echelon = {}\n",
         "residue_space: a level structure listing the vertices in another order is not rejected",
         "tests/test_residues.py::TestFlag::test_space_routes_reject_a_reordered_vertex_tuple",
+    ),
+    Mutant(
+        POLY,
+        "faces |= {mask & face for face in faces}",
+        "pass",
+        "_face_lattice: the tight sets not closed under intersection",
+        "tests/test_polytopes.py::TestFaceSweep::test_k4_full_sweep",
+    ),
+    Mutant(
+        POLY,
+        "faces.discard(0)",
+        "pass",
+        "_face_lattice: the empty intersection kept as a face",
+        "tests/test_polytopes.py::TestFaceSweep::test_k4_full_sweep",
+    ),
+    Mutant(
+        POLY,
+        "if not all(type(c) is int and 0 <= c < space.ambient_dim for c in flat):",
+        "if not all(0 <= c < space.ambient_dim for c in flat):",
+        "projection_rank_table: a boolean block coordinate read as 0 or 1",
+        "tests/test_polytopes.py::TestProjectionRankTable::test_coordinates_must_be_ints_in_range[boolean]",
+    ),
+    Mutant(
+        LIN,
+        "if type(dim) is not int or dim < 0:",
+        "if dim < 0:",
+        "Subspace, VectorCollection: a bool or float taken as an ambient dimension",
+        "tests/test_linalg.py::TestSubspace::test_boolean_ambient_dimension_rejected",
     ),
 )
 
