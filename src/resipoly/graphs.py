@@ -129,6 +129,16 @@ class Multigraph:
     * ``mask_components`` -- the connected components of the subgraph
       induced on it, as a tuple of vertex masks ordered by their lowest
       vertex.
+
+    A fifth per-graph memo, ``sweep_entries``, is keyed by a (level mask,
+    prefix mask) pair of disjoint vertex masks, with the level mask
+    nonzero, so a graph on k vertices has at most 3^k - 2^k entries.  The
+    pair is packed into the one int ``mask | prefix << k``, which takes
+    less memory than a tuple key.  Each entry is the flag sweep's facts of
+    that level below that prefix, a flat tuple of small ints.  It is a
+    plain dict that :mod:`resipoly.residues` fills on a miss: a
+    :class:`Memo` fill would have to hold the graph, a reference cycle
+    that keeps every graph alive until a cyclic garbage collection.
     """
 
     __slots__ = (
@@ -145,6 +155,7 @@ class Multigraph:
         "arrows_from",
         "arrows_into",
         "mask_components",
+        "sweep_entries",
     )
 
     def __init__(self, vertices, edges):
@@ -194,6 +205,7 @@ class Multigraph:
         self.arrows_from = Memo(partial(_union, self.out_arrows)).__getitem__
         self.arrows_into = Memo(partial(_union, self.in_arrows)).__getitem__
         self.mask_components = Memo(partial(_flood, self.neighbours)).__getitem__
+        self.sweep_entries = {}
         self.component_count = len(self.mask_components((1 << len(vertices)) - 1))
         self.genus = len(self.edges) - len(vertices) + self.component_count
 

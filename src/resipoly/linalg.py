@@ -330,10 +330,13 @@ def kernel(matrix, num_cols=None):
 
 
 def _canonical_coords(coords, ambient_dim):
-    out = sorted(set(coords))
-    if out and (out[0] < 0 or out[-1] >= ambient_dim):
-        raise IndexError("coordinate index out of range")
-    return out
+    """The distinct coordinates of `coords`, ascending.  Each must be an int
+    in 0 .. ambient_dim - 1: a bool, a float or an index out of range is
+    rejected with ValueError."""
+    coords = list(coords)
+    if not all(type(c) is int and 0 <= c < ambient_dim for c in coords):
+        raise ValueError(f"a coordinate is not an int in 0 .. {ambient_dim - 1}")
+    return sorted(set(coords))
 
 
 def project_image(space, coords):

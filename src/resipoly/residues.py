@@ -22,51 +22,68 @@ identities are recomputed from scratch for every input and reported; a
 mismatch signals an implementation bug, never data to be corrected.
 
 :class:`LevelGraph` is the one model of a graph with an ordered partition.
-Its constructor makes one walk over the levels, top to bottom.  At level n
-it reads the level mask L and the prefix mask V<=n against the graph's
-per-mask tables (components, neighbours, arrows out and in) and sets, as
-plain attributes: the components of L, of V<n and of V<=n and the special
-components of V<n (those meeting the neighbours of L); the local row of
-each vertex of L; the global rows of level n; the summits; and the
+Every condition row of level n lies on the arrows out of its level mask L
+and depends on L and the prefix mask V<n alone, so the condition matrix is
+block-diagonal by level.  :func:`_level_pair` is the one builder of what a
+level contributes: at the pair (L, V<n) it reads the graph's per-mask
+tables (components, neighbours, arrows out and in) and returns a
+:class:`LevelPair` with the components of L, of V<n and of V<=n and the
+special components of V<n (those meeting the neighbours of L), the local
+row of each vertex of L, the global rows of level n, the summits, and the
 downward and horizontal arrows, as the masks of the arrows out of L with
-head outside V<=n and inside L.  From those it sets the counts and the
-four condition families.  Vertex sets are the positional bitmasks of
-:mod:`resipoly.graphs`, read from
+head outside V<=n and inside L.  The constructor of :class:`LevelGraph`
+builds one per level and assembles from them the counts and the four
+condition families, in owner order.  Vertex sets are the positional
+bitmasks of :mod:`resipoly.graphs`, read from
 :attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name tuples
 only where they are reported.  Every condition is a 0/1 row, so it is
 built once as the int bitmask of the arrow indices where it is 1, like
 every other arrow set.  The relatedness predicates and the component
-report read one more walk over the levels (:meth:`LevelGraph.collections`),
-which groups the local and rosenlicht rows by level component and reuses a
-group for every component of V<=n whose level-n vertices form that one
-level component; a component of V<=n that lies inside level n reuses that
-level component's relatedness verdict too.  Ranks and kernels come from
-the one sparse integer echelon of :mod:`resipoly.linalg`, run on the masks
-themselves, each row pivoted at its lowest arrow: a rank is the echelon's
-size, and a kernel is read off its back-substitution.  No full-width row
-is made from a mask.
+report read the per-component collections of each pair
+(:func:`_level_collections`), which group the local and rosenlicht rows by
+level component and reuse a group for every component of V<=n whose
+level-n vertices form that one level component; a component of V<=n that
+lies inside level n reuses that level component's relatedness verdict
+too.  Ranks and kernels come from the one sparse integer echelon of
+:mod:`resipoly.linalg`, run on the masks themselves, each row pivoted at
+its lowest arrow: a rank is the echelon's size, and a kernel is read off
+its back-substitution.  No full-width row is made from a mask.
 What a row belongs to is derived from its lowest arrow
 (:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
 where a report names the row.
 
-Every row has its arrows out of one level, and the rows of level n depend
-on L and V<n alone.  :func:`level_rows` builds just those rows, as a set;
-a partition's rows are the union of its levels' sets.  So the rows have
-two builders, split by one rule: :class:`LevelGraph` serves what needs
-them by family (the flag, the counts and the reports), and
-:func:`level_rows` what needs a partition's row set and nothing else
-(:func:`residue_space` and the face sweep).  The two share no code:
-routing both through one per-level builder costs one more call and tuple
-per level, and measured about 19% slower on the identities benchmark's
-flag sweeps (``wall_s`` 0.89-0.92 s against 1.05-1.09 s, four
-alternating pairs of 10 s runs on 2 vCPUs), so
-``test_level_row_sets_match_the_model`` holds the two builders to the same
-rows instead.
+The flag sweep over every ordered partition of a graph builds no
+:class:`LevelGraph`.  A partition's family-cumulative ranks and count terms
+are the sums of its levels', and its relation failures and component
+identity verdicts their concatenation, so :func:`flag_dims`,
+:func:`check_component_relations` and the random flag sweep of
+:mod:`resipoly.verify` read one entry per level from the graph's pair memo
+(:attr:`~resipoly.graphs.Multigraph.sweep_entries`), built once per
+(level mask, prefix mask) pair by :func:`_sweep_entry`: 3^k - 2^k pairs
+on k vertices, 211 at five, against 2,071 level visits over the 541
+partitions.  Failure texts are stored without their level number, which
+is prefixed on assembly, so the texts and their order are the model's.
+The identities benchmark's ``wall_s`` fell from 0.916 s to 0.165 s
+(medians of ten alternating pairs of 28 s runs on 2 vCPUs), where routing
+each partition through the builder alone had made it about 19% slower.
+Equal entries share one tuple (:func:`_shared`), which keeps the memo's
+memory near half a megabyte on that benchmark's 82 graphs.  The
+whole-space echelon stays where one document is checked.
+
+:func:`level_rows` builds one level's rows as a set for the readers that
+need a partition's row set and nothing else (:func:`residue_space` and
+the face sweep).  It keeps its own lean walk: reading the rows off a
+:class:`LevelPair` also builds the level's components and summits, and
+took the faces benchmark's ``wall_s`` from 0.166-0.172 s to 0.181-0.184 s
+(two alternating pairs of 8 s runs on 2 vCPUs).
+``test_level_row_sets_match_the_model`` holds it to the pairs' rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .graphs import bits, check_same_vertices
@@ -154,17 +171,311 @@ class LevelMasks(NamedTuple):
     upto: tuple
 
 
+def _edge_rows(arrows):
+    """The rosenlicht row of each edge whose two arrows lie in the arrow
+    mask `arrows`, in edge order."""
+    # edge e has the arrows 2e and 2e + 1: every other bit is one edge
+    return tuple([3 << a for a in bits(arrows)[::2]])
+
+
+class LevelPair(NamedTuple):
+    """Level n of a level graph, read off its (level mask L, prefix mask
+    V<n) pair alone by :func:`_level_pair`.
+
+    ``local`` maps each vertex of L to its local row (0 when it has none),
+    ``downward`` and ``horizontal`` are the masks of the arrows out of L
+    with head outside V<=n and inside L, ``glob`` holds the global row of
+    each special component, in their order, and ``irreducible`` and
+    ``reducible`` are the summits among the components of L.
+    """
+
+    masks: LevelMasks
+    local: dict
+    downward: int
+    horizontal: int
+    glob: tuple
+    irreducible: tuple
+    reducible: tuple
+
+    def rows(self):
+        """The level's condition rows, one tuple per family, in owner order."""
+        return (
+            tuple([1 << a for a in bits(self.downward)]),
+            tuple([row for row in self.local.values() if row]),
+            _edge_rows(self.horizontal),
+            self.glob,
+        )
+
+    def terms(self):
+        """The level's count terms: its vertical edges, horizontal edges,
+        irreducible summits and reducible summits."""
+        # a vertical edge has one downward arrow, out of its upper level; a
+        # horizontal edge has two horizontal ones
+        return (
+            self.downward.bit_count(),
+            self.horizontal.bit_count() // 2,
+            len(self.irreducible),
+            len(self.reducible),
+        )
+
+
+def _level_pair(graph, mask, prefix):
+    """Level `mask` below V<n = `prefix`: the one builder of every per-level
+    fact, read against the graph's per-mask tables.
+
+    Every condition row of level n lies on the arrows out of L and depends
+    on L and V<n alone: the downward unit rows of the arrows out of L with
+    head outside V<=n, the local row of each vertex of L (its arrows with
+    head in V<=n) when nonzero, the rosenlicht row of each edge inside L,
+    and the global row of each special component, a component of V<n
+    meeting the neighbours of L.  A summit is a component of L with no
+    arrow into V<n, that is the tail of no upward arrow; it is irreducible
+    when it is one vertex without a loop.
+    """
+    arrows_from, arrows_into = graph.arrows_from, graph.arrows_into
+    components, neighbours = graph.mask_components, graph.neighbours
+    out_arrows = graph.out_arrows
+    # an arrow out of level n is upward into V<n, downward out of V<=n
+    into_below = arrows_into(prefix)
+    upto = prefix | mask
+    into_upto = arrows_into(upto)
+    out = arrows_from(mask)
+    local = {i: out_arrows[i] & into_upto for i in bits(mask)}
+    level = components(mask)
+    irreducible = []
+    reducible = []
+    for comp in level:
+        if arrows_from(comp) & into_below:
+            continue
+        if comp & (comp - 1) or neighbours[comp.bit_length() - 1] & comp:
+            reducible.append(comp)
+        else:
+            irreducible.append(comp)
+    below = components(prefix)
+    reach = graph.neighbour_mask(mask)
+    special = tuple([c for c in below if c & reach])
+    return LevelPair(
+        LevelMasks(mask, level, below, special, components(upto)),
+        local,
+        out & ~into_upto,
+        out & arrows_into(mask),
+        tuple([out & arrows_into(c) for c in special]),
+        tuple(irreducible),
+        tuple(reducible),
+    )
+
+
+def _rows_within(graph, local, mask):
+    """The local rows of the vertices of `mask`, read from `local` (vertex
+    index -> local row), and the rosenlicht rows of the edges with both
+    ends in it, in owner order.
+
+    `mask` must be a union of components of one level, so that every edge
+    inside it is horizontal and every horizontal edge meeting it lies
+    inside it.
+    """
+    rows = []
+    for i in bits(mask):
+        if local[i]:
+            rows.append(local[i])
+    return tuple(rows), _edge_rows(graph.arrows_from(mask) & graph.arrows_into(mask))
+
+
+def _level_collections(graph, pair):
+    """The per-component collections of one level.
+
+    Returns a dict from each component of the level to its
+    :func:`_rows_within`, and a list with, for each component C of V<=n,
+    the tuple (C, C's level-n vertices, local rows, rosenlicht rows, global
+    rows): the rows of level n that lie in C, which live in the coordinates
+    of the non-downward arrows with tail in C's level-n vertices.  The
+    group of a C whose level-n vertices form one level component is read
+    from the dict.  A C that misses level n has empty collections: a
+    special component inside it would join it to level n.
+    """
+    at, local = pair.masks, pair.local
+    groups = {comp: _rows_within(graph, local, comp) for comp in at.components}
+    blocks = []
+    for comp in at.upto:
+        here = comp & at.mask
+        if not here:
+            blocks.append((comp, 0, (), (), ()))
+            continue
+        rows, rosenlicht = groups.get(here) or _rows_within(graph, local, here)
+        glob = tuple([row for c, row in zip(at.special, pair.glob) if c & comp])
+        blocks.append((comp, here, rows, rosenlicht, glob))
+    return groups, blocks
+
+
+def _pair_relations(graph, pair):
+    """Relatedness predicates on one level's per-component collections.
+
+    Within every level component, the local rows versus the rosenlicht
+    rows must be set-theoretically independent and properly unrelated,
+    and related exactly for reducible summits.  Within every component of
+    V_{h<=n} that meets level n, the global and rosenlicht rows together
+    versus the local rows must be set-theoretically independent and
+    properly unrelated, and related whenever the collections are nonempty.
+    The components of V_{h<=n} that miss level n are skipped, and one that
+    lies inside level n, a summit with no global row, reads its level
+    component's verdict.  Returns the level components' failure texts and
+    the merged components', each without its level number (see
+    :func:`_numbered`).
+    """
+    names = graph.names
+    groups, blocks = _level_collections(graph, pair)
+    failures = []
+    merged = []
+    verdicts = {}
+    for comp, group in groups.items():
+        verdict = verdicts[comp] = support_checks(*group)
+        if verdict is None:
+            failures.append(f"component {names(comp)}: not set-theoretically independent")
+            continue
+        related, properly = verdict
+        if not properly:
+            failures.append(f"component {names(comp)}: not properly unrelated")
+        if related != (comp in pair.reducible):
+            failures.append(
+                f"component {names(comp)}: related={related} "
+                f"but reducible-summit={comp in pair.reducible}"
+            )
+
+    for comp, here, local, rosenlicht, glob in blocks:
+        if not here:
+            continue
+        # a C inside level n is a level component with no global row: its
+        # collections are that component's, swapped, and the verdict is
+        # symmetric in the two
+        if comp == here:
+            verdict = verdicts[comp]
+        else:
+            verdict = support_checks(glob + rosenlicht, local)
+        if verdict is None:
+            merged.append(f"merged component {names(comp)}: not set-theoretically independent")
+            continue
+        related, properly = verdict
+        if not properly:
+            merged.append(f"merged component {names(comp)}: not properly unrelated")
+        nonempty = bool(local or rosenlicht or glob)
+        if related != nonempty:
+            merged.append(
+                f"merged component {names(comp)}: related={related} with nonempty={nonempty}"
+            )
+    return failures, merged
+
+
+def _numbered(texts):
+    """One partition's relation failures from each level's pair of text
+    lists (level components', merged components'), top to bottom: every
+    level component's failure before every merged component's, each
+    prefixed with its level number."""
+    failures = []
+    merged = []
+    for n, (level, merged_here) in enumerate(texts, start=1):
+        failures += [f"level {n} {text}" for text in level]
+        merged += [f"level {n} {text}" for text in merged_here]
+    return failures + merged
+
+
+def _component_identity(at):
+    """The below-level component identity at one level, given its
+    :class:`LevelMasks`: the non-special components of V<n are exactly its
+    components that survive as components of V<=n."""
+    return set(at.below) - set(at.special) == set(at.upto) & set(at.below)
+
+
+# A sweep entry is a flat tuple: the level's four family-cumulative ranks,
+# its four count terms (LevelPair.terms) and its component-identity
+# verdict, then, only when it has any, its level components' and merged
+# components' relation failure texts.
+_IDENTITY = 8
+
+
+def _sweep_entry(graph, mask, prefix):
+    """The flag sweep's entry of level `mask` below `prefix` (see
+    :data:`_IDENTITY`).  Every row of the level lies on the arrows out of
+    it, so the condition matrix of a partition is block-diagonal by level:
+    its ranks and counts are sums of its levels' entries, and its failure
+    texts their concatenation."""
+    pair = _level_pair(graph, mask, prefix)
+    entry = (
+        *_cumulative_ranks(pair.rows()),
+        *pair.terms(),
+        _component_identity(pair.masks),
+    )
+    level, merged = _pair_relations(graph, pair)
+    if level or merged:
+        entry += (tuple(level), tuple(merged))
+    return entry
+
+
+@lru_cache(maxsize=1024)
+def _shared(entry):
+    """One tuple for all equal sweep entries: the identities benchmark's 82
+    graphs hold 4,948 entries, of which 272 are distinct, and a tuple of
+    nine ints takes 112 bytes."""
+    return entry
+
+
+def _level_entries(graph, levels):
+    """Each level's :func:`_sweep_entry`, top to bottom, read from the
+    graph's pair memo (:attr:`~resipoly.graphs.Multigraph.sweep_entries`),
+    where the pair (L, V<n) is the one int ``L | V<n << k`` on k vertices."""
+    check_same_vertices(graph, levels)
+    memo = graph.sweep_entries
+    k = len(graph.vertices)
+    entries = []
+    prefix = 0
+    for mask in levels.masks:
+        key = mask | prefix << k
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _shared(_sweep_entry(graph, mask, prefix))
+        entries.append(entry)
+        prefix |= mask
+    return entries
+
+
+def _summed_dims(graph, entries):
+    """The counts and the four flag dimensions of a partition, from its
+    levels' entries: each rank and count term is the sum over the levels."""
+    sums = list(map(sum, islice(zip(*entries), _IDENTITY)))
+    counts = LevelCounts(
+        len(graph.vertices),
+        len(graph.edges),
+        graph.component_count,
+        graph.genus,
+        len(entries),
+        *sums[4:],
+    )
+    width = graph.num_arrows
+    return counts, tuple([width - rank for rank in sums[:4]])
+
+
+def _identity_verdicts(entries):
+    """Each level's component-identity verdict, from its entry."""
+    return [entry[_IDENTITY] for entry in entries]
+
+
+def _relation_failures(entries):
+    """A partition's relation failures from its levels' entries, in the
+    order of :meth:`LevelGraph.relation_failures`."""
+    if max(map(len, entries)) == _IDENTITY + 1:
+        return []  # no level has a failure text
+    return _numbered([entry[_IDENTITY + 1 :] or ((), ()) for entry in entries])
+
+
 class LevelGraph:
     """A multigraph with an ordered partition of its vertices, and the facts
     derived from the pair.
 
-    The constructor makes one walk over the levels and sets every part the
-    checks read as a plain attribute:
+    The constructor builds each level's :class:`LevelPair` and assembles
+    from them, as plain attributes, every part the checks read:
 
+    * ``pairs`` -- the levels' :class:`LevelPair` records, top to bottom;
     * ``masks`` -- level n -> its :class:`LevelMasks`;
-    * ``counts`` -- the :class:`LevelCounts`.  A summit is a level
-      component with no arrow into V<n, that is the tail of no upward
-      arrow; it is irreducible when it is one vertex without a loop;
+    * ``counts`` -- the :class:`LevelCounts`, summed over the levels;
     * ``rows`` -- family -> its condition rows as arrow masks, ordered by
       owner (global rows by level, then by the lowest vertex of their
       component).  The local row of a vertex is the support of its
@@ -184,65 +495,33 @@ class LevelGraph:
         check_same_vertices(graph, levels)
         self.graph = graph
         self.levels = levels
-        arrows_from, arrows_into = graph.arrows_from, graph.arrows_into
-        components, neighbours = graph.mask_components, graph.neighbours
-        out_arrows = graph.out_arrows
-        local_at = [0] * len(graph.vertices)
-        masks = {}
-        global_at = {}
-        irreducible = []
-        reducible = []
-        downward = horizontal = 0
-        below = ()
+        pairs = []
         prefix = 0
-        for n, mask in enumerate(levels.masks, start=1):
-            # an arrow out of level n is upward into V<n, downward out of V<=n
-            into_below = arrows_into(prefix)
+        for mask in levels.masks:
+            pairs.append(_level_pair(graph, mask, prefix))
             prefix |= mask
-            into_prefix = arrows_into(prefix)
-            out = arrows_from(mask)
-            for i in bits(mask):
-                local_at[i] = out_arrows[i] & into_prefix
-            downward |= out & ~into_prefix
-            horizontal |= out & arrows_into(mask)
-            level = components(mask)
-            for comp in level:
-                if arrows_from(comp) & into_below:
-                    continue
-                if comp & (comp - 1) or neighbours[comp.bit_length() - 1] & comp:
-                    reducible.append(comp)
-                else:
-                    irreducible.append(comp)
-            reach = graph.neighbour_mask(mask)
-            special = tuple([c for c in below if c & reach])
-            for comp in special:
-                global_at[n, comp] = out & arrows_into(comp)
-            upto = components(prefix)
-            masks[n] = LevelMasks(mask, level, below, special, upto)
-            below = upto
-        self.masks = masks
-        self._local_at = local_at
-        self._global_at = global_at
-        self._summit_masks = (irreducible, reducible)
-        # a vertical edge has one downward arrow, a horizontal edge two
-        # horizontal ones
+        local_at = [0] * len(graph.vertices)
+        downward = horizontal = 0
+        for pair in pairs:
+            for i, row in pair.local.items():
+                local_at[i] = row
+            downward |= pair.downward
+            horizontal |= pair.horizontal
+        self.pairs = tuple(pairs)
+        self.masks = {n: pair.masks for n, pair in enumerate(pairs, start=1)}
         self.counts = LevelCounts(
             len(graph.vertices),
             len(graph.edges),
             graph.component_count,
             graph.genus,
             levels.r,
-            downward.bit_count(),
-            horizontal.bit_count() // 2,
-            len(irreducible),
-            len(reducible),
+            *[sum(column) for column in zip(*[pair.terms() for pair in pairs])],
         )
         self.rows = {
             "downward": tuple([1 << a for a in bits(downward)]),
             "local": tuple([row for row in local_at if row]),
-            # edge e has the arrows 2e and 2e + 1: every other bit is one edge
-            "rosenlicht": tuple([3 << a for a in bits(horizontal)[::2]]),
-            "global": tuple(global_at.values()),
+            "rosenlicht": _edge_rows(horizontal),
+            "global": tuple([row for pair in pairs for row in pair.glob]),
         }
 
     def owner(self, family, row):
@@ -281,47 +560,11 @@ class LevelGraph:
         n, component = owner
         return f"{n}:{'+'.join(graph.names(component))}"
 
-    def _rows_within(self, mask):
-        """The local rows of the vertices of `mask` and the rosenlicht rows of
-        the edges with both ends in it, in owner order.
-
-        `mask` must be a union of components of one level, so that every
-        edge inside it is horizontal and every horizontal edge meeting it
-        lies inside it.
-        """
-        graph, local_at = self.graph, self._local_at
-        local = []
-        for i in bits(mask):
-            if local_at[i]:
-                local.append(local_at[i])
-        inside = graph.arrows_from(mask) & graph.arrows_into(mask)
-        # edge e has the arrows 2e and 2e + 1: every other bit is one edge
-        return tuple(local), tuple([3 << a for a in bits(inside)[::2]])
-
     def collections(self):
-        """The per-component collections, one level at a time, top to bottom.
-
-        For level n, yields n, a dict from each component of level n to its
-        :meth:`_rows_within`, and a list with, for each component C of V<=n,
-        the tuple (C, C's level-n vertices, local rows, rosenlicht rows,
-        global rows): the rows of level n that lie in C, which live in the
-        coordinates of the non-downward arrows with tail in C's level-n
-        vertices.  The group of a C whose level-n vertices form one level
-        component is read from the dict.  A C that misses level n has empty
-        collections: a special component inside it would join it to level n.
-        """
-        for n, at in self.masks.items():
-            groups = {comp: self._rows_within(comp) for comp in at.components}
-            blocks = []
-            for comp in at.upto:
-                here = comp & at.mask
-                if not here:
-                    blocks.append((comp, 0, (), (), ()))
-                    continue
-                local, rosenlicht = groups.get(here) or self._rows_within(here)
-                glob = tuple([self._global_at[n, c] for c in at.special if c & comp])
-                blocks.append((comp, here, local, rosenlicht, glob))
-            yield n, groups, blocks
+        """The per-component collections, one level at a time, top to bottom:
+        for level n, yields n and its :func:`_level_collections`."""
+        for n, pair in enumerate(self.pairs, start=1):
+            yield (n, *_level_collections(self.graph, pair))
 
     def flag(self):
         """Impose the four families cumulatively and keep every kernel, each
@@ -332,7 +575,8 @@ class LevelGraph:
         return ResidueFlag(self.counts, spaces)
 
     def flag_dims(self):
-        """The counts and the four flag dimensions, by integer rank only."""
+        """The counts and the four flag dimensions, by integer rank only, on
+        one echelon of the whole arrow space."""
         width = self.graph.num_arrows
         ranks = _cumulative_ranks(self.rows[f] for f in FAMILIES)
         return self.counts, tuple(width - r for r in ranks)
@@ -379,76 +623,17 @@ class LevelGraph:
         return ComponentReport(tuple(blocks), tuple(summaries), dims, consistent)
 
     def relation_failures(self):
-        """Relatedness predicates on the per-component collections.
-
-        Within every level component, the local rows versus the rosenlicht
-        rows must be set-theoretically independent and properly unrelated,
-        and related exactly for reducible summits.  Within every component
-        of V_{h<=n} that meets level n, the global and rosenlicht rows
-        together versus the local rows must be set-theoretically independent
-        and properly unrelated, and related whenever the collections are
-        nonempty.  One walk over the levels (:meth:`collections`) checks
-        both kinds; the components of V_{h<=n} that miss level n are
-        skipped, and one that lies inside level n, a summit with no global
-        row, reads its level component's verdict.  Returns a list of
-        failure descriptions, every level component's before every merged
-        component's (empty means all predicates hold).
-        """
-        failures = []
-        merged = []
-        names = self.graph.names
-        reducible = self._summit_masks[1]
-        for n, groups, blocks in self.collections():
-            verdicts = {}
-            for comp, group in groups.items():
-                verdict = verdicts[comp] = support_checks(*group)
-                if verdict is None:
-                    failures.append(
-                        f"level {n} component {names(comp)}: not set-theoretically independent"
-                    )
-                    continue
-                related, properly = verdict
-                if not properly:
-                    failures.append(f"level {n} component {names(comp)}: not properly unrelated")
-                if related != (comp in reducible):
-                    failures.append(
-                        f"level {n} component {names(comp)}: related={related} "
-                        f"but reducible-summit={comp in reducible}"
-                    )
-
-            for comp, here, local, rosenlicht, glob in blocks:
-                if not here:
-                    continue
-                # a C inside level n is a level component with no global
-                # row: its collections are that component's, swapped, and
-                # the verdict is symmetric in the two
-                if comp == here:
-                    verdict = verdicts[comp]
-                else:
-                    verdict = support_checks(glob + rosenlicht, local)
-                if verdict is None:
-                    merged.append(
-                        f"level {n} merged component {names(comp)}: "
-                        "not set-theoretically independent"
-                    )
-                    continue
-                related, properly = verdict
-                if not properly:
-                    merged.append(
-                        f"level {n} merged component {names(comp)}: not properly unrelated"
-                    )
-                nonempty = bool(local or rosenlicht or glob)
-                if related != nonempty:
-                    merged.append(
-                        f"level {n} merged component {names(comp)}: "
-                        f"related={related} with nonempty={nonempty}"
-                    )
-        return failures + merged
+        """Relatedness predicates on the per-component collections, one
+        :func:`_pair_relations` per level.  Returns a list of failure
+        descriptions, every level component's before every merged
+        component's (empty means all predicates hold)."""
+        return _numbered([_pair_relations(self.graph, pair) for pair in self.pairs])
 
 
 def level_rows(graph, mask, prefix):
     """The condition rows that level `mask` owns below V<n = `prefix`, as a
-    frozenset of arrow masks.
+    frozenset of arrow masks: the rows of its :class:`LevelPair`, by a
+    walk of their own (see the module docstring).
 
     They are the rows of :attr:`LevelGraph.rows` whose arrows have their
     tail in the level, and they depend on the two masks alone: the downward
@@ -541,11 +726,12 @@ def build_flag(graph, levels):
 
 
 def flag_dims(graph, levels):
-    """The four flag dimensions by integer rank only (no kernels materialized).
-
-    Same mathematics as :func:`build_flag`, used for large sweeps.
+    """The counts and the four flag dimensions by integer rank only (no
+    kernels materialized), summed over the levels' entries in the graph's
+    pair memo: each (level mask, prefix mask) pair is ranked once per
+    graph.  Same mathematics as :func:`build_flag`, used for large sweeps.
     """
-    return LevelGraph(graph, levels).flag_dims()
+    return _summed_dims(graph, _level_entries(graph, levels))
 
 
 def residue_space(graph, levels):
@@ -626,6 +812,7 @@ def per_component_report(graph, levels):
 
 
 def check_component_relations(graph, levels):
-    """Relatedness predicates on the per-component collections; see
-    :meth:`LevelGraph.relation_failures`."""
-    return LevelGraph(graph, levels).relation_failures()
+    """Relatedness predicates on the per-component collections, the texts
+    of :meth:`LevelGraph.relation_failures` listed from the levels' entries
+    in the graph's pair memo."""
+    return _relation_failures(_level_entries(graph, levels))

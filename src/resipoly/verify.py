@@ -35,7 +35,16 @@ from .randomized import (
     random_multigraph,
     random_sti_collection,
 )
-from .residues import LevelGraph, LevelSummary, flag_identities
+from .residues import (
+    LevelGraph,
+    LevelSummary,
+    _component_identity,
+    _identity_verdicts,
+    _level_entries,
+    _relation_failures,
+    _summed_dims,
+    flag_identities,
+)
 
 __all__ = ["VerifyConfig", "full_verification", "verify_document"]
 
@@ -230,17 +239,12 @@ def _expect_failures(model, flag, report, expect, reference=None):
     return failures
 
 
-def _component_set_identity_failures(model):
-    """The below-level component identity: the non-special components of the
-    strictly-below subgraph are exactly its components that survive as
-    components one level up."""
-    failures = []
-    for n, at in model.masks.items():
-        lhs = set(at.below) - set(at.special)
-        rhs = set(at.upto) & set(at.below)
-        if lhs != rhs:
-            failures.append(f"level {n}: component identity fails")
-    return failures
+def _component_set_identity_failures(verdicts):
+    """The below-level component identity, given each level's verdict top
+    to bottom (:func:`~resipoly.residues._component_identity`): one failure
+    per level where the non-special components of the strictly-below
+    subgraph are not exactly its components that survive one level up."""
+    return [f"level {n}: component identity fails" for n, ok in enumerate(verdicts, 1) if not ok]
 
 
 def _fixture_degenerations(graph, levels):
@@ -272,7 +276,9 @@ def verify_document(name, document):
     inclusions = flag.inclusions()
     report = model.component_report(flag.dims)
     relation_failures = model.relation_failures()
-    identity_failures = _component_set_identity_failures(model)
+    identity_failures = _component_set_identity_failures(
+        [_component_identity(at) for at in model.masks.values()]
+    )
     faces = None
     if len(graph.vertices) <= FACE_SWEEP_BOUND:
         faces = check_polytope_faces(graph)
@@ -336,22 +342,24 @@ def verify_document(name, document):
 
 
 def _flag_cases(config, rng, counts):
-    """Flag identities, relations and component identity of every partition."""
+    """Flag identities, relations and component identity of every partition,
+    each summed or listed from its levels' entries in the graph's pair memo,
+    so no level graph is built."""
     counts.update(graphs=config.flag_cases, partitions=0)
     for case in range(config.flag_cases):
         graph = random_multigraph(rng, config.max_vertices, config.max_edges)
         for pi in ordered_partitions(graph.vertices):
             counts["partitions"] += 1
-            model = LevelGraph(graph, pi)
-            bad = [c for c in flag_identities(*model.flag_dims()) if not c.ok]
+            entries = _level_entries(graph, pi)
+            bad = [c for c in flag_identities(*_summed_dims(graph, entries)) if not c.ok]
             if bad:
                 yield f"case {case}: {graph.edges} / {pi!r}: " + "; ".join(
                     f"{c.name} {c.lhs}!={c.rhs}" for c in bad
                 )
-            relations = model.relation_failures()
+            relations = _relation_failures(entries)
             if relations:
                 yield f"case {case}: {pi!r}: " + "; ".join(relations)
-            ident = _component_set_identity_failures(model)
+            ident = _component_set_identity_failures(_identity_verdicts(entries))
             if ident:
                 yield f"case {case}: {pi!r}: " + "; ".join(ident)
 

@@ -694,7 +694,11 @@ def reference_random_coarsening(rng, levels):
 
 def summit_names(model):
     """A LevelGraph's (irreducible, reducible) summits as vertex-name tuples."""
-    return tuple([model.graph.names(c) for c in masks] for masks in model._summit_masks)
+    names, pairs = model.graph.names, model.pairs
+    return (
+        [names(c) for pair in pairs for c in pair.irreducible],
+        [names(c) for pair in pairs for c in pair.reducible],
+    )
 
 
 # The frozenset level-graph model that the bitmask model in graphs,

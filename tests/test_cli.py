@@ -868,7 +868,7 @@ RANDOM_FAULTS = {
     ),
     "flag-relations": (
         "flag_sweep",
-        [(LevelGraph, "relation_failures", _appended("injected relation"))],
+        [(resipoly.verify, "_relation_failures", _appended("injected relation"))],
         ": injected relation",
     ),
     "flag-component-identity": (

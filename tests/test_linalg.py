@@ -257,6 +257,20 @@ class TestSubspace:
         assert kernel_of_projection(w, range(4)).dim == 0
         assert kernel_of_projection(w, ()) == w
 
+    @pytest.mark.parametrize("route", [project_image, kernel_of_projection])
+    @pytest.mark.parametrize(
+        "coordinates",
+        [[-1], [3], [True], [1.0], [1, True], ["1"]],
+        ids=["negative", "past-the-end", "boolean", "float", "boolean-repeat", "string"],
+    )
+    def test_coordinates_must_be_ints_in_range(self, route, coordinates):
+        # True would be read as coordinate 1, 1.0 would fail as an index,
+        # and a boolean beside its int would be deduplicated into it
+        w = Subspace(3, [[0, 1, 0], [1, 0, 1]])
+        with pytest.raises(ValueError):
+            route(w, coordinates)
+        assert route(w, [1, 1]) == route(w, [1])
+
     def test_rank_nullity_on_random_spaces(self):
         rng = random.Random(15)
         for _ in range(60):

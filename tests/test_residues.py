@@ -26,7 +26,7 @@ from resipoly.residues import (
     per_component_report,
     residue_space,
 )
-from resipoly.verify import verify_document
+from resipoly.verify import _component_set_identity_failures, verify_document
 
 from conftest import (
     ReferenceLevelGraph,
@@ -599,6 +599,13 @@ def misreport_support_checks(monkeypatch, sup1, sup2, wrong):
     monkeypatch.setattr(residues, "support_checks", patched)
 
 
+def level_group(model, n, vertices):
+    """The (local rows, rosenlicht rows) of the component of level n with
+    these vertices, as the model's collections hold them."""
+    groups = next(groups for m, groups, _ in model.collections() if m == n)
+    return groups[model.graph.mask_of(vertices)]
+
+
 class TestFaultInjection:
     """Each verdict of the residue layer fed one wrong object must fail, with
     its own message, and the command that reports it exits 1.  On fig1 every
@@ -609,8 +616,7 @@ class TestFaultInjection:
     MERGED = "level 2 merged component ('u1', 'u2', 'u3', 'u4', 'u5')"
 
     def level_component_pair(self, fig1):
-        model = LevelGraph(fig1[0], fig1[1])
-        return model._rows_within(fig1[0].mask_of(["u2", "u3"]))
+        return level_group(LevelGraph(fig1[0], fig1[1]), 2, ["u2", "u3"])
 
     def merged_pair(self, fig1):
         collections = LevelGraph(fig1[0], fig1[1]).collections()
@@ -690,7 +696,7 @@ class TestFaultInjection:
         graph, levels = load_level_graph(document)
         model = LevelGraph(graph, levels)
         assert model.relation_failures() == []
-        summit = model._rows_within(graph.mask_of(["u2", "u3"]))
+        summit = level_group(model, 1, ["u2", "u3"])
         misreport_support_checks(monkeypatch, *summit, wrong)
         failures = [f"level 1 component ('u2', 'u3'): {text}" for text in level_texts] + [
             f"level 1 merged component ('u2', 'u3'): {text}" for text in merged_texts
@@ -756,10 +762,10 @@ class TestFaultInjection:
             if levels == fig1[1]:
                 # the dropped component's global row goes with it, as when
                 # the rows are built from the wrong special list
-                at = self.masks[2]
-                self.masks[2] = at._replace(special=at.special[:1])
-                del self._global_at[2, at.special[1]]
-                self.rows["global"] = tuple(self._global_at.values())
+                pair = self.pairs[1]
+                at = self.masks[2] = pair.masks._replace(special=pair.masks.special[:1])
+                self.pairs = (self.pairs[0], pair._replace(masks=at, glob=pair.glob[:1]))
+                self.rows["global"] = tuple(r for r in self.rows["global"] if r != pair.glob[1])
 
         monkeypatch.setattr(LevelGraph, "__init__", wrong_init)
         code, report = run_fig1(tmp_path, capsys, "verify")
@@ -767,3 +773,250 @@ class TestFaultInjection:
         assert report["ok"] is False
         (section,) = report["fixtures"]
         assert section["component_identity_failures"] == ["level 2: component identity fails"]
+
+
+def sweep_graphs():
+    """Fresh copies of the fixtures of at most five vertices, and 40 seeded
+    random graphs with up to five vertices: every pair memo starts empty."""
+    rng = random.Random(48)
+    graphs = [load_fixture(name)[0] for name in ("fig1", "k4", "c3", "loop1")]
+    graphs += [random_multigraph(rng, 5, 8) for _ in range(40)]
+    assert sum(len(g.vertices) == 5 for g in graphs) >= 5
+    return graphs
+
+
+def misjudging_support_checks(real):
+    """A stand-in for `support_checks` that gives a wrong verdict, or none,
+    to some pairs of collections, chosen by their sizes and supports, so
+    that failure texts of every kind appear at every level."""
+
+    def patched(a, b):
+        pick = (len(a) + 2 * len(b) + sum(a) + sum(b)) % 5
+        if pick == 0:
+            return None
+        if pick == 1:
+            return (False, False)
+        if pick == 2:
+            return (True, True)
+        return real(a, b)
+
+    return patched
+
+
+class TestPairSweep:
+    """The flag sweep reads each (level mask, prefix mask) pair's entry from
+    the graph's memo and sums or lists a partition from its levels'
+    entries; the whole-space routes of :class:`LevelGraph` are its
+    reference."""
+
+    def test_pair_sums_match_one_whole_space_echelon(self):
+        # the counts and flag dimensions summed over the levels' entries,
+        # against one echelon of every row of the partition, on every
+        # partition of each graph; fig2 has 12 vertices and is taken at its
+        # own levels
+        partitions = 0
+        for graph in sweep_graphs():
+            for pi in ordered_partitions(graph.vertices):
+                partitions += 1
+                assert flag_dims(graph, pi) == LevelGraph(graph, pi).flag_dims(), pi
+            k = len(graph.vertices)
+            assert len(graph.sweep_entries) == 3**k - 2**k
+            # equal entries are one tuple
+            entries = graph.sweep_entries.values()
+            assert len(set(map(id, entries))) == len(set(entries))
+        graph, levels = load_fixture("fig2")[:2]
+        assert flag_dims(graph, levels) == LevelGraph(graph, levels).flag_dims()
+        assert flag_dims(graph, levels)[1] == (13, 4, 4, 0)
+        assert partitions >= 5 * 541
+
+    def test_relation_texts_match_the_model(self, monkeypatch):
+        # under wrong verdicts, the texts listed from the entries equal the
+        # model's, text for text and in the same order
+        monkeypatch.setattr(
+            residues, "support_checks", misjudging_support_checks(residues.support_checks)
+        )
+        kinds = set()
+        for graph in sweep_graphs()[:24]:
+            for pi in ordered_partitions(graph.vertices):
+                want = LevelGraph(graph, pi).relation_failures()
+                assert check_component_relations(graph, pi) == want, pi
+                kinds.update(text.split(": ", 1)[1].split("=")[0] for text in want)
+        assert kinds == {
+            "not set-theoretically independent",
+            "not properly unrelated",
+            "related",
+        }
+
+    def test_component_identity_matches_the_model(self, monkeypatch):
+        # with the identity made to fail at every level of odd size, the
+        # failures listed from the entries equal the model's, in order
+        real = residues._component_identity
+        monkeypatch.setattr(
+            residues,
+            "_component_identity",
+            lambda at: real(at) and at.mask.bit_count() % 2 == 0,
+        )
+        failed = 0
+        for graph in sweep_graphs()[:24]:
+            for pi in ordered_partitions(graph.vertices):
+                entries = residues._level_entries(graph, pi)
+                got = _component_set_identity_failures(residues._identity_verdicts(entries))
+                model = LevelGraph(graph, pi)
+                assert got == _component_set_identity_failures(
+                    [residues._component_identity(at) for at in model.masks.values()]
+                )
+                failed += bool(got)
+        assert failed > 1000
+
+    def test_flag_sweep_lists_what_the_model_lists(self, monkeypatch):
+        # verify's random flag sweep, with wrong relation verdicts and the
+        # identity made to fail at every level of odd size, lists for each
+        # partition the texts the model's routes give, in order
+        from resipoly.verify import VerifyConfig, _random_section
+
+        monkeypatch.setattr(
+            residues, "support_checks", misjudging_support_checks(residues.support_checks)
+        )
+        real = residues._component_identity
+        monkeypatch.setattr(
+            residues,
+            "_component_identity",
+            lambda at: real(at) and at.mask.bit_count() % 2 == 0,
+        )
+        config = VerifyConfig(seed=4, cases=2)
+        section = _random_section("flag_sweep", config)
+        rng = random.Random(config.seed)
+        want = []
+        for case in range(config.cases):
+            graph = random_multigraph(rng, config.max_vertices, config.max_edges)
+            for pi in ordered_partitions(graph.vertices):
+                model = LevelGraph(graph, pi)
+                relations = model.relation_failures()
+                ident = _component_set_identity_failures(
+                    [residues._component_identity(at) for at in model.masks.values()]
+                )
+                want += [f"case {case}: {pi!r}: " + "; ".join(t) for t in (relations, ident) if t]
+        assert any("component identity fails" in text for text in want[:20])
+        assert section["failures"] == want[:20]
+        assert section["failures_total"] == len(want)
+
+    def test_identity_verdicts_against_the_reference(self):
+        # the entries' identity verdicts against the frozenset model's
+        # components, level by level
+        rng = random.Random(49)
+        for _ in range(8):
+            graph = random_multigraph(rng, 5, 8)
+            for pi in ordered_partitions(graph.vertices):
+                reference = ReferenceLevelGraph(graph, pi)
+                want = []
+                for n in range(1, pi.r + 1):
+                    below, special = reference.components_below[n]
+                    upto = reference.prefix_components[n]
+                    want.append(set(below) - set(special) == set(upto) & set(below))
+                entries = residues._level_entries(graph, pi)
+                assert residues._identity_verdicts(entries) == want
+
+    def test_graphs_with_the_same_vertices_share_no_entry(self):
+        # a path and a triangle on the same vertex tuple: each graph's memo
+        # is its own, so neither reads the other's entries
+        path, levels = load_level_graph(
+            {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
+        )
+        triangle, _ = load_level_graph(
+            {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
+        )
+        assert path.sweep_entries is not triangle.sweep_entries
+        for pi in ordered_partitions(path.vertices):
+            assert flag_dims(path, pi) == LevelGraph(path, pi).flag_dims()
+        assert triangle.sweep_entries == {}
+        for pi in ordered_partitions(triangle.vertices):
+            assert flag_dims(triangle, pi) == LevelGraph(triangle, pi).flag_dims()
+        assert path.sweep_entries.keys() == triangle.sweep_entries.keys()
+        # the entry of level {a} at the top: a has one edge on the path, two
+        # on the triangle
+        assert path.sweep_entries[0b001] != triangle.sweep_entries[0b001]
+        assert flag_dims(path, levels)[1] != flag_dims(triangle, levels)[1]
+
+    def test_sweeps_build_no_model(self, monkeypatch):
+        # flag_dims, check_component_relations and verify's random flag
+        # sweep read the pair memo and construct no LevelGraph
+        from resipoly.verify import VerifyConfig, _random_section
+
+        built = []
+        real_init = LevelGraph.__init__
+
+        def counted(self, graph, levels):
+            built.append(levels)
+            real_init(self, graph, levels)
+
+        monkeypatch.setattr(LevelGraph, "__init__", counted)
+        graph, levels, _ = load_fixture("fig1")
+        assert flag_dims(graph, levels)[1] == (9, 6, 4, 3)
+        assert check_component_relations(graph, levels) == []
+        section = _random_section("flag_sweep", VerifyConfig(seed=4, cases=3))
+        assert section["ok"] and section["partitions"] > 3
+        assert built == []
+
+    def test_row_given_to_the_wrong_pair(self, monkeypatch):
+        # each global row of a level rebuilt on the arrows out of its special
+        # component into the level: rows on the arrows of earlier levels,
+        # which their downward rows already span.  On fig1 the two global
+        # rows of level 2 have rank 1; moved, they have rank 2 within their
+        # pair and 0 against the whole space, so the summed dimensions leave
+        # both the true ones and one echelon of the partition's rows, and
+        # both routes' identities fail
+        real = residues._level_pair
+
+        def wrong_pair(graph, mask, prefix):
+            pair = real(graph, mask, prefix)
+            moved = tuple(
+                graph.arrows_from(c) & graph.arrows_into(mask) for c in pair.masks.special
+            )
+            return pair._replace(glob=moved)
+
+        graph, levels, _ = load_fixture("fig1")
+        want = flag_dims(graph, levels)
+        monkeypatch.setattr(residues, "_level_pair", wrong_pair)
+        graph = load_fixture("fig1")[0]
+        assert all(c.ok for c in residues.flag_identities(*want))
+        got = flag_dims(graph, levels)
+        assert got[1] == (9, 6, 4, 2) != want[1]
+        assert not all(c.ok for c in residues.flag_identities(*got))
+        assert LevelGraph(graph, levels).flag_dims()[1] == (9, 6, 4, 4)
+        assert not flag_holds(build_flag(graph, levels))
+
+    def test_memo_keyed_by_the_level_mask_alone(self, tmp_path, capsys, monkeypatch):
+        # a memo that files every entry under (L, 0) hands a level the
+        # entry of its mask below another prefix: the summed dimensions
+        # leave the whole-space ones, and verify's flag sweep fails
+        from resipoly import graphs
+
+        class PrefixBlind(dict):
+            # the key (L, V<n) is the int L | V<n << k: keep L alone
+            def __init__(self, k):
+                self.level = (1 << k) - 1
+
+            def get(self, key):
+                return super().get(key & self.level)
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key & self.level, value)
+
+        real_init = graphs.Multigraph.__init__
+
+        def blind_init(self, vertices, edges):
+            real_init(self, vertices, edges)
+            self.sweep_entries = PrefixBlind(len(self.vertices))
+
+        monkeypatch.setattr(graphs.Multigraph, "__init__", blind_init)
+        graph, _, _ = load_fixture("fig1")
+        assert any(
+            flag_dims(graph, pi) != LevelGraph(graph, pi).flag_dims()
+            for pi in ordered_partitions(graph.vertices)
+        )
+        path = tmp_path / "loop1.json"
+        path.write_text(json.dumps(fixtures.document("loop1")))
+        code = main(["verify", "--input", str(path), "--seed", "7", "--random-cases", "8"])
+        assert code == 1
+        random_sections = json.loads(capsys.readouterr().out)["random"]
+        assert [name for name, s in random_sections.items() if not s["ok"]] == ["flag_sweep"]

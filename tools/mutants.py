@@ -141,30 +141,30 @@ CATALOGUE = (
     # -- verdict branches of relation_failures and the component checks
     Mutant(
         RES,
-        'failures.append(f"level {n} component {names(comp)}: not properly unrelated")',
+        'failures.append(f"component {names(comp)}: not properly unrelated")',
         "pass",
-        "relation_failures: level component 'not properly unrelated' branch off",
+        "_pair_relations: level component 'not properly unrelated' branch off",
         "tests/test_residues.py::TestFaultInjection::test_level_component_not_properly_unrelated",
     ),
     Mutant(
         RES,
-        "if related != (comp in reducible):",
+        "if related != (comp in pair.reducible):",
         "if False:",
-        "relation_failures: level component relatedness-vs-reducible branch off",
+        "_pair_relations: level component relatedness-vs-reducible branch off",
         "tests/test_residues.py::TestFaultInjection::test_level_component_related_but_no_reducible_summit",
     ),
     Mutant(
         RES,
-        "if not properly:\n                    merged.append(",
-        "if False:\n                    merged.append(",
-        "relation_failures: merged component 'not properly unrelated' branch off",
+        "if not properly:\n            merged.append(",
+        "if False:\n            merged.append(",
+        "_pair_relations: merged component 'not properly unrelated' branch off",
         "tests/test_residues.py::TestFaultInjection::test_merged_component_not_properly_unrelated",
     ),
     Mutant(
         RES,
         "if related != nonempty:",
         "if False:",
-        "relation_failures: merged component relatedness-vs-nonempty branch off",
+        "_pair_relations: merged component relatedness-vs-nonempty branch off",
         "tests/test_residues.py::TestFaultInjection::test_merged_component_unrelated_but_nonempty",
     ),
     Mutant(
@@ -203,10 +203,10 @@ CATALOGUE = (
         "tests/test_residues.py::TestFaultInjection::test_flag_step_outside_the_previous",
     ),
     Mutant(
-        VER,
-        "if lhs != rhs:",
-        "if False:",
-        "verify: component-set identity off",
+        RES,
+        "return set(at.below) - set(at.special) == set(at.upto) & set(at.below)",
+        "return True",
+        "_component_identity: component-set identity off, for the model and the sweep alike",
         "tests/test_residues.py::TestFaultInjection::test_wrong_special_components",
     ),
     # -- owners derived from a row's lowest arrow
@@ -570,9 +570,9 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        "groups.get(here) or self._rows_within(here)",
+        "groups.get(here) or _rows_within(graph, local, here)",
         "groups[next(c for c in at.components if c & here)]",
-        "collections: a block over several level components reuses the first one's group",
+        "_level_collections: a block over several level components reuses the first one's group",
         "tests/test_acceptance.py::test_criterion_2_worked_example",
     ),
     # -- the fixed size bounds, each one vertex too strict
@@ -792,18 +792,16 @@ CATALOGUE = (
     # -- relatedness answered for set-independent collections only
     Mutant(
         RES,
-        'failures.append(\n                        f"level {n} component {names(comp)}: '
-        'not set-theoretically independent"\n                    )',
+        'failures.append(f"component {names(comp)}: not set-theoretically independent")',
         "pass",
-        "relation_failures: a level component of dependent collections not reported",
+        "_pair_relations: a level component of dependent collections not reported",
         "tests/test_residues.py::TestFaultInjection::test_level_component_not_independent",
     ),
     Mutant(
         RES,
-        'merged.append(\n                        f"level {n} merged component {names(comp)}: "'
-        '\n                        "not set-theoretically independent"\n                    )',
+        'merged.append(f"merged component {names(comp)}: not set-theoretically independent")',
         "pass",
-        "relation_failures: a merged component of dependent collections not reported",
+        "_pair_relations: a merged component of dependent collections not reported",
         "tests/test_residues.py::TestFaultInjection::test_merged_component_not_independent",
     ),
     Mutant(
@@ -957,33 +955,33 @@ CATALOGUE = (
         "classify_arrows: upward and downward swapped",
         "tests/test_graphs.py::TestClassification::test_agrees_with_the_endpoint_levels",
     ),
-    # -- the one walk of LevelGraph over the levels, read off arrow masks
+    # -- the one builder of per-level facts, read off arrow masks
     Mutant(
         RES,
-        "downward |= out & ~into_prefix",
-        "downward |= out & ~into_below",
-        "LevelGraph: horizontal arrows counted and imposed as downward",
+        "out & ~into_upto,",
+        "out & ~into_below,",
+        "_level_pair: horizontal arrows counted and imposed as downward",
         "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
     ),
     Mutant(
         RES,
         "horizontal.bit_count() // 2,",
         "horizontal.bit_count(),",
-        "LevelGraph: each horizontal edge counted once per arrow",
+        "LevelPair.terms: each horizontal edge counted once per arrow",
         "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
     ),
     Mutant(
         RES,
         "if arrows_from(comp) & into_below:",
-        "if arrows_from(comp) & into_prefix:",
-        "LevelGraph: a level component with an edge inside it is no summit",
+        "if arrows_from(comp) & into_upto:",
+        "_level_pair: a level component with an edge inside it is no summit",
         "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
     ),
     Mutant(
         RES,
-        "if not here:\n                    continue",
-        "if False:\n                    continue",
-        "relation_failures: components of V<=n that miss level n checked too (equivalent"
+        "if not here:\n            continue",
+        "if False:\n            continue",
+        "_pair_relations: components of V<=n that miss level n checked too (equivalent"
         " in verdict: their collections are empty, so only the call count shows it)",
         "tests/test_residues.py::TestMaskModelAgainstReference::"
         "test_one_relation_check_per_level_and_meeting_component",
@@ -1118,7 +1116,7 @@ CATALOGUE = (
         RES,
         "if comp == here:",
         "if False:",
-        "relation_failures: a component inside level n checked again, not read off its level"
+        "_pair_relations: a component inside level n checked again, not read off its level"
         " component (equivalent in verdict: the check is symmetric, so only the failure texts"
         " under a wrong level verdict and the call count show it)",
         "tests/test_residues.py::TestFaultInjection::"
@@ -1126,9 +1124,9 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        "if comp == here:\n                    verdict = verdicts[comp]",
-        "if here in verdicts:\n                    verdict = verdicts[here]",
-        "relation_failures: the level verdict read for every component of V<=n whose level-n"
+        "if comp == here:\n            verdict = verdicts[comp]",
+        "if here in verdicts:\n            verdict = verdicts[here]",
+        "_pair_relations: the level verdict read for every component of V<=n whose level-n"
         " vertices form one level component, its global rows ignored",
         "tests/test_acceptance.py::test_criterion_7_independence_predicates",
     ),
@@ -1136,9 +1134,9 @@ CATALOGUE = (
     Mutant(
         RES,
         "blocks.append((comp, 0, (), (), ()))",
-        "blocks.append((comp, 0, *self._rows_within(comp), ()))",
-        "collections: a block with no level-n vertex gets the local and rosenlicht rows of its"
-        " own vertices",
+        "blocks.append((comp, 0, (), _edge_rows(graph.arrows_from(comp) & graph.arrows_into(comp)), ()))",
+        "_level_collections: a block with no level-n vertex gets the rosenlicht rows of its own"
+        " edges",
         "tests/test_residues.py::TestMaskModelAgainstReference::test_every_partition_of_random_graphs",
     ),
     # -- the residue space from level rows, no model built
@@ -1190,6 +1188,43 @@ CATALOGUE = (
         "if dim < 0:",
         "Subspace, VectorCollection: a bool or float taken as an ambient dimension",
         "tests/test_linalg.py::TestSubspace::test_boolean_ambient_dimension_rejected",
+    ),
+    # -- the flag sweep by level pairs
+    Mutant(
+        RES,
+        "tuple([out & arrows_into(c) for c in special])",
+        "tuple([arrows_from(c) & arrows_into(mask) for c in special])",
+        "_level_pair: a global row given to the wrong pair, on the arrows out of its special"
+        " component into the level",
+        "tests/test_residues.py::TestPairSweep::test_pair_sums_match_one_whole_space_echelon",
+    ),
+    Mutant(
+        RES,
+        "key = mask | prefix << k",
+        "key = mask",
+        "_level_entries: the pair memo keyed by (level mask, 0), blind to the prefix",
+        "tests/test_residues.py::TestPairSweep::test_pair_sums_match_one_whole_space_echelon",
+    ),
+    Mutant(
+        RES,
+        "if max(map(len, entries)) == _IDENTITY + 1:",
+        "if True:",
+        "_relation_failures: the failure texts of the entries never read",
+        "tests/test_residues.py::TestPairSweep::test_relation_texts_match_the_model",
+    ),
+    Mutant(
+        VER,
+        "_component_set_identity_failures(_identity_verdicts(entries))",
+        "_component_set_identity_failures([True] * len(entries))",
+        "random flag sweep: the entries' component-identity verdicts never read",
+        "tests/test_residues.py::TestPairSweep::test_flag_sweep_lists_what_the_model_lists",
+    ),
+    Mutant(
+        LIN,
+        "if not all(type(c) is int and 0 <= c < ambient_dim for c in coords):",
+        "if not all(0 <= c < ambient_dim for c in coords):",
+        "_canonical_coords: a boolean coordinate read as 0 or 1",
+        "tests/test_linalg.py::TestSubspace::test_coordinates_must_be_ints_in_range[boolean-project_image]",
     ),
 )
 
