@@ -92,11 +92,11 @@ def cmd_info(args):
         {
             "level": n,
             "vertices": list(model.levels.part(n)),
-            "level_components": [list(names(c)) for c in at.components],
-            "components_below": [list(names(c)) for c in at.below],
-            "special_below": [list(names(c)) for c in at.special],
+            "level_components": [list(names(c)) for c in pair.components],
+            "components_below": [list(names(c)) for c in pair.below],
+            "special_below": [list(names(c)) for c in pair.special],
         }
-        for n, at in model.masks.items()
+        for n, pair in enumerate(model.pairs, start=1)
     ]
     report = {"counts": model.counts.as_dict(), "per_level": per_level}
     _emit(report, args.format)

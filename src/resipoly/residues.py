@@ -25,21 +25,21 @@ mismatch signals an implementation bug, never data to be corrected.
 Every condition row of level n lies on the arrows out of its level mask L
 and depends on L and the prefix mask V<n alone, so the condition matrix is
 block-diagonal by level.  :func:`_level_pair` is the one builder of what a
-level contributes: at the pair (L, V<n) it reads the graph's per-mask
-tables (components, neighbours, arrows out and in) and returns a
-:class:`LevelPair` with the components of L, of V<n and of V<=n and the
-special components of V<n (those meeting the neighbours of L), the local
-row of each vertex of L, the global rows of level n, the summits, and the
-downward and horizontal arrows, as the masks of the arrows out of L with
-head outside V<=n and inside L.  The constructor of :class:`LevelGraph`
-builds one per level and assembles from them the counts and the four
-condition families, in owner order.  Vertex sets are the positional
-bitmasks of :mod:`resipoly.graphs`, read from
-:attr:`~resipoly.graphs.LevelStructure.masks`, and become vertex-name tuples
-only where they are reported.  Every condition is a 0/1 row, so it is
-built once as the int bitmask of the arrow indices where it is 1, like
-every other arrow set.  The relatedness predicates and the component
-report read the per-component collections of each pair
+level contributes, and its :class:`LevelPair` the one record of it: at the
+pair (L, V<n) it reads the graph's per-mask tables (components,
+neighbours, arrows out and in) and records L, the components of L, of V<n
+and of V<=n and the special components of V<n (those meeting the
+neighbours of L), the local row of each vertex of L, the global row of
+each special component, the summits, and the downward and horizontal
+arrows, as the masks of the arrows out of L with head outside V<=n and
+inside L.  The constructor of :class:`LevelGraph` builds one per level and
+assembles from them the counts and the four condition families, in owner
+order.  Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`,
+read from :attr:`~resipoly.graphs.LevelStructure.masks`, and become
+vertex-name tuples only where they are reported.  Every condition is a 0/1
+row, so it is built once as the int bitmask of the arrow indices where it
+is 1, like every other arrow set.  The relatedness predicates and the
+component report read the per-component collections of each pair
 (:func:`_level_collections`), which group the local and rosenlicht rows by
 level component and reuse a group for every component of V<=n whose
 level-n vertices form that one level component; a component of V<=n that
@@ -47,10 +47,13 @@ lies inside level n reuses that level component's relatedness verdict
 too.  Ranks and kernels come from the one sparse integer echelon of
 :mod:`resipoly.linalg`, run on the masks themselves, each row pivoted at
 its lowest arrow: a rank is the echelon's size, and a kernel is read off
-its back-substitution.  No full-width row is made from a mask.
-What a row belongs to is derived from its lowest arrow
-(:meth:`LevelGraph.owner`), and named (:meth:`LevelGraph.label`), only
-where a report names the row.
+its back-substitution.  No full-width row is made from a mask.  What a
+downward, local or rosenlicht row belongs to is derived from its lowest
+arrow (:meth:`LevelGraph.owner`); a global row's level and special
+component are those of the pair that built it, its place in ``glob``
+matching its component's in ``special`` (:meth:`LevelGraph.global_rows`).
+Owners are named (:meth:`LevelGraph.label`) only where a report names the
+row.
 
 The flag sweep over every ordered partition of a graph builds no
 :class:`LevelGraph`.  A partition's family-cumulative ranks and count terms
@@ -61,21 +64,20 @@ identity verdicts their concatenation, so :func:`flag_dims`,
 (:attr:`~resipoly.graphs.Multigraph.sweep_entries`), built once per
 (level mask, prefix mask) pair by :func:`_sweep_entry`: 3^k - 2^k pairs
 on k vertices, 211 at five, against 2,071 level visits over the 541
-partitions.  Failure texts are stored without their level number, which
-is prefixed on assembly, so the texts and their order are the model's.
-The identities benchmark's ``wall_s`` fell from 0.916 s to 0.165 s
-(medians of ten alternating pairs of 28 s runs on 2 vCPUs), where routing
-each partition through the builder alone had made it about 19% slower.
-Equal entries share one tuple (:func:`_shared`), which keeps the memo's
-memory near half a megabyte on that benchmark's 82 graphs.  The
-whole-space echelon stays where one document is checked.
+partitions.  The memo is what pays: building every level of every
+partition afresh, with no memo, was slower than building two
+:class:`LevelGraph` per partition.  Failure texts are stored
+without their level number, which is prefixed on assembly, so the texts
+and their order are the model's.  Equal entries share one tuple
+(:func:`_shared`), which keeps the memo small.  The whole-space echelon
+stays where one document is checked.
 
 :func:`level_rows` builds one level's rows as a set for the readers that
 need a partition's row set and nothing else (:func:`residue_space` and
 the face sweep).  It keeps its own lean walk: reading the rows off a
 :class:`LevelPair` also builds the level's components and summits, and
-took the faces benchmark's ``wall_s`` from 0.166-0.172 s to 0.181-0.184 s
-(two alternating pairs of 8 s runs on 2 vCPUs).
+both that and a lean row builder shared with :func:`_level_pair` made the
+faces benchmark slower.
 ``test_level_row_sets_match_the_model`` holds it to the pairs' rows.
 """
 
@@ -96,7 +98,6 @@ __all__ = [
     "IdentityCheck",
     "LevelCounts",
     "LevelGraph",
-    "LevelMasks",
     "LevelSummary",
     "ResidueFlag",
     "build_constraints",
@@ -159,18 +160,6 @@ def _cumulative_ranks(groups):
     return [len(_insert_masks(echelon, rows)) for rows in groups]
 
 
-class LevelMasks(NamedTuple):
-    """Level n of a level graph as vertex masks: the level itself, its
-    components, the components of V<n and the special ones among them, and
-    the components of V<=n."""
-
-    mask: int
-    components: tuple
-    below: tuple
-    special: tuple
-    upto: tuple
-
-
 def _edge_rows(arrows):
     """The rosenlicht row of each edge whose two arrows lie in the arrow
     mask `arrows`, in edge order."""
@@ -182,14 +171,22 @@ class LevelPair(NamedTuple):
     """Level n of a level graph, read off its (level mask L, prefix mask
     V<n) pair alone by :func:`_level_pair`.
 
-    ``local`` maps each vertex of L to its local row (0 when it has none),
-    ``downward`` and ``horizontal`` are the masks of the arrows out of L
-    with head outside V<=n and inside L, ``glob`` holds the global row of
-    each special component, in their order, and ``irreducible`` and
-    ``reducible`` are the summits among the components of L.
+    ``mask`` is L; ``components``, ``below`` and ``upto`` are the
+    components of L, of V<n and of V<=n, and ``special`` the components
+    of V<n meeting the neighbours of L.  ``local`` maps each vertex of L
+    to its local row (0 when it has none), ``downward`` and
+    ``horizontal`` are the masks of the arrows out of L with head outside
+    V<=n and inside L, ``glob`` holds the global row of each special
+    component, in their order, so ``zip(special, glob)`` gives each global
+    row's owner, and ``irreducible`` and ``reducible`` are the summits
+    among the components of L.
     """
 
-    masks: LevelMasks
+    mask: int
+    components: tuple
+    below: tuple
+    special: tuple
+    upto: tuple
     local: dict
     downward: int
     horizontal: int
@@ -255,7 +252,11 @@ def _level_pair(graph, mask, prefix):
     reach = graph.neighbour_mask(mask)
     special = tuple([c for c in below if c & reach])
     return LevelPair(
-        LevelMasks(mask, level, below, special, components(upto)),
+        mask,
+        level,
+        below,
+        special,
+        components(upto),
         local,
         out & ~into_upto,
         out & arrows_into(mask),
@@ -293,16 +294,16 @@ def _level_collections(graph, pair):
     from the dict.  A C that misses level n has empty collections: a
     special component inside it would join it to level n.
     """
-    at, local = pair.masks, pair.local
-    groups = {comp: _rows_within(graph, local, comp) for comp in at.components}
+    local = pair.local
+    groups = {comp: _rows_within(graph, local, comp) for comp in pair.components}
     blocks = []
-    for comp in at.upto:
-        here = comp & at.mask
+    for comp in pair.upto:
+        here = comp & pair.mask
         if not here:
             blocks.append((comp, 0, (), (), ()))
             continue
         rows, rosenlicht = groups.get(here) or _rows_within(graph, local, here)
-        glob = tuple([row for c, row in zip(at.special, pair.glob) if c & comp])
+        glob = tuple([row for c, row in zip(pair.special, pair.glob) if c & comp])
         blocks.append((comp, here, rows, rosenlicht, glob))
     return groups, blocks
 
@@ -378,11 +379,11 @@ def _numbered(texts):
     return failures + merged
 
 
-def _component_identity(at):
+def _component_identity(pair):
     """The below-level component identity at one level, given its
-    :class:`LevelMasks`: the non-special components of V<n are exactly its
+    :class:`LevelPair`: the non-special components of V<n are exactly its
     components that survive as components of V<=n."""
-    return set(at.below) - set(at.special) == set(at.upto) & set(at.below)
+    return set(pair.below) - set(pair.special) == set(pair.upto) & set(pair.below)
 
 
 # A sweep entry is a flat tuple: the level's four family-cumulative ranks,
@@ -402,7 +403,7 @@ def _sweep_entry(graph, mask, prefix):
     entry = (
         *_cumulative_ranks(pair.rows()),
         *pair.terms(),
-        _component_identity(pair.masks),
+        _component_identity(pair),
     )
     level, merged = _pair_relations(graph, pair)
     if level or merged:
@@ -437,20 +438,25 @@ def _level_entries(graph, levels):
     return entries
 
 
-def _summed_dims(graph, entries):
-    """The counts and the four flag dimensions of a partition, from its
-    levels' entries: each rank and count term is the sum over the levels."""
-    sums = list(map(sum, islice(zip(*entries), _IDENTITY)))
-    counts = LevelCounts(
+def _counts(graph, levels, terms):
+    """The :class:`LevelCounts` of `graph` at `levels` levels, whose count
+    terms (see :meth:`LevelPair.terms`) summed over the levels are `terms`."""
+    return LevelCounts(
         len(graph.vertices),
         len(graph.edges),
         graph.component_count,
         graph.genus,
-        len(entries),
-        *sums[4:],
+        levels,
+        *terms,
     )
+
+
+def _summed_dims(graph, entries):
+    """The counts and the four flag dimensions of a partition, from its
+    levels' entries: each rank and count term is the sum over the levels."""
+    sums = list(map(sum, islice(zip(*entries), _IDENTITY)))
     width = graph.num_arrows
-    return counts, tuple([width - rank for rank in sums[:4]])
+    return _counts(graph, len(entries), sums[4:]), tuple([width - rank for rank in sums[:4]])
 
 
 def _identity_verdicts(entries):
@@ -474,7 +480,6 @@ class LevelGraph:
     from them, as plain attributes, every part the checks read:
 
     * ``pairs`` -- the levels' :class:`LevelPair` records, top to bottom;
-    * ``masks`` -- level n -> its :class:`LevelMasks`;
     * ``counts`` -- the :class:`LevelCounts`, summed over the levels;
     * ``rows`` -- family -> its condition rows as arrow masks, ordered by
       owner (global rows by level, then by the lowest vertex of their
@@ -508,15 +513,7 @@ class LevelGraph:
             downward |= pair.downward
             horizontal |= pair.horizontal
         self.pairs = tuple(pairs)
-        self.masks = {n: pair.masks for n, pair in enumerate(pairs, start=1)}
-        self.counts = LevelCounts(
-            len(graph.vertices),
-            len(graph.edges),
-            graph.component_count,
-            graph.genus,
-            levels.r,
-            *[sum(column) for column in zip(*[pair.terms() for pair in pairs])],
-        )
+        self.counts = _counts(graph, levels.r, map(sum, zip(*[pair.terms() for pair in pairs])))
         self.rows = {
             "downward": tuple([1 << a for a in bits(downward)]),
             "local": tuple([row for row in local_at if row]),
@@ -525,24 +522,25 @@ class LevelGraph:
         }
 
     def owner(self, family, row):
-        """What a condition row of `family` belongs to, by position, read off
-        its lowest arrow: that arrow for a downward row, its tail vertex for
-        a local row, its edge for a rosenlicht row, and for a global row the
-        level of its tail with the special component of that level holding
-        its head."""
+        """What a downward, local or rosenlicht row belongs to, by position,
+        read off its lowest arrow: that arrow, its tail vertex or its edge.
+        A global row's owner is read off the pair that built it
+        (:meth:`global_rows`)."""
         a = (row & -row).bit_length() - 1
         if family == "downward":
             return a
         if family == "rosenlicht":
             return a >> 1
-        graph = self.graph
-        arrow = graph.arrows[a]
-        tail = graph.index[arrow.tail]
-        if family == "local":
-            return tail
-        n = self.levels.levels[tail]
-        head = 1 << graph.index[arrow.head]
-        return n, next(c for c in self.masks[n].special if c & head)
+        return self.graph.index[self.graph.arrows[a].tail]
+
+    def global_rows(self):
+        """Each global row with its owner (level n, special component), in
+        owner order: the pair that built the row zips it with its owner."""
+        return [
+            ((n, c), row)
+            for n, pair in enumerate(self.pairs, start=1)
+            for c, row in zip(pair.special, pair.glob)
+        ]
 
     def label(self, family, owner):
         """The report label of the condition row of `family` with this
@@ -574,13 +572,6 @@ class LevelGraph:
         spaces = {f: _kernel(_insert_masks(echelon, self.rows[f]), width) for f in FAMILIES}
         return ResidueFlag(self.counts, spaces)
 
-    def flag_dims(self):
-        """The counts and the four flag dimensions, by integer rank only, on
-        one echelon of the whole arrow space."""
-        width = self.graph.num_arrows
-        ranks = _cumulative_ranks(self.rows[f] for f in FAMILIES)
-        return self.counts, tuple(width - r for r in ranks)
-
     def component_report(self, dims):
         """Blockwise collections, cardinalities and codimensions, with totals
         checked against `dims`, the four flag dimensions computed on the
@@ -589,13 +580,17 @@ class LevelGraph:
         blocks = []
         summaries = []
         for n, _, level in self.collections():
+            special = self.pairs[n - 1].special
             at = []
             for comp, here, local, rosenlicht, glob in level:
                 groups = (local, rosenlicht, glob)
                 labels = [
                     tuple(self.label(family, self.owner(family, row)) for row in group)
-                    for family, group in zip(FAMILIES[1:], groups)
+                    for family, group in zip(FAMILIES[1:3], groups)
                 ]
+                labels.append(
+                    tuple(self.label("global", (n, c)) for c in special if c & comp)
+                )
                 # local rows are disjoint (one vertex each): the sum is the union
                 block_dim = sum(local).bit_count()
                 codims = _cumulative_ranks(groups)
@@ -721,15 +716,19 @@ def build_constraints(graph, levels):
 
 
 def build_flag(graph, levels):
-    """Impose the four families cumulatively and keep every intermediate kernel."""
+    """Impose the four families cumulatively and keep every intermediate
+    kernel, each taken off one echelon of the whole arrow space
+    (:meth:`LevelGraph.flag`)."""
     return LevelGraph(graph, levels).flag()
 
 
 def flag_dims(graph, levels):
-    """The counts and the four flag dimensions by integer rank only (no
-    kernels materialized), summed over the levels' entries in the graph's
-    pair memo: each (level mask, prefix mask) pair is ranked once per
-    graph.  Same mathematics as :func:`build_flag`, used for large sweeps.
+    """The counts and the four flag dimensions by integer rank only, with
+    no kernel built: sums over the levels' entries in the graph's pair
+    memo, each (level mask, prefix mask) pair ranked once per graph.  They
+    are the dimensions of :func:`build_flag`'s kernels; the tests check
+    them against ranks on one echelon of the whole arrow space.
+    :func:`per_component_report` checks its totals against them.
     """
     return _summed_dims(graph, _level_entries(graph, levels))
 
@@ -807,8 +806,7 @@ class ComponentReport:
 def per_component_report(graph, levels):
     """Blockwise collections, cardinalities and codimensions, with totals
     checked against the flag dimensions by integer rank."""
-    model = LevelGraph(graph, levels)
-    return model.component_report(model.flag_dims()[1])
+    return LevelGraph(graph, levels).component_report(flag_dims(graph, levels)[1])
 
 
 def check_component_relations(graph, levels):

@@ -217,7 +217,7 @@ def _expect_failures(model, flag, report, expect, reference=None):
             for field_name, want_value in want.items():
                 check(f"level {key} {field_name}", got.get(field_name), want_value)
     if "global_conditions" in expect:
-        rows = {model.owner("global", row): row for row in model.rows["global"]}
+        rows = dict(model.global_rows())
         for item in expect["global_conditions"]:
             owner = (item["level"], graph.mask_of(item["component"]))
             label = model.label("global", owner)
@@ -277,7 +277,7 @@ def verify_document(name, document):
     report = model.component_report(flag.dims)
     relation_failures = model.relation_failures()
     identity_failures = _component_set_identity_failures(
-        [_component_identity(at) for at in model.masks.values()]
+        [_component_identity(pair) for pair in model.pairs]
     )
     faces = None
     if len(graph.vertices) <= FACE_SWEEP_BOUND:

@@ -219,7 +219,7 @@ def level_component_names(model):
     """Level n -> the names of its components, as `resipoly info` reports
     them."""
     names = model.graph.names
-    return {n: [names(c) for c in at.components] for n, at in model.masks.items()}
+    return {n: [names(c) for c in pair.components] for n, pair in enumerate(model.pairs, 1)}
 
 
 class TestComponents:

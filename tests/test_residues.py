@@ -56,9 +56,28 @@ def arrow_labels(graph, support):
     return sorted(graph.arrows[a].label for a in bits(support))
 
 
+def owned_rows(model, family):
+    """(owner, arrow mask) of each row of a family, in the model's order; a
+    global row's owner is read off the pair that built it, one row per
+    special component."""
+    if family != "global":
+        return [(model.owner(family, row), row) for row in model.rows[family]]
+    owned = model.global_rows()
+    assert [row for _, row in owned] == list(model.rows["global"])
+    return owned
+
+
 def labelled(model, family):
     """Label -> arrow mask of each row of a family."""
-    return {model.label(family, model.owner(family, row)): row for row in model.rows[family]}
+    return {model.label(family, owner): row for owner, row in owned_rows(model, family)}
+
+
+def whole_space_dims(graph, levels):
+    """The counts and the four flag dimensions by integer rank, on one
+    echelon of every row of the partition: the reference of the pair sums."""
+    model = LevelGraph(graph, levels)
+    ranks = _cumulative_ranks(model.rows[f] for f in FAMILIES)
+    return model.counts, tuple(graph.num_arrows - r for r in ranks)
 
 
 class TestConstraints:
@@ -66,7 +85,7 @@ class TestConstraints:
         graph, levels = fig1[0], fig1[1]
         model = LevelGraph(graph, levels)
         rows = labelled(model, "global")
-        assert [model.owner("global", row) for row in model.rows["global"]] == [
+        assert [owner for owner, _ in owned_rows(model, "global")] == [
             (2, graph.mask_of(["u4"])),
             (2, graph.mask_of(["u5"])),
         ]
@@ -381,9 +400,9 @@ class TestComponentRelations:
             assert check_component_relations(graph, levels) == []
 
 
-def _as_sets(model, family, rows):
-    """(label, arrow set, owner) of each row of the bitmask model, with the
-    owner derived from the row and its vertices named as the reference
+def _as_sets(model, family, owned):
+    """(label, arrow set, owner) of each (owner, row) of the bitmask model
+    (see :func:`owned_rows`), with its vertices named as the reference
     model names them."""
     graph = model.graph
 
@@ -394,11 +413,19 @@ def _as_sets(model, family, rows):
             return owner[0], graph.names(owner[1])
         return owner
 
-    owners = [model.owner(family, row) for row in rows]
     return [
-        (model.label(family, owner), frozenset(bits(row)), named(owner))
-        for row, owner in zip(rows, owners)
+        (model.label(family, owner), frozenset(bits(row)), named(owner)) for owner, row in owned
     ]
+
+
+def _block_owned(model, family, n, component, rows):
+    """(owner, row) of each row of one block's collection of `family`: a
+    global row's owner is the special component of level n inside the
+    block's component, zipped as the pair zips them."""
+    if family != "global":
+        return [(model.owner(family, row), row) for row in rows]
+    owners = [(n, c) for c in model.pairs[n - 1].special if c & component]
+    return list(zip(owners, rows, strict=True))
 
 
 def _reference_rows(rows):
@@ -481,15 +508,16 @@ class TestMaskModelAgainstReference:
                 partitions += 1
                 model = LevelGraph(graph, pi)
                 reference = ReferenceLevelGraph(graph, pi)
+                numbered = list(enumerate(model.pairs, start=1))
                 assert {
-                    n: [names(c) for c in at.components] for n, at in model.masks.items()
+                    n: [names(c) for c in pair.components] for n, pair in numbered
                 } == reference.level_components
                 assert {
-                    n: [names(c) for c in at.upto] for n, at in model.masks.items()
+                    n: [names(c) for c in pair.upto] for n, pair in numbered
                 } == reference.prefix_components
                 assert {
-                    n: ([names(c) for c in at.below], [names(c) for c in at.special])
-                    for n, at in model.masks.items()
+                    n: ([names(c) for c in pair.below], [names(c) for c in pair.special])
+                    for n, pair in numbered
                 } == reference.components_below
                 for n in range(1, pi.r + 1):
                     level = graph.mask_components(pi.masks[n - 1])
@@ -503,7 +531,7 @@ class TestMaskModelAgainstReference:
                     reference.classification.horizontal_edges
                 )
                 for family in FAMILIES:
-                    assert _as_sets(model, family, model.rows[family]) == _reference_rows(
+                    assert _as_sets(model, family, owned_rows(model, family)) == _reference_rows(
                         reference.rows[family]
                     )
                 blocks = [(n, *b) for n, _, level in model.collections() for b in level]
@@ -518,7 +546,8 @@ class TestMaskModelAgainstReference:
                     for family, group, name in zip(
                         FAMILIES[1:], (local, rosenlicht, glob), ("local", "rosenlicht", "glob")
                     ):
-                        assert _as_sets(model, family, group) == _reference_rows(
+                        owned = _block_owned(model, family, n, component, group)
+                        assert _as_sets(model, family, owned) == _reference_rows(
                             getattr(want, name)
                         )
                     pairs = (
@@ -763,8 +792,8 @@ class TestFaultInjection:
                 # the dropped component's global row goes with it, as when
                 # the rows are built from the wrong special list
                 pair = self.pairs[1]
-                at = self.masks[2] = pair.masks._replace(special=pair.masks.special[:1])
-                self.pairs = (self.pairs[0], pair._replace(masks=at, glob=pair.glob[:1]))
+                wrong = pair._replace(special=pair.special[:1], glob=pair.glob[:1])
+                self.pairs = (self.pairs[0], wrong)
                 self.rows["global"] = tuple(r for r in self.rows["global"] if r != pair.glob[1])
 
         monkeypatch.setattr(LevelGraph, "__init__", wrong_init)
@@ -783,6 +812,20 @@ def sweep_graphs():
     graphs += [random_multigraph(rng, 5, 8) for _ in range(40)]
     assert sum(len(g.vertices) == 5 for g in graphs) >= 5
     return graphs
+
+
+def give_global_rows_to_the_wrong_pair(monkeypatch):
+    """Rebuild each global row of a level on the arrows out of its special
+    component into the level: rows on the arrows of earlier levels, whose
+    heads lie in no special component of the level."""
+    real = residues._level_pair
+
+    def wrong_pair(graph, mask, prefix):
+        pair = real(graph, mask, prefix)
+        moved = tuple(graph.arrows_from(c) & graph.arrows_into(mask) for c in pair.special)
+        return pair._replace(glob=moved)
+
+    monkeypatch.setattr(residues, "_level_pair", wrong_pair)
 
 
 def misjudging_support_checks(real):
@@ -818,14 +861,14 @@ class TestPairSweep:
         for graph in sweep_graphs():
             for pi in ordered_partitions(graph.vertices):
                 partitions += 1
-                assert flag_dims(graph, pi) == LevelGraph(graph, pi).flag_dims(), pi
+                assert flag_dims(graph, pi) == whole_space_dims(graph, pi), pi
             k = len(graph.vertices)
             assert len(graph.sweep_entries) == 3**k - 2**k
             # equal entries are one tuple
             entries = graph.sweep_entries.values()
             assert len(set(map(id, entries))) == len(set(entries))
         graph, levels = load_fixture("fig2")[:2]
-        assert flag_dims(graph, levels) == LevelGraph(graph, levels).flag_dims()
+        assert flag_dims(graph, levels) == whole_space_dims(graph, levels)
         assert flag_dims(graph, levels)[1] == (13, 4, 4, 0)
         assert partitions >= 5 * 541
 
@@ -863,7 +906,7 @@ class TestPairSweep:
                 got = _component_set_identity_failures(residues._identity_verdicts(entries))
                 model = LevelGraph(graph, pi)
                 assert got == _component_set_identity_failures(
-                    [residues._component_identity(at) for at in model.masks.values()]
+                    [residues._component_identity(pair) for pair in model.pairs]
                 )
                 failed += bool(got)
         assert failed > 1000
@@ -893,7 +936,7 @@ class TestPairSweep:
                 model = LevelGraph(graph, pi)
                 relations = model.relation_failures()
                 ident = _component_set_identity_failures(
-                    [residues._component_identity(at) for at in model.masks.values()]
+                    [residues._component_identity(pair) for pair in model.pairs]
                 )
                 want += [f"case {case}: {pi!r}: " + "; ".join(t) for t in (relations, ident) if t]
         assert any("component identity fails" in text for text in want[:20])
@@ -927,10 +970,10 @@ class TestPairSweep:
         )
         assert path.sweep_entries is not triangle.sweep_entries
         for pi in ordered_partitions(path.vertices):
-            assert flag_dims(path, pi) == LevelGraph(path, pi).flag_dims()
+            assert flag_dims(path, pi) == whole_space_dims(path, pi)
         assert triangle.sweep_entries == {}
         for pi in ordered_partitions(triangle.vertices):
-            assert flag_dims(triangle, pi) == LevelGraph(triangle, pi).flag_dims()
+            assert flag_dims(triangle, pi) == whole_space_dims(triangle, pi)
         assert path.sweep_entries.keys() == triangle.sweep_entries.keys()
         # the entry of level {a} at the top: a has one edge on the path, two
         # on the triangle
@@ -965,25 +1008,32 @@ class TestPairSweep:
         # pair and 0 against the whole space, so the summed dimensions leave
         # both the true ones and one echelon of the partition's rows, and
         # both routes' identities fail
-        real = residues._level_pair
-
-        def wrong_pair(graph, mask, prefix):
-            pair = real(graph, mask, prefix)
-            moved = tuple(
-                graph.arrows_from(c) & graph.arrows_into(mask) for c in pair.masks.special
-            )
-            return pair._replace(glob=moved)
-
         graph, levels, _ = load_fixture("fig1")
         want = flag_dims(graph, levels)
-        monkeypatch.setattr(residues, "_level_pair", wrong_pair)
+        give_global_rows_to_the_wrong_pair(monkeypatch)
         graph = load_fixture("fig1")[0]
         assert all(c.ok for c in residues.flag_identities(*want))
         got = flag_dims(graph, levels)
         assert got[1] == (9, 6, 4, 2) != want[1]
         assert not all(c.ok for c in residues.flag_identities(*got))
-        assert LevelGraph(graph, levels).flag_dims()[1] == (9, 6, 4, 4)
+        assert whole_space_dims(graph, levels)[1] == (9, 6, 4, 4)
         assert not flag_holds(build_flag(graph, levels))
+
+    @pytest.mark.parametrize("command", ["verify", "dims"])
+    def test_row_given_to_the_wrong_pair_exits_1(self, command, tmp_path, capsys, monkeypatch):
+        # the moved rows' owners are read off the pair that built them, not
+        # searched for by their arrows: the report labels them as before,
+        # and the command reports the failed identities with exit 1
+        give_global_rows_to_the_wrong_pair(monkeypatch)
+        code, report = run_fig1(tmp_path, capsys, command)
+        assert code == 1
+        assert report["ok"] is False
+        if command == "verify":
+            (report,) = report["fixtures"]
+        else:
+            assert [b["glob"] for b in report["blocks"]] == [[], [], ["2:u4", "2:u5"]]
+        failed = [c["name"] for c in report["identities"] if not c["ok"]]
+        assert failed == ["global codimension", "residue dimension"]
 
     def test_memo_keyed_by_the_level_mask_alone(self, tmp_path, capsys, monkeypatch):
         # a memo that files every entry under (L, 0) hands a level the
@@ -1011,7 +1061,7 @@ class TestPairSweep:
         monkeypatch.setattr(graphs.Multigraph, "__init__", blind_init)
         graph, _, _ = load_fixture("fig1")
         assert any(
-            flag_dims(graph, pi) != LevelGraph(graph, pi).flag_dims()
+            flag_dims(graph, pi) != whole_space_dims(graph, pi)
             for pi in ordered_partitions(graph.vertices)
         )
         path = tmp_path / "loop1.json"

@@ -204,23 +204,23 @@ CATALOGUE = (
     ),
     Mutant(
         RES,
-        "return set(at.below) - set(at.special) == set(at.upto) & set(at.below)",
+        "return set(pair.below) - set(pair.special) == set(pair.upto) & set(pair.below)",
         "return True",
         "_component_identity: component-set identity off, for the model and the sweep alike",
         "tests/test_residues.py::TestFaultInjection::test_wrong_special_components",
     ),
-    # -- owners derived from a row's lowest arrow
+    # -- owners: a global row's read off its pair, the others' off a row's lowest arrow
     Mutant(
         RES,
-        "return n, next(c for c in self.masks[n].special if c & head)",
-        "return n, self.masks[n].special[0]",
-        "LevelGraph.owner: a global row gets its level's first special component",
-        "tests/test_acceptance.py::test_criterion_1_figure_one",
+        "            for c, row in zip(pair.special, pair.glob)\n        ]",
+        "            for c, row in zip(pair.special[::-1], pair.glob)\n        ]",
+        "LevelGraph.global_rows: a global label zipped against the wrong special component",
+        "tests/test_residues.py::TestConstraints::test_fig1_global_rows",
     ),
     Mutant(
         RES,
-        "            return tail\n",
-        "            return graph.index[arrow.head]\n",
+        "return self.graph.index[self.graph.arrows[a].tail]",
+        "return self.graph.index[self.graph.arrows[a].head]",
         "LevelGraph.owner: a local row is owned by its lowest arrow's head",
         "tests/test_golden.py::test_output_matches_golden[dims-fig2.json]",
     ),
