@@ -445,7 +445,8 @@ def load_level_graph(document):
     Expected shape: ``{"vertices": [...], "edges": [[u, v], ...],
     "levels": {vertex: integer, ...}}``; "vertices", "edges" and each edge
     must be arrays.  An omitted "levels" entry means the trivial one-level
-    structure.  Unknown keys are ignored.
+    structure; a present one, null included, must be an object.  Unknown
+    keys are ignored.
     """
     if not isinstance(document, dict):
         raise GraphDocumentError("graph document must be a JSON object")
@@ -458,11 +459,9 @@ def load_level_graph(document):
     if not isinstance(edges, (list, tuple)):
         raise GraphDocumentError('"edges" must be a list of vertex pairs')
     graph = Multigraph(vertices, edges)
-    raw_levels = document.get("levels")
-    if raw_levels is None:
-        structure = LevelStructure.trivial(graph.vertices)
-    else:
-        if not isinstance(raw_levels, dict):
-            raise GraphDocumentError('"levels" must map vertices to integers')
-        structure = LevelStructure.from_map(graph.vertices, raw_levels)
-    return graph, structure
+    if "levels" not in document:
+        return graph, LevelStructure.trivial(graph.vertices)
+    raw_levels = document["levels"]
+    if not isinstance(raw_levels, dict):
+        raise GraphDocumentError('"levels" must map vertices to integers')
+    return graph, LevelStructure.from_map(graph.vertices, raw_levels)

@@ -337,6 +337,22 @@ class BasePolytope:
 def base_polytope(table):
     """Vertices as the greedy points of all maximal chains, deduplicated.
 
+    The table is checked to be submodular first, so that the greedy points
+    are the vertices; the face sweep guards its tables itself and builds
+    their polytopes with :func:`_greedy_polytope` alone.
+    """
+    n = table.n
+    if n > POLYTOPE_BOUND:
+        raise ValueError(f"{n} ground elements exceed the polytope bound {POLYTOPE_BOUND}")
+    if not table.is_submodular():
+        raise InvariantViolation("base polytope of a non-submodular table")
+    return _greedy_polytope(table)
+
+
+def _greedy_polytope(table):
+    """The greedy points of all maximal chains of a submodular table, as a
+    `BasePolytope`.
+
     The greedy point gives each element the rise of the table where the
     chain adds it.  It is built one prefix at a time in a depth-first walk
     over prefix masks, and a (prefix mask, partial point) state is expanded
@@ -344,10 +360,6 @@ def base_polytope(table):
     point against the full inequality table.
     """
     n = table.n
-    if n > POLYTOPE_BOUND:
-        raise ValueError(f"{n} ground elements exceed the polytope bound {POLYTOPE_BOUND}")
-    if not table.is_submodular():
-        raise InvariantViolation("base polytope of a non-submodular table")
     values = table.values
     full = table.full_mask
     root = (0, (0,) * n)
@@ -477,16 +489,18 @@ def _level_table(graph, mask, rows):
     return [at[subset & mask] for subset in range(len(at))]
 
 
-def _sweep_table(levels, level_sets, level_tables, tables):
-    """A partition's tail table, read through three of the sweep's memos.
+def _sweep_table(levels, level_sets, level_tables, row_tables, tables):
+    """A partition's tail table, read through four of the sweep's memos.
 
     Its set of condition rows is the union of its levels' sets in
     ``level_sets`` (keyed by level mask and prefix mask).  The condition
     matrix is block-diagonal by level, so the residue space is the direct
     sum of the levels' kernels, and the table is the sum of the levels'
     spread tables in ``level_tables`` (keyed by level mask and row set).
-    ``tables`` keeps one sum per distinct row set, checked once by the
-    invariant guard.
+    ``row_tables`` keeps that table per distinct row set, and the sum is
+    taken once per row set; ``tables``, keyed by the summed values, holds
+    one table object per distinct table, checked once by the invariant
+    guard, however many row sets sum to it.
     """
     pairs = []
     prefix = 0
@@ -494,17 +508,17 @@ def _sweep_table(levels, level_sets, level_tables, tables):
         pairs.append((mask, level_sets[mask, prefix]))
         prefix |= mask
     rows = frozenset().union(*[level_set for _, level_set in pairs])
-    table = tables.get(rows)
+    table = row_tables.get(rows)
     if table is None:
         spreads = [level_tables[pair] for pair in pairs]
-        table = tables[rows] = _checked_table(levels.vertices, map(sum, zip(*spreads)))
+        table = row_tables[rows] = tables[tuple(map(sum, zip(*spreads)))]
     return table
 
 
-def _table_and_face(levels, level_sets, level_tables, tables, faces):
+def _table_and_face(levels, level_sets, level_tables, row_tables, tables, faces):
     """A partition's tail table (:func:`_sweep_table`) and the face of its
     polytope, the table's entry in ``faces``."""
-    table = _sweep_table(levels, level_sets, level_tables, tables)
+    table = _sweep_table(levels, level_sets, level_tables, row_tables, tables)
     return table, faces[table]
 
 
@@ -515,11 +529,13 @@ def check_polytope_faces(graph):
     A partition's set of condition rows is the union of its levels' sets,
     and `level_rows` builds each (level mask, prefix mask) pair's set once;
     no `LevelGraph` is built.  One level table (`_level_table`) is built per
-    distinct (level mask, row set) pair, one table per distinct set of
-    condition rows as the sum of its levels' tables, guarded once, and one
-    base polytope per distinct table (the one-level polytope once more, as
-    the reference).  Each of the four memos lives for one call; every check
-    below still runs per partition.  One chain face is computed per
+    distinct (level mask, row set) pair, one sum of level tables per
+    distinct set of condition rows, one guarded table per distinct table
+    value (several row sets can sum to it), and one base polytope per
+    distinct table (the one-level polytope once more, as the reference),
+    by the greedy walk alone: the guard has already checked the table to be
+    submodular.  Each memo lives for one call; every check below still runs
+    per partition, or per merge.  One chain face is computed per
     partition.  The ``upper`` face of a partition is its own chain face,
     the ``lower`` one (tightness against the adjoint) that of the reversed
     partition, level n going to r + 1 - n.  Each partition is checked
@@ -533,7 +549,9 @@ def check_polytope_faces(graph):
         vertex set and the subset table.  Both relations are transitive and
         every coarsening is a chain of such merges, so whenever every vertex
         set was located (``containment_ok``) this is the verdict over all
-        coarsenings;
+        coarsenings.  The tables are compared once per distinct ordered
+        pair (table, coarser table), and every merge whose pair fails
+        reports its own failure;
     (d) the realized faces are exactly the faces of the one-level polytope.
         Its subset inequalities, with q(V) = f(V), are a complete
         H-description, so its faces are the nonempty intersections of its
@@ -552,15 +570,17 @@ def check_polytope_faces(graph):
     level_tables = Memo(lambda level: _level_table(graph, *level))
     # the residue space is the kernel of the rows, whatever their family or
     # order, so one set of rows always gives the same table
-    tables = {}
-    trivial = LevelStructure.trivial(graph.vertices)
-    reference = base_polytope(_sweep_table(trivial, level_sets, level_tables, tables))
+    row_tables = {}
+    tables = Memo(lambda values: _checked_table(graph.vertices, values))
+    memos = (level_sets, level_tables, row_tables, tables)
+    # every table below has passed the guard, submodularity included
+    reference = _greedy_polytope(_sweep_table(LevelStructure.trivial(graph.vertices), *memos))
     vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
-    faces = Memo(lambda table: _located(base_polytope(table).vertices, vertex_bit))
+    faces = Memo(lambda table: _located(_greedy_polytope(table).vertices, vertex_bit))
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table, face = _table_and_face(pi, level_sets, level_tables, tables, faces)
+        table, face = _table_and_face(pi, *memos, faces)
         entries[pi.levels] = (pi, face, table, chain_face(reference, pi))
 
     failures = []
@@ -580,6 +600,10 @@ def check_polytope_faces(graph):
         chain_faces.append((pi, lower))
 
     coarsening_ok = True
+    # one verdict per distinct (table, coarser table) pair of value tuples,
+    # however many merges compare them; each failing merge still reports
+    # its own line
+    dominated = Memo(lambda pair: not any(map(gt, *pair)))
     for pi, face, table, _ in entries.values():
         for k in range(1, pi.r):
             merged = tuple(n - (n > k) for n in pi.levels)  # levels k and k + 1 as one
@@ -589,7 +613,7 @@ def check_polytope_faces(graph):
             if face & ~coarser_face:
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: vertex set not contained")
-            if any(map(gt, table.values, coarser_table.values)):
+            if not dominated[table.values, coarser_table.values]:
                 coarsening_ok = False
                 failures.append(f"{pi!r} -> {coarser!r}: table not dominated")
 

@@ -253,6 +253,16 @@ class TestErrors:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["info", "faces"])
+    def test_null_levels_exit_2(self, tmp_path, capsys, command):
+        # only an omitted "levels" means the one-level structure; null is no
+        # level map, as a null "edges" is no edge list
+        path = write_fixture(tmp_path, "k4", lambda doc: doc.update(levels=None))
+        code, out, err = run_cli(capsys, command, "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err == 'error: "levels" must map vertices to integers\n'
+
     @pytest.mark.parametrize(
         "edge",
         [[["a"], "a"], ["a", ["a"]], [{"x": 1}, "a"], ["a", {"x": 1}]],

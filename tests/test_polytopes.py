@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -294,7 +295,7 @@ class TestChainFace:
 
 
 class RowSets(dict):
-    """A tables memo of the face sweep that hands each row set back as its
+    """A row-set memo of the face sweep that hands each row set back as its
     own table, so that the sweep's step returns the union it keys on."""
 
     def get(self, rows):
@@ -366,16 +367,23 @@ class TestFaceSweep:
             )
 
     def test_coarsenings_compared_along_single_merges(self, k4, monkeypatch):
-        # the domination check reads the tables of each compared pair once:
-        # a partition of r levels meets its r - 1 merges of two adjacent
+        # the domination check looks up a verdict for each single merge: a
+        # partition of r levels meets its r - 1 merges of two adjacent
         # levels, 158 pairs over k4's 75 partitions, where all of its
-        # coarsenings (itself included) would make 365
+        # coarsenings (itself included) would make 365.  It compares the
+        # tables of each distinct (table, coarser table) pair once, finer
+        # table first
         graph = k4[0]
-        reads = []
+        looked_up = []
+        compared = []
 
         class Read(tuple):
+            def __hash__(self):
+                looked_up.append(self.levels)
+                return super().__hash__()
+
             def __iter__(self):
-                reads.append(self.levels)
+                compared.append(self.levels)
                 return super().__iter__()
 
         real_step = polytopes._table_and_face
@@ -396,8 +404,18 @@ class TestFaceSweep:
             for coarse in coarsened_levels(pi)
             if max(coarse) == pi.r - 1
         ]
-        assert len(reads) == 2 * len(merges) == 2 * 158
-        assert sorted(zip(reads[::2], reads[1::2])) == sorted(merges)
+        assert len(merges) == 158
+        # every merge, and no other pair, hashes its (finer, coarser) key
+        assert set(zip(looked_up[::2], looked_up[1::2])) == set(merges)
+        values = {
+            pi.levels: residue_projection_table(graph, pi).values
+            for pi in ordered_partitions(graph.vertices)
+        }
+        distinct = {(values[fine], values[coarse]) for fine, coarse in merges}
+        pairs = list(zip(compared[::2], compared[1::2]))
+        assert set(pairs) <= set(merges)
+        assert len(pairs) == len(distinct) < len(merges)
+        assert {(values[fine], values[coarse]) for fine, coarse in pairs} == distinct
 
     @pytest.mark.parametrize(
         "fault",
@@ -455,11 +473,11 @@ class TestFaceSweep:
             level_sets = Memo(lambda pair: level_rows(graph, *pair))
             # memos that hand the row set itself back as the "table" and
             # locate no face, so the sweep's step returns the union it keys
-            # on; no level table is read
-            tables, faces = RowSets(), Memo(lambda table: None)
+            # on; no level table is read and no table summed
+            row_tables, faces = RowSets(), Memo(lambda table: None)
             for pi in ordered_partitions(graph.vertices):
                 rows = frozenset(itertools.chain.from_iterable(LevelGraph(graph, pi).rows.values()))
-                step = polytopes._table_and_face(pi, level_sets, None, tables, faces)
+                step = polytopes._table_and_face(pi, level_sets, None, row_tables, None, faces)
                 assert step == (rows, None), pi
                 # each level owns exactly the rows on the arrows out of it
                 prefixes = itertools.accumulate(pi.masks, operator.or_, initial=0)
@@ -510,11 +528,13 @@ class TestFaceSweep:
         real_kernel = residues._kernel
         real_guard = polytopes._checked_table
         real_level_rows = polytopes.level_rows
-        real_polytope = polytopes.base_polytope
+        real_polytope = polytopes._greedy_polytope
+        real_submodular = SetFunction.is_submodular
         kernels = []
         kernel_calls = []
         whole_kernels = []
         guarded = []
+        submodular_checks = []
         level_calls = []
         polytope_calls = []
 
@@ -542,6 +562,10 @@ class TestFaceSweep:
             level_calls.append((mask, prefix))
             return real_level_rows(g, mask, prefix)
 
+        def counting_submodular(table):
+            submodular_checks.append(table.values)
+            return real_submodular(table)
+
         def counting_polytope(table):
             polytope_calls.append(table.values)
             return real_polytope(table)
@@ -551,16 +575,19 @@ class TestFaceSweep:
         monkeypatch.setattr(residues, "_kernel", counting_kernel)
         monkeypatch.setattr(polytopes, "_checked_table", counting_guard)
         monkeypatch.setattr(polytopes, "level_rows", counting_level_rows)
-        monkeypatch.setattr(polytopes, "base_polytope", counting_polytope)
+        monkeypatch.setattr(SetFunction, "is_submodular", counting_submodular)
+        monkeypatch.setattr(polytopes, "_greedy_polytope", counting_polytope)
         report = check_polytope_faces(graph)
         assert report.ok and report.partitions_checked == len(partitions) == 75
         assert len(kernel_calls) == len(kernels)
         assert len(kernels) == len(set(kernels)) == len(level_keys) < len(level_pairs)
         assert set(kernels) == level_keys
         assert whole_kernels == []
-        # one summed table, and one guard, per distinct row set
-        assert len(guarded) == len(row_sets) < len(partitions)
+        # one guard per distinct table value, which several row sets share,
+        # and no second submodularity check when its polytope is built
+        assert len(guarded) == len(set(guarded)) == len(tables) < len(row_sets) < len(partitions)
         assert set(guarded) == tables
+        assert submodular_checks == guarded
         assert len(polytope_calls) == len(tables) + 1 < len(partitions)
         assert set(polytope_calls) == tables
         # one rows-only step per (level mask, prefix mask) pair, for one call:
@@ -925,7 +952,9 @@ class TestFaultInjection:
         assert str(err.value) == "chain-tight vertices differ from the weight argmax"
 
     def test_faces_exits_1_on_a_chain_face_mismatch(self, tmp_path, capsys, monkeypatch):
-        real = polytopes.base_polytope
+        # the sweep builds its polytopes from guarded tables, by the greedy
+        # walk alone
+        real = polytopes._greedy_polytope
         built = []
 
         def with_a_wrong_tight_set(table, *args, **kwargs):
@@ -936,7 +965,7 @@ class TestFaultInjection:
             # the one-level polytope, which the chain faces are read from
             return with_tight_vertex(poly, 0b0001, (1, 2, 0, 0))
 
-        monkeypatch.setattr(polytopes, "base_polytope", with_a_wrong_tight_set)
+        monkeypatch.setattr(polytopes, "_greedy_polytope", with_a_wrong_tight_set)
         path = tmp_path / "k4.json"
         path.write_text(json.dumps(fixtures.document("k4")))
         assert main(["faces", "--input", str(path)]) == 1
@@ -992,14 +1021,14 @@ class TestFaultInjection:
         # the one-level polytope's tight set at the empty subset misses its
         # first vertex: no prefix chain reads mask 0, so every partition
         # still matches its chain face, but that set is no face
-        real = polytopes.base_polytope
+        real = polytopes._greedy_polytope
 
         def missing_vertex(table):
             poly = real(table)
             poly.tight = (poly.tight[0] & ~1,) + poly.tight[1:]
             return poly
 
-        monkeypatch.setattr(polytopes, "base_polytope", missing_vertex)
+        monkeypatch.setattr(polytopes, "_greedy_polytope", missing_vertex)
         failure = "face lattice and realized faces differ"
         report = check_polytope_faces(k4[0])
         assert report.containment_ok and report.chain_match_ok and report.coarsening_ok
@@ -1114,6 +1143,56 @@ class TestFaultInjection:
         assert payload["ok"] is False
         assert payload["coarsening_ok"] is False
         assert failure in payload["failures"]
+
+    def test_memoised_domination_verdict_reports_every_merge(
+        self, k4, tmp_path, capsys, monkeypatch
+    ):
+        # one table of k4, shared by several partitions, is read one higher
+        # at the ground set, above every other table's 3: each of its merges
+        # into another table fails, two or more of them into the same one, so
+        # the sweep reuses a failed verdict; its merges into itself pass
+        graph = k4[0]
+        partitions = list(ordered_partitions(graph.vertices))
+        values = {pi.levels: residue_projection_table(graph, pi).values for pi in partitions}
+        merges = [
+            (pi, LevelStructure(graph.vertices, coarse))
+            for pi in partitions
+            for coarse in coarsened_levels(pi)
+            if max(coarse) == pi.r - 1
+        ]
+
+        def failing(target):
+            return [
+                (fine, coarse)
+                for fine, coarse in merges
+                if values[fine.levels] == target != values[coarse.levels]
+            ]
+
+        def reuses_a_failed_verdict(t):
+            coarser = collections.Counter(values[coarse.levels] for _, coarse in failing(t))
+            return max(coarser.values(), default=0) > 1 and any(
+                values[fine.levels] == values[coarse.levels] == t for fine, coarse in merges
+            )
+
+        target = next(filter(reuses_a_failed_verdict, dict.fromkeys(values.values())))
+        raised = SetFunction(graph.vertices, target[:-1] + (target[-1] + 1,))
+        real_step = polytopes._table_and_face
+
+        def raising_step(levels, *memos):
+            table, face = real_step(levels, *memos)
+            return (raised if table.values == target else table), face
+
+        monkeypatch.setattr(polytopes, "_table_and_face", raising_step)
+        expected = [f"{fine!r} -> {coarse!r}: table not dominated" for fine, coarse in failing(target)]
+        assert len(expected) == 6
+        report = check_polytope_faces(graph)
+        assert report.containment_ok and report.chain_match_ok and report.lattice_ok
+        assert not report.coarsening_ok
+        assert report.failures == tuple(expected)
+        code, payload = k4_faces_payload(tmp_path, capsys)
+        assert code == 1
+        assert payload["coarsening_ok"] is False
+        assert payload["failures"] == expected
 
     def test_table_not_dominated_by_a_coarsening(self, k4, tmp_path, capsys, monkeypatch):
         # one more at every nonempty subset keeps the table submodular, and

@@ -255,7 +255,7 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "if any(map(gt, table.values, coarser_table.values)):",
+        "if not dominated[table.values, coarser_table.values]:",
         "if False:",
         "check_polytope_faces: coarsening table domination off",
         "tests/test_polytopes.py::TestFaultInjection::test_table_not_dominated_by_a_coarsening",
@@ -1225,6 +1225,42 @@ CATALOGUE = (
         "if not all(0 <= c < ambient_dim for c in coords):",
         "_canonical_coords: a boolean coordinate read as 0 or 1",
         "tests/test_linalg.py::TestSubspace::test_coordinates_must_be_ints_in_range[boolean-project_image]",
+    ),
+    # -- the face sweep's work once per distinct table
+    Mutant(
+        POLY,
+        "dominated[table.values, coarser_table.values]",
+        "dominated.setdefault(table.values, dominated.fill((table.values, coarser_table.values)))",
+        "check_polytope_faces: the domination verdict keyed by the finer table alone",
+        "tests/test_polytopes.py::TestFaultInjection::"
+        "test_memoised_domination_verdict_reports_every_merge",
+    ),
+    Mutant(
+        POLY,
+        "if not dominated[table.values, coarser_table.values]:\n                coarsening_ok = False",
+        "if (table.values, coarser_table.values) not in dominated"
+        " and not dominated[table.values, coarser_table.values]:\n"
+        "                coarsening_ok = False",
+        "check_polytope_faces: a domination failure reported only by the merge that computes"
+        " the verdict",
+        "tests/test_polytopes.py::TestFaultInjection::"
+        "test_memoised_domination_verdict_reports_every_merge",
+    ),
+    Mutant(
+        POLY,
+        "table = row_tables[rows] = tables[tuple(map(sum, zip(*spreads)))]",
+        "values = tuple(map(sum, zip(*spreads)))\n"
+        "        table = row_tables[rows] = tables.setdefault(values[-1], tables.fill(values))",
+        "_sweep_table: the guarded tables memoised by the full-set value alone, not by every"
+        " value",
+        "tests/test_polytopes.py::TestFaceSweep::test_summed_tables_match_the_whole_space_tables",
+    ),
+    Mutant(
+        GRAPHS,
+        'if "levels" not in document:',
+        'if document.get("levels") is None:',
+        'load_level_graph: a null "levels" read as the one-level structure',
+        "tests/test_cli.py::TestErrors::test_null_levels_exit_2[info]",
     ),
 )
 
