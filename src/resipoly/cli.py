@@ -45,7 +45,7 @@ def _read_document(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise GraphDocumentError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise GraphDocumentError(
@@ -158,15 +158,20 @@ def cmd_basis(args):
     return EXIT_OK
 
 
+def _subset_names(ground):
+    """The names in every subset of ``ground``, listed by bitmask: one
+    doubling pass, element i adding itself to the subsets listed so far."""
+    names = [[]]
+    for name in ground:
+        names += [subset + [name] for subset in names]
+    return names
+
+
 def _table_report(table):
-    entries = []
-    for mask in range(1 << table.n):
-        entries.append(
-            {
-                "subset": list(table.subset_names(mask)),
-                "value": str(table.values[mask]),
-            }
-        )
+    entries = [
+        {"subset": subset, "value": str(value)}
+        for subset, value in zip(_subset_names(table.ground), table.values)
+    ]
     return {"ground": list(table.ground), "entries": entries}
 
 
@@ -185,11 +190,8 @@ def cmd_polytope(args):
         "ground": list(poly.ground),
         "vertices": [[str(x) for x in q] for q in poly.vertices],
         "inequalities": [
-            {
-                "subset": list(table.subset_names(mask)),
-                "bound": str(table.values[mask]),
-            }
-            for mask in range(1, 1 << table.n)
+            {"subset": subset, "bound": str(value)}
+            for subset, value in zip(_subset_names(table.ground)[1:], table.values[1:])
         ],
     }
     _emit(payload, args.format)

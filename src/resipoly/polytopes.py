@@ -44,8 +44,13 @@ that chain (Fujishige, same book).
 from __future__ import annotations
 
 import itertools
+import math
+import sys
+from array import array
 from dataclasses import dataclass
-from operator import eq, ge, gt, mul, or_, sub
+from fractions import Fraction
+from functools import lru_cache
+from operator import eq, gt, mul, or_, sub
 
 from .graphs import LevelStructure, Memo, bits, ordered_partitions
 from .linalg import _kernel_basis, _sparse_insert
@@ -78,31 +83,62 @@ class InvariantViolation(AssertionError):
     """
 
 
-def _halves(seq, step):
-    """Aligned slice pairs ``(lower, upper)`` of ``seq`` along one index
-    bit, ``step`` being the bit's value: between them they pair ``seq[m]``
-    with ``seq[m + step]`` over every index m with that bit clear.  The
-    pairs are contiguous blocks or strided slices, whichever are fewer;
-    ``len(seq)`` is a power of two."""
-    width = 2 * step
-    if step <= len(seq) // width:
-        return [(seq[r::width], seq[r + step :: width]) for r in range(step)]
-    return [(seq[lo : lo + step], seq[lo + step : lo + width]) for lo in range(0, len(seq), width)]
+# array typecodes of unsigned ints by item size in bytes, smallest first
+_ITEM_CODES = sorted({array(code).itemsize: code for code in "QLIHB"}.items())
 
 
-def _marginals(values, step):
-    """The rises ``values[m + step] - values[m]`` over the masks m without
-    the bit ``step``, listed by m with that bit deleted."""
-    width = 2 * step
-    if step <= len(values) // width:
-        out = [0] * (len(values) // 2)
-        for r in range(step):
-            out[r::step] = map(sub, values[r + step :: width], values[r::width])
-        return out
-    out = []
-    for lo in range(0, len(values), width):
-        out += map(sub, values[lo + step : lo + width], values[lo : lo + step])
-    return out
+def _packed(values):
+    """A table's values as one int of equal fields, and the field width.
+
+    Field m, counted from the low end, holds ``values[m]`` less the least
+    value, so every field is nonnegative.  A table with a value that is not
+    an int is first scaled to integers by the common denominator of its
+    values, which changes no sign of any sum of differences.  The width is
+    a whole number of bytes, at least two bits more than the span (the
+    greatest value less the least) needs, so every field is below a quarter
+    of ``2**width``.  The fields are written by `array` or, past its widest
+    item, `int.to_bytes`, and read as one int by `int.from_bytes`.
+    """
+    if type(sum(values)) is not int:  # a sum is an int only when every value is
+        scale = math.lcm(*(Fraction(v).denominator for v in values))
+        values = [int(Fraction(v) * scale) for v in values]
+    low = min(values)
+    size = ((max(values) - low).bit_length() + 9) // 8  # whole bytes for two more bits
+    if low:
+        values = map(sub, values, itertools.repeat(low))
+    for itemsize, code in _ITEM_CODES:
+        if itemsize >= size:
+            data = array(code, values).tobytes()
+            break
+    else:
+        itemsize = size
+        data = b"".join(v.to_bytes(size, sys.byteorder) for v in values)
+    return int.from_bytes(data, sys.byteorder), 8 * itemsize
+
+
+def _repeated(word, period, total):
+    """``word``, which fits in ``period`` bits, repeated to fill ``total``
+    bits, ``total`` being ``period`` times a power of two: one doubling
+    shift per doubling of the length."""
+    while period < total:
+        word |= word << period
+        period <<= 1
+    return word
+
+
+@lru_cache(maxsize=64)
+def _field_masks(n, width):
+    """``(bias, clear)`` for the 2^n fields of ``width`` bits of a packed
+    table: ``bias`` holds the top bit of every field, and ``clear[i]`` the
+    top bits of the fields whose index has bit i clear.  Cached: the face
+    sweep guards hundreds of tables on a few (n, width) pairs."""
+    total = width << n
+    bias = _repeated(1 << (width - 1), width, total)
+    clear = tuple(
+        _repeated(bias & ((1 << (width << i)) - 1), width << (i + 1), total)
+        for i in range(n)
+    )
+    return bias, clear
 
 
 class SetFunction:
@@ -126,42 +162,56 @@ class SetFunction:
     def full_mask(self):
         return (1 << self.n) - 1
 
-    def subset_names(self, mask):
-        return tuple(v for i, v in enumerate(self.ground) if mask >> i & 1)
-
     def is_zero_at_empty(self):
         return self.values[0] == 0
 
     def is_submodular(self):
-        """Checked through diminishing marginal returns, which is equivalent
-        to the pairwise subset inequalities.
+        """Checked through the local inequalities f(S + i) + f(S + j) >=
+        f(S + i + j) + f(S) over i < j and the S without i and j, which
+        imply every subset inequality (Fujishige's book, cited in the module
+        notes), one packed comparison per pair.
 
-        For each element i the marginals f(S + i) - f(S) over the S without
-        i must not increase when an element j > i joins S; the pairs with
-        j < i are the same inequalities read the other way round.  Each
-        comparison runs over whole slices of the table.
+        In the packed table (:func:`_packed`), shifting right by 2^i fields
+        puts f(S + i) in field S.  The bias holds the top bit of every
+        field, 2^(width - 1); no packed value reaches it, so ``| bias`` adds
+        it.  Field S of f(S + i) + f(S + j) + bias - f(S) - f(S + i + j) is
+        the pair's slack plus the bias.  Each value lies in 0 .. span, and
+        the width leaves the span below a quarter of a field, 2^(width - 2),
+        so the slack lies strictly between -bias and bias: the biased field
+        stays inside 1 .. 2^width - 1, borrows from no neighbour and carries
+        into none, and its top bit is set exactly when the slack is
+        nonnegative.  The pair's mask tests the fields of the S without i
+        and j; the fields past the top, which read 0, are never tested.
         """
         if not self.is_zero_at_empty():
             return False
-        n = self.n
-        for i in range(n):
-            marginals = _marginals(self.values, 1 << i)
-            # element j > i is bit j - 1 of the index of `marginals`
-            for t in range(i, n - 1):
-                for lower, upper in _halves(marginals, 1 << t):
-                    if not all(map(ge, lower, upper)):
-                        return False
+        word, width = _packed(self.values)
+        bias, clear = _field_masks(self.n, width)
+        up = [word >> (width << i) for i in range(self.n)]  # f(S + i) in field S
+        for i, up_i in enumerate(up):
+            rise_i = (up_i | bias) - word
+            for j in range(i + 1, self.n):
+                tested = clear[i] & clear[j]
+                if (rise_i + up[j] - (up_i >> (width << j))) & tested != tested:
+                    return False
         return True
 
     def is_nondecreasing(self):
-        return all(
-            all(map(ge, upper, lower))
-            for i in range(self.n)
-            for lower, upper in _halves(self.values, 1 << i)
-        )
+        """Whether f(S + i) >= f(S) over every i and S without i, one packed
+        comparison per element: field S of (f(S + i) | bias) - f(S) is the
+        rise plus the bias.  The rise lies between -span and span, inside
+        -bias .. bias with room to spare (see :meth:`is_submodular`), so the
+        field neither borrows nor carries and its top bit is set exactly
+        when the rise is nonnegative."""
+        word, width = _packed(self.values)
+        bias, clear = _field_masks(self.n, width)
+        for i in range(self.n):
+            if ((word >> (width << i) | bias) - word) & clear[i] != clear[i]:
+                return False
+        return True
 
     def is_nonnegative(self):
-        return all(v >= 0 for v in self.values)
+        return min(self.values) >= 0
 
     def __eq__(self, other):
         if not isinstance(other, SetFunction):

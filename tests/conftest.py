@@ -275,8 +275,9 @@ def reference_initial_space_limit(laurent):
 
 
 def reference_is_submodular(table):
-    """The pairwise subset inequalities one at a time, as diminishing
-    marginal returns: the previous body of `SetFunction.is_submodular`."""
+    """The local inequalities f(S + i) + f(S + j) >= f(S + i + j) + f(S)
+    one at a time, against which `SetFunction.is_submodular`, a packed
+    comparison per pair, is tested."""
     if not table.is_zero_at_empty():
         return False
     n = table.n
@@ -295,7 +296,9 @@ def reference_is_submodular(table):
 
 
 def reference_is_nondecreasing(table):
-    """The previous body of `SetFunction.is_nondecreasing`."""
+    """The rises f(S + i) >= f(S) one at a time, against which
+    `SetFunction.is_nondecreasing`, a packed comparison per element, is
+    tested."""
     n = table.n
     return all(
         table.values[mask | (1 << i)] >= table.values[mask]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -218,11 +219,75 @@ class TestPrismDigests:
         )
 
 
+def seeded_document(seed, n, m, r):
+    """A connected graph document of `n` vertices and `m` edges (genus
+    m - n + 1) at `r` levels, drawn from ``random.Random(seed)``: a random
+    spanning tree, then random edges, loops and parallel edges allowed;
+    every level is used."""
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    edges = [[vertices[rng.randrange(k)], vertices[k]] for k in range(1, n)]
+    edges += [[rng.choice(vertices), rng.choice(vertices)] for _ in range(m - n + 1)]
+    order = rng.sample(vertices, n)
+    levels = {v: k + 1 if k < r else rng.randint(1, r) for k, v in enumerate(order)}
+    return {"vertices": vertices, "edges": edges, "levels": levels}
+
+
+class TestTableBoundDigests:
+    """Outputs at the CLI's size bounds pinned by digest: `gamma` at the
+    12-vertex table bound and `polytope` at the 8-vertex polytope bound, on
+    seeded multi-level documents of positive genus.  The golden files hold
+    no table on more than 5 vertices with nonzero genus."""
+
+    def run(self, tmp_path, capsys, command, document):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 0, err
+        return out
+
+    def test_gamma_at_the_table_bound(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "gamma", seeded_document(12, 12, 16, 3))
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 1 << 12
+        assert entries[-1] == {"subset": [f"v{i}" for i in range(1, 13)], "value": "5"}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d403e8f0916bbcac9dcd9a094fce245696dba0544a62a0e1bc4e649cfca8f6e7"
+        )
+
+    def test_polytope_at_the_polytope_bound(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "polytope", seeded_document(4, 8, 12, 2))
+        payload = json.loads(out)
+        assert len(payload["inequalities"]) == (1 << 8) - 1
+        assert len(payload["vertices"]) == 20
+        assert all(sum(map(int, q)) == 5 for q in payload["vertices"])
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "984b48d1f538f7329e20718bba9a2c974c2cde040522cf1eb4501ad7ee94cd42"
+        )
+
+
 class TestErrors:
     def test_unreadable_input(self, capsys):
         code, _, err = run_cli(capsys, "info", "--input", "/nonexistent.json")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["info", "degenerate"])
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        # the error names the file, as for a file that cannot be opened
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff{}")
+        if command == "info":
+            argv = ["info", "--input", str(bad)]
+        else:
+            argv = ["degenerate", "--input", write_fixture(tmp_path, "fig1"), "--fine", str(bad)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -703,8 +703,40 @@ def permutahedron_table(n):
     )
 
 
+def steep_values(n):
+    """f(S) = 2^n - 2^(n - |S|): increasing and submodular.  Each local
+    inequality f(S + i) + f(S + j) >= f(S + i + j) + f(S) has slack
+    2^(n - 2 - |S|), which is 1 at the top, |S| = n - 2, and each rise
+    f(S + i) - f(S) is 2^(n - 1 - |S|), at least 1."""
+    return [(1 << n) - (1 << (n - bin(m).count("1"))) for m in range(1 << n)]
+
+
+def broken_inequalities(table):
+    """The local inequalities the table breaks: ("submodular", S, i, j) for
+    f(S + i) + f(S + j) < f(S + i + j) + f(S), i < j, and ("nondecreasing",
+    S, i) for f(S + i) < f(S), the S without the elements named."""
+    f = table.values
+    out = []
+    for mask in range(1 << table.n):
+        outside = [i for i in range(table.n) if not mask >> i & 1]
+        for i in outside:
+            if f[mask | 1 << i] < f[mask]:
+                out.append(("nondecreasing", mask, i))
+        for i, j in itertools.combinations(outside, 2):
+            a, b = 1 << i, 1 << j
+            if f[mask | a] + f[mask | b] < f[mask | a | b] + f[mask]:
+                out.append(("submodular", mask, i, j))
+    return out
+
+
+def assert_predicates_match(table):
+    """The packed predicates against the per-inequality references."""
+    assert table.is_submodular() == reference_is_submodular(table)
+    assert table.is_nondecreasing() == reference_is_nondecreasing(table)
+
+
 class TestAgainstReferences:
-    """The slice predicates, the column-echelon walk, the prefix walk, the
+    """The packed predicates, the column-echelon walk, the prefix walk, the
     one-direction chain face and the direct split against the
     per-inequality, per-subset, per-ordering, two-orientation and adjoint
     bodies kept in conftest, on seeded inputs."""
@@ -767,6 +799,115 @@ class TestAgainstReferences:
         rejected = verdicts[False, False] + verdicts[False, True]
         assert 3 * rejected >= 3000
         assert min(verdicts.values()) >= 100
+
+    def test_predicates_on_larger_ground_sets(self):
+        rng = random.Random(79)
+        verdicts = collections.Counter()
+        for n in (7, 8, 9):
+            for _ in range(40):
+                table = SetFunction(tuple(f"x{i}" for i in range(n)), random_table_values(rng, n))
+                assert_predicates_match(table)
+                verdicts[reference_is_submodular(table), reference_is_nondecreasing(table)] += 1
+        assert len(verdicts) == 4
+
+    def test_predicates_at_the_table_bound(self):
+        # the reference takes about a tenth of a second per table here
+        rng = random.Random(80)
+        n = 12
+        full = (1 << n) - 1
+        steep = steep_values(n)
+        pair_broken = list(steep)
+        pair_broken[full ^ 0b11 << 10] += 2  # f(S + 10) + f(S + 11) < f(V) + f(S)
+        top_broken = list(steep)
+        top_broken[full ^ 1 << 11] += 2  # f(V - 11) > f(V)
+        ground = tuple(f"x{i}" for i in range(n))
+        tables = [
+            SetFunction(ground, values)
+            for values in (coverage_values(rng, n), steep, pair_broken, top_broken)
+        ]
+        for table in tables:
+            assert_predicates_match(table)
+        assert [(t.is_submodular(), t.is_nondecreasing()) for t in tables] == [
+            (True, True),
+            (True, True),
+            (False, True),
+            (True, False),
+        ]
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_one_broken_local_inequality_at_the_top(self, n):
+        # raising f(S) by 2 at S = V - i - j breaks only the inequality of
+        # (S, i, j); raising f(V - i) by 2 breaks only f(V) >= f(V - i)
+        ground = tuple(f"x{i}" for i in range(n))
+        full = (1 << n) - 1
+        for i, j in itertools.combinations(range(n), 2):
+            values = steep_values(n)
+            top = full ^ (1 << i | 1 << j)
+            values[top] += 2
+            table = SetFunction(ground, values)
+            assert broken_inequalities(table) == [("submodular", top, i, j)]
+            assert not table.is_submodular() and table.is_nondecreasing()
+        for i in range(n):
+            values = steep_values(n)
+            values[full ^ 1 << i] += 2
+            table = SetFunction(ground, values)
+            assert broken_inequalities(table) == [("nondecreasing", full ^ 1 << i, i)]
+            assert table.is_submodular() and not table.is_nondecreasing()
+
+    @pytest.mark.parametrize(
+        "span,width",
+        [
+            (63, 8),
+            (64, 16),
+            (2**14 - 1, 16),
+            (2**14, 32),
+            (2**30 - 1, 32),
+            (2**30, 64),
+            (2**62 - 1, 64),
+            (2**62, 72),
+            (2**64 + 5, 72),
+            (2**70, 80),
+        ],
+    )
+    def test_predicates_at_every_field_width(self, span, width):
+        # a packed field holds the span with two bits to spare, so the
+        # spans on either side of each boundary take different widths.
+        # Tables of the values 0 and the span, each taken past the empty
+        # set, some shifted below zero past it, reach slacks of plus and
+        # minus twice the span
+        rng = random.Random(span)
+        verdicts = collections.Counter()
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            values = [0] + [rng.choice((0, span)) for _ in range((1 << n) - 1)]
+            low, high = rng.sample(range(1, 1 << n), 2)
+            values[low], values[high] = 0, span
+            if rng.randrange(3) == 0:
+                values[1:] = [v - span for v in values[1:]]
+            assert polytopes._packed(values)[1] == width
+            table = SetFunction(tuple(f"x{i}" for i in range(n)), values)
+            assert_predicates_match(table)
+            verdicts[reference_is_submodular(table), reference_is_nondecreasing(table)] += 1
+        assert len(verdicts) == 4
+
+    def test_fraction_tables(self):
+        # scaled to integers by the common denominator of their values
+        rng = random.Random(81)
+        verdicts = collections.Counter()
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            values = random_table_values(rng, n)
+            denominators = [rng.choice((1, 2, 3, 7, 10**20)) for _ in values]
+            table = SetFunction(
+                tuple(f"x{i}" for i in range(n)),
+                [Fraction(v, d) for v, d in zip(values, denominators)],
+            )
+            assert_predicates_match(table)
+            verdicts[reference_is_submodular(table), reference_is_nondecreasing(table)] += 1
+        assert len(verdicts) == 4
+        third = SetFunction(("a", "b"), (0, Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))
+        assert third.is_submodular() and third.is_nondecreasing()
+        assert not SetFunction(("a",), (0, Fraction(-1, 3))).is_nondecreasing()
 
     def test_nonzero_at_empty_is_not_submodular(self):
         for values in ((1,), (1, 1), (-1, 0, 0, 0), (2, 2, 2, 2, 2, 2, 2, 2)):

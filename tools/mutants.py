@@ -370,31 +370,38 @@ CATALOGUE = (
     ),
     Mutant(
         POLY,
-        "for t in range(i, n - 1):",
-        "for t in range(i + 1, n - 1):",
-        "is_submodular: the nearest higher element skipped",
-        "tests/test_polytopes.py::TestBasePolytope::test_non_submodular_rejected",
+        "tested = clear[i] & clear[j]",
+        "tested = clear[i]",
+        "is_submodular: the pair's mask clears only bit i, testing the fields of S + j too",
+        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
     ),
     Mutant(
         POLY,
-        "if not all(map(ge, lower, upper)):",
-        "if not all(map(ge, upper, lower)):",
-        "is_submodular: marginal comparison reversed",
-        "tests/test_acceptance.py::test_criterion_4_k4_polytope",
+        "rise_i = (up_i | bias) - word",
+        "rise_i = up_i - word",
+        "is_submodular: the bias dropped, so a field's top bit is the sign of its slack",
+        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
     ),
     Mutant(
         POLY,
-        "for i in range(self.n)\n",
-        "for i in range(self.n - 1)\n",
+        "if ((word >> (width << i) | bias) - word) & clear[i] != clear[i]:",
+        "if ((word >> (width << i)) - word) & clear[i] != clear[i]:",
+        "is_nondecreasing: the bias dropped, so a field's top bit is the sign of its rise",
+        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
+    ),
+    Mutant(
+        POLY,
+        "for i in range(self.n):\n            if ((word",
+        "for i in range(self.n - 1):\n            if ((word",
         "is_nondecreasing: the last element skipped",
         "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
     ),
     Mutant(
         POLY,
-        "out[r::step] = map(",
-        "out[r * len(out) // step : (r + 1) * len(out) // step] = map(",
-        "_marginals: strided marginals stored in blocks, not interleaved at stride step",
-        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_on_random_tables",
+        "size = ((max(values) - low).bit_length() + 9) // 8",
+        "size = ((max(values) - low).bit_length() + 8) // 8",
+        "_packed: the field one bit too narrow, so a biased slack can leave its field",
+        "tests/test_polytopes.py::TestAgainstReferences::test_predicates_at_every_field_width[64-16]",
     ),
     Mutant(
         POLY,
