@@ -227,8 +227,11 @@ def cmd_faces(args):
 
 def cmd_degenerate(args):
     graph, coarse = _load_input(args.input)
-    fine_doc = _read_document(args.fine)
-    raw = fine_doc.get("levels", fine_doc) if isinstance(fine_doc, dict) else None
+    raw = _read_document(args.fine)
+    # a document when its "levels" is an object; otherwise a level map,
+    # where a vertex may be named "levels"
+    if isinstance(raw, dict) and isinstance(raw.get("levels"), dict):
+        raw = raw["levels"]
     if not isinstance(raw, dict):
         raise GraphDocumentError("--fine must hold a level map")
     fine = LevelStructure.from_map(graph.vertices, raw)

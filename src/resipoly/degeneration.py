@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import check_same_vertices, is_coarsening
+from .graphs import bits, check_same_vertices, is_coarsening
 from .linalg import Subspace, _sparse_insert, _span, det, kernel_of_projection
-from .polytopes import InvariantViolation, _check_table_bound, _tail_table, splitting
+from .polytopes import InvariantViolation, _check_table_bound, projection_rank_table, splitting
 from .residues import residue_space
 
 __all__ = [
@@ -238,8 +238,10 @@ def check_degeneration(graph, fine, coarse, with_oracle=True):
 
     _, realization = flag_and_realization(laurent)
 
-    split = splitting(_tail_table(graph, coarse_space), fine)
-    fine_table = _tail_table(graph, fine_space)
+    # one coordinate block per vertex, the arrows with that tail
+    blocks = [bits(arrows) for arrows in graph.out_arrows]
+    split = splitting(projection_rank_table(coarse_space, graph.vertices, blocks), fine)
+    fine_table = projection_rank_table(fine_space, graph.vertices, blocks)
 
     oracle_matches = None
     if with_oracle:

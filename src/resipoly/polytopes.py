@@ -20,12 +20,14 @@ arrows grouped by tail vertex) it is the function whose base polytope this
 module studies.  Every condition row of level n lies on the arrows out of
 that level, so the residue space is the direct sum of the levels' kernels
 K_n, and its table is the sum over n of I -> t_n(I n L_n), where t_n is
-the table of K_n on the vertices of level L_n.  The face sweep builds its
-tables that way, one t_n per (level mask, row set) pair, each read off an
+the table of K_n on the vertices of level L_n.  That sum is the one
+builder of a level graph's table, for `residue_projection_table` and the
+face sweep alike, one t_n per (level mask, row set) pair, each read off an
 integral kernel basis: a projection's dimension does not depend on the
 basis, so no canonical kernel is made.  This is still the kernel route,
-taken blockwise, not the splitting; `residue_projection_table` stays
-whole-space.
+taken blockwise, not the splitting.  The table of a given subspace, such
+as the two residue spaces `check_degeneration` already holds, is
+`projection_rank_table`.
 
 Chains run one way only: the prefix chain of an ordered partition, the
 unions of its levels up to each n.  Tightness against the adjoint
@@ -52,9 +54,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import eq, gt, mul, or_, sub
 
-from .graphs import LevelStructure, Memo, bits, ordered_partitions
+from .graphs import LevelStructure, Memo, bits, check_same_vertices, ordered_partitions
 from .linalg import _kernel_basis, _sparse_insert
-from .residues import _insert_masks, level_rows, residue_space
+from .residues import _insert_masks, level_rows
 
 __all__ = [
     "BasePolytope",
@@ -281,7 +283,7 @@ def _rank_walk(dim, columns, blocks):
 def _checked_table(ground, values):
     """The projection table with these values, validated to be submodular,
     nonnegative and nondecreasing: the one invariant guard of every
-    projection table, whole-space or summed over level pairs."""
+    projection table, of a given subspace or summed over level pairs."""
     table = SetFunction(ground, values)
     if not (table.is_submodular() and table.is_nonnegative() and table.is_nondecreasing()):
         raise InvariantViolation("projection table violates its invariants")
@@ -295,21 +297,16 @@ def _check_table_bound(graph):
         )
 
 
-def _tail_table(graph, space):
-    """Projection table of a subspace of the arrow space, one coordinate block
-    per vertex: the arrows with that tail."""
-    blocks = [bits(arrows) for arrows in graph.out_arrows]
-    return projection_rank_table(space, graph.vertices, blocks)
-
-
 def residue_projection_table(graph, levels):
     """Subset table of projected residue-space dimensions.
 
     Entry I is the dimension of the projection of the residue space onto the
-    arrows with tail in I.
+    arrows with tail in I: the face sweep's sum of level tables
+    (:func:`_sweep_table`), read through fresh memos.
     """
     _check_table_bound(graph)
-    return _tail_table(graph, residue_space(graph, levels))
+    check_same_vertices(graph, levels)
+    return _sweep_table(levels, *_sweep_memos(graph))
 
 
 def contraction_table(graph):
@@ -540,7 +537,7 @@ def _level_table(graph, mask, rows):
 
 
 def _sweep_table(levels, level_sets, level_tables, row_tables, tables):
-    """A partition's tail table, read through four of the sweep's memos.
+    """A partition's tail table, read through the four memos of :func:`_sweep_memos`.
 
     Its set of condition rows is the union of its levels' sets in
     ``level_sets`` (keyed by level mask and prefix mask).  The condition
@@ -563,6 +560,21 @@ def _sweep_table(levels, level_sets, level_tables, row_tables, tables):
         spreads = [level_tables[pair] for pair in pairs]
         table = row_tables[rows] = tables[tuple(map(sum, zip(*spreads)))]
     return table
+
+
+def _sweep_memos(graph):
+    """Fresh memos of the four kinds :func:`_sweep_table` reads: level row
+    sets, level tables, tables by row set and guarded tables by value.  A
+    level's kernel is cut out by its rows on its own arrows, whatever the
+    prefix, so one (level mask, row set) pair always gives the same level
+    table; the residue space is the kernel of the rows, whatever their
+    family or order, so one set of rows always gives the same table."""
+    return (
+        Memo(lambda pair: level_rows(graph, *pair)),
+        Memo(lambda level: _level_table(graph, *level)),
+        {},
+        Memo(lambda values: _checked_table(graph.vertices, values)),
+    )
 
 
 def _table_and_face(levels, level_sets, level_tables, row_tables, tables, faces):
@@ -614,15 +626,7 @@ def check_polytope_faces(graph):
         raise ValueError(
             f"{len(graph.vertices)} vertices exceed the face-sweep bound {FACE_SWEEP_BOUND}"
         )
-    level_sets = Memo(lambda pair: level_rows(graph, *pair))
-    # a level's kernel is cut out by its rows on its own arrows, whatever
-    # the prefix, so one (level mask, row set) pair always gives the same table
-    level_tables = Memo(lambda level: _level_table(graph, *level))
-    # the residue space is the kernel of the rows, whatever their family or
-    # order, so one set of rows always gives the same table
-    row_tables = {}
-    tables = Memo(lambda values: _checked_table(graph.vertices, values))
-    memos = (level_sets, level_tables, row_tables, tables)
+    memos = _sweep_memos(graph)
     # every table below has passed the guard, submodularity included
     reference = _greedy_polytope(_sweep_table(LevelStructure.trivial(graph.vertices), *memos))
     vertex_bit = {v: 1 << i for i, v in enumerate(reference.vertices)}

@@ -33,8 +33,8 @@ neighbours of L), the local row of each vertex of L, the global row of
 each special component, the summits, and the downward and horizontal
 arrows, as the masks of the arrows out of L with head outside V<=n and
 inside L.  The constructor of :class:`LevelGraph` builds one per level and
-assembles from them the counts and the four condition families, in owner
-order.  Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`,
+assembles from them the counts and the four condition families, level by
+level.  Vertex sets are the positional bitmasks of :mod:`resipoly.graphs`,
 read from :attr:`~resipoly.graphs.LevelStructure.masks`, and become
 vertex-name tuples only where they are reported.  Every condition is a 0/1
 row, so it is built once as the int bitmask of the arrow indices where it
@@ -74,7 +74,8 @@ stays where one document is checked.
 
 :func:`level_rows` builds one level's rows as a set for the readers that
 need a partition's row set and nothing else (:func:`residue_space` and
-the face sweep).  It keeps its own lean walk: reading the rows off a
+the level-table sum of :mod:`resipoly.polytopes`).  It keeps its own lean
+walk, sharing only :func:`_edge_rows`: reading the rows off a
 :class:`LevelPair` also builds the level's components and summits, and
 both that and a lean row builder shared with :func:`_level_pair` made the
 faces benchmark slower.
@@ -481,9 +482,9 @@ class LevelGraph:
 
     * ``pairs`` -- the levels' :class:`LevelPair` records, top to bottom;
     * ``counts`` -- the :class:`LevelCounts`, summed over the levels;
-    * ``rows`` -- family -> its condition rows as arrow masks, ordered by
-      owner (global rows by level, then by the lowest vertex of their
-      component).  The local row of a vertex is the support of its
+    * ``rows`` -- family -> its condition rows as arrow masks, level by
+      level, top to bottom, each level's as :meth:`LevelPair.rows` lists
+      them.  The local row of a vertex is the support of its
       non-downward arrows; vertices where that support is empty
       (irreducible summits and isolated vertices) contribute no row.
       Global rows are generated for every special component, even when
@@ -505,21 +506,10 @@ class LevelGraph:
         for mask in levels.masks:
             pairs.append(_level_pair(graph, mask, prefix))
             prefix |= mask
-        local_at = [0] * len(graph.vertices)
-        downward = horizontal = 0
-        for pair in pairs:
-            for i, row in pair.local.items():
-                local_at[i] = row
-            downward |= pair.downward
-            horizontal |= pair.horizontal
         self.pairs = tuple(pairs)
         self.counts = _counts(graph, levels.r, map(sum, zip(*[pair.terms() for pair in pairs])))
-        self.rows = {
-            "downward": tuple([1 << a for a in bits(downward)]),
-            "local": tuple([row for row in local_at if row]),
-            "rosenlicht": _edge_rows(horizontal),
-            "global": tuple([row for pair in pairs for row in pair.glob]),
-        }
+        by_family = zip(*[pair.rows() for pair in pairs])
+        self.rows = {family: sum(groups, ()) for family, groups in zip(FAMILIES, by_family)}
 
     def owner(self, family, row):
         """What a downward, local or rosenlicht row belongs to, by position,
@@ -636,9 +626,10 @@ def level_rows(graph, mask, prefix):
     of each vertex of L (its arrows with head in V<=n) when nonzero, the
     rosenlicht row of each edge inside L, and the global row of each
     component of V<n meeting the neighbours of L.  The union over the levels
-    of a partition is the set of all its rows.  Its two readers need that
-    set alone: :func:`residue_space` takes its kernel, and the face sweep
-    of :mod:`resipoly.polytopes` sums tables off its levels' kernel bases.
+    of a partition is the set of all its rows.  Its readers need that set
+    alone: :func:`residue_space` takes its kernel, and the level-table sum
+    of :mod:`resipoly.polytopes` (``residue_projection_table`` and the face
+    sweep) sums tables off its levels' kernel bases.
     """
     arrows_into = graph.arrows_into
     into_upto = arrows_into(prefix | mask)
@@ -649,8 +640,7 @@ def level_rows(graph, mask, prefix):
         row = out_arrows[i] & into_upto
         if row:
             rows.append(row)
-    # edge e has the arrows 2e and 2e + 1: every other bit is one edge
-    rows += [3 << a for a in bits(out & arrows_into(mask))[::2]]
+    rows += _edge_rows(out & arrows_into(mask))
     reach = graph.neighbour_mask(mask)
     rows += [out & arrows_into(c) for c in graph.mask_components(prefix) if c & reach]
     return frozenset(rows)

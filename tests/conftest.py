@@ -13,6 +13,7 @@ from resipoly import fixtures
 from resipoly.graphs import (
     GraphDocumentError,
     LevelStructure,
+    bits,
     load_level_graph,
     ordered_partitions,
 )
@@ -23,8 +24,9 @@ from resipoly.polytopes import (
     InvariantViolation,
     SetFunction,
     base_polytope,
-    residue_projection_table,
+    projection_rank_table,
 )
+from resipoly.residues import residue_space
 
 
 # the triangular prism: two triangles v1v2v3 and v4v5v6 joined by three edges
@@ -308,6 +310,30 @@ def reference_is_nondecreasing(table):
     )
 
 
+def whole_space_table(graph, levels):
+    """The projection table of the residue space built whole, one echelon
+    of every row (`residue_space`), by `projection_rank_table` of that
+    subspace, one coordinate block per vertex: the arrows with that tail.
+    The reference of the level-table sum that `residue_projection_table`
+    and the face sweep read."""
+    blocks = [bits(arrows) for arrows in graph.out_arrows]
+    return projection_rank_table(residue_space(graph, levels), graph.vertices, blocks)
+
+
+def seeded_document(seed, n, m, r):
+    """A connected graph document of `n` vertices and `m` edges (genus
+    m - n + 1) at `r` levels, drawn from ``random.Random(seed)``: a random
+    spanning tree, then random edges, loops and parallel edges allowed;
+    every level is used."""
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    edges = [[vertices[rng.randrange(k)], vertices[k]] for k in range(1, n)]
+    edges += [[rng.choice(vertices), rng.choice(vertices)] for _ in range(m - n + 1)]
+    order = rng.sample(vertices, n)
+    levels = {v: k + 1 if k < r else rng.randint(1, r) for k, v in enumerate(order)}
+    return {"vertices": vertices, "edges": edges, "levels": levels}
+
+
 def reference_projection_rank_table(space, ground, blocks):
     """The rank of the basis rows sliced to each subset's columns, by
     `reference_rank`'s rational Gauss elimination, one subset at a time."""
@@ -451,12 +477,12 @@ def reference_check_polytope_faces(graph):
     the adjoint rather than as the reversed partition's face, and the face
     lattice closed from tight sets read one subset at a time."""
     trivial = LevelStructure.trivial(graph.vertices)
-    reference = base_polytope(residue_projection_table(graph, trivial))
+    reference = base_polytope(whole_space_table(graph, trivial))
     locate = {v: 1 << i for i, v in enumerate(reference.vertices)}
 
     entries = {}
     for pi in ordered_partitions(graph.vertices):
-        table = residue_projection_table(graph, pi)
+        table = whole_space_table(graph, pi)
         poly = base_polytope(table)
         face = None
         if all(v in locate for v in poly.vertices):

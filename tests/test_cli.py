@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import random
 import subprocess
 import sys
 
@@ -12,7 +11,7 @@ from resipoly import fixtures
 from resipoly.cli import main
 from resipoly.residues import IdentityCheck, LevelGraph, ResidueFlag
 
-from conftest import PRISM, fig1_degenerate_argv
+from conftest import PRISM, fig1_degenerate_argv, seeded_document
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +175,23 @@ class TestDegenerate:
         assert all(report["checks"].values())
         assert len(report["fine_basis"]) == 3
 
+    def test_level_map_with_a_vertex_named_levels(self, tmp_path, capsys):
+        # a level map is read as a document only when its "levels" value is
+        # an object: here it is the level of the vertex "levels"
+        path = tmp_path / "graph.json"
+        path.write_text(
+            json.dumps({"vertices": ["levels", "a"], "edges": [["levels", "a"], ["levels", "a"]]})
+        )
+        fine_path = tmp_path / "fine.json"
+        fine_path.write_text(json.dumps({"levels": 1, "a": 2}))
+        code, out, err = run_cli(
+            capsys, "degenerate", "--input", str(path), "--fine", str(fine_path)
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["ok"]
+        assert report["fine"] == [["levels"], ["a"]]
+
     def test_not_a_coarsening(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "fig1")
         fine_path = tmp_path / "fine.json"
@@ -219,20 +235,6 @@ class TestPrismDigests:
         )
 
 
-def seeded_document(seed, n, m, r):
-    """A connected graph document of `n` vertices and `m` edges (genus
-    m - n + 1) at `r` levels, drawn from ``random.Random(seed)``: a random
-    spanning tree, then random edges, loops and parallel edges allowed;
-    every level is used."""
-    rng = random.Random(seed)
-    vertices = [f"v{i}" for i in range(1, n + 1)]
-    edges = [[vertices[rng.randrange(k)], vertices[k]] for k in range(1, n)]
-    edges += [[rng.choice(vertices), rng.choice(vertices)] for _ in range(m - n + 1)]
-    order = rng.sample(vertices, n)
-    levels = {v: k + 1 if k < r else rng.randint(1, r) for k, v in enumerate(order)}
-    return {"vertices": vertices, "edges": edges, "levels": levels}
-
-
 class TestTableBoundDigests:
     """Outputs at the CLI's size bounds pinned by digest: `gamma` at the
     12-vertex table bound and `polytope` at the 8-vertex polytope bound, on
@@ -246,13 +248,30 @@ class TestTableBoundDigests:
         assert code == 0, err
         return out
 
-    def test_gamma_at_the_table_bound(self, tmp_path, capsys):
-        out = self.run(tmp_path, capsys, "gamma", seeded_document(12, 12, 16, 3))
+    def gamma_digest(self, tmp_path, capsys, levels):
+        """The digest of `gamma` on the seeded 12-vertex document of genus 5
+        at this many levels."""
+        out = self.run(tmp_path, capsys, "gamma", seeded_document(12, 12, 16, levels))
         entries = json.loads(out)["entries"]
         assert len(entries) == 1 << 12
         assert entries[-1] == {"subset": [f"v{i}" for i in range(1, 13)], "value": "5"}
-        assert hashlib.sha256(out.encode()).hexdigest() == (
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_gamma_at_the_table_bound(self, tmp_path, capsys):
+        assert self.gamma_digest(tmp_path, capsys, 3) == (
             "d403e8f0916bbcac9dcd9a094fce245696dba0544a62a0e1bc4e649cfca8f6e7"
+        )
+
+    def test_gamma_at_the_table_bound_on_one_level(self, tmp_path, capsys):
+        # the level sum at one extreme: a single level table
+        assert self.gamma_digest(tmp_path, capsys, 1) == (
+            "42666e773a8a35a486afd676044f4559011d8d79f218ce8157537f744c8fc133"
+        )
+
+    def test_gamma_at_the_table_bound_on_twelve_levels(self, tmp_path, capsys):
+        # the other extreme: every vertex its own level, twelve level tables
+        assert self.gamma_digest(tmp_path, capsys, 12) == (
+            "3253f4cddeb74ecf56f3843c759bb99ceb5e090ebc5da80322a7359e65e1bf10"
         )
 
     def test_polytope_at_the_polytope_bound(self, tmp_path, capsys):
@@ -424,7 +443,7 @@ class TestInvariantViolations:
 
     def test_summed_table_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
         # the face sweep's tables are sums of level tables, guarded once each
-        # by the same check as a whole-space table
+        # by the same check as the table of a given subspace
         import resipoly.polytopes
 
         monkeypatch.setattr(resipoly.polytopes.SetFunction, "is_submodular", lambda self: False)

@@ -455,7 +455,6 @@ class TestCheckDegeneration:
 
     def test_one_residue_space_per_side(self, fig1, monkeypatch):
         import resipoly.degeneration
-        import resipoly.polytopes
 
         calls = []
 
@@ -463,8 +462,7 @@ class TestCheckDegeneration:
             calls.append(levels)
             return residue_space(graph, levels)
 
-        for module in (resipoly.degeneration, resipoly.polytopes):
-            monkeypatch.setattr(module, "residue_space", counted)
+        monkeypatch.setattr(resipoly.degeneration, "residue_space", counted)
         graph, levels, _ = fig1
         trivial = LevelStructure.trivial(graph.vertices)
         assert check_degeneration(graph, levels, trivial).ok

@@ -45,7 +45,9 @@ from conftest import (
     reference_projection_rank_table,
     reference_splitting,
     reference_tight,
+    seeded_document,
     value_of,
+    whole_space_table,
 )
 
 
@@ -109,6 +111,21 @@ class TestSetFunction:
         assert table != SetFunction(("b", "a"), (0, 1, 1, 2))
         assert table != SetFunction(("a", "c"), (0, 1, 1, 2))
         assert table != SetFunction(("a", "b"), (0, 1, 1, 1))
+
+    def test_level_sum_matches_the_whole_space_table(self, fig1, k4, c3, loop1):
+        # `residue_projection_table`, a sum of level tables, against the
+        # table of the residue space built whole: every partition of the
+        # small fixtures, and seeded graphs of 1 to 12 vertices at one level
+        # and with every vertex its own level
+        for graph, _, _ in (fig1, k4, c3, loop1):
+            for pi in ordered_partitions(graph.vertices):
+                assert residue_projection_table(graph, pi) == whole_space_table(graph, pi), pi
+        for n in range(1, 13):
+            for r in (1, n):
+                graph, levels = load_level_graph(seeded_document(n, n, n + 4, r))
+                assert levels.r == r
+                table = residue_projection_table(graph, levels)
+                assert table == whole_space_table(graph, levels), (n, r)
 
     def test_range_equals_genus(self):
         rng = random.Random(42)
@@ -408,7 +425,7 @@ class TestFaceSweep:
         # every merge, and no other pair, hashes its (finer, coarser) key
         assert set(zip(looked_up[::2], looked_up[1::2])) == set(merges)
         values = {
-            pi.levels: residue_projection_table(graph, pi).values
+            pi.levels: whole_space_table(graph, pi).values
             for pi in ordered_partitions(graph.vertices)
         }
         distinct = {(values[fine], values[coarse]) for fine, coarse in merges}
@@ -487,7 +504,7 @@ class TestFaceSweep:
 
     def test_summed_tables_match_the_whole_space_tables(self, fig1, k4, c3, loop1, monkeypatch):
         # the table the sweep reads for each partition, a sum of level
-        # tables, against the whole-space `residue_projection_table`
+        # tables, against the table of the residue space built whole
         rng = random.Random(49)
         graphs = [fix[0] for fix in (fig1, k4, c3, loop1)] + [
             random_multigraph(rng, 5, 8) for _ in range(40)
@@ -507,7 +524,7 @@ class TestFaceSweep:
             assert check_polytope_faces(graph).ok
             assert len(reads) == len(list(ordered_partitions(graph.vertices)))
             for pi, table in reads:
-                assert table == residue_projection_table(graph, pi), pi
+                assert table == whole_space_table(graph, pi), pi
 
     def test_one_kernel_per_level_table_one_polytope_per_table(self, k4, monkeypatch):
         graph = k4[0]
@@ -522,7 +539,7 @@ class TestFaceSweep:
             for pair in zip(pi.masks, itertools.accumulate(pi.masks, operator.or_, initial=0))
         }
         level_keys = {(mask, level_rows(graph, mask, prefix)) for mask, prefix in level_pairs}
-        tables = {residue_projection_table(graph, pi).values for pi in partitions}
+        tables = {whole_space_table(graph, pi).values for pi in partitions}
         real_level_table = polytopes._level_table
         real_kernel_basis = polytopes._kernel_basis
         real_kernel = residues._kernel

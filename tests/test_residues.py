@@ -428,6 +428,26 @@ def _block_owned(model, family, n, component, rows):
     return list(zip(owners, rows, strict=True))
 
 
+def _level_by_level(reference, family):
+    """The reference model's rows of `family`, level by level, each level's
+    in owner order: the order of :attr:`LevelGraph.rows`.  A downward row
+    belongs to the level of its arrow's tail, a rosenlicht row to that of
+    its horizontal edge."""
+    graph = reference.graph
+    level = dict(zip(reference.levels.vertices, reference.levels.levels))
+
+    def level_of(row):
+        if family == "downward":
+            return level[graph.arrows[row.owner].tail]
+        if family == "local":
+            return level[row.owner]
+        if family == "rosenlicht":
+            return level[graph.edges[row.owner][0]]
+        return row.owner[0]
+
+    return sorted(reference.rows[family], key=level_of)
+
+
 def _reference_rows(rows):
     return [(row.label, row.support, row.owner) for row in rows]
 
@@ -532,7 +552,7 @@ class TestMaskModelAgainstReference:
                 )
                 for family in FAMILIES:
                     assert _as_sets(model, family, owned_rows(model, family)) == _reference_rows(
-                        reference.rows[family]
+                        _level_by_level(reference, family)
                     )
                 blocks = [(n, *b) for n, _, level in model.collections() for b in level]
                 assert len(blocks) == len(reference.blocks)

@@ -114,7 +114,7 @@ CATALOGUE = (
         POLY,
         'raise InvariantViolation("projection table violates its invariants")',
         "pass",
-        "_checked_table: the one table invariant guard off, for whole-space and summed tables",
+        "_checked_table: the one table invariant guard off, for subspace and summed tables",
         "tests/test_cli.py::TestInvariantViolations::test_polytopes_invariant_exits_1",
     ),
     Mutant(
@@ -1268,6 +1268,29 @@ CATALOGUE = (
         'if document.get("levels") is None:',
         'load_level_graph: a null "levels" read as the one-level structure',
         "tests/test_cli.py::TestErrors::test_null_levels_exit_2[info]",
+    ),
+    Mutant(
+        POLY,
+        "    _check_table_bound(graph)\n    check_same_vertices(graph, levels)\n",
+        "    _check_table_bound(graph)\n",
+        "residue_projection_table: a level structure listing the vertices in another order"
+        " is not rejected",
+        "tests/test_residues.py::TestFlag::test_space_routes_reject_a_reordered_vertex_tuple",
+    ),
+    Mutant(
+        DEG,
+        "split = splitting(projection_rank_table(coarse_space, graph.vertices, blocks), fine)",
+        "split = splitting(projection_rank_table(coarse_space, graph.vertices, blocks[::-1]), fine)",
+        "check_degeneration: the coarse table's tail blocks taken in reverse vertex order,"
+        " the fine table's in vertex order",
+        "tests/test_degeneration.py::TestCheckDegeneration::test_fig1_against_trivial",
+    ),
+    Mutant(
+        CLI,
+        'if isinstance(raw, dict) and isinstance(raw.get("levels"), dict):',
+        'if isinstance(raw, dict) and "levels" in raw:',
+        'cmd_degenerate: a --fine level map with a vertex named "levels" read as a document',
+        "tests/test_cli.py::TestDegenerate::test_level_map_with_a_vertex_named_levels",
     ),
 )
 
