@@ -45,12 +45,14 @@ def _read_document(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, UnicodeDecodeError) as err:
-        raise GraphDocumentError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise GraphDocumentError(
             f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})"
         ) from err
+    except (OSError, ValueError, RecursionError) as err:
+        # a ValueError here is a byte that is not UTF-8 or an integer past
+        # the digit limit, a RecursionError nesting past the parser's depth
+        raise GraphDocumentError(f"cannot read {path}: {err}") from err
 
 
 def _load_input(path):

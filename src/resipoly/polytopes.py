@@ -22,9 +22,13 @@ that level, so the residue space is the direct sum of the levels' kernels
 K_n, and its table is the sum over n of I -> t_n(I n L_n), where t_n is
 the table of K_n on the vertices of level L_n.  That sum is the one
 builder of a level graph's table, for `residue_projection_table` and the
-face sweep alike, one t_n per (level mask, row set) pair, each read off an
-integral kernel basis: a projection's dimension does not depend on the
-basis, so no canonical kernel is made.  This is still the kernel route,
+face sweep alike, one t_n per (level mask, row set) pair.  Each t_n is
+dim K_n at L_n and 0 at the empty set, since K_n lies on the arrows out of
+L_n; dim K_n is read off an echelon of the rows on the arrows that no
+one-arrow row zeroes.  That fixes t_n when K_n is zero or L_n is one
+vertex; any other t_n is read off an integral kernel basis on those
+arrows, a projection's dimension not depending on the basis, so no
+canonical kernel is made.  This is still the kernel route,
 taken blockwise, not the splitting.  The table of a given subspace, such
 as the two residue spaces `check_degeneration` already holds, is
 `projection_rank_table`.
@@ -510,21 +514,44 @@ def _level_table(graph, mask, rows):
     the dimension of the projection of the level's kernel onto the arrows
     with tail in I & `mask`.
 
-    The level's kernel is that of its condition `rows` on the arrows out of
-    level `mask`, which hold every arrow of those rows.  Its ranks are read
-    off the integral basis (:func:`~resipoly.linalg._kernel_basis`): the
-    dimension of a projection does not depend on the basis.  The walk runs
-    over the subsets of the level's vertices only.
+    The level's kernel K is that of its condition `rows` on the arrows out
+    of level `mask`, which hold every arrow of those rows.  A row of one
+    arrow (a downward unit row, or the local row of a vertex with one
+    arrow that is not downward) zeroes that arrow on K; the other arrows
+    are live, and K is the kernel of the other rows restricted to them, so
+    dim K is the live count less the rank of their echelon.  K projects
+    injectively onto all of the level's arrows, so the table is dim K at L
+    and 0 at the empty set: a zero kernel gives the zero table, and a level
+    of one vertex has no other subset.  Any other level's ranks are read
+    off an integral basis on the live arrows
+    (:func:`~resipoly.linalg._kernel_basis`), since the dimension of a
+    projection does not depend on the basis, by a walk over the subsets of
+    the level's vertices only.
     """
-    arrows = bits(graph.arrows_from(mask))
-    basis = _kernel_basis(_insert_masks({}, rows), arrows)
-    columns = {a: {} for a in arrows}
-    for k, vector in enumerate(basis):
-        for a, x in vector.items():
-            columns[a][k] = x
+    dead = 0
+    wide = []
+    for row in rows:
+        if row & (row - 1):
+            wide.append(row)
+        else:
+            dead |= row
+    live = graph.arrows_from(mask) & ~dead
+    echelon = _insert_masks({}, [row & live for row in wide])
+    dim = live.bit_count() - len(echelon)
     level = bits(mask)
-    out_arrows = graph.out_arrows
-    ranks = _rank_walk(len(basis), columns, [bits(out_arrows[i]) for i in level])
+    if not dim:
+        ranks = [0] * (1 << len(level))
+    elif len(level) == 1:
+        ranks = [0, dim]
+    else:
+        arrows = bits(live)
+        basis = _kernel_basis(echelon, arrows)
+        columns = {a: {} for a in arrows}
+        for k, vector in enumerate(basis):
+            for a, x in vector.items():
+                columns[a][k] = x
+        out_arrows = graph.out_arrows
+        ranks = _rank_walk(dim, columns, [bits(out_arrows[i] & live) for i in level])
     # the walk lists the level's subsets by their bits in `level`; `at`
     # holds each at its vertex mask
     at = [0] * (1 << len(graph.vertices))

@@ -627,9 +627,9 @@ def level_rows(graph, mask, prefix):
     rosenlicht row of each edge inside L, and the global row of each
     component of V<n meeting the neighbours of L.  The union over the levels
     of a partition is the set of all its rows.  Its readers need that set
-    alone: :func:`residue_space` takes its kernel, and the level-table sum
-    of :mod:`resipoly.polytopes` (``residue_projection_table`` and the face
-    sweep) sums tables off its levels' kernel bases.
+    alone: :func:`residue_space` takes its kernel, and
+    :mod:`resipoly.polytopes` (``residue_projection_table`` and the face
+    sweep) builds one level table per (level mask, row set) pair.
     """
     arrows_into = graph.arrows_into
     into_upto = arrows_into(prefix | mask)

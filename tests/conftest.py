@@ -26,7 +26,7 @@ from resipoly.polytopes import (
     base_polytope,
     projection_rank_table,
 )
-from resipoly.residues import residue_space
+from resipoly.residues import _insert_masks, _kernel, residue_space
 
 
 # the triangular prism: two triangles v1v2v3 and v4v5v6 joined by three edges
@@ -318,6 +318,19 @@ def whole_space_table(graph, levels):
     and the face sweep read."""
     blocks = [bits(arrows) for arrows in graph.out_arrows]
     return projection_rank_table(residue_space(graph, levels), graph.vertices, blocks)
+
+
+def whole_kernel_level_table(graph, mask, rows):
+    """The reference of `_level_table`: the canonical kernel of the level's
+    `rows` over the whole arrow space (`_kernel`), tabled by
+    `projection_rank_table` with one block per vertex and read at I & L,
+    L being the level `mask`.  The rows lie on the arrows out of L, so that
+    kernel is the level's kernel plus every other arrow, free; none of those
+    has its tail in I & L, so they leave the table there unchanged."""
+    space = _kernel(_insert_masks({}, rows), graph.num_arrows)
+    blocks = [bits(arrows) for arrows in graph.out_arrows]
+    values = projection_rank_table(space, graph.vertices, blocks).values
+    return [values[subset & mask] for subset in range(len(values))]
 
 
 def seeded_document(seed, n, m, r):

@@ -308,6 +308,32 @@ class TestErrors:
             "in position 0: invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("command", ["info", "verify", "degenerate"])
+    def test_nesting_past_the_parser_depth_exits_2(self, tmp_path, capsys, command):
+        # 100,000 levels of arrays, past the parser's depth on every
+        # supported Python, inside a key the loader ignores (or as the whole
+        # --fine file): bad input, named, never a traceback read as exit 1
+        nested = "[" * 100_000 + "]" * 100_000
+        deep = tmp_path / "deep.json"
+        if command == "degenerate":
+            deep.write_text(nested)
+            argv = ["degenerate", "--input", write_fixture(tmp_path, "fig1"), "--fine", str(deep)]
+        else:
+            deep.write_text('{"vertices": ["a"], "edges": [], "notes": ' + nested + "}")
+            argv = [command, "--input", str(deep)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {deep}: maximum recursion depth exceeded")
+
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"vertices": ["a"], "edges": [], "levels": {"a": ' + "1" * 5000 + "}}")
+        code, out, err = run_cli(capsys, "info", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: Exceeds the limit")
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

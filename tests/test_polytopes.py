@@ -47,6 +47,7 @@ from conftest import (
     reference_tight,
     seeded_document,
     value_of,
+    whole_kernel_level_table,
     whole_space_table,
 )
 
@@ -319,6 +320,18 @@ class RowSets(dict):
         return rows
 
 
+def level_prefix_pairs(n):
+    """Every (level mask, prefix mask) pair on n vertices: a nonempty level
+    and any prefix disjoint from it, 3^n - 2^n pairs."""
+    full = (1 << n) - 1
+    return [
+        (mask, prefix)
+        for mask in range(1, full + 1)
+        for prefix in range(full + 1)
+        if not mask & prefix
+    ]
+
+
 class TestFaceSweep:
     def test_k4_full_sweep(self, k4):
         graph, _, _ = k4
@@ -526,6 +539,45 @@ class TestFaceSweep:
             for pi, table in reads:
                 assert table == whole_space_table(graph, pi), pi
 
+    def test_level_tables_match_the_whole_space_kernels(
+        self, fig1, fig2, k4, c3, loop1, monkeypatch
+    ):
+        # every (level mask, prefix mask) pair's level table against the
+        # canonical kernel of the same rows over every arrow, with a census
+        # of the three ways a level table is built: the zero table of a zero
+        # kernel, the one-vertex table, and the walk over an integral basis,
+        # which alone takes a basis
+        rng = random.Random(49)
+        graphs = [fix[0] for fix in (fig1, k4, c3, loop1)] + [load_level_graph(PRISM)[0]]
+        graphs += [random_multigraph(rng, 5, 8) for _ in range(40)]
+        cases = [(graph, level_prefix_pairs(len(graph.vertices))) for graph in graphs]
+        # fig2's 12 vertices give 3^12 - 2^12 pairs: only its own levels'
+        graph, levels, _ = fig2
+        prefixes = itertools.accumulate(levels.masks, operator.or_, initial=0)
+        cases.append((graph, list(zip(levels.masks, prefixes))))
+        bases = []
+        real_kernel_basis = polytopes._kernel_basis
+
+        def counting_kernel_basis(echelon, columns):
+            bases.append(columns)
+            return real_kernel_basis(echelon, columns)
+
+        monkeypatch.setattr(polytopes, "_kernel_basis", counting_kernel_basis)
+        census = collections.Counter()
+        for graph, pairs in cases:
+            for mask, prefix in pairs:
+                rows = level_rows(graph, mask, prefix)
+                expected = whole_kernel_level_table(graph, mask, rows)
+                assert polytopes._level_table(graph, mask, rows) == expected, (mask, prefix)
+                if not expected[mask]:
+                    census["zero kernel"] += 1
+                elif mask & (mask - 1):
+                    census["basis"] += 1
+                else:
+                    census["one vertex"] += 1
+        assert census.keys() == {"zero kernel", "one vertex", "basis"}
+        assert len(bases) == census["basis"]
+
     def test_one_kernel_per_level_table_one_polytope_per_table(self, k4, monkeypatch):
         graph = k4[0]
         partitions = list(ordered_partitions(graph.vertices))
@@ -539,6 +591,13 @@ class TestFaceSweep:
             for pair in zip(pi.masks, itertools.accumulate(pi.masks, operator.or_, initial=0))
         }
         level_keys = {(mask, level_rows(graph, mask, prefix)) for mask, prefix in level_pairs}
+        # a level takes a basis when it has two or more vertices and a
+        # nonzero kernel, its table's value at its own mask
+        based = {
+            (mask, rows)
+            for mask, rows in level_keys
+            if mask & (mask - 1) and whole_kernel_level_table(graph, mask, rows)[mask]
+        }
         tables = {whole_space_table(graph, pi).values for pi in partitions}
         real_level_table = polytopes._level_table
         real_kernel_basis = polytopes._kernel_basis
@@ -555,15 +614,15 @@ class TestFaceSweep:
         level_calls = []
         polytope_calls = []
 
-        # the sweep takes an integral kernel basis per level table: record
-        # the (level mask, row set) key there, and count the bases taken,
-        # the canonical kernels taken (none) and the tables guarded
+        # the sweep builds one level table per (level mask, row set) key:
+        # record the key there, and the keys that take an integral kernel
+        # basis, the canonical kernels taken (none) and the tables guarded
         def counting_level_table(g, mask, rows):
             kernels.append((mask, rows))
             return real_level_table(g, mask, rows)
 
         def counting_kernel_basis(echelon, columns):
-            kernel_calls.append(columns)
+            kernel_calls.append(kernels[-1])
             return real_kernel_basis(echelon, columns)
 
         def counting_kernel(echelon, width):
@@ -596,9 +655,12 @@ class TestFaceSweep:
         monkeypatch.setattr(polytopes, "_greedy_polytope", counting_polytope)
         report = check_polytope_faces(graph)
         assert report.ok and report.partitions_checked == len(partitions) == 75
-        assert len(kernel_calls) == len(kernels)
         assert len(kernels) == len(set(kernels)) == len(level_keys) < len(level_pairs)
         assert set(kernels) == level_keys
+        # one basis per key with two or more vertices and a nonzero kernel,
+        # none for a zero kernel or a level of one vertex
+        assert len(kernel_calls) == len(based) < len(level_keys)
+        assert set(kernel_calls) == based
         assert whole_kernels == []
         # one guard per distinct table value, which several row sets share,
         # and no second submodularity check when its polytope is built
@@ -653,6 +715,24 @@ class TestFaceSweep:
         assert payload["ok"] is True
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "066e4ed647722b2c20cb0754e5adf542339dcff45e8707e1096be92802e68d6b"
+        )
+
+    def test_k6_sweep(self, tmp_path, capsys):
+        # K6, the dense case: its one-level polytope has 360 vertices and
+        # 2,433 faces, and its `faces` bytes are pinned by digest
+        vertices = [f"v{i}" for i in range(1, 7)]
+        edges = [list(e) for e in itertools.combinations(vertices, 2)]
+        path = tmp_path / "k6.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        assert main(["faces", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["partitions"] == 4683
+        assert len(payload["vertices"]) == 360
+        assert payload["distinct_faces"] == 2433
+        assert payload["ok"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "75d8c381ef64ad08c31c5c7fb25c076d2a6c29fc2a38c99c21b57b8e42175dc1"
         )
 
 

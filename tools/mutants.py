@@ -1116,7 +1116,40 @@ CATALOGUE = (
         "return [at[subset & mask] for subset in range(len(at))]",
         "return [at[subset] for subset in range(len(at))]",
         "_level_table: the spread reads the level table at I, not at I & L",
-        "tests/test_polytopes.py::TestFaceSweep::test_summed_tables_match_the_whole_space_tables",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_tables_match_the_whole_space_kernels",
+    ),
+    # -- a level table's live arrows and its three branches.  Not listed,
+    # being equivalent: an echelon that keeps the one-arrow rows (`rows`
+    # for `wide`), since each is restricted to the live arrows, where it is
+    # empty, and an empty row inserts nothing
+    Mutant(
+        POLY,
+        "if row & (row - 1):",
+        "if row.bit_count() > 2:",
+        "_level_table: a two-arrow row (a rosenlicht row, or a local row of two arrows) read as"
+        " zeroing its arrows",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_tables_match_the_whole_space_kernels",
+    ),
+    Mutant(
+        POLY,
+        "ranks = [0, dim]",
+        "ranks = [0, live.bit_count()]",
+        "_level_table: a one-vertex level's value read as its live-arrow count, not dim K",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_tables_match_the_whole_space_kernels",
+    ),
+    Mutant(
+        POLY,
+        "elif len(level) == 1:",
+        "elif True:",
+        "_level_table: the one-vertex branch taken for every level with a nonzero kernel",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_tables_match_the_whole_space_kernels",
+    ),
+    Mutant(
+        POLY,
+        "if not dim:",
+        "if dim:",
+        "_level_table: the zero-kernel test inverted",
+        "tests/test_polytopes.py::TestFaceSweep::test_level_tables_match_the_whole_space_kernels",
     ),
     # -- the merged check of a component inside its level
     Mutant(
